@@ -30,8 +30,9 @@
 //! point plus the `intruder-flow` kernel program runs on *both* guest
 //! execution cores, the deterministic outputs are asserted byte-equal
 //! (a third, wall-clock-facing differential check), and the VM rows
-//! record `speedup_vs_threads` — host sim-throughput of the in-process
-//! VM over the OS-thread rendezvous. `experiments engine --backend vm`
+//! record `speedup_vs_threads` — host wall-time ratio of the bytecode
+//! VM over the in-process host-Rust guest (`Backend::Threads`, whose
+//! name predates its coroutines). `experiments engine --backend vm`
 //! additionally runs the main suite's capable points on the VM; the
 //! deterministic leaves of `BENCH_engine.json` must not move, which is
 //! exactly what the CI `perf-diff` gate checks at 0% tolerance.
@@ -238,7 +239,7 @@ fn point_json(
 
 /// Run the battery and write `BENCH_engine.json`. `backend` selects the
 /// guest execution core for the main suite; points whose workload does
-/// not compile to bytecode always run on the thread backend, so
+/// not compile to bytecode always run on the host backend, so
 /// `--backend vm` changes host metrics only — the deterministic leaves
 /// must be identical, which the CI `perf-diff` gate enforces. `profile`
 /// (the default; `--no-profile` clears it) attaches the engine's scope
@@ -297,8 +298,8 @@ pub fn run(
     // Backend comparison: every VM-capable ladder point plus the
     // VM-native intruder-flow kernel runs on both guest execution
     // cores. Deterministic outputs must match byte for byte; the VM
-    // rows record the host-side speedup of dropping the OS-thread
-    // rendezvous (2 context switches per guest op).
+    // rows record the host-side speedup of the bytecode VM over the
+    // host-Rust coroutine guest.
     let mut best_speedup: (f64, String) = (0.0, String::new());
     {
         fn compare<P: Program>(
@@ -314,13 +315,13 @@ pub fn run(
             assert_eq!(
                 st.to_json(),
                 sv.to_json(),
-                "{}/{name}: VM backend diverged from the thread backend",
+                "{}/{name}: VM backend diverged from the host backend",
                 p.system.name(),
             );
             let speedup = if wall_v > 0.0 { wall_t / wall_v } else { 0.0 };
             eprintln!(
                 "[engine {} / {name} / {} threads: vm backend {:.2}x host speedup \
-                 ({wall_t:.0} ms -> {wall_v:.0} ms)]",
+                 over host-Rust guests ({wall_t:.0} ms -> {wall_v:.0} ms)]",
                 p.system.name(),
                 p.threads,
                 speedup,
@@ -388,7 +389,7 @@ pub fn run(
         );
     }
     eprintln!(
-        "[engine best vm-vs-threads host speedup: {:.2}x on {}]",
+        "[engine best vm-vs-host-Rust host speedup: {:.2}x on {}]",
         best_speedup.0, best_speedup.1
     );
 

@@ -2,7 +2,7 @@
 //!
 //! The experiment harness evaluates hundreds of *independent* simulation
 //! points (system × workload × threads × cache config). Each point is
-//! bit-deterministic on its own (sim-core's rendezvous-lockstep design),
+//! bit-deterministic on its own (one single-threaded event loop),
 //! so the batch is embarrassingly parallel, and its results are worth
 //! keeping: most figures share points, and most re-invocations change
 //! nothing at all.

@@ -1,8 +1,8 @@
 //! A scoped work-stealing thread pool for fanning simulation points out
 //! across host cores.
 //!
-//! Each simulation is itself bit-deterministic (guest threads run in
-//! rendezvous lockstep with a single-threaded engine), so distinct points
+//! Each simulation is itself bit-deterministic (one single-threaded
+//! engine resumes every guest in lockstep), so distinct points
 //! are embarrassingly parallel: the pool only decides *which host worker*
 //! runs a point, never the point's outcome. Results are returned indexed
 //! by submission order, which makes the whole batch deterministic

@@ -38,7 +38,7 @@
 use crate::ir::{Kernel, KernelBuilder};
 use crate::vm::GuestVm;
 use lockiller::exec::{GuestEnv, GuestExec};
-use lockiller::{GuestCtx, Program, SetupCtx};
+use lockiller::{GuestCtx, GuestFuture, Program, SetupCtx};
 use sim_core::types::{Addr, LineAddr};
 use std::fmt;
 use std::sync::Arc;
@@ -380,41 +380,46 @@ impl Program for SpecProgram {
         self.bases = (0..self.spec.lines).map(|_| s.alloc(8)).collect();
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        let segs = &self.spec.threads[ctx.tid];
-        let tid = ctx.tid as u64;
-        let mut op_no: u64 = 0;
-        for seg in segs {
-            if seg.critical {
-                ctx.critical(|tx| {
-                    for (k, op) in (op_no..).zip(seg.ops.iter()) {
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            let segs = &self.spec.threads[ctx.tid];
+            let tid = ctx.tid as u64;
+            let mut op_no: u64 = 0;
+            for seg in segs {
+                if seg.critical {
+                    ctx.critical(async |tx| {
+                        for (k, op) in (op_no..).zip(seg.ops.iter()) {
+                            match *op {
+                                Op::Load(l) => {
+                                    tx.load(self.bases[l as usize]).await?;
+                                }
+                                Op::Store(l) => {
+                                    tx.store(self.bases[l as usize], (tid << 32) | k).await?;
+                                }
+                                Op::Compute(n) => tx.compute(n).await?,
+                            }
+                        }
+                        Ok(())
+                    })
+                    .await;
+                } else {
+                    for op in &seg.ops {
                         match *op {
                             Op::Load(l) => {
-                                tx.load(self.bases[l as usize])?;
+                                ctx.load(self.bases[l as usize]).await;
                             }
                             Op::Store(l) => {
-                                tx.store(self.bases[l as usize], (tid << 32) | k)?;
+                                ctx.store(self.bases[l as usize], (tid << 32) | op_no).await;
                             }
-                            Op::Compute(n) => tx.compute(n)?,
+                            Op::Compute(n) => ctx.compute(n).await,
                         }
+                        op_no += 1;
                     }
-                    Ok(())
-                });
-            } else {
-                for op in &seg.ops {
-                    match *op {
-                        Op::Load(l) => {
-                            ctx.load(self.bases[l as usize]);
-                        }
-                        Op::Store(l) => ctx.store(self.bases[l as usize], (tid << 32) | op_no),
-                        Op::Compute(n) => ctx.compute(n),
-                    }
-                    op_no += 1;
+                    continue;
                 }
-                continue;
+                op_no += seg.ops.len() as u64;
             }
-            op_no += seg.ops.len() as u64;
-        }
+        })
     }
 
     fn guest_exec(&self, env: GuestEnv) -> Option<Box<dyn GuestExec + '_>> {

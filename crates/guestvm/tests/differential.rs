@@ -1,5 +1,5 @@
 //! The backend differential harness: every program here runs once on
-//! the OS-thread rendezvous backend and once on the in-process VM, and
+//! the host-Rust coroutine backend and once on the bytecode VM, and
 //! the two runs must be **byte-identical** — same `RunStats` (including
 //! every latency histogram), same structured event trace, same final
 //! memory image, same termination.

@@ -1,12 +1,13 @@
 //! Diagnostic matrix: run a contended shared-counter program on every
 //! Table-II system and several thread counts, printing commit/abort/
-//! reject statistics. Doubles as a liveness smoke test (set
-//! `LOCKILLER_WALL_TIMEOUT=20` and/or `LOCKILLER_MAX_CYCLES=...` to turn
-//! hangs into diagnosable panics with a full engine state dump).
+//! reject statistics. Doubles as a liveness smoke test: set
+//! `LOCKILLER_MAX_CYCLES=...` to turn a livelock into a diagnosable
+//! panic with a full engine state dump (a deadlock already panics with
+//! the stuck cores, since guests cannot block outside the engine).
 
 use lockiller::flatmem::{FlatMem, SetupCtx};
 use lockiller::guest::GuestCtx;
-use lockiller::program::Program;
+use lockiller::program::{GuestFuture, Program};
 use lockiller::runner::Runner;
 use lockiller::system::SystemKind;
 use sim_core::config::SystemConfig;
@@ -25,17 +26,20 @@ impl Program for C {
     fn setup(&mut self, s: &mut SetupCtx, _t: usize) {
         self.addr = s.alloc(8);
     }
-    fn run(&self, ctx: &mut GuestCtx) {
-        let addr = self.addr;
-        for _ in 0..self.n {
-            ctx.critical(|tx| {
-                let v = tx.load(addr)?;
-                tx.compute(20)?;
-                tx.store(addr, v + 1)?;
-                Ok(())
-            });
-            ctx.compute(30);
-        }
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            let addr = self.addr;
+            for _ in 0..self.n {
+                ctx.critical(async |tx| {
+                    let v = tx.load(addr).await?;
+                    tx.compute(20).await?;
+                    tx.store(addr, v + 1).await?;
+                    Ok(())
+                })
+                .await;
+                ctx.compute(30).await;
+            }
+        })
     }
     fn validate(&self, m: &FlatMem) -> Result<(), String> {
         let got = m.read(self.addr);

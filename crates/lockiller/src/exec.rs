@@ -2,42 +2,46 @@
 //!
 //! A [`GuestExec`] is a *resumable* guest: the engine hands it the
 //! response to its previous operation and gets the next operation back,
-//! synchronously, on the engine's own thread. The poll-style contract
-//! replaces the original mpsc rendezvous (one OS context switch per
-//! simulated guest step) while keeping the simulation bit-identical —
-//! the engine calls [`GuestExec::resume`] at exactly the points where it
-//! used to block on a channel, so event order, state fingerprints, and
-//! every `RunStats` digest are unchanged.
+//! synchronously, on the engine's own thread. The engine calls
+//! [`GuestExec::resume`] at exactly the points where a guest's previous
+//! operation completes, so event order, state fingerprints, and every
+//! `RunStats` digest are independent of which backend implements it.
 //!
 //! Two backends implement the trait:
 //!
-//! - [`ThreadGuest`] — the compatibility backend: the guest `Program`
-//!   still runs as a Rust closure on an OS thread, and `resume` performs
-//!   the old send/recv rendezvous against it. Any `Program` works here.
-//! - `guestvm::GuestVm` (separate crate) — the in-process VM: guest
+//! - `HostGuest` — host-Rust guests: the `Program::run` body is an
+//!   `async` coroutine, and `resume` polls it once. Both halves of the
+//!   single-slot mailbox protocol between the body and the engine live
+//!   in this module. Any `Program` works here.
+//! - `guestvm::GuestVm` (separate crate) — the bytecode VM: guest
 //!   kernels compile to a compact op-stream bytecode and `resume` is a
-//!   plain function call into a state machine. Programs opt in by
-//!   returning a VM from [`crate::Program::guest_exec`].
+//!   plain function call into a state machine that also supports
+//!   snapshot/restore. Programs opt in by returning a VM from
+//!   [`crate::Program::guest_exec`].
 //!
 //! [`Backend`] selects between them on [`crate::Runner`].
 
-use crate::guest::{GuestOp, GuestResp};
+use crate::guest::{GuestCtx, GuestOp, GuestResp};
+use crate::program::{GuestFuture, Program};
 use sim_core::rng::SimRng;
 use sim_core::types::Addr;
-use std::sync::mpsc::{Receiver, Sender};
+use std::cell::Cell;
+use std::future::poll_fn;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 /// Which guest execution core a [`crate::Runner`] drives.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// OS-thread rendezvous (the compatibility backend): every
-    /// [`crate::Program`] works, at the cost of a real context switch
-    /// per simulated guest step.
+    /// Host-Rust guests (`HostGuest`): every [`crate::Program`] runs
+    /// here, its `run` body polled in-process as a coroutine. The name
+    /// predates the coroutines (guests used to run on OS threads) and is
+    /// kept because CLIs, CI jobs, and benchmark records use it.
     #[default]
     Threads,
-    /// In-process resumable VM: requires the program to provide a
-    /// [`GuestExec`] via [`crate::Program::guest_exec`]. Bit-identical
-    /// to [`Backend::Threads`] on the same kernel, orders of magnitude
-    /// faster on the host.
+    /// Bytecode VM: requires the program to provide a [`GuestExec`] via
+    /// [`crate::Program::guest_exec`]. Bit-identical to
+    /// [`Backend::Threads`] on the same kernel, and checkpointable.
     Vm,
 }
 
@@ -69,8 +73,8 @@ pub struct GuestEnv {
     pub tid: usize,
     /// Total simulated threads in the run.
     pub threads: usize,
-    /// Per-thread deterministic RNG (forked from the run seed exactly
-    /// like the thread backend's `GuestCtx.rng`).
+    /// Per-thread deterministic RNG (forked from the run seed; becomes
+    /// `GuestCtx.rng` on the host backend).
     pub rng: SimRng,
     /// Guest-side runtime policy (retry budget, fallback kind, CGL).
     pub policy: crate::guest::GuestPolicy,
@@ -98,16 +102,15 @@ pub struct GuestSnapshot(pub Box<dyn std::any::Any + Send>);
 /// returned op may depend only on the response history and the guest's
 /// own state.
 ///
-/// Dropping a `GuestExec` releases it: an abandoned run (deadlock /
-/// cycle budget) simply drops the boxes, which for [`ThreadGuest`]
-/// closes the rendezvous channels and unblocks the OS thread.
+/// A run that ends early (deadlock / cycle budget) simply drops its
+/// guests mid-body; nothing else needs releasing.
 pub trait GuestExec {
     /// Deliver `resp` and return the guest's next operation.
     fn resume(&mut self, resp: GuestResp) -> GuestOp;
 
     /// Capture the guest's complete execution state, if the backend
-    /// supports cheap checkpointing (the VM does; the thread backend
-    /// cannot — an OS thread's stack is not capturable in safe Rust).
+    /// supports cheap checkpointing (the VM does; a host-Rust coroutine
+    /// cannot — a suspended future is not clonable).
     fn snapshot(&self) -> Option<GuestSnapshot> {
         None
     }
@@ -121,52 +124,180 @@ pub trait GuestExec {
     }
 }
 
-/// Compatibility backend: the engine-side half of the OS-thread
-/// rendezvous. The guest `Program` runs on its own thread against a
-/// `GuestCtx`; this adapter turns the engine's poll into the historical
-/// send-response / receive-op pair.
-pub struct ThreadGuest {
-    to_guest: Sender<GuestResp>,
-    from_guest: Receiver<GuestOp>,
-    core: usize,
-    started: bool,
+/// Contents of the single-slot mailbox between a host-Rust guest and its
+/// [`HostGuest`]: the op a suspended guest issued, or the response the
+/// engine left for it.
+#[derive(Clone, Copy, Debug, Default)]
+enum Mail {
+    #[default]
+    Empty,
+    Op(GuestOp),
+    Resp(GuestResp),
 }
 
-impl ThreadGuest {
-    /// Wrap the engine-side channel endpoints for `core`.
-    pub fn new(core: usize, to_guest: Sender<GuestResp>, from_guest: Receiver<GuestOp>) -> Self {
-        ThreadGuest {
-            to_guest,
-            from_guest,
-            core,
-            started: false,
-        }
-    }
+/// The mailbox shared by a [`GuestCtx`] and its [`HostGuest`]. Both
+/// halves of the protocol live here: [`Mailbox::call`] on the guest side,
+/// [`HostGuest::resume`] on the engine side.
+#[derive(Clone, Default)]
+pub(crate) struct Mailbox(Rc<Cell<Mail>>);
 
-    fn recv(&self) -> GuestOp {
-        if let Ok(secs) = std::env::var("LOCKILLER_WALL_TIMEOUT") {
-            let dur = std::time::Duration::from_secs(secs.parse().unwrap_or(30));
-            match self.from_guest.recv_timeout(dur) {
-                Ok(op) => op,
-                Err(e) => panic!("guest {} unresponsive ({e:?}) — lost response?", self.core),
+impl Mailbox {
+    /// Post `op` to the engine, suspend once, and return the response the
+    /// engine left in the mailbox before resuming this guest.
+    pub(crate) async fn call(&self, op: GuestOp) -> GuestResp {
+        self.0.set(Mail::Op(op));
+        let mut posted = false;
+        poll_fn(|_| {
+            if !posted {
+                posted = true;
+                return Poll::Pending;
             }
-        } else {
-            self.from_guest
-                .recv()
-                .expect("guest thread terminated without Exit")
+            match self.0.take() {
+                Mail::Resp(r) => Poll::Ready(r),
+                m => panic!("guest resumed without a response ({m:?})"),
+            }
+        })
+        .await
+    }
+}
+
+/// Host-Rust guest: the engine-side adapter that owns one thread's
+/// [`Program::run`] coroutine and polls it with a no-op waker. The body
+/// suspends exactly once per operation, leaving the op in the shared
+/// mailbox; `resume` first leaves the response there for the suspended
+/// operation, then polls until the body's next suspension.
+///
+/// The first `resume` carries the engine's synthetic `Done` kick: the
+/// body has not started, so its first operation overwrites the kick
+/// unread. A finished body answers with [`GuestOp::Exit`], once.
+pub(crate) struct HostGuest<'g> {
+    mailbox: Mailbox,
+    /// `None` once the body has finished.
+    body: Option<GuestFuture<'g>>,
+}
+
+impl<'g> HostGuest<'g> {
+    /// Start `prog`'s body for the simulated thread described by `env`.
+    pub(crate) fn new<P: Program + ?Sized>(prog: &'g P, env: GuestEnv) -> Self {
+        let mailbox = Mailbox::default();
+        let mut ctx = GuestCtx::new(env, mailbox.clone());
+        HostGuest {
+            mailbox,
+            body: Some(Box::pin(async move { prog.run(&mut ctx).await })),
         }
     }
 }
 
-impl GuestExec for ThreadGuest {
+impl GuestExec for HostGuest<'_> {
     fn resume(&mut self, resp: GuestResp) -> GuestOp {
-        if self.started {
-            self.to_guest.send(resp).expect("guest thread died");
-        } else {
-            // First poll: the guest thread is already running toward its
-            // first op; the synthetic kick is swallowed here.
-            self.started = true;
+        let body = self.body.as_mut().expect("guest resumed after Exit");
+        self.mailbox.0.set(Mail::Resp(resp));
+        match body.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+            Poll::Ready(()) => {
+                self.body = None;
+                GuestOp::Exit
+            }
+            Poll::Pending => match self.mailbox.0.take() {
+                Mail::Op(op) => op,
+                m => panic!("guest body suspended without an operation ({m:?})"),
+            },
         }
-        self.recv()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::flatmem::SetupCtx;
+    use crate::guest::GuestPolicy;
+    use crate::runner::Runner;
+    use crate::system::SystemKind;
+    use sim_core::config::SystemConfig;
+
+    fn env() -> GuestEnv {
+        GuestEnv {
+            tid: 0,
+            threads: 1,
+            rng: SimRng::new(1),
+            policy: GuestPolicy {
+                coarse_grained_lock: false,
+                htmlock: true,
+                max_retries: 4,
+                fallback_on_capacity: true,
+            },
+            lock_addr: Addr(0),
+        }
+    }
+
+    /// Store, load, then compute for as many instructions as the load
+    /// returned: three ops, the third depending on a delivered response.
+    struct ThreeOps;
+
+    impl Program for ThreeOps {
+        fn name(&self) -> &str {
+            "three-ops"
+        }
+        fn setup(&mut self, _s: &mut SetupCtx, _threads: usize) {}
+        fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+            Box::pin(async move {
+                ctx.store(Addr(8), 5).await;
+                let v = ctx.load(Addr(8)).await;
+                ctx.compute(v).await;
+            })
+        }
+    }
+
+    #[test]
+    fn first_resume_returns_the_first_op() {
+        let mut g = HostGuest::new(&ThreeOps, env());
+        assert_eq!(g.resume(GuestResp::Done), GuestOp::Store(Addr(8), 5));
+    }
+
+    #[test]
+    fn finished_body_yields_exactly_one_exit() {
+        let mut g = HostGuest::new(&ThreeOps, env());
+        let ops = [
+            g.resume(GuestResp::Done),
+            g.resume(GuestResp::Done),
+            g.resume(GuestResp::Value(3)),
+            g.resume(GuestResp::Done),
+        ];
+        assert_eq!(
+            ops,
+            [
+                GuestOp::Store(Addr(8), 5),
+                GuestOp::Load(Addr(8)),
+                GuestOp::Compute(3),
+                GuestOp::Exit,
+            ]
+        );
+        let again =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| g.resume(GuestResp::Done)));
+        assert!(
+            again.is_err(),
+            "a finished guest must not yield a second op"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "guest 0 failed: bad input")]
+    fn guest_panic_surfaces_from_runner_run() {
+        struct Panicker;
+        impl Program for Panicker {
+            fn name(&self) -> &str {
+                "panicker"
+            }
+            fn setup(&mut self, _s: &mut SetupCtx, _threads: usize) {}
+            fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+                Box::pin(async move {
+                    ctx.compute(10).await;
+                    panic!("guest {} failed: bad input", ctx.tid);
+                })
+            }
+        }
+        let _ = Runner::new(SystemKind::Baseline)
+            .threads(1)
+            .config(SystemConfig::testing(2))
+            .run(&mut Panicker);
     }
 }

@@ -1,13 +1,19 @@
 //! Guest-program API and the transactional runtime (Listings 1 and 2 of
 //! the paper).
 //!
-//! Under the thread backend ([`crate::exec::Backend::Threads`]) a guest
-//! program runs on its own OS thread and talks to the engine in strict
-//! rendezvous: every operation blocks until the engine delivers the
-//! response at the correct simulated cycle. (The VM backend replays the
-//! exact same protocol as an in-process state machine — `guestvm`
-//! mirrors [`GuestCtx::critical`] op for op.) [`GuestCtx::critical`]
-//! implements `lock_acquire_elided`/`lock_release_elided`:
+//! A host-Rust guest ([`crate::exec::Backend::Threads`]) is a coroutine:
+//! every [`GuestCtx`]/[`TxCtx`] operation is an `async fn` that writes its
+//! [`GuestOp`] into a single-slot mailbox shared with the engine and then
+//! suspends once. The engine-side adapter (`HostGuest` in
+//! [`crate::exec`], which owns the mailbox protocol) polls the guest's
+//! body on the engine's own thread, takes the op from the mailbox, and
+//! on the next poll leaves the [`GuestResp`] there for the suspended
+//! operation to pick up — so each operation completes only
+//! when the engine delivers its response at the correct simulated cycle.
+//! (The VM backend replays the exact same protocol as a bytecode state
+//! machine — `guestvm` mirrors [`GuestCtx::critical`] op for op.)
+//! [`GuestCtx::critical`] implements
+//! `lock_acquire_elided`/`lock_release_elided`:
 //!
 //! - **CGL**: plain spin-lock critical section, no speculation;
 //! - **Baseline**: `xbegin`, subscribe to the fallback lock (a
@@ -21,14 +27,15 @@
 //!   transparently; `lock_release_elided` dispatches on `_ttest`
 //!   (Listing 2) and skips the lock release for STL finishes.
 //!
-//! Transaction bodies receive a [`TxCtx`] whose memory operations return
-//! `Result<_, Abort>`: an abort unwinds the body via `?` and the retry
-//! loop re-executes it, exactly like hardware rolling back to the xbegin.
+//! Transaction bodies are async closures receiving a [`TxCtx`] whose
+//! memory operations return `Result<_, Abort>`: an abort unwinds the body
+//! via `?` and the retry loop re-executes it, exactly like hardware
+//! rolling back to the xbegin.
 
+use crate::exec::{GuestEnv, Mailbox};
 use sim_core::rng::SimRng;
 use sim_core::stats::AbortCause;
 use sim_core::types::Addr;
-use std::sync::mpsc::{Receiver, Sender};
 
 /// `_ttest` return values (Listing 2 dispatch), namespaced so new modes
 /// can be added without colliding with downstream constants.
@@ -109,47 +116,37 @@ pub struct GuestPolicy {
     pub fallback_on_capacity: bool,
 }
 
-/// The guest side of the rendezvous channel plus the runtime state.
+/// The guest side of the engine mailbox plus the runtime state.
 pub struct GuestCtx {
     pub tid: usize,
     pub threads: usize,
     pub rng: SimRng,
     policy: GuestPolicy,
     lock_addr: Addr,
-    tx: Sender<GuestOp>,
-    rx: Receiver<GuestResp>,
+    mailbox: Mailbox,
     in_critical: bool,
 }
 
 impl GuestCtx {
-    pub fn new(
-        tid: usize,
-        threads: usize,
-        rng: SimRng,
-        policy: GuestPolicy,
-        lock_addr: Addr,
-        tx: Sender<GuestOp>,
-        rx: Receiver<GuestResp>,
-    ) -> GuestCtx {
+    pub(crate) fn new(env: GuestEnv, mailbox: Mailbox) -> GuestCtx {
         GuestCtx {
-            tid,
-            threads,
-            rng,
-            policy,
-            lock_addr,
-            tx,
-            rx,
+            tid: env.tid,
+            threads: env.threads,
+            rng: env.rng,
+            policy: env.policy,
+            lock_addr: env.lock_addr,
+            mailbox,
             in_critical: false,
         }
     }
 
-    fn op(&self, o: GuestOp) -> GuestResp {
-        self.tx.send(o).expect("engine hung up");
-        self.rx.recv().expect("engine hung up")
+    /// Post `o` to the engine and return its response (one suspension).
+    async fn op(&self, o: GuestOp) -> GuestResp {
+        self.mailbox.call(o).await
     }
 
-    fn op_infallible(&self, o: GuestOp) -> GuestResp {
-        match self.op(o) {
+    async fn op_infallible(&self, o: GuestOp) -> GuestResp {
+        match self.op(o).await {
             GuestResp::Aborted(c) => panic!("unexpected abort ({c:?}) outside a transaction"),
             r => r,
         }
@@ -157,68 +154,62 @@ impl GuestCtx {
 
     // ---------------- non-transactional primitives ----------------
 
-    pub fn load(&self, a: Addr) -> u64 {
-        match self.op_infallible(GuestOp::Load(a)) {
+    pub async fn load(&self, a: Addr) -> u64 {
+        match self.op_infallible(GuestOp::Load(a)).await {
             GuestResp::Value(v) => v,
             r => panic!("bad response to load: {r:?}"),
         }
     }
 
-    pub fn store(&self, a: Addr, v: u64) {
-        self.op_infallible(GuestOp::Store(a, v));
+    pub async fn store(&self, a: Addr, v: u64) {
+        self.op_infallible(GuestOp::Store(a, v)).await;
     }
 
-    pub fn cas(&self, a: Addr, expected: u64, new: u64) -> u64 {
-        match self.op_infallible(GuestOp::Cas(a, expected, new)) {
+    pub async fn cas(&self, a: Addr, expected: u64, new: u64) -> u64 {
+        match self.op_infallible(GuestOp::Cas(a, expected, new)).await {
             GuestResp::Value(v) => v,
             r => panic!("bad response to cas: {r:?}"),
         }
     }
 
-    pub fn compute(&self, n: u64) {
-        self.op_infallible(GuestOp::Compute(n));
+    pub async fn compute(&self, n: u64) {
+        self.op_infallible(GuestOp::Compute(n)).await;
     }
 
-    pub fn page_touch(&self, page: u64) -> Result<(), Abort> {
-        match self.op(GuestOp::PageTouch(page)) {
+    pub async fn page_touch(&self, page: u64) -> Result<(), Abort> {
+        match self.op(GuestOp::PageTouch(page)).await {
             GuestResp::Aborted(c) => Err(Abort { cause: c }),
             _ => Ok(()),
         }
     }
 
-    pub fn barrier(&self) {
-        self.op_infallible(GuestOp::Barrier);
-    }
-
-    /// Must be the last call of `thread_main` (the runner also sends it on
-    /// return as a safety net — it is idempotent engine-side).
-    pub fn exit(&self) {
-        let _ = self.tx.send(GuestOp::Exit);
+    pub async fn barrier(&self) {
+        self.op_infallible(GuestOp::Barrier).await;
     }
 
     // ---------------- spin lock (test-and-test-and-set) ----------------
 
-    fn spin_acquire(&self) {
-        self.op_infallible(GuestOp::SpinBegin);
+    async fn spin_acquire(&self) {
+        self.op_infallible(GuestOp::SpinBegin).await;
         loop {
-            if self.load(self.lock_addr) == 0 && self.cas(self.lock_addr, 0, 1) == 0 {
+            if self.load(self.lock_addr).await == 0 && self.cas(self.lock_addr, 0, 1).await == 0 {
                 break;
             }
-            self.compute(16);
+            self.compute(16).await;
         }
-        self.op_infallible(GuestOp::SpinEnd);
+        self.op_infallible(GuestOp::SpinEnd).await;
     }
 
-    fn spin_until_free(&self) {
-        self.op_infallible(GuestOp::SpinBegin);
-        while self.load(self.lock_addr) != 0 {
-            self.compute(16);
+    async fn spin_until_free(&self) {
+        self.op_infallible(GuestOp::SpinBegin).await;
+        while self.load(self.lock_addr).await != 0 {
+            self.compute(16).await;
         }
-        self.op_infallible(GuestOp::SpinEnd);
+        self.op_infallible(GuestOp::SpinEnd).await;
     }
 
-    fn release_lock(&self) {
-        self.store(self.lock_addr, 0);
+    async fn release_lock(&self) {
+        self.store(self.lock_addr, 0).await;
     }
 
     // ---------------- the elided-lock critical section ----------------
@@ -227,36 +218,42 @@ impl GuestCtx {
     /// concurrency control. Shared state touched by `f` must live in
     /// simulated memory (so aborts roll it back); host-side locals must be
     /// re-initialized inside the closure.
-    pub fn critical<T>(&mut self, mut f: impl FnMut(&mut TxCtx) -> Result<T, Abort>) -> T {
+    pub async fn critical<T>(
+        &mut self,
+        mut f: impl AsyncFnMut(&mut TxCtx) -> Result<T, Abort>,
+    ) -> T {
         assert!(
             !self.in_critical,
             "nested critical sections are not supported"
         );
         self.in_critical = true;
-        let v = self.critical_inner(&mut f);
+        let v = self.critical_inner(&mut f).await;
         self.in_critical = false;
         v
     }
 
-    fn critical_inner<T>(&mut self, f: &mut impl FnMut(&mut TxCtx) -> Result<T, Abort>) -> T {
+    async fn critical_inner<T>(
+        &mut self,
+        f: &mut impl AsyncFnMut(&mut TxCtx) -> Result<T, Abort>,
+    ) -> T {
         if self.policy.coarse_grained_lock {
-            self.spin_acquire();
-            self.op_infallible(GuestOp::FallbackBegin);
-            let v = run_infallible(self, f);
-            self.op_infallible(GuestOp::FallbackEnd);
-            self.release_lock();
+            self.spin_acquire().await;
+            self.op_infallible(GuestOp::FallbackBegin).await;
+            let v = run_infallible(self, f).await;
+            self.op_infallible(GuestOp::FallbackEnd).await;
+            self.release_lock().await;
             return v;
         }
 
         // lock_acquire_elided (Listing 1).
         let mut retries = self.policy.max_retries;
         while retries > 0 {
-            match self.try_htm(f) {
+            match self.try_htm(f).await {
                 Ok(v) => return v,
                 Err(HtmFail::LockTaken) => {
                     // Subscribed lock observed held: wait until free, then
                     // burn one retry (Listing 1 decrements per iteration).
-                    self.spin_until_free();
+                    self.spin_until_free().await;
                     retries -= 1;
                 }
                 Err(HtmFail::Abort(cause)) => {
@@ -271,54 +268,30 @@ impl GuestCtx {
         }
 
         // Fallback path: lock_acquire + (hlbegin | plain critical section).
-        self.spin_acquire();
-        if self.policy.htmlock {
-            self.op_infallible(GuestOp::HlBegin);
-            let v = run_infallible(self, f);
-            self.op_infallible(GuestOp::HlEnd);
-            self.release_lock();
-            v
+        self.spin_acquire().await;
+        let (begin, end) = if self.policy.htmlock {
+            (GuestOp::HlBegin, GuestOp::HlEnd)
         } else {
-            self.op_infallible(GuestOp::FallbackBegin);
-            let v = run_infallible(self, f);
-            self.op_infallible(GuestOp::FallbackEnd);
-            self.release_lock();
-            v
-        }
+            (GuestOp::FallbackBegin, GuestOp::FallbackEnd)
+        };
+        self.op_infallible(begin).await;
+        let v = run_infallible(self, f).await;
+        self.op_infallible(end).await;
+        self.release_lock().await;
+        v
     }
 
     /// One speculative attempt: xbegin, optional lock subscription, body,
     /// then `lock_release_elided` (Listing 2) with its ttest dispatch.
-    fn try_htm<T>(
+    async fn try_htm<T>(
         &mut self,
-        f: &mut impl FnMut(&mut TxCtx) -> Result<T, Abort>,
+        f: &mut impl AsyncFnMut(&mut TxCtx) -> Result<T, Abort>,
     ) -> Result<T, HtmFail> {
-        if let GuestResp::Aborted(c) = self.op(GuestOp::TxBegin) {
+        if let GuestResp::Aborted(c) = self.op(GuestOp::TxBegin).await {
             return Err(HtmFail::Abort(c));
         }
 
-        let body = (|| -> Result<T, Abort> {
-            if !self.policy.htmlock {
-                // Baseline subscription: the fallback lock joins the read
-                // set; abort explicitly if it is already held.
-                let lock_addr = self.lock_addr;
-                let mut tx = TxCtx { g: self };
-                if tx.load(lock_addr)? != 0 {
-                    match tx.g.op(GuestOp::TxAbortUser) {
-                        GuestResp::Aborted(_) => {
-                            return Err(Abort {
-                                cause: AbortCause::Mutex,
-                            })
-                        }
-                        r => panic!("xabort must abort, got {r:?}"),
-                    }
-                }
-            }
-            let mut tx = TxCtx { g: self };
-            f(&mut tx)
-        })();
-
-        match body {
+        match self.speculate(f).await {
             Err(a) => {
                 if a.cause == AbortCause::Mutex && !self.policy.htmlock {
                     Err(HtmFail::LockTaken)
@@ -328,14 +301,14 @@ impl GuestCtx {
             }
             Ok(v) => {
                 // lock_release_elided (Listing 2): dispatch on _ttest.
-                match self.op(GuestOp::TTest) {
+                match self.op(GuestOp::TTest).await {
                     GuestResp::Aborted(c) => Err(HtmFail::Abort(c)),
                     GuestResp::Value(TTest::STL) => {
                         // Switched transaction: hlend, no lock to release.
-                        self.op_infallible(GuestOp::HlEnd);
+                        self.op_infallible(GuestOp::HlEnd).await;
                         Ok(v)
                     }
-                    GuestResp::Value(_) => match self.op(GuestOp::TxCommit) {
+                    GuestResp::Value(_) => match self.op(GuestOp::TxCommit).await {
                         GuestResp::Aborted(c) => Err(HtmFail::Abort(c)),
                         _ => Ok(v),
                     },
@@ -343,6 +316,29 @@ impl GuestCtx {
                 }
             }
         }
+    }
+
+    /// The speculative body of one attempt: the Baseline lock
+    /// subscription, then `f`.
+    async fn speculate<T>(
+        &mut self,
+        f: &mut impl AsyncFnMut(&mut TxCtx) -> Result<T, Abort>,
+    ) -> Result<T, Abort> {
+        let mut tx = TxCtx { g: self };
+        if !tx.g.policy.htmlock {
+            // Baseline subscription: the fallback lock joins the read
+            // set; abort explicitly if it is already held.
+            let lock_addr = tx.g.lock_addr;
+            if tx.load(lock_addr).await? != 0 {
+                return match tx.g.op(GuestOp::TxAbortUser).await {
+                    GuestResp::Aborted(_) => Err(Abort {
+                        cause: AbortCause::Mutex,
+                    }),
+                    r => panic!("xabort must abort, got {r:?}"),
+                };
+            }
+        }
+        f(&mut tx).await
     }
 }
 
@@ -353,9 +349,12 @@ enum HtmFail {
 }
 
 /// Run the body on the non-speculative path, where aborts cannot occur.
-fn run_infallible<T>(g: &mut GuestCtx, f: &mut impl FnMut(&mut TxCtx) -> Result<T, Abort>) -> T {
+async fn run_infallible<T>(
+    g: &mut GuestCtx,
+    f: &mut impl AsyncFnMut(&mut TxCtx) -> Result<T, Abort>,
+) -> T {
     let mut tx = TxCtx { g };
-    match f(&mut tx) {
+    match f(&mut tx).await {
         Ok(v) => v,
         Err(a) => panic!("abort on the non-speculative path: {a:?}"),
     }
@@ -369,30 +368,30 @@ pub struct TxCtx<'a> {
 }
 
 impl TxCtx<'_> {
-    pub fn load(&mut self, a: Addr) -> Result<u64, Abort> {
-        match self.g.op(GuestOp::Load(a)) {
+    pub async fn load(&mut self, a: Addr) -> Result<u64, Abort> {
+        match self.g.op(GuestOp::Load(a)).await {
             GuestResp::Value(v) => Ok(v),
             GuestResp::Aborted(c) => Err(Abort { cause: c }),
             r => panic!("bad response to tx load: {r:?}"),
         }
     }
 
-    pub fn store(&mut self, a: Addr, v: u64) -> Result<(), Abort> {
-        match self.g.op(GuestOp::Store(a, v)) {
+    pub async fn store(&mut self, a: Addr, v: u64) -> Result<(), Abort> {
+        match self.g.op(GuestOp::Store(a, v)).await {
             GuestResp::Aborted(c) => Err(Abort { cause: c }),
             _ => Ok(()),
         }
     }
 
-    pub fn compute(&mut self, n: u64) -> Result<(), Abort> {
-        match self.g.op(GuestOp::Compute(n)) {
+    pub async fn compute(&mut self, n: u64) -> Result<(), Abort> {
+        match self.g.op(GuestOp::Compute(n)).await {
             GuestResp::Aborted(c) => Err(Abort { cause: c }),
             _ => Ok(()),
         }
     }
 
-    pub fn page_touch(&mut self, page: u64) -> Result<(), Abort> {
-        self.g.page_touch(page)
+    pub async fn page_touch(&mut self, page: u64) -> Result<(), Abort> {
+        self.g.page_touch(page).await
     }
 
     /// Thread id of the owning guest (handy for per-thread structures).

@@ -18,11 +18,11 @@
 //! chosen system and returns a [`runner::RunOutput`] (statistics, final
 //! memory image, optional event trace).
 //!
-//! Guest programs execute behind the [`exec::GuestExec`] seam: either on
-//! OS threads in strict rendezvous lockstep with the single-threaded
-//! discrete-event engine ([`exec::Backend::Threads`]), or as in-process
-//! resumable state machines (`guestvm`, [`exec::Backend::Vm`]). Both
-//! backends are bit-identical by construction — every simulation is
+//! Guest programs execute behind the [`exec::GuestExec`] seam, resumed
+//! by the single-threaded discrete-event engine on its own thread:
+//! either as host-Rust `async` coroutines ([`exec::Backend::Threads`])
+//! or as bytecode state machines (`guestvm`, [`exec::Backend::Vm`]).
+//! Both backends are bit-identical by construction — every simulation is
 //! bit-deterministic either way.
 
 pub mod engine;
@@ -35,10 +35,10 @@ pub mod sched;
 pub mod system;
 pub mod trace;
 
-pub use exec::{Backend, GuestEnv, GuestExec, GuestSnapshot, ThreadGuest};
+pub use exec::{Backend, GuestEnv, GuestExec, GuestSnapshot};
 pub use flatmem::{FlatMem, SetupCtx};
 pub use guest::{Abort, GuestCtx, GuestOp, GuestResp, TTest, TxCtx};
-pub use program::Program;
+pub use program::{GuestFuture, Program};
 pub use runner::{RunOutput, Runner};
 pub use sched::{EvClass, EvDesc, RunEnd, Scheduler, StaticIndependence};
 pub use system::SystemKind;

@@ -4,6 +4,13 @@
 use crate::exec::{GuestEnv, GuestExec};
 use crate::flatmem::{FlatMem, SetupCtx};
 use crate::guest::GuestCtx;
+use std::future::Future;
+use std::pin::Pin;
+
+/// A guest thread's body: the coroutine [`Program::run`] returns. It
+/// borrows the program and the thread's [`GuestCtx`], and is polled on
+/// the engine's thread (see [`crate::exec::HostGuest`]).
+pub type GuestFuture<'a> = Pin<Box<dyn Future<Output = ()> + 'a>>;
 
 /// A guest workload.
 ///
@@ -12,19 +19,20 @@ use crate::guest::GuestCtx;
 /// [`Program::run`] executes on every simulated thread concurrently, and
 /// finally [`Program::validate`] checks the resulting memory image —
 /// the serializability oracle used by the integration tests.
-pub trait Program: Sync {
+pub trait Program {
     fn name(&self) -> &str;
 
     /// Build inputs and shared structures; record their addresses in
     /// `self` for the thread bodies to use.
     fn setup(&mut self, s: &mut SetupCtx, threads: usize);
 
-    /// Thread body; `ctx.tid` identifies the simulated thread.
-    fn run(&self, ctx: &mut GuestCtx);
+    /// Thread body; `ctx.tid` identifies the simulated thread. Write it
+    /// as `Box::pin(async move { ... })`, awaiting every `ctx` operation.
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a>;
 
     /// Construct an in-process resumable guest for one simulated thread
     /// (the VM backend, [`crate::Backend::Vm`]). Returning `None` (the
-    /// default) means the program only supports the OS-thread backend;
+    /// default) means the program only supports the host backend;
     /// programs whose kernels compile to `guestvm` bytecode return a VM
     /// here and become runnable on either backend with bit-identical
     /// results. Called after [`Program::setup`], once per thread.

@@ -4,7 +4,7 @@
 
 use lockiller::flatmem::{FlatMem, SetupCtx};
 use lockiller::guest::GuestCtx;
-use lockiller::program::Program;
+use lockiller::program::{GuestFuture, Program};
 use lockiller::runner::Runner;
 use lockiller::system::SystemKind;
 use sim_core::config::SystemConfig;
@@ -37,17 +37,20 @@ impl Program for Counter {
         self.addr = s.alloc(8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        let addr = self.addr;
-        for _ in 0..self.per_thread {
-            ctx.critical(|tx| {
-                let v = tx.load(addr)?;
-                tx.compute(25)?;
-                tx.store(addr, v + 1)?;
-                Ok(())
-            });
-            ctx.compute(15);
-        }
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            let addr = self.addr;
+            for _ in 0..self.per_thread {
+                ctx.critical(async |tx| {
+                    let v = tx.load(addr).await?;
+                    tx.compute(25).await?;
+                    tx.store(addr, v + 1).await?;
+                    Ok(())
+                })
+                .await;
+                ctx.compute(15).await;
+            }
+        })
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {
@@ -214,7 +217,9 @@ fn validation_failure_panics() {
             "broken"
         }
         fn setup(&mut self, _s: &mut SetupCtx, _t: usize) {}
-        fn run(&self, _ctx: &mut GuestCtx) {}
+        fn run<'a>(&'a self, _ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+            Box::pin(async {})
+        }
         fn validate(&self, _mem: &FlatMem) -> Result<(), String> {
             Err("intentional".into())
         }
@@ -231,7 +236,9 @@ fn no_validate_skips_oracle() {
             "broken"
         }
         fn setup(&mut self, _s: &mut SetupCtx, _t: usize) {}
-        fn run(&self, _ctx: &mut GuestCtx) {}
+        fn run<'a>(&'a self, _ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+            Box::pin(async {})
+        }
         fn validate(&self, _mem: &FlatMem) -> Result<(), String> {
             Err("intentional".into())
         }
@@ -257,10 +264,12 @@ fn sequential_criticals_reset_guard() {
         fn setup(&mut self, s: &mut SetupCtx, _t: usize) {
             self.addr = s.alloc(8);
         }
-        fn run(&self, ctx: &mut GuestCtx) {
-            let addr = self.addr;
-            ctx.critical(|tx| tx.store(addr, 1));
-            ctx.critical(|tx| tx.store(addr, 2));
+        fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+            Box::pin(async move {
+                let addr = self.addr;
+                ctx.critical(async |tx| tx.store(addr, 1).await).await;
+                ctx.critical(async |tx| tx.store(addr, 2).await).await;
+            })
         }
         fn validate(&self, mem: &FlatMem) -> Result<(), String> {
             if mem.read(self.addr) == 2 {

@@ -5,7 +5,7 @@
 
 use lockiller::flatmem::{FlatMem, SetupCtx};
 use lockiller::guest::GuestCtx;
-use lockiller::program::Program;
+use lockiller::program::{GuestFuture, Program};
 use lockiller::runner::Runner;
 use lockiller::system::SystemKind;
 use sim_core::config::SystemConfig;
@@ -29,35 +29,39 @@ impl Program for LongLockShortTxs {
         self.shared_b = s.alloc(8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        if ctx.tid == 0 {
-            // Force the fallback path: this critical touches more lines
-            // than the (tiny) L1 holds, so every speculative attempt dies
-            // of capacity overflow and the runtime takes the lock.
-            let a = self.shared_a;
-            for _ in 0..6 {
-                ctx.critical(|tx| {
-                    for i in 0..16 {
-                        let cell = a.add(i * 8);
-                        let v = tx.load(cell)?;
-                        tx.store(cell, v + 1)?;
-                    }
-                    tx.compute(200)?;
-                    Ok(())
-                });
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            if ctx.tid == 0 {
+                // Force the fallback path: this critical touches more lines
+                // than the (tiny) L1 holds, so every speculative attempt dies
+                // of capacity overflow and the runtime takes the lock.
+                let a = self.shared_a;
+                for _ in 0..6 {
+                    ctx.critical(async |tx| {
+                        for i in 0..16 {
+                            let cell = a.add(i * 8);
+                            let v = tx.load(cell).await?;
+                            tx.store(cell, v + 1).await?;
+                        }
+                        tx.compute(200).await?;
+                        Ok(())
+                    })
+                    .await;
+                }
+            } else {
+                let b = self.shared_b;
+                for _ in 0..30 {
+                    ctx.critical(async |tx| {
+                        let v = tx.load(b).await?;
+                        tx.compute(10).await?;
+                        tx.store(b, v + 1).await?;
+                        Ok(())
+                    })
+                    .await;
+                    ctx.compute(20).await;
+                }
             }
-        } else {
-            let b = self.shared_b;
-            for _ in 0..30 {
-                ctx.critical(|tx| {
-                    let v = tx.load(b)?;
-                    tx.compute(10)?;
-                    tx.store(b, v + 1)?;
-                    Ok(())
-                });
-                ctx.compute(20);
-            }
-        }
+        })
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {
@@ -137,16 +141,19 @@ fn lock_transaction_conflicts_classified() {
         fn setup(&mut self, s: &mut SetupCtx, _t: usize) {
             self.addr = s.alloc(8);
         }
-        fn run(&self, ctx: &mut GuestCtx) {
-            let a = self.addr;
-            for _ in 0..25 {
-                ctx.critical(|tx| {
-                    let v = tx.load(a)?;
-                    tx.compute(40)?;
-                    tx.store(a, v + 1)?;
-                    Ok(())
-                });
-            }
+        fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+            Box::pin(async move {
+                let a = self.addr;
+                for _ in 0..25 {
+                    ctx.critical(async |tx| {
+                        let v = tx.load(a).await?;
+                        tx.compute(40).await?;
+                        tx.store(a, v + 1).await?;
+                        Ok(())
+                    })
+                    .await;
+                }
+            })
         }
         fn validate(&self, mem: &FlatMem) -> Result<(), String> {
             if mem.read(self.addr) == 100 {
@@ -187,15 +194,18 @@ fn subscription_free_when_lock_idle() {
         fn setup(&mut self, s: &mut SetupCtx, _t: usize) {
             self.addr = s.alloc(8);
         }
-        fn run(&self, ctx: &mut GuestCtx) {
-            let a = self.addr;
-            for _ in 0..10 {
-                ctx.critical(|tx| {
-                    let v = tx.load(a)?;
-                    tx.store(a, v + 1)?;
-                    Ok(())
-                });
-            }
+        fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+            Box::pin(async move {
+                let a = self.addr;
+                for _ in 0..10 {
+                    ctx.critical(async |tx| {
+                        let v = tx.load(a).await?;
+                        tx.store(a, v + 1).await?;
+                        Ok(())
+                    })
+                    .await;
+                }
+            })
         }
     }
     let mut prog = Solo { addr: Addr::NULL };

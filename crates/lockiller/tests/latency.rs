@@ -5,7 +5,7 @@
 
 use lockiller::flatmem::{FlatMem, SetupCtx};
 use lockiller::guest::GuestCtx;
-use lockiller::program::Program;
+use lockiller::program::{GuestFuture, Program};
 use lockiller::runner::Runner;
 use lockiller::system::SystemKind;
 use lockiller::{TraceEvent, TraceKind};
@@ -27,13 +27,16 @@ impl Program for OneTxn {
         self.addr = s.alloc(8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        let addr = self.addr;
-        ctx.critical(|tx| {
-            let v = tx.load(addr)?;
-            tx.store(addr, v + 1)?;
-            Ok(())
-        });
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            let addr = self.addr;
+            ctx.critical(async |tx| {
+                let v = tx.load(addr).await?;
+                tx.store(addr, v + 1).await?;
+                Ok(())
+            })
+            .await;
+        })
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {
@@ -60,14 +63,17 @@ impl Program for Overflow {
         self.base = s.alloc(self.lines * 64);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        let (base, lines) = (self.base, self.lines);
-        ctx.critical(|tx| {
-            for i in 0..lines {
-                tx.store(Addr(base.0 + i * 64), i)?;
-            }
-            Ok(())
-        });
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            let (base, lines) = (self.base, self.lines);
+            ctx.critical(async |tx| {
+                for i in 0..lines {
+                    tx.store(Addr(base.0 + i * 64), i).await?;
+                }
+                Ok(())
+            })
+            .await;
+        })
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {
@@ -98,17 +104,20 @@ impl Program for Counter {
         self.addr = s.alloc(8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        let addr = self.addr;
-        for _ in 0..self.per_thread {
-            ctx.critical(|tx| {
-                let v = tx.load(addr)?;
-                tx.compute(20)?;
-                tx.store(addr, v + 1)?;
-                Ok(())
-            });
-            ctx.compute(30);
-        }
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            let addr = self.addr;
+            for _ in 0..self.per_thread {
+                ctx.critical(async |tx| {
+                    let v = tx.load(addr).await?;
+                    tx.compute(20).await?;
+                    tx.store(addr, v + 1).await?;
+                    Ok(())
+                })
+                .await;
+                ctx.compute(30).await;
+            }
+        })
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {

@@ -6,7 +6,7 @@
 
 use lockiller::flatmem::{FlatMem, SetupCtx};
 use lockiller::guest::GuestCtx;
-use lockiller::program::Program;
+use lockiller::program::{GuestFuture, Program};
 use lockiller::runner::Runner;
 use lockiller::system::SystemKind;
 use sim_core::config::SystemConfig;
@@ -31,17 +31,19 @@ impl Program for MessagePassing {
         self.result = s.alloc(8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        if ctx.tid == 0 {
-            ctx.store(self.data, 42);
-            ctx.store(self.flag, 1);
-        } else {
-            while ctx.load(self.flag) == 0 {
-                ctx.compute(8);
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            if ctx.tid == 0 {
+                ctx.store(self.data, 42).await;
+                ctx.store(self.flag, 1).await;
+            } else {
+                while ctx.load(self.flag).await == 0 {
+                    ctx.compute(8).await;
+                }
+                let d = ctx.load(self.data).await;
+                ctx.store(self.result, d).await;
             }
-            let d = ctx.load(self.data);
-            ctx.store(self.result, d);
-        }
+        })
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {
@@ -91,16 +93,18 @@ impl Program for StoreBuffering {
         self.r1 = s.alloc(8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        if ctx.tid == 0 {
-            ctx.store(self.x, 1);
-            let v = ctx.load(self.y);
-            ctx.store(self.r0, v);
-        } else {
-            ctx.store(self.y, 1);
-            let v = ctx.load(self.x);
-            ctx.store(self.r1, v);
-        }
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            if ctx.tid == 0 {
+                ctx.store(self.x, 1).await;
+                let v = ctx.load(self.y).await;
+                ctx.store(self.r0, v).await;
+            } else {
+                ctx.store(self.y, 1).await;
+                let v = ctx.load(self.x).await;
+                ctx.store(self.r1, v).await;
+            }
+        })
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {
@@ -149,19 +153,21 @@ impl Program for CoRR {
         self.obs = s.alloc(4 * 8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        match ctx.tid {
-            0 => ctx.store(self.x, 1),
-            1 => ctx.store(self.x, 2),
-            reader => {
-                let a = ctx.load(self.x);
-                ctx.compute(5);
-                let b = ctx.load(self.x);
-                let base = (reader - 2) as u64 * 16;
-                ctx.store(self.obs.add(base), a);
-                ctx.store(self.obs.add(base + 8), b);
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            match ctx.tid {
+                0 => ctx.store(self.x, 1).await,
+                1 => ctx.store(self.x, 2).await,
+                reader => {
+                    let a = ctx.load(self.x).await;
+                    ctx.compute(5).await;
+                    let b = ctx.load(self.x).await;
+                    let base = (reader - 2) as u64 * 16;
+                    ctx.store(self.obs.add(base), a).await;
+                    ctx.store(self.obs.add(base + 8), b).await;
+                }
             }
-        }
+        })
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {
@@ -216,31 +222,36 @@ impl Program for AtomicPair {
         self.bad = s.alloc(8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        let (a, b, bad) = (self.a, self.b, self.bad);
-        if ctx.tid.is_multiple_of(2) {
-            for i in 1..=20u64 {
-                ctx.critical(|tx| {
-                    tx.store(a, i)?;
-                    tx.compute(15)?;
-                    tx.store(b, i)?;
-                    Ok(())
-                });
-            }
-        } else {
-            for _ in 0..20 {
-                let torn = ctx.critical(|tx| {
-                    let x = tx.load(a)?;
-                    tx.compute(10)?;
-                    let y = tx.load(b)?;
-                    Ok(x != y)
-                });
-                if torn {
-                    ctx.store(bad, 1);
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            let (a, b, bad) = (self.a, self.b, self.bad);
+            if ctx.tid.is_multiple_of(2) {
+                for i in 1..=20u64 {
+                    ctx.critical(async |tx| {
+                        tx.store(a, i).await?;
+                        tx.compute(15).await?;
+                        tx.store(b, i).await?;
+                        Ok(())
+                    })
+                    .await;
                 }
-                ctx.compute(12);
+            } else {
+                for _ in 0..20 {
+                    let torn = ctx
+                        .critical(async |tx| {
+                            let x = tx.load(a).await?;
+                            tx.compute(10).await?;
+                            let y = tx.load(b).await?;
+                            Ok(x != y)
+                        })
+                        .await;
+                    if torn {
+                        ctx.store(bad, 1).await;
+                    }
+                    ctx.compute(12).await;
+                }
             }
-        }
+        })
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {

@@ -1,10 +1,10 @@
-//! Full-stack runtime tests: guest programs on OS threads, through the
+//! Full-stack runtime tests: host-Rust guest programs, through the
 //! elided-lock runtime, the engine, and the coherence protocol, on every
 //! Table-II system.
 
 use lockiller::flatmem::{FlatMem, SetupCtx};
 use lockiller::guest::GuestCtx;
-use lockiller::program::Program;
+use lockiller::program::{GuestFuture, Program};
 use lockiller::runner::Runner;
 use lockiller::system::SystemKind;
 use sim_core::config::SystemConfig;
@@ -35,17 +35,20 @@ impl Program for Counter {
         self.addr = s.alloc(8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        let addr = self.addr;
-        for _ in 0..self.per_thread {
-            ctx.critical(|tx| {
-                let v = tx.load(addr)?;
-                tx.compute(20)?;
-                tx.store(addr, v + 1)?;
-                Ok(())
-            });
-            ctx.compute(30);
-        }
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            let addr = self.addr;
+            for _ in 0..self.per_thread {
+                ctx.critical(async |tx| {
+                    let v = tx.load(addr).await?;
+                    tx.compute(20).await?;
+                    tx.store(addr, v + 1).await?;
+                    Ok(())
+                })
+                .await;
+                ctx.compute(30).await;
+            }
+        })
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {
@@ -73,8 +76,10 @@ impl Program for CheckedCounter {
         self.inner.setup(s, threads);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        self.inner.run(ctx);
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            self.inner.run(ctx).await;
+        })
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {
@@ -215,19 +220,22 @@ impl Program for BigTx {
         self.base = s.alloc(self.lines * 8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        let base = self.base;
-        let lines = self.lines;
-        for _ in 0..self.rounds {
-            ctx.critical(|tx| {
-                for i in 0..lines {
-                    let a = base.add(i * 8);
-                    let v = tx.load(a)?;
-                    tx.store(a, v + 1)?;
-                }
-                Ok(())
-            });
-        }
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            let base = self.base;
+            let lines = self.lines;
+            for _ in 0..self.rounds {
+                ctx.critical(async |tx| {
+                    for i in 0..lines {
+                        let a = base.add(i * 8);
+                        let v = tx.load(a).await?;
+                        tx.store(a, v + 1).await?;
+                    }
+                    Ok(())
+                })
+                .await;
+            }
+        })
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {
@@ -342,16 +350,19 @@ impl Program for Faulter {
         self.region = s.alloc(0);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        // Touch fresh pages inside transactions: each first touch faults.
-        for p in 0..self.pages {
-            let page = 1_000_000 + ctx.tid as u64 * 1000 + p;
-            ctx.critical(|tx| {
-                tx.page_touch(page)?;
-                tx.compute(10)?;
-                Ok(())
-            });
-        }
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            // Touch fresh pages inside transactions: each first touch faults.
+            for p in 0..self.pages {
+                let page = 1_000_000 + ctx.tid as u64 * 1000 + p;
+                ctx.critical(async |tx| {
+                    tx.page_touch(page).await?;
+                    tx.compute(10).await?;
+                    Ok(())
+                })
+                .await;
+            }
+        })
     }
 }
 
@@ -422,15 +433,17 @@ fn barrier_synchronizes_threads() {
         fn setup(&mut self, s: &mut SetupCtx, threads: usize) {
             self.flags = s.alloc(threads as u64 * 8);
         }
-        fn run(&self, ctx: &mut GuestCtx) {
-            // Phase 1: publish; barrier; phase 2: everyone checks everyone.
-            ctx.store(self.flags.add(ctx.tid as u64 * 8), 1);
-            ctx.barrier();
-            for t in 0..ctx.threads {
-                let v = ctx.load(self.flags.add(t as u64 * 8));
-                assert_eq!(v, 1, "thread {} missed thread {t}'s flag", ctx.tid);
-            }
-            ctx.barrier();
+        fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+            Box::pin(async move {
+                // Phase 1: publish; barrier; phase 2: everyone checks everyone.
+                ctx.store(self.flags.add(ctx.tid as u64 * 8), 1).await;
+                ctx.barrier().await;
+                for t in 0..ctx.threads {
+                    let v = ctx.load(self.flags.add(t as u64 * 8)).await;
+                    assert_eq!(v, 1, "thread {} missed thread {t}'s flag", ctx.tid);
+                }
+                ctx.barrier().await;
+            })
         }
     }
     let mut prog = BarrierProg { flags: Addr::NULL };

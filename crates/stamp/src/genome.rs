@@ -16,7 +16,7 @@
 use crate::Scale;
 use lockiller::flatmem::{FlatMem, SetupCtx};
 use lockiller::guest::GuestCtx;
-use lockiller::program::Program;
+use lockiller::program::{GuestFuture, Program};
 use sim_core::rng::SimRng;
 use tmlib::{HashTable, TmAlloc};
 
@@ -166,53 +166,58 @@ impl Program for Genome {
         self.links = Some(HashTable::setup(s, buckets));
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        let alloc = self.alloc.unwrap();
-        let unique = self.unique.unwrap();
-        let starts = self.starts.unwrap();
-        let links = self.links.unwrap();
-        let per = self.stream.len() / self.threads;
-        let lo = ctx.tid * per;
-        let hi = lo + per;
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            let alloc = self.alloc.unwrap();
+            let unique = self.unique.unwrap();
+            let starts = self.starts.unwrap();
+            let links = self.links.unwrap();
+            let per = self.stream.len() / self.threads;
+            let lo = ctx.tid * per;
+            let hi = lo + per;
 
-        // Phase 1: deduplicate segments into the shared hash set.
-        for &seg in &self.stream[lo..hi] {
-            ctx.critical(|tx| {
-                unique.insert(tx, &alloc, seg, 1)?;
-                Ok(())
-            });
-            ctx.compute(20); // segment I/O & encode in the original
-        }
-        ctx.barrier();
+            // Phase 1: deduplicate segments into the shared hash set.
+            for &seg in &self.stream[lo..hi] {
+                ctx.critical(async |tx| {
+                    unique.insert(tx, &alloc, seg, 1).await?;
+                    Ok(())
+                })
+                .await;
+                ctx.compute(20).await; // segment I/O & encode in the original
+            }
+            ctx.barrier().await;
 
-        // Phase 2a: index each unique window by its prefix. Partition the
-        // canonical window list among threads (as the original partitions
-        // the unique-segment table).
-        let n = self.windows.len();
-        let per_w = n.div_ceil(self.threads);
-        let wlo = (ctx.tid * per_w).min(n);
-        let whi = ((ctx.tid + 1) * per_w).min(n);
-        for &w in &self.windows[wlo..whi] {
-            ctx.critical(|tx| {
-                debug_assert!(unique.contains(tx, w)?, "window lost in phase 1");
-                starts.insert(tx, &alloc, prefix(w), w)?;
-                Ok(())
-            });
-        }
-        ctx.barrier();
+            // Phase 2a: index each unique window by its prefix. Partition the
+            // canonical window list among threads (as the original partitions
+            // the unique-segment table).
+            let n = self.windows.len();
+            let per_w = n.div_ceil(self.threads);
+            let wlo = (ctx.tid * per_w).min(n);
+            let whi = ((ctx.tid + 1) * per_w).min(n);
+            for &w in &self.windows[wlo..whi] {
+                ctx.critical(async |tx| {
+                    debug_assert!(unique.contains(tx, w).await?, "window lost in phase 1");
+                    starts.insert(tx, &alloc, prefix(w), w).await?;
+                    Ok(())
+                })
+                .await;
+            }
+            ctx.barrier().await;
 
-        // Phase 2b: link each window to its successor (the window whose
-        // prefix equals our suffix).
-        let seg_len = self.seg_len;
-        for &w in &self.windows[wlo..whi] {
-            ctx.critical(|tx| {
-                if let Some(next) = starts.find(tx, suffix(w, seg_len))? {
-                    links.insert(tx, &alloc, w, next)?;
-                }
-                Ok(())
-            });
-            ctx.compute(10);
-        }
+            // Phase 2b: link each window to its successor (the window whose
+            // prefix equals our suffix).
+            let seg_len = self.seg_len;
+            for &w in &self.windows[wlo..whi] {
+                ctx.critical(async |tx| {
+                    if let Some(next) = starts.find(tx, suffix(w, seg_len)).await? {
+                        links.insert(tx, &alloc, w, next).await?;
+                    }
+                    Ok(())
+                })
+                .await;
+                ctx.compute(10).await;
+            }
+        })
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {

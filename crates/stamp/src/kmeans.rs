@@ -14,7 +14,7 @@
 use crate::Scale;
 use lockiller::flatmem::{FlatMem, SetupCtx};
 use lockiller::guest::GuestCtx;
-use lockiller::program::Program;
+use lockiller::program::{GuestFuture, Program};
 use sim_core::rng::SimRng;
 use sim_core::types::Addr;
 
@@ -244,67 +244,70 @@ impl Program for Kmeans {
         }
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        let per = self.npoints / self.threads;
-        let lo = ctx.tid * per;
-        let hi = lo + per;
-        for _round in 0..self.rounds {
-            for i in lo..hi {
-                // Assignment: read the point and every center (stable
-                // within a round, so non-transactional — as in STAMP).
-                let mut coords = Vec::with_capacity(self.dims);
-                for d in 0..self.dims {
-                    coords.push(ctx.load(self.point_addr(i).add(d as u64)) as i64);
-                }
-                let mut best = 0usize;
-                let mut best_d = i64::MAX;
-                for c in 0..self.clusters {
-                    let mut dist = 0i64;
-                    for (d, &x) in coords.iter().enumerate() {
-                        let cv = ctx.load(self.center_addr(c, d)) as i64;
-                        let diff = x - cv;
-                        dist += diff * diff;
-                    }
-                    ctx.compute(4);
-                    if dist < best_d {
-                        best_d = dist;
-                        best = c;
-                    }
-                }
-                // The transaction: fold the point into the accumulator.
-                let acc = self.accum_addr(best);
-                let dims = self.dims;
-                ctx.critical(|tx| {
-                    let n = tx.load(acc)?;
-                    tx.store(acc, n + 1)?;
-                    for (d, &x) in coords.iter().enumerate().take(dims) {
-                        let cell = acc.add(1 + d as u64);
-                        let sum = tx.load(cell)? as i64;
-                        tx.store(cell, (sum + x) as u64)?;
-                    }
-                    Ok(())
-                });
-            }
-            ctx.barrier();
-            // Center recomputation: thread t owns clusters t, t+T, ...
-            let mut c = ctx.tid;
-            while c < self.clusters {
-                let acc = self.accum_addr(c);
-                let n = ctx.load(acc) as i64;
-                if n > 0 {
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            let per = self.npoints / self.threads;
+            let lo = ctx.tid * per;
+            let hi = lo + per;
+            for _round in 0..self.rounds {
+                for i in lo..hi {
+                    // Assignment: read the point and every center (stable
+                    // within a round, so non-transactional — as in STAMP).
+                    let mut coords = Vec::with_capacity(self.dims);
                     for d in 0..self.dims {
-                        let sum = ctx.load(acc.add(1 + d as u64)) as i64;
-                        ctx.store(self.center_addr(c, d), (sum / n) as u64);
+                        coords.push(ctx.load(self.point_addr(i).add(d as u64)).await as i64);
                     }
+                    let mut best = 0usize;
+                    let mut best_d = i64::MAX;
+                    for c in 0..self.clusters {
+                        let mut dist = 0i64;
+                        for (d, &x) in coords.iter().enumerate() {
+                            let cv = ctx.load(self.center_addr(c, d)).await as i64;
+                            let diff = x - cv;
+                            dist += diff * diff;
+                        }
+                        ctx.compute(4).await;
+                        if dist < best_d {
+                            best_d = dist;
+                            best = c;
+                        }
+                    }
+                    // The transaction: fold the point into the accumulator.
+                    let acc = self.accum_addr(best);
+                    let dims = self.dims;
+                    ctx.critical(async |tx| {
+                        let n = tx.load(acc).await?;
+                        tx.store(acc, n + 1).await?;
+                        for (d, &x) in coords.iter().enumerate().take(dims) {
+                            let cell = acc.add(1 + d as u64);
+                            let sum = tx.load(cell).await? as i64;
+                            tx.store(cell, (sum + x) as u64).await?;
+                        }
+                        Ok(())
+                    })
+                    .await;
                 }
-                // Reset accumulator for the next round.
-                for w in 0..(1 + self.dims as u64) {
-                    ctx.store(acc.add(w), 0);
+                ctx.barrier().await;
+                // Center recomputation: thread t owns clusters t, t+T, ...
+                let mut c = ctx.tid;
+                while c < self.clusters {
+                    let acc = self.accum_addr(c);
+                    let n = ctx.load(acc).await as i64;
+                    if n > 0 {
+                        for d in 0..self.dims {
+                            let sum = ctx.load(acc.add(1 + d as u64)).await as i64;
+                            ctx.store(self.center_addr(c, d), (sum / n) as u64).await;
+                        }
+                    }
+                    // Reset accumulator for the next round.
+                    for w in 0..(1 + self.dims as u64) {
+                        ctx.store(acc.add(w), 0).await;
+                    }
+                    c += self.threads;
                 }
-                c += self.threads;
+                ctx.barrier().await;
             }
-            ctx.barrier();
-        }
+        })
     }
 
     fn guest_exec(&self, env: lockiller::GuestEnv) -> Option<Box<dyn lockiller::GuestExec + '_>> {

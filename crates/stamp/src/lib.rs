@@ -25,7 +25,7 @@ pub mod yada;
 
 use lockiller::flatmem::{FlatMem, SetupCtx};
 use lockiller::guest::GuestCtx;
-use lockiller::program::Program;
+use lockiller::program::{GuestFuture, Program};
 
 /// The nine workload configurations of the paper's evaluation
 /// (kmeans+ / vacation+ are the high-contention variants).
@@ -146,8 +146,8 @@ impl Program for Workload {
         self.inner.setup(s, threads);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        self.inner.run(ctx);
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        self.inner.run(ctx)
     }
 
     fn guest_exec(&self, env: lockiller::GuestEnv) -> Option<Box<dyn lockiller::GuestExec + '_>> {

@@ -11,7 +11,7 @@
 use crate::Scale;
 use lockiller::flatmem::{FlatMem, SetupCtx};
 use lockiller::guest::GuestCtx;
-use lockiller::program::Program;
+use lockiller::program::{GuestFuture, Program};
 use sim_core::rng::SimRng;
 use sim_core::types::Addr;
 
@@ -84,21 +84,24 @@ impl Program for Ssca2 {
         }
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        let per = self.edges.len() / self.threads;
-        let lo = ctx.tid * per;
-        let hi = lo + per;
-        for &(from, to) in &self.edges[lo..hi] {
-            let node_base = self.adj.add(from * self.adj_stride);
-            ctx.critical(|tx| {
-                let count = tx.load(node_base)?;
-                tx.store(node_base.add(1 + count), to)?;
-                tx.store(node_base, count + 1)?;
-                Ok(())
-            });
-            // Inter-transaction work (index computations in the original).
-            ctx.compute(12);
-        }
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            let per = self.edges.len() / self.threads;
+            let lo = ctx.tid * per;
+            let hi = lo + per;
+            for &(from, to) in &self.edges[lo..hi] {
+                let node_base = self.adj.add(from * self.adj_stride);
+                ctx.critical(async |tx| {
+                    let count = tx.load(node_base).await?;
+                    tx.store(node_base.add(1 + count), to).await?;
+                    tx.store(node_base, count + 1).await?;
+                    Ok(())
+                })
+                .await;
+                // Inter-transaction work (index computations in the original).
+                ctx.compute(12).await;
+            }
+        })
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {

@@ -18,7 +18,7 @@ use crate::Scale;
 use guestvm::{BinOp, Cond, Kernel, KernelBuilder};
 use lockiller::flatmem::{FlatMem, SetupCtx};
 use lockiller::guest::GuestCtx;
-use lockiller::program::Program;
+use lockiller::program::{GuestFuture, Program};
 use lockiller::{GuestEnv, GuestExec};
 use sim_core::rng::SimRng;
 use sim_core::types::Addr;
@@ -263,8 +263,11 @@ impl Program for IntruderFlow {
         self.kernel = Some(Arc::new(self.compile()));
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        guestvm::run_on_ctx(self.kernel.as_ref().expect("setup first"), ctx);
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(guestvm::run_on_ctx(
+            self.kernel.as_ref().expect("setup first"),
+            ctx,
+        ))
     }
 
     fn guest_exec(&self, env: GuestEnv) -> Option<Box<dyn GuestExec + '_>> {

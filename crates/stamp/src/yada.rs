@@ -19,7 +19,7 @@
 use crate::Scale;
 use lockiller::flatmem::{FlatMem, SetupCtx};
 use lockiller::guest::GuestCtx;
-use lockiller::program::Program;
+use lockiller::program::{GuestFuture, Program};
 use sim_core::rng::SimRng;
 use sim_core::types::Addr;
 use tmlib::{Heap, TmAlloc};
@@ -129,97 +129,100 @@ impl Program for Yada {
         s.write(self.refinements, 0);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        let heap = self.heap.unwrap();
-        let alloc = self.alloc.unwrap();
-        let max_gen = self.max_generation;
-        let refinements = self.refinements;
-        loop {
-            let work = ctx.critical(|tx| heap.pop(tx));
-            let Some(elem) = work else { break };
-            let elem = Addr(elem);
-            // Refinement transaction: cavity walk + retriangulation.
-            ctx.critical(|tx| {
-                // The element may have been fixed by a neighbouring
-                // refinement already (yada re-checks after popping).
-                if tx.load(elem.add(E_BAD))? == 0 {
-                    return Ok(());
-                }
-                // Cavity: BFS over the adjacency up to depth 2 — an
-                // irregular read set of ~10-20 elements.
-                let mut cavity = vec![elem];
-                let mut frontier = vec![elem];
-                for _depth in 0..2 {
-                    let mut next = Vec::new();
-                    for &e in &frontier {
-                        for k in 0..NBRS {
-                            let nb = tx.load(e.add(E_NBR + k))?;
-                            if nb != 0 && !cavity.contains(&Addr(nb)) {
-                                cavity.push(Addr(nb));
-                                next.push(Addr(nb));
-                            }
-                        }
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            let heap = self.heap.unwrap();
+            let alloc = self.alloc.unwrap();
+            let max_gen = self.max_generation;
+            let refinements = self.refinements;
+            loop {
+                let work = ctx.critical(async |tx| heap.pop(tx).await).await;
+                let Some(elem) = work else { break };
+                let elem = Addr(elem);
+                // Refinement transaction: cavity walk + retriangulation.
+                ctx.critical(async |tx| {
+                    // The element may have been fixed by a neighbouring
+                    // refinement already (yada re-checks after popping).
+                    if tx.load(elem.add(E_BAD)).await? == 0 {
+                        return Ok(());
                     }
-                    frontier = next;
-                }
-                tx.compute(40)?; // circumcircle tests etc.
-
-                // Retriangulate: allocate replacements (faults live here),
-                // splice them in place of the popped element.
-                let gen = tx.load(elem.add(E_GEN))?;
-                let n_new = 2u64;
-                let mut fresh = Vec::new();
-                for _ in 0..n_new {
-                    let ne = alloc.alloc_zeroed(tx, ELEM_WORDS)?;
-                    tx.store(ne.add(E_GEN), gen + 1)?;
-                    fresh.push(ne);
-                }
-                // Wire the fresh pair to each other and into the cavity.
-                tx.store(fresh[0].add(E_NBR), fresh[1].0)?;
-                tx.store(fresh[1].add(E_NBR), fresh[0].0)?;
-                // Replace `elem` in its neighbours' link slots with the
-                // fresh elements (alternating), and clear elem's badness.
-                let mut alt = 0usize;
-                for k in 0..NBRS {
-                    let nb = tx.load(elem.add(E_NBR + k))?;
-                    if nb == 0 {
-                        continue;
-                    }
-                    let nb = Addr(nb);
-                    for j in 0..NBRS {
-                        if tx.load(nb.add(E_NBR + j))? == elem.0 {
-                            tx.store(nb.add(E_NBR + j), fresh[alt % 2].0)?;
-                            let back = fresh[alt % 2];
-                            // Give the fresh element a back-link slot.
-                            for m in 0..NBRS {
-                                if tx.load(back.add(E_NBR + m))? == 0 {
-                                    tx.store(back.add(E_NBR + m), nb.0)?;
-                                    break;
+                    // Cavity: BFS over the adjacency up to depth 2 — an
+                    // irregular read set of ~10-20 elements.
+                    let mut cavity = vec![elem];
+                    let mut frontier = vec![elem];
+                    for _depth in 0..2 {
+                        let mut next = Vec::new();
+                        for &e in &frontier {
+                            for k in 0..NBRS {
+                                let nb = tx.load(e.add(E_NBR + k)).await?;
+                                if nb != 0 && !cavity.contains(&Addr(nb)) {
+                                    cavity.push(Addr(nb));
+                                    next.push(Addr(nb));
                                 }
                             }
-                            alt += 1;
+                        }
+                        frontier = next;
+                    }
+                    tx.compute(40).await?; // circumcircle tests etc.
+
+                    // Retriangulate: allocate replacements (faults live here),
+                    // splice them in place of the popped element.
+                    let gen = tx.load(elem.add(E_GEN)).await?;
+                    let n_new = 2u64;
+                    let mut fresh = Vec::new();
+                    for _ in 0..n_new {
+                        let ne = alloc.alloc_zeroed(tx, ELEM_WORDS).await?;
+                        tx.store(ne.add(E_GEN), gen + 1).await?;
+                        fresh.push(ne);
+                    }
+                    // Wire the fresh pair to each other and into the cavity.
+                    tx.store(fresh[0].add(E_NBR), fresh[1].0).await?;
+                    tx.store(fresh[1].add(E_NBR), fresh[0].0).await?;
+                    // Replace `elem` in its neighbours' link slots with the
+                    // fresh elements (alternating), and clear elem's badness.
+                    let mut alt = 0usize;
+                    for k in 0..NBRS {
+                        let nb = tx.load(elem.add(E_NBR + k)).await?;
+                        if nb == 0 {
+                            continue;
+                        }
+                        let nb = Addr(nb);
+                        for j in 0..NBRS {
+                            if tx.load(nb.add(E_NBR + j)).await? == elem.0 {
+                                tx.store(nb.add(E_NBR + j), fresh[alt % 2].0).await?;
+                                let back = fresh[alt % 2];
+                                // Give the fresh element a back-link slot.
+                                for m in 0..NBRS {
+                                    if tx.load(back.add(E_NBR + m)).await? == 0 {
+                                        tx.store(back.add(E_NBR + m), nb.0).await?;
+                                        break;
+                                    }
+                                }
+                                alt += 1;
+                            }
                         }
                     }
-                }
-                tx.store(elem.add(E_BAD), 0)?;
-                // Unlink elem entirely.
-                for k in 0..NBRS {
-                    tx.store(elem.add(E_NBR + k), 0)?;
-                }
-                // New work: fresh elements below the generation cap are
-                // bad and go back on the heap (decaying workload).
-                if gen < max_gen {
-                    for &ne in &fresh {
-                        tx.store(ne.add(E_BAD), 1)?;
-                        heap.push(tx, ne.0)?;
+                    tx.store(elem.add(E_BAD), 0).await?;
+                    // Unlink elem entirely.
+                    for k in 0..NBRS {
+                        tx.store(elem.add(E_NBR + k), 0).await?;
                     }
-                }
-                let r = tx.load(refinements)?;
-                tx.store(refinements, r + 1)?;
-                Ok(())
-            });
-            ctx.compute(30);
-        }
+                    // New work: fresh elements below the generation cap are
+                    // bad and go back on the heap (decaying workload).
+                    if gen < max_gen {
+                        for &ne in &fresh {
+                            tx.store(ne.add(E_BAD), 1).await?;
+                            heap.push(tx, ne.0).await?;
+                        }
+                    }
+                    let r = tx.load(refinements).await?;
+                    tx.store(refinements, r + 1).await?;
+                    Ok(())
+                })
+                .await;
+                ctx.compute(30).await;
+            }
+        })
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {

@@ -53,11 +53,11 @@ impl TmAlloc {
     /// Allocate `words` words (line-aligned) from the calling thread's
     /// arena. Fails the enclosing transaction on a demand-paging fault;
     /// panics if the arena is exhausted (a workload sizing bug).
-    pub fn alloc(&self, tx: &mut TxCtx, words: u64) -> Result<Addr, Abort> {
+    pub async fn alloc(&self, tx: &mut TxCtx<'_>, words: u64) -> Result<Addr, Abort> {
         let tid = tx.tid();
         debug_assert!((tid as u64) < self.threads);
         let bp_addr = self.bump_addr(tid);
-        let cur = tx.load(bp_addr)?;
+        let cur = tx.load(bp_addr).await?;
         let aligned = (cur + 7) & !7;
         let new = aligned + words;
         let arena_base = self.arenas.0 + tid as u64 * self.arena_words;
@@ -66,12 +66,12 @@ impl TmAlloc {
             "thread {tid} arena exhausted ({} words)",
             self.arena_words
         );
-        tx.store(bp_addr, new)?;
+        tx.store(bp_addr, new).await?;
         // Demand paging: touch each page the fresh object spans.
         let first_page = aligned / PAGE_WORDS;
         let last_page = (new.max(aligned + 1) - 1) / PAGE_WORDS;
         for p in first_page..=last_page {
-            tx.page_touch(p)?;
+            tx.page_touch(p).await?;
         }
         Ok(Addr(aligned))
     }
@@ -79,10 +79,10 @@ impl TmAlloc {
     /// Allocate and zero-fill (fresh pages are zeroed by the OS; arena
     /// reuse after an aborted transaction may leave stale words, so
     /// structures that rely on zeroed fields use this).
-    pub fn alloc_zeroed(&self, tx: &mut TxCtx, words: u64) -> Result<Addr, Abort> {
-        let a = self.alloc(tx, words)?;
+    pub async fn alloc_zeroed(&self, tx: &mut TxCtx<'_>, words: u64) -> Result<Addr, Abort> {
+        let a = self.alloc(tx, words).await?;
         for i in 0..words {
-            tx.store(a.add(i), 0)?;
+            tx.store(a.add(i), 0).await?;
         }
         Ok(a)
     }
@@ -107,11 +107,11 @@ mod tests {
             |s| {
                 *handle.lock().unwrap() = Some(TmAlloc::setup(s, 2, 4096));
             },
-            |tx| {
+            async |tx| {
                 let a = handle.lock().unwrap().unwrap();
                 let mut got = Vec::new();
                 for w in [3u64, 8, 1, 16] {
-                    got.push(a.alloc(tx, w)?);
+                    got.push(a.alloc(tx, w).await?);
                 }
                 *out.lock().unwrap() = got;
                 Ok(())
@@ -138,10 +138,10 @@ mod tests {
             |s| {
                 *handle.lock().unwrap() = Some(TmAlloc::setup(s, 1, 4096));
             },
-            |tx| {
+            async |tx| {
                 let a = handle.lock().unwrap().unwrap();
-                let p = a.alloc_zeroed(tx, 8)?;
-                tx.store(p.add(7), 9)?;
+                let p = a.alloc_zeroed(tx, 8).await?;
+                tx.store(p.add(7), 9).await?;
                 *probe.lock().unwrap() = Some(p);
                 Ok(())
             },

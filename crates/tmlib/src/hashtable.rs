@@ -67,37 +67,37 @@ impl HashTable {
     }
 
     /// Insert; false if the key is already present.
-    pub fn insert(
+    pub async fn insert(
         &self,
-        tx: &mut TxCtx,
+        tx: &mut TxCtx<'_>,
         alloc: &TmAlloc,
         key: u64,
         data: u64,
     ) -> Result<bool, Abort> {
-        self.bucket(key).insert(tx, alloc, key, data)
+        self.bucket(key).insert(tx, alloc, key, data).await
     }
 
-    pub fn find(&self, tx: &mut TxCtx, key: u64) -> Result<Option<u64>, Abort> {
-        self.bucket(key).find(tx, key)
+    pub async fn find(&self, tx: &mut TxCtx<'_>, key: u64) -> Result<Option<u64>, Abort> {
+        self.bucket(key).find(tx, key).await
     }
 
-    pub fn remove(&self, tx: &mut TxCtx, key: u64) -> Result<Option<u64>, Abort> {
-        self.bucket(key).remove(tx, key)
+    pub async fn remove(&self, tx: &mut TxCtx<'_>, key: u64) -> Result<Option<u64>, Abort> {
+        self.bucket(key).remove(tx, key).await
     }
 
-    pub fn update(&self, tx: &mut TxCtx, key: u64, data: u64) -> Result<bool, Abort> {
-        self.bucket(key).update(tx, key, data)
+    pub async fn update(&self, tx: &mut TxCtx<'_>, key: u64, data: u64) -> Result<bool, Abort> {
+        self.bucket(key).update(tx, key, data).await
     }
 
-    pub fn contains(&self, tx: &mut TxCtx, key: u64) -> Result<bool, Abort> {
-        Ok(self.find(tx, key)?.is_some())
+    pub async fn contains(&self, tx: &mut TxCtx<'_>, key: u64) -> Result<bool, Abort> {
+        Ok(self.find(tx, key).await?.is_some())
     }
 
     /// Total entries (O(buckets + entries); used in validation phases).
-    pub fn len(&self, tx: &mut TxCtx) -> Result<u64, Abort> {
+    pub async fn len(&self, tx: &mut TxCtx<'_>) -> Result<u64, Abort> {
         let mut n = 0;
         for b in 0..self.nbuckets {
-            n += List::at(self.buckets.add(b)).len(tx)?;
+            n += List::at(self.buckets.add(b)).len(tx).await?;
         }
         Ok(n)
     }
@@ -123,9 +123,7 @@ mod tests {
     use crate::testutil::run_tx;
     use std::sync::Mutex;
 
-    fn with_table(
-        body: impl Fn(&mut TxCtx, &HashTable, &TmAlloc) -> Result<(), Abort> + Send + Sync,
-    ) {
+    fn with_table(body: impl AsyncFn(&mut TxCtx<'_>, &HashTable, &TmAlloc) -> Result<(), Abort>) {
         let handles: Mutex<Option<(HashTable, TmAlloc)>> = Mutex::new(None);
         run_tx(
             |s| {
@@ -133,37 +131,37 @@ mod tests {
                 let t = HashTable::setup(s, 16);
                 *handles.lock().unwrap() = Some((t, alloc));
             },
-            |tx| {
+            async |tx| {
                 let (t, alloc) = handles.lock().unwrap().unwrap();
-                body(tx, &t, &alloc)
+                body(tx, &t, &alloc).await
             },
         );
     }
 
     #[test]
     fn insert_find_remove_across_buckets() {
-        with_table(|tx, t, alloc| {
+        with_table(async |tx, t, alloc| {
             for k in 0..100u64 {
-                assert!(t.insert(tx, alloc, k * 7, k)?);
+                assert!(t.insert(tx, alloc, k * 7, k).await?);
             }
-            assert_eq!(t.len(tx)?, 100);
+            assert_eq!(t.len(tx).await?, 100);
             for k in 0..100u64 {
-                assert_eq!(t.find(tx, k * 7)?, Some(k), "key {}", k * 7);
+                assert_eq!(t.find(tx, k * 7).await?, Some(k), "key {}", k * 7);
             }
-            assert_eq!(t.find(tx, 1)?, None);
-            assert_eq!(t.remove(tx, 7)?, Some(1));
-            assert_eq!(t.remove(tx, 7)?, None);
-            assert_eq!(t.len(tx)?, 99);
+            assert_eq!(t.find(tx, 1).await?, None);
+            assert_eq!(t.remove(tx, 7).await?, Some(1));
+            assert_eq!(t.remove(tx, 7).await?, None);
+            assert_eq!(t.len(tx).await?, 99);
             Ok(())
         });
     }
 
     #[test]
     fn duplicate_insert_rejected() {
-        with_table(|tx, t, alloc| {
-            assert!(t.insert(tx, alloc, 42, 1)?);
-            assert!(!t.insert(tx, alloc, 42, 2)?);
-            assert_eq!(t.find(tx, 42)?, Some(1));
+        with_table(async |tx, t, alloc| {
+            assert!(t.insert(tx, alloc, 42, 1).await?);
+            assert!(!t.insert(tx, alloc, 42, 2).await?);
+            assert_eq!(t.find(tx, 42).await?, Some(1));
             Ok(())
         });
     }
@@ -179,11 +177,11 @@ mod tests {
                 assert!(!t.setup_insert(s, 10, 999));
                 *handles.lock().unwrap() = Some(t);
             },
-            |tx| {
+            async |tx| {
                 let t = handles.lock().unwrap().unwrap();
-                assert_eq!(t.find(tx, 10)?, Some(100));
-                assert_eq!(t.find(tx, 18)?, Some(180));
-                assert_eq!(t.len(tx)?, 2);
+                assert_eq!(t.find(tx, 10).await?, Some(100));
+                assert_eq!(t.find(tx, 18).await?, Some(180));
+                assert_eq!(t.len(tx).await?, 2);
                 Ok(())
             },
         );

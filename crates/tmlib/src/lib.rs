@@ -21,7 +21,6 @@ pub mod hashtable;
 pub mod heap;
 pub mod list;
 pub mod queue;
-pub mod rbtree;
 pub mod tmap;
 
 pub use alloc::TmAlloc;
@@ -30,7 +29,6 @@ pub use hashtable::HashTable;
 pub use heap::Heap;
 pub use list::List;
 pub use queue::Queue;
-pub use rbtree::RbTree;
 pub use tmap::TMap;
 
 use lockiller::guest::{Abort, TxCtx};
@@ -38,14 +36,14 @@ use sim_core::types::Addr;
 
 /// Read a struct field at word offset `off`.
 #[inline]
-pub fn get(tx: &mut TxCtx, base: Addr, off: u64) -> Result<u64, Abort> {
-    tx.load(base.add(off))
+pub async fn get(tx: &mut TxCtx<'_>, base: Addr, off: u64) -> Result<u64, Abort> {
+    tx.load(base.add(off)).await
 }
 
 /// Write a struct field at word offset `off`.
 #[inline]
-pub fn set(tx: &mut TxCtx, base: Addr, off: u64, v: u64) -> Result<(), Abort> {
-    tx.store(base.add(off), v)
+pub async fn set(tx: &mut TxCtx<'_>, base: Addr, off: u64, v: u64) -> Result<(), Abort> {
+    tx.store(base.add(off), v).await
 }
 
 #[cfg(test)]
@@ -56,7 +54,7 @@ pub(crate) mod testutil {
 
     use lockiller::flatmem::{FlatMem, SetupCtx};
     use lockiller::guest::{Abort, GuestCtx, TxCtx};
-    use lockiller::program::Program;
+    use lockiller::program::{GuestFuture, Program};
     use lockiller::runner::Runner;
     use lockiller::system::SystemKind;
     use sim_core::config::SystemConfig;
@@ -68,8 +66,8 @@ pub(crate) mod testutil {
 
     impl<S, F> Program for OneShot<S, F>
     where
-        S: FnMut(&mut SetupCtx) + Send + Sync,
-        F: Fn(&mut TxCtx) -> Result<(), Abort> + Send + Sync,
+        S: FnMut(&mut SetupCtx),
+        F: AsyncFn(&mut TxCtx<'_>) -> Result<(), Abort>,
     {
         fn name(&self) -> &str {
             "oneshot"
@@ -79,16 +77,16 @@ pub(crate) mod testutil {
             (self.setup_fn)(s);
         }
 
-        fn run(&self, ctx: &mut GuestCtx) {
-            ctx.critical(|tx| (self.body)(tx));
+        fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+            Box::pin(async move { ctx.critical(async |tx| (self.body)(tx).await).await })
         }
     }
 
     /// Run `setup` then `body` (as a single transaction on one core) and
     /// return the final memory image.
     pub fn run_tx(
-        setup: impl FnMut(&mut SetupCtx) + Send + Sync,
-        body: impl Fn(&mut TxCtx) -> Result<(), Abort> + Send + Sync,
+        setup: impl FnMut(&mut SetupCtx),
+        body: impl AsyncFn(&mut TxCtx<'_>) -> Result<(), Abort>,
     ) -> FlatMem {
         let mut prog = OneShot {
             setup_fn: setup,

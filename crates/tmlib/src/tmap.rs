@@ -94,75 +94,75 @@ impl TMap {
         }
     }
 
-    pub fn find(&self, tx: &mut TxCtx, key: u64) -> Result<Option<u64>, Abort> {
-        let mut cur = tx.load(self.root)?;
+    pub async fn find(&self, tx: &mut TxCtx<'_>, key: u64) -> Result<Option<u64>, Abort> {
+        let mut cur = tx.load(self.root).await?;
         while cur != 0 {
             let c = Addr(cur);
-            let k = tx.load(c.add(KEY))?;
+            let k = tx.load(c.add(KEY)).await?;
             if k == key {
-                return Ok(Some(tx.load(c.add(VAL))?));
+                return Ok(Some(tx.load(c.add(VAL)).await?));
             }
-            cur = tx.load(c.add(if key < k { LEFT } else { RIGHT }))?;
+            cur = tx.load(c.add(if key < k { LEFT } else { RIGHT })).await?;
         }
         Ok(None)
     }
 
-    pub fn contains(&self, tx: &mut TxCtx, key: u64) -> Result<bool, Abort> {
-        Ok(self.find(tx, key)?.is_some())
+    pub async fn contains(&self, tx: &mut TxCtx<'_>, key: u64) -> Result<bool, Abort> {
+        Ok(self.find(tx, key).await?.is_some())
     }
 
     /// Update the value of an existing key; false if absent.
-    pub fn update(&self, tx: &mut TxCtx, key: u64, value: u64) -> Result<bool, Abort> {
-        let mut cur = tx.load(self.root)?;
+    pub async fn update(&self, tx: &mut TxCtx<'_>, key: u64, value: u64) -> Result<bool, Abort> {
+        let mut cur = tx.load(self.root).await?;
         while cur != 0 {
             let c = Addr(cur);
-            let k = tx.load(c.add(KEY))?;
+            let k = tx.load(c.add(KEY)).await?;
             if k == key {
-                tx.store(c.add(VAL), value)?;
+                tx.store(c.add(VAL), value).await?;
                 return Ok(true);
             }
-            cur = tx.load(c.add(if key < k { LEFT } else { RIGHT }))?;
+            cur = tx.load(c.add(if key < k { LEFT } else { RIGHT })).await?;
         }
         Ok(false)
     }
 
     /// Insert; false if the key already exists.
-    pub fn insert(
+    pub async fn insert(
         &self,
-        tx: &mut TxCtx,
+        tx: &mut TxCtx<'_>,
         alloc: &TmAlloc,
         key: u64,
         value: u64,
     ) -> Result<bool, Abort> {
         // Descend recording the path (cell that points at each node).
         let mut path: Vec<(Addr, u64)> = Vec::new(); // (node, dir taken)
-        let mut cur = tx.load(self.root)?;
+        let mut cur = tx.load(self.root).await?;
         while cur != 0 {
             let c = Addr(cur);
-            let k = tx.load(c.add(KEY))?;
+            let k = tx.load(c.add(KEY)).await?;
             if k == key {
                 return Ok(false);
             }
             let dir = if key < k { LEFT } else { RIGHT };
             path.push((c, dir));
-            cur = tx.load(c.add(dir))?;
+            cur = tx.load(c.add(dir)).await?;
         }
-        let node = alloc.alloc(tx, NODE_WORDS)?;
-        tx.store(node.add(KEY), key)?;
-        tx.store(node.add(VAL), value)?;
+        let node = alloc.alloc(tx, NODE_WORDS).await?;
+        tx.store(node.add(KEY), key).await?;
+        tx.store(node.add(VAL), value).await?;
         let prio = tree_prio(key);
-        tx.store(node.add(PRI), prio)?;
-        tx.store(node.add(LEFT), 0)?;
-        tx.store(node.add(RIGHT), 0)?;
+        tx.store(node.add(PRI), prio).await?;
+        tx.store(node.add(LEFT), 0).await?;
+        tx.store(node.add(RIGHT), 0).await?;
         // Attach.
         match path.last() {
-            None => tx.store(self.root, node.0)?,
-            Some((p, dir)) => tx.store(p.add(*dir), node.0)?,
+            None => tx.store(self.root, node.0).await?,
+            Some((p, dir)) => tx.store(p.add(*dir), node.0).await?,
         }
         // Rotate up while the heap property is violated.
         let child = node;
         while let Some((parent, dir)) = path.pop() {
-            let parent_prio = tx.load(parent.add(PRI))?;
+            let parent_prio = tx.load(parent.add(PRI)).await?;
             if prio <= parent_prio {
                 break;
             }
@@ -172,14 +172,14 @@ impl TMap {
             } else {
                 (LEFT, RIGHT)
             };
-            let moved = tx.load(child.add(take))?;
-            tx.store(parent.add(dir), moved)?;
+            let moved = tx.load(child.add(take)).await?;
+            tx.store(parent.add(dir), moved).await?;
             let _ = give;
-            tx.store(child.add(take), parent.0)?;
+            tx.store(child.add(take), parent.0).await?;
             // Reattach child to grandparent.
             match path.last() {
-                None => tx.store(self.root, child.0)?,
-                Some((gp, gdir)) => tx.store(gp.add(*gdir), child.0)?,
+                None => tx.store(self.root, child.0).await?,
+                Some((gp, gdir)) => tx.store(gp.add(*gdir), child.0).await?,
             }
         }
         Ok(true)
@@ -187,50 +187,53 @@ impl TMap {
 
     /// Remove `key`; returns its value if present. The node is rotated
     /// down to a leaf and unlinked.
-    pub fn remove(&self, tx: &mut TxCtx, key: u64) -> Result<Option<u64>, Abort> {
+    pub async fn remove(&self, tx: &mut TxCtx<'_>, key: u64) -> Result<Option<u64>, Abort> {
         // Find the cell pointing at the node.
         let mut cell = self.root;
-        let mut cur = tx.load(cell)?;
+        let mut cur = tx.load(cell).await?;
         while cur != 0 {
             let c = Addr(cur);
-            let k = tx.load(c.add(KEY))?;
+            let k = tx.load(c.add(KEY)).await?;
             if k == key {
                 break;
             }
             cell = c.add(if key < k { LEFT } else { RIGHT });
-            cur = tx.load(cell)?;
+            cur = tx.load(cell).await?;
         }
         if cur == 0 {
             return Ok(None);
         }
         let node = Addr(cur);
-        let value = tx.load(node.add(VAL))?;
+        let value = tx.load(node.add(VAL)).await?;
         // Rotate the node down until it has at most one child, then splice.
         loop {
-            let l = tx.load(node.add(LEFT))?;
-            let r = tx.load(node.add(RIGHT))?;
+            let l = tx.load(node.add(LEFT)).await?;
+            let r = tx.load(node.add(RIGHT)).await?;
             if l == 0 || r == 0 {
                 let child = if l != 0 { l } else { r };
-                tx.store(cell, child)?;
+                tx.store(cell, child).await?;
                 break;
             }
             // Rotate the higher-priority child above the node.
-            let (lp, rp) = (tx.load(Addr(l).add(PRI))?, tx.load(Addr(r).add(PRI))?);
+            let (lp, rp) = (
+                tx.load(Addr(l).add(PRI)).await?,
+                tx.load(Addr(r).add(PRI)).await?,
+            );
             if lp > rp {
                 // Right-rotate: left child up.
                 let lc = Addr(l);
-                let moved = tx.load(lc.add(RIGHT))?;
-                tx.store(node.add(LEFT), moved)?;
-                tx.store(lc.add(RIGHT), node.0)?;
-                tx.store(cell, lc.0)?;
+                let moved = tx.load(lc.add(RIGHT)).await?;
+                tx.store(node.add(LEFT), moved).await?;
+                tx.store(lc.add(RIGHT), node.0).await?;
+                tx.store(cell, lc.0).await?;
                 cell = lc.add(RIGHT);
             } else {
                 // Left-rotate: right child up.
                 let rc = Addr(r);
-                let moved = tx.load(rc.add(LEFT))?;
-                tx.store(node.add(RIGHT), moved)?;
-                tx.store(rc.add(LEFT), node.0)?;
-                tx.store(cell, rc.0)?;
+                let moved = tx.load(rc.add(LEFT)).await?;
+                tx.store(node.add(RIGHT), moved).await?;
+                tx.store(rc.add(LEFT), node.0).await?;
+                tx.store(cell, rc.0).await?;
                 cell = rc.add(LEFT);
             }
         }
@@ -238,17 +241,17 @@ impl TMap {
     }
 
     /// Number of entries (walks the whole tree).
-    pub fn len(&self, tx: &mut TxCtx) -> Result<u64, Abort> {
+    pub async fn len(&self, tx: &mut TxCtx<'_>) -> Result<u64, Abort> {
         let mut n = 0;
-        let mut stack = vec![tx.load(self.root)?];
+        let mut stack = vec![tx.load(self.root).await?];
         while let Some(cur) = stack.pop() {
             if cur == 0 {
                 continue;
             }
             n += 1;
             let c = Addr(cur);
-            stack.push(tx.load(c.add(LEFT))?);
-            stack.push(tx.load(c.add(RIGHT))?);
+            stack.push(tx.load(c.add(LEFT)).await?);
+            stack.push(tx.load(c.add(RIGHT)).await?);
         }
         Ok(n)
     }
@@ -277,7 +280,7 @@ mod tests {
     use std::sync::Mutex;
 
     fn with_map(
-        body: impl Fn(&mut TxCtx, &TMap, &TmAlloc) -> Result<(), Abort> + Send + Sync,
+        body: impl AsyncFn(&mut TxCtx<'_>, &TMap, &TmAlloc) -> Result<(), Abort>,
     ) -> (TMap, lockiller::flatmem::FlatMem) {
         let handles: Mutex<Option<(TMap, TmAlloc)>> = Mutex::new(None);
         let mem = run_tx(
@@ -286,9 +289,9 @@ mod tests {
                 let m = TMap::setup(s);
                 *handles.lock().unwrap() = Some((m, alloc));
             },
-            |tx| {
+            async |tx| {
                 let (m, alloc) = handles.lock().unwrap().unwrap();
-                body(tx, &m, &alloc)
+                body(tx, &m, &alloc).await
             },
         );
         (handles.into_inner().unwrap().unwrap().0, mem)
@@ -296,25 +299,25 @@ mod tests {
 
     #[test]
     fn insert_find() {
-        with_map(|tx, m, alloc| {
+        with_map(async |tx, m, alloc| {
             for k in [50u64, 20, 80, 10, 30, 70, 90] {
-                assert!(m.insert(tx, alloc, k, k * 2)?);
+                assert!(m.insert(tx, alloc, k, k * 2).await?);
             }
-            assert!(!m.insert(tx, alloc, 50, 0)?);
+            assert!(!m.insert(tx, alloc, 50, 0).await?);
             for k in [50u64, 20, 80, 10, 30, 70, 90] {
-                assert_eq!(m.find(tx, k)?, Some(k * 2));
+                assert_eq!(m.find(tx, k).await?, Some(k * 2));
             }
-            assert_eq!(m.find(tx, 55)?, None);
-            assert_eq!(m.len(tx)?, 7);
+            assert_eq!(m.find(tx, 55).await?, None);
+            assert_eq!(m.len(tx).await?, 7);
             Ok(())
         });
     }
 
     #[test]
     fn snapshot_is_sorted_inorder() {
-        let (m, mem) = with_map(|tx, m, alloc| {
+        let (m, mem) = with_map(async |tx, m, alloc| {
             for k in [9u64, 3, 7, 1, 5, 8, 2, 6, 4] {
-                m.insert(tx, alloc, k, k)?;
+                m.insert(tx, alloc, k, k).await?;
             }
             Ok(())
         });
@@ -325,20 +328,20 @@ mod tests {
 
     #[test]
     fn remove_rebalances() {
-        with_map(|tx, m, alloc| {
+        with_map(async |tx, m, alloc| {
             for k in 0..50u64 {
-                m.insert(tx, alloc, k * 3, k)?;
+                m.insert(tx, alloc, k * 3, k).await?;
             }
-            assert_eq!(m.remove(tx, 21)?, Some(7));
-            assert_eq!(m.remove(tx, 21)?, None);
-            assert_eq!(m.remove(tx, 0)?, Some(0));
-            assert_eq!(m.len(tx)?, 48);
+            assert_eq!(m.remove(tx, 21).await?, Some(7));
+            assert_eq!(m.remove(tx, 21).await?, None);
+            assert_eq!(m.remove(tx, 0).await?, Some(0));
+            assert_eq!(m.len(tx).await?, 48);
             // Remaining keys still reachable.
             for k in 1..50u64 {
                 if k == 7 {
                     continue;
                 }
-                assert_eq!(m.find(tx, k * 3)?, Some(k), "key {}", k * 3);
+                assert_eq!(m.find(tx, k * 3).await?, Some(k), "key {}", k * 3);
             }
             Ok(())
         });
@@ -346,11 +349,11 @@ mod tests {
 
     #[test]
     fn update_value() {
-        with_map(|tx, m, alloc| {
-            m.insert(tx, alloc, 5, 1)?;
-            assert!(m.update(tx, 5, 42)?);
-            assert!(!m.update(tx, 6, 0)?);
-            assert_eq!(m.find(tx, 5)?, Some(42));
+        with_map(async |tx, m, alloc| {
+            m.insert(tx, alloc, 5, 1).await?;
+            assert!(m.update(tx, 5, 42).await?);
+            assert!(!m.update(tx, 6, 0).await?);
+            assert_eq!(m.find(tx, 5).await?, Some(42));
             Ok(())
         });
     }
@@ -367,12 +370,12 @@ mod tests {
                 assert!(!m.setup_insert(s, 4, 0));
                 *handles.lock().unwrap() = Some(m);
             },
-            |tx| {
+            async |tx| {
                 let m = handles.lock().unwrap().unwrap();
                 for k in 1..=7u64 {
-                    assert_eq!(m.find(tx, k)?, Some(k * 10));
+                    assert_eq!(m.find(tx, k).await?, Some(k * 10));
                 }
-                assert_eq!(m.len(tx)?, 7);
+                assert_eq!(m.len(tx).await?, 7);
                 Ok(())
             },
         );
@@ -381,30 +384,28 @@ mod tests {
     #[test]
     fn mixed_workout_against_std_btree() {
         use std::collections::BTreeMap;
-        let ops: Mutex<Vec<(u8, u64)>> = Mutex::new({
-            let mut rng = sim_core::rng::SimRng::new(99);
-            (0..300)
-                .map(|_| ((rng.below(3)) as u8, rng.below(60)))
-                .collect()
-        });
-        let (m, mem) = with_map(|tx, m, alloc| {
-            for &(op, k) in ops.lock().unwrap().iter() {
+        let mut rng = sim_core::rng::SimRng::new(99);
+        let ops: Vec<(u8, u64)> = (0..300)
+            .map(|_| ((rng.below(3)) as u8, rng.below(60)))
+            .collect();
+        let (m, mem) = with_map(async |tx, m, alloc| {
+            for &(op, k) in &ops {
                 match op {
                     0 => {
-                        m.insert(tx, alloc, k, k + 1000)?;
+                        m.insert(tx, alloc, k, k + 1000).await?;
                     }
                     1 => {
-                        m.remove(tx, k)?;
+                        m.remove(tx, k).await?;
                     }
                     _ => {
-                        m.find(tx, k)?;
+                        m.find(tx, k).await?;
                     }
                 }
             }
             Ok(())
         });
         let mut oracle = BTreeMap::new();
-        for &(op, k) in ops.lock().unwrap().iter() {
+        for &(op, k) in &ops {
             match op {
                 0 => {
                     oracle.entry(k).or_insert(k + 1000);

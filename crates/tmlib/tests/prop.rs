@@ -3,19 +3,19 @@
 
 use lockiller::flatmem::SetupCtx;
 use lockiller::guest::{Abort, GuestCtx, TxCtx};
-use lockiller::program::Program;
+use lockiller::program::{GuestFuture, Program};
 use lockiller::runner::Runner;
 use lockiller::system::SystemKind;
 use proptest::prelude::*;
 use sim_core::config::SystemConfig;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
-use tmlib::{Heap, List, Queue, RbTree, TMap, TmAlloc};
+use tmlib::{Heap, List, Queue, TMap, TmAlloc};
 
 /// Run a closure as one transaction on a 1-core simulated system.
 fn run_tx(
-    setup: impl FnMut(&mut SetupCtx) + Send + Sync,
-    body: impl Fn(&mut TxCtx) -> Result<(), Abort> + Send + Sync,
+    setup: impl FnMut(&mut SetupCtx),
+    body: impl AsyncFn(&mut TxCtx<'_>) -> Result<(), Abort>,
 ) {
     struct P<S, F> {
         setup_fn: S,
@@ -23,8 +23,8 @@ fn run_tx(
     }
     impl<S, F> Program for P<S, F>
     where
-        S: FnMut(&mut SetupCtx) + Send + Sync,
-        F: Fn(&mut TxCtx) -> Result<(), Abort> + Send + Sync,
+        S: FnMut(&mut SetupCtx),
+        F: AsyncFn(&mut TxCtx<'_>) -> Result<(), Abort>,
     {
         fn name(&self) -> &str {
             "prop"
@@ -32,8 +32,8 @@ fn run_tx(
         fn setup(&mut self, s: &mut SetupCtx, _t: usize) {
             (self.setup_fn)(s);
         }
-        fn run(&self, ctx: &mut GuestCtx) {
-            ctx.critical(|tx| (self.body)(tx));
+        fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+            Box::pin(async move { ctx.critical(async |tx| (self.body)(tx).await).await })
         }
     }
     let mut prog = P {
@@ -77,18 +77,18 @@ proptest! {
                 let m = TMap::setup(s);
                 *handles.lock().unwrap() = Some((m, alloc));
             },
-            |tx| {
+            async |tx| {
                 let (m, alloc) = handles.lock().unwrap().unwrap();
                 let mut out = Vec::new();
                 for op in &ops2 {
                     match *op {
                         MapOp::Insert(k, v) => {
-                            out.push(Some(m.insert(tx, &alloc, k, v)? as u64));
+                            out.push(Some(m.insert(tx, &alloc, k, v).await? as u64));
                         }
-                        MapOp::Remove(k) => out.push(m.remove(tx, k)?),
-                        MapOp::Find(k) => out.push(m.find(tx, k)?),
+                        MapOp::Remove(k) => out.push(m.remove(tx, k).await?),
+                        MapOp::Find(k) => out.push(m.find(tx, k).await?),
                         MapOp::Update(k, v) => {
-                            out.push(Some(m.update(tx, k, v)? as u64));
+                            out.push(Some(m.update(tx, k, v).await? as u64));
                         }
                     }
                 }
@@ -123,87 +123,6 @@ proptest! {
     }
 
     #[test]
-    fn rbtree_matches_btreemap_with_invariants(ops in prop::collection::vec(map_op_strategy(), 1..120)) {
-        let handles: Mutex<Option<(RbTree, TmAlloc)>> = Mutex::new(None);
-        let results: Mutex<Vec<Option<u64>>> = Mutex::new(Vec::new());
-        let final_mem: Mutex<Option<lockiller::flatmem::FlatMem>> = Mutex::new(None);
-        let ops2 = ops.clone();
-        {
-            struct P<'a> {
-                ops: &'a [MapOp],
-                handles: &'a Mutex<Option<(RbTree, TmAlloc)>>,
-                results: &'a Mutex<Vec<Option<u64>>>,
-            }
-            impl Program for P<'_> {
-                fn name(&self) -> &str {
-                    "rb-prop"
-                }
-                fn setup(&mut self, s: &mut SetupCtx, _t: usize) {
-                    let alloc = TmAlloc::setup(s, 1, 1 << 18);
-                    let t = RbTree::setup(s);
-                    *self.handles.lock().unwrap() = Some((t, alloc));
-                }
-                fn run(&self, ctx: &mut GuestCtx) {
-                    let (t, alloc) = self.handles.lock().unwrap().unwrap();
-                    let mut out = Vec::new();
-                    ctx.critical(|tx| {
-                        out.clear();
-                        for op in self.ops {
-                            match *op {
-                                MapOp::Insert(k, v) => {
-                                    out.push(Some(t.insert(tx, &alloc, k, v)? as u64));
-                                }
-                                MapOp::Remove(k) => out.push(t.remove(tx, k)?),
-                                MapOp::Find(k) => out.push(t.find(tx, k)?),
-                                MapOp::Update(k, v) => {
-                                    out.push(Some(t.update(tx, k, v)? as u64));
-                                }
-                            }
-                        }
-                        Ok(())
-                    });
-                    *self.results.lock().unwrap() = out;
-                }
-            }
-            let mut prog = P { ops: &ops2, handles: &handles, results: &results };
-            let out = Runner::new(SystemKind::LockillerTm)
-                .threads(1)
-                .config(SystemConfig::testing(2))
-                .run(&mut prog);
-            *final_mem.lock().unwrap() = Some(out.mem);
-        }
-        let (t, _) = handles.lock().unwrap().unwrap();
-        let mem = final_mem.lock().unwrap().take().unwrap();
-        t.check_invariants(&mem).map_err(TestCaseError::fail)?;
-        // Oracle.
-        let mut oracle = BTreeMap::new();
-        let mut want = Vec::new();
-        for op in &ops {
-            match *op {
-                MapOp::Insert(k, v) => {
-                    let fresh = !oracle.contains_key(&k);
-                    if fresh {
-                        oracle.insert(k, v);
-                    }
-                    want.push(Some(fresh as u64));
-                }
-                MapOp::Remove(k) => want.push(oracle.remove(&k)),
-                MapOp::Find(k) => want.push(oracle.get(&k).copied()),
-                MapOp::Update(k, v) => {
-                    let hit = oracle.contains_key(&k);
-                    if hit {
-                        oracle.insert(k, v);
-                    }
-                    want.push(Some(hit as u64));
-                }
-            }
-        }
-        prop_assert_eq!(results.into_inner().unwrap(), want);
-        let oracle_v: Vec<(u64, u64)> = oracle.into_iter().collect();
-        prop_assert_eq!(t.snapshot(&mem), oracle_v);
-    }
-
-    #[test]
     fn queue_matches_vecdeque(ops in prop::collection::vec(any::<Option<u16>>(), 1..100)) {
         let handles: Mutex<Option<(Queue, TmAlloc)>> = Mutex::new(None);
         let results: Mutex<Vec<Option<u64>>> = Mutex::new(Vec::new());
@@ -214,15 +133,15 @@ proptest! {
                 let q = Queue::setup(s);
                 *handles.lock().unwrap() = Some((q, alloc));
             },
-            |tx| {
+            async |tx| {
                 let (q, alloc) = handles.lock().unwrap().unwrap();
                 let mut out = Vec::new();
                 for op in &ops2 {
                     match op {
                         Some(v) => {
-                            q.push(tx, &alloc, *v as u64)?;
+                            q.push(tx, &alloc, *v as u64).await?;
                         }
-                        None => out.push(q.pop(tx)?),
+                        None => out.push(q.pop(tx).await?),
                     }
                 }
                 *results.lock().unwrap() = out;
@@ -249,13 +168,13 @@ proptest! {
             |s| {
                 *handles.lock().unwrap() = Some(Heap::setup(s, 128));
             },
-            |tx| {
+            async |tx| {
                 let h = handles.lock().unwrap().unwrap();
                 for &v in &vals {
-                    h.push(tx, v as u64)?;
+                    h.push(tx, v as u64).await?;
                 }
                 let mut out = Vec::new();
-                while let Some(v) = h.pop(tx)? {
+                while let Some(v) = h.pop(tx).await? {
                     out.push(v);
                 }
                 *results.lock().unwrap() = out;
@@ -278,12 +197,12 @@ proptest! {
                 let l = List::setup(s);
                 *handles.lock().unwrap() = Some((l, alloc));
             },
-            |tx| {
+            async |tx| {
                 let (l, alloc) = handles.lock().unwrap().unwrap();
                 for &k in &keys2 {
-                    l.insert(tx, &alloc, k, k * 2)?;
+                    l.insert(tx, &alloc, k, k * 2).await?;
                 }
-                *results.lock().unwrap() = l.to_vec(tx)?;
+                *results.lock().unwrap() = l.to_vec(tx).await?;
                 Ok(())
             },
         );

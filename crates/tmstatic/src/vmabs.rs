@@ -1757,31 +1757,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_analyzes_each_kernel_content_once() {
-        let mut b = KernelBuilder::new("cache-a", 2);
-        b.imm(0, 8096).load(1, 0, 0).halt();
-        let k1 = b.build();
-        // Same bytecode, different name: one analysis.
-        let k2 = Kernel {
-            name: "cache-b".into(),
-            ..k1.clone()
-        };
-        let (h0, m0) = cache_counters();
-        let a1 = analyze_cached(&k1, 0, 1);
-        let a2 = analyze_cached(&k2, 0, 1);
-        let (h1, m1) = cache_counters();
-        assert!(
-            Arc::ptr_eq(&a1, &a2),
-            "content-equal kernels share one analysis"
-        );
-        assert_eq!(m1 - m0, 1, "exactly one miss");
-        assert!(h1 - h0 >= 1, "second lookup hits");
-        // Different (tid, threads) is a different analysis key.
-        let a3 = analyze_cached(&k1, 1, 2);
-        assert!(!Arc::ptr_eq(&a1, &a3));
-    }
-
-    #[test]
     fn overflow_region_blocks_table_under_tiny_l1() {
         // 4 distinct lines in one critical region with a 2-way tiny L1:
         // mirrors the spec analysis' overflow kernel.

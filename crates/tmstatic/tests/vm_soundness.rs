@@ -13,7 +13,8 @@
 
 use guestvm::{run_on_ctx, BinOp, Cond, GuestVm, Kernel, KernelBuilder};
 use lockiller::{
-    Backend, GuestCtx, GuestEnv, GuestExec, Program, Runner, SetupCtx, SystemKind, TraceKind,
+    Backend, GuestCtx, GuestEnv, GuestExec, GuestFuture, Program, Runner, SetupCtx, SystemKind,
+    TraceKind,
 };
 use sim_core::config::{CheckCfg, SystemConfig, SystemConfigBuilder};
 use std::sync::Arc;
@@ -205,8 +206,10 @@ impl Program for KernelProg {
         }
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        run_on_ctx(&self.kernels[ctx.tid], ctx);
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            run_on_ctx(&self.kernels[ctx.tid], ctx).await;
+        })
     }
 
     fn guest_exec(&self, env: GuestEnv) -> Option<Box<dyn GuestExec + '_>> {

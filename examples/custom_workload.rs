@@ -1,6 +1,17 @@
 //! Writing your own guest program against the public API: a concurrent
 //! bank with transactional transfers, demonstrating the `Program` trait,
-//! the transactional closure style, and the post-run validation oracle.
+//! the async guest body, the transactional closure style, and the
+//! post-run validation oracle.
+//!
+//! A template for new programs:
+//!
+//! - `run` returns the thread's body as `Box::pin(async move { ... })`;
+//!   the engine polls it on its own thread, once per guest operation;
+//! - every `GuestCtx` / `TxCtx` operation is an `async fn`: `.await` it
+//!   (a forgotten `.await` trips the `unused_must_use` lint);
+//! - a critical section is an async closure, `ctx.critical(async |tx|
+//!   { ... }).await`, that may run several times (aborts unwind via `?`
+//!   and retry), so host-side state it changes must be reset inside it.
 //!
 //! ```text
 //! cargo run --release --example custom_workload
@@ -8,7 +19,7 @@
 
 use lockillertm::lockiller::flatmem::{FlatMem, SetupCtx};
 use lockillertm::lockiller::guest::GuestCtx;
-use lockillertm::lockiller::{Program, Runner, SystemKind};
+use lockillertm::lockiller::{GuestFuture, Program, Runner, SystemKind};
 use lockillertm::sim_core::config::SystemConfig;
 use lockillertm::sim_core::types::Addr;
 
@@ -35,27 +46,30 @@ impl Program for Bank {
         }
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        for _ in 0..self.transfers_per_thread {
-            let from = ctx.rng.below(self.accounts);
-            let mut to = ctx.rng.below(self.accounts);
-            if to == from {
-                to = (to + 1) % self.accounts;
-            }
-            let amount = 1 + ctx.rng.below(10);
-            let (fa, ta) = (self.base.add(from * 8), self.base.add(to * 8));
-            ctx.critical(|tx| {
-                let f = tx.load(fa)?;
-                if f >= amount {
-                    tx.store(fa, f - amount)?;
-                    let t = tx.load(ta)?;
-                    tx.store(ta, t + amount)?;
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            for _ in 0..self.transfers_per_thread {
+                let from = ctx.rng.below(self.accounts);
+                let mut to = ctx.rng.below(self.accounts);
+                if to == from {
+                    to = (to + 1) % self.accounts;
                 }
-                tx.compute(15)?; // fee computation, logging, ...
-                Ok(())
-            });
-            ctx.compute(25);
-        }
+                let amount = 1 + ctx.rng.below(10);
+                let (fa, ta) = (self.base.add(from * 8), self.base.add(to * 8));
+                ctx.critical(async |tx| {
+                    let f = tx.load(fa).await?;
+                    if f >= amount {
+                        tx.store(fa, f - amount).await?;
+                        let t = tx.load(ta).await?;
+                        tx.store(ta, t + amount).await?;
+                    }
+                    tx.compute(15).await?; // fee computation, logging, ...
+                    Ok(())
+                })
+                .await;
+                ctx.compute(25).await;
+            }
+        })
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {

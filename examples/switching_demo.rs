@@ -9,7 +9,7 @@
 
 use lockillertm::lockiller::flatmem::{FlatMem, SetupCtx};
 use lockillertm::lockiller::guest::GuestCtx;
-use lockillertm::lockiller::{Program, Runner, SystemKind};
+use lockillertm::lockiller::{GuestFuture, Program, Runner, SystemKind};
 use lockillertm::sim_core::config::{CacheGeometry, SystemConfig};
 use lockillertm::sim_core::stats::{AbortCause, Phase};
 use lockillertm::sim_core::types::Addr;
@@ -30,20 +30,23 @@ impl Program for BigScan {
         self.base = s.alloc(self.lines * 8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        for _ in 0..self.rounds {
-            let base = self.base;
-            let lines = self.lines;
-            ctx.critical(|tx| {
-                for i in 0..lines {
-                    let a = base.add(i * 8);
-                    let v = tx.load(a)?;
-                    tx.store(a, v + 1)?;
-                }
-                Ok(())
-            });
-            ctx.compute(100);
-        }
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            for _ in 0..self.rounds {
+                let base = self.base;
+                let lines = self.lines;
+                ctx.critical(async |tx| {
+                    for i in 0..lines {
+                        let a = base.add(i * 8);
+                        let v = tx.load(a).await?;
+                        tx.store(a, v + 1).await?;
+                    }
+                    Ok(())
+                })
+                .await;
+                ctx.compute(100).await;
+            }
+        })
     }
 
     fn validate(&self, _mem: &FlatMem) -> Result<(), String> {

@@ -9,7 +9,7 @@
 
 use lockillertm::lockiller::flatmem::{FlatMem, SetupCtx};
 use lockillertm::lockiller::guest::GuestCtx;
-use lockillertm::lockiller::{Program, Runner, SystemKind};
+use lockillertm::lockiller::{GuestFuture, Program, Runner, SystemKind};
 use lockillertm::sim_core::config::SystemConfig;
 use lockillertm::sim_core::types::Addr;
 use proptest::prelude::*;
@@ -44,21 +44,24 @@ impl Program for RandomProgram {
         }
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        for crit in &self.scripts[ctx.tid] {
-            let base = self.base;
-            let ncells = self.ncells;
-            ctx.critical(|tx| {
-                for &c in &crit.cells {
-                    let a = base.add((c as u64 % ncells) * 8);
-                    let v = tx.load(a)?;
-                    tx.compute(crit.work as u64)?;
-                    tx.store(a, v + crit.delta)?;
-                }
-                Ok(())
-            });
-            ctx.compute(10);
-        }
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            for crit in &self.scripts[ctx.tid] {
+                let base = self.base;
+                let ncells = self.ncells;
+                ctx.critical(async |tx| {
+                    for &c in &crit.cells {
+                        let a = base.add((c as u64 % ncells) * 8);
+                        let v = tx.load(a).await?;
+                        tx.compute(crit.work as u64).await?;
+                        tx.store(a, v + crit.delta).await?;
+                    }
+                    Ok(())
+                })
+                .await;
+                ctx.compute(10).await;
+            }
+        })
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {
