@@ -1,64 +1,53 @@
-//! The analysis lattice: per-segment line-sets → per-thread footprints
-//! → whole-program may-conflict relation → purity → independence table.
+//! The whole-program analysis lattice: per-kernel abstract footprints
+//! → capacity → abort/park sources → fallback contagion → lock
+//! footprint and purity → may-conflict relation and independence table.
 //!
 //! Everything here is computed from three inputs — the [`SystemKind`]
-//! (which concurrency-control policy runs the critical sections), the
-//! [`ProgSpec`] (who touches which spec line, and how), and the
-//! [`SystemConfig`] (cache geometry, from which capacity and bank
-//! placement follow). All facts are conservative over-approximations of
-//! what any schedule can exhibit; the soundness tests check the dynamic
+//! (which concurrency-control policy runs the critical sections), one
+//! guest [`Kernel`] per thread (whose footprints [`analyze_cached`]
+//! derives by abstract interpretation), and the [`SystemConfig`] (cache
+//! geometry, from which capacity and bank placement follow). A
+//! `ProgSpec` is analyzed by compiling it first
+//! ([`VmAnalysis::of_spec`]): the compiled kernels are straight-line
+//! with constant addresses, so nothing widens and the footprints are
+//! exactly the spec's own line sets.
+//!
+//! All facts are conservative over-approximations of what any schedule
+//! can exhibit; the soundness tests check the dynamic
 //! [`ConflictEdge`](sim_core::obs::ConflictEdge)s of real runs against
-//! [`Analysis::may_conflict`].
+//! [`VmAnalysis::may_conflict`]. Where a footprint widened to Top the
+//! verdicts degrade soundly: overflow becomes unknown, the thread may
+//! abort, and [`VmAnalysis::independence`] refuses to build a table.
 //!
 //! # Physical layout
 //!
-//! The analysis reasons about *physical* cache lines using the fixed
-//! `Runner` arena layout re-exported by
+//! The analysis assumes the fixed `Runner` arena layout re-exported by
 //! [`SpecProgram::LOCK_LINE`]/[`SpecProgram::data_line`]: the fallback
 //! lock lives on `LineAddr(1)` and spec line `i` on `LineAddr(2 + i)`.
 
-use lockiller::StaticIndependence;
-use lockiller::SystemKind;
+use crate::vmabs::{analyze_cached, AbsLines, KernelAbs};
+use guestvm::spec::{ProgSpec, SpecProgram};
+use guestvm::Kernel;
+use lockiller::{StaticIndependence, SystemKind};
 use sim_core::config::SystemConfig;
 use sim_core::types::LineAddr;
 use std::collections::{BTreeMap, BTreeSet};
-use tmverify::progs::{Op, ProgSpec, SpecProgram};
+use std::sync::Arc;
 
-/// Read/write spec-line sets of one segment.
+/// [`KernelAbs`] projected onto one thread of a concrete system, with
+/// explicit "unknown" where a widened footprint voids a proof.
 #[derive(Clone, Debug)]
-pub struct SegFootprint {
-    pub critical: bool,
-    /// Spec lines loaded.
-    pub reads: BTreeSet<u64>,
-    /// Spec lines stored.
-    pub writes: BTreeSet<u64>,
-}
-
-impl SegFootprint {
-    /// Distinct spec lines touched (read or written).
-    pub fn lines(&self) -> BTreeSet<u64> {
-        self.reads.union(&self.writes).copied().collect()
-    }
-}
-
-/// Everything the analysis derived about one thread.
-#[derive(Clone, Debug)]
-pub struct ThreadFacts {
-    /// Per-segment footprints, in program order.
-    pub segs: Vec<SegFootprint>,
-    /// Union of critical-segment reads / writes (spec lines).
-    pub crit_reads: BTreeSet<u64>,
-    pub crit_writes: BTreeSet<u64>,
-    /// Union of plain-segment reads / writes (spec lines).
-    pub plain_reads: BTreeSet<u64>,
-    pub plain_writes: BTreeSet<u64>,
-    /// The thread has at least one critical segment (even an empty or
+pub struct VmThreadFacts {
+    pub abs: Arc<KernelAbs>,
+    /// The thread has at least one critical region (even an empty or
     /// compute-only one enters the concurrency-control machinery).
     pub has_critical: bool,
-    /// Some critical segment's static footprint cannot fit the
-    /// speculative buffer (more distinct lines in one L1 set than its
-    /// associativity): every HTM attempt of that segment must overflow.
+    /// Some critical region *provably* overflows the speculative ways:
+    /// every HTM attempt of that region must overflow.
     pub overflow: bool,
+    /// Some critical region's footprint widened to Top, so overflow can
+    /// be neither proven nor refuted.
+    pub overflow_unknown: bool,
     /// Some HTM attempt by this thread can abort (capacity overflow,
     /// data conflict on its transactional lines, or — on
     /// lock-subscribing systems — observing a taken fallback lock).
@@ -74,114 +63,87 @@ pub struct ThreadFacts {
     pub lock_write: bool,
     /// Statically *pure*: never aborts, never parks, never touches the
     /// lock-write path, HLA arbiter, or overflow signatures. Pure cores
-    /// are the refinement targets of [`Analysis::independence`].
+    /// are the refinement targets of [`VmAnalysis::independence`].
     pub pure: bool,
 }
 
-/// Whole-program static analysis over one `(system, spec, config)`.
-pub struct Analysis {
+/// Whole-program static analysis over one kernel per thread, assuming
+/// the standard `Runner` arena layout (fallback lock on
+/// [`SpecProgram::LOCK_LINE`]).
+pub struct VmAnalysis {
     pub system: SystemKind,
-    pub spec: ProgSpec,
     pub cfg: SystemConfig,
-    pub threads: Vec<ThreadFacts>,
+    pub threads: Vec<VmThreadFacts>,
 }
 
-impl Analysis {
-    pub fn new(system: SystemKind, spec: ProgSpec, cfg: SystemConfig) -> Analysis {
+impl VmAnalysis {
+    pub fn new(system: SystemKind, cfg: SystemConfig, kernels: &[Kernel]) -> VmAnalysis {
         let policy = system.policy();
         let htm = system.uses_htm();
         // Lock subscription: every HTM attempt transactionally loads the
         // lock line unless HTMLock removes the subscription.
         let subscribes = htm && !policy.htmlock;
+        let nthreads = kernels.len();
 
-        // Layer 1: per-segment and per-thread line sets.
-        let mut threads: Vec<ThreadFacts> = spec
-            .threads
+        // Layer 1: per-thread abstract footprints (cached per kernel).
+        let mut threads: Vec<VmThreadFacts> = kernels
             .iter()
-            .map(|segs| {
-                let segs: Vec<SegFootprint> = segs
-                    .iter()
-                    .map(|seg| {
-                        let mut f = SegFootprint {
-                            critical: seg.critical,
-                            reads: BTreeSet::new(),
-                            writes: BTreeSet::new(),
-                        };
-                        for op in &seg.ops {
-                            match *op {
-                                Op::Load(l) => {
-                                    f.reads.insert(l);
-                                }
-                                Op::Store(l) => {
-                                    f.writes.insert(l);
-                                }
-                                Op::Compute(_) => {}
-                            }
-                        }
-                        f
-                    })
-                    .collect();
-                let mut t = ThreadFacts {
-                    crit_reads: BTreeSet::new(),
-                    crit_writes: BTreeSet::new(),
-                    plain_reads: BTreeSet::new(),
-                    plain_writes: BTreeSet::new(),
-                    has_critical: segs.iter().any(|s| s.critical),
-                    segs,
+            .enumerate()
+            .map(|(tid, k)| {
+                let abs = analyze_cached(k, tid, nthreads);
+                VmThreadFacts {
+                    has_critical: abs.has_critical,
+                    abs,
                     overflow: false,
+                    overflow_unknown: false,
                     tx_abort: false,
                     parks: false,
                     fallback: false,
                     lock_read: false,
                     lock_write: false,
                     pure: false,
-                };
-                for s in &t.segs {
-                    if s.critical {
-                        t.crit_reads.extend(&s.reads);
-                        t.crit_writes.extend(&s.writes);
-                    } else {
-                        t.plain_reads.extend(&s.reads);
-                        t.plain_writes.extend(&s.writes);
-                    }
                 }
-                t
             })
             .collect();
 
-        // Layer 2: capacity. A critical segment overflows when more
-        // distinct physical lines (its data lines, plus the subscribed
-        // lock line) map to one L1 set than the set has ways.
+        // Layer 2: capacity, per critical region. A region overflows when
+        // more distinct physical lines (its data lines, plus the
+        // subscribed lock line) map to one L1 set than the set has ways.
+        // A widened region makes the question unanswerable.
         for t in &mut threads {
-            t.overflow = htm
-                && t.segs.iter().any(|s| {
-                    if !s.critical {
-                        return false;
+            if !htm {
+                continue;
+            }
+            for region in &t.abs.regions {
+                match region.lines() {
+                    None => t.overflow_unknown = true,
+                    Some(mut phys) => {
+                        if subscribes {
+                            phys.insert(SpecProgram::LOCK_LINE);
+                        }
+                        let mut per_set: BTreeMap<usize, usize> = BTreeMap::new();
+                        for line in phys {
+                            *per_set.entry(cfg.l1_set_of(line)).or_default() += 1;
+                        }
+                        if per_set.values().any(|&c| c > cfg.speculative_ways()) {
+                            t.overflow = true;
+                        }
                     }
-                    let mut phys: BTreeSet<LineAddr> = s
-                        .lines()
-                        .iter()
-                        .map(|&l| SpecProgram::data_line(l))
-                        .collect();
-                    if subscribes {
-                        phys.insert(SpecProgram::LOCK_LINE);
-                    }
-                    let mut per_set: BTreeMap<usize, usize> = BTreeMap::new();
-                    for line in phys {
-                        *per_set.entry(cfg.l1_set_of(line)).or_default() += 1;
-                    }
-                    per_set.values().any(|&n| n > cfg.speculative_ways())
-                });
+                }
+            }
         }
 
-        // Layer 3: abort sources and parking, from pairwise conflicts.
-        let n = threads.len();
-        for t in 0..n {
-            let crit_conflict = (0..n).any(|u| u != t && crit_conflict(&threads, t, u));
-            let any_conflict = (0..n).any(|u| u != t && data_conflict(&threads, t, u));
+        // Layer 3: abort sources and parking from pairwise conflicts.
+        // Unknown overflow counts as a possible abort source.
+        for t in 0..nthreads {
+            let crit_conflict = (0..nthreads).any(|u| u != t && crit_conflict(&threads, t, u));
+            let any_conflict = (0..nthreads).any(|u| u != t && data_conflict(&threads, t, u));
             let me = &mut threads[t];
-            me.tx_abort = me.has_critical && htm && (me.overflow || crit_conflict);
-            me.parks = any_conflict;
+            me.tx_abort =
+                me.has_critical && htm && (me.overflow || me.overflow_unknown || crit_conflict);
+            // A barrier parks the thread until every peer arrives; a
+            // page touch rendezvous with global paging state.
+            me.parks = any_conflict || me.abs.has_barrier || me.abs.has_pagetouch;
         }
 
         // Layer 4: fallback-lock reachability. An aborting thread burns
@@ -218,32 +180,26 @@ impl Analysis {
             t.pure = !cgl_critical && !t.tx_abort && !t.parks && !t.fallback && !t.lock_write;
         }
 
-        Analysis {
+        VmAnalysis {
             system,
-            spec,
             cfg,
             threads,
         }
     }
 
-    /// All spec lines thread `t` can touch, plain or critical.
-    pub fn touched(&self, t: usize) -> BTreeSet<u64> {
-        let f = &self.threads[t];
-        let mut out = f.crit_reads.clone();
-        out.extend(&f.crit_writes);
-        out.extend(&f.plain_reads);
-        out.extend(&f.plain_writes);
-        out
+    /// The analysis of `spec` compiled under the standard runner arena
+    /// layout ([`SpecProgram::compile_all`]) — the kernels `--backend
+    /// vm` executes and whose ops the thread backend issues one for one.
+    pub fn of_spec(system: SystemKind, spec: &ProgSpec, cfg: SystemConfig) -> VmAnalysis {
+        VmAnalysis::new(system, cfg, &SpecProgram::compile_all(spec))
     }
 
-    fn writes(&self, t: usize, l: u64) -> bool {
-        self.threads[t].crit_writes.contains(&l) || self.threads[t].plain_writes.contains(&l)
+    fn writes(&self, t: usize, l: LineAddr) -> bool {
+        self.threads[t].abs.written().contains(l)
     }
 
-    fn touches(&self, t: usize, l: u64) -> bool {
-        self.writes(t, l)
-            || self.threads[t].crit_reads.contains(&l)
-            || self.threads[t].plain_reads.contains(&l)
+    fn touches(&self, t: usize, l: LineAddr) -> bool {
+        self.threads[t].abs.touched().contains(l)
     }
 
     /// The whole-program may-conflict relation over *physical* lines:
@@ -253,7 +209,9 @@ impl Analysis {
     /// writes, the other touches), lock-line traffic (subscription
     /// loads vs. fallback/CGL lock writes), and Bloom-signature false
     /// positives of switchingMode (an overflowing thread's signature
-    /// can falsely match *any* line another thread requests).
+    /// can falsely match *any* line another thread requests). Widened
+    /// footprints touch every line, so the relation over-approximates
+    /// exactly where precision was lost.
     pub fn may_conflict(&self, a: usize, b: usize, line: LineAddr) -> bool {
         let n = self.threads.len();
         if a >= n || b >= n {
@@ -268,51 +226,48 @@ impl Analysis {
                 && (fb.lock_read || fb.lock_write)
                 && (fa.lock_write || fb.lock_write);
         }
-        let Some(l) = line.0.checked_sub(2).filter(|&l| l < self.spec.lines) else {
-            return false;
-        };
-        let data =
-            (self.writes(a, l) && self.touches(b, l)) || (self.touches(a, l) && self.writes(b, l));
+        let data = (self.writes(a, line) && self.touches(b, line))
+            || (self.touches(a, line) && self.writes(b, line));
         let sig = |x: usize, y: usize| {
-            self.system.policy().switching_mode && self.threads[x].overflow && self.touches(y, l)
+            self.system.policy().switching_mode
+                && (self.threads[x].overflow || self.threads[x].overflow_unknown)
+                && self.touches(y, line)
         };
         data || sig(a, b) || sig(b, a)
     }
 
     /// Physical lines thread `t` can touch, including the lock line
     /// when its policy-dependent footprint is reachable.
-    pub fn phys_lines(&self, t: usize) -> BTreeSet<LineAddr> {
-        let mut out: BTreeSet<LineAddr> = self
-            .touched(t)
-            .iter()
-            .map(|&l| SpecProgram::data_line(l))
-            .collect();
-        if self.threads[t].lock_read || self.threads[t].lock_write {
+    pub fn phys_lines(&self, t: usize) -> AbsLines {
+        let f = &self.threads[t];
+        let mut out = f.abs.touched();
+        if f.lock_read || f.lock_write {
             out.insert(SpecProgram::LOCK_LINE);
         }
         out
     }
 
-    /// Some LLC set can be asked to hold more program lines than its
-    /// associativity, so a tag eviction — and with it an observable LRU
-    /// ordering effect — is possible.
-    pub fn llc_eviction_possible(&self) -> bool {
+    /// Whether some LLC set can be asked to hold more program lines than
+    /// its associativity, so a tag eviction — and with it an observable
+    /// LRU ordering effect — is possible. `None` when a widened
+    /// footprint makes the count unknowable.
+    pub fn llc_eviction_possible(&self) -> Option<bool> {
         // Count the lock line unconditionally: cheap, and immune to an
         // under-approximated lock footprint.
         let mut lines: BTreeSet<LineAddr> = [SpecProgram::LOCK_LINE].into();
         for t in 0..self.threads.len() {
-            lines.extend(self.phys_lines(t));
+            lines.extend(self.phys_lines(t).lines()?.iter().copied());
         }
         let mut per_set: BTreeMap<(usize, usize), usize> = BTreeMap::new();
         for line in lines {
             let key = (self.cfg.bank_of(line), self.cfg.llc_set_of(line));
             *per_set.entry(key).or_default() += 1;
         }
-        per_set.values().any(|&n| n > self.cfg.mem.llc_bank.ways)
+        Some(per_set.values().any(|&c| c > self.cfg.mem.llc_bank.ways))
     }
 
     /// Construct the DPOR pruning table, or `None` when the soundness
-    /// premises cannot be proven for the whole program:
+    /// premises cannot be *proven* for the whole program:
     ///
     /// - **No capacity overflow anywhere** — otherwise overflow
     ///   signatures are populated and consulted by every HTM request
@@ -320,16 +275,23 @@ impl Analysis {
     ///   switchingMode engages.
     /// - **No LLC eviction possible** — otherwise tag-LRU state couples
     ///   same-bank events beyond the per-line directory.
+    /// - **Precise footprints, no page touches, at most 64 cores** —
+    ///   any widened footprint or page-touch traffic degrades to
+    ///   no-pruning rather than risking an unsound table.
     ///
     /// Under those premises the returned table's `bank_foot` covers
     /// every line each core can touch (including the conditionally
     /// reachable lock) and `pure` marks cores that provably never
     /// abort, park, lock, or touch HLA/signature state.
     pub fn independence(&self) -> Option<StaticIndependence> {
-        if self.threads.iter().any(|t| t.overflow) {
+        if self
+            .threads
+            .iter()
+            .any(|t| t.overflow || t.overflow_unknown || t.abs.has_pagetouch)
+        {
             return None;
         }
-        if self.llc_eviction_possible() {
+        if self.llc_eviction_possible() != Some(false) {
             return None;
         }
         let cores = self.cfg.num_cores;
@@ -340,14 +302,14 @@ impl Analysis {
         let mut pure = 0u64;
         for (c, foot) in bank_foot.iter_mut().enumerate() {
             if let Some(f) = self.threads.get(c) {
-                for line in self.phys_lines(c) {
+                for &line in self.phys_lines(c).lines()? {
                     *foot |= 1 << self.cfg.bank_of(line);
                 }
                 if f.pure {
                     pure |= 1 << c;
                 }
             } else {
-                // Cores beyond the spec's threads run no guest at all.
+                // Cores beyond the kernels run no guest at all.
                 pure |= 1 << c;
             }
         }
@@ -358,43 +320,33 @@ impl Analysis {
 /// A conflict touching `t`'s *transactional* lines (what can abort
 /// `t`'s HTM attempts): `t` writes a line `u` touches, or `u` writes a
 /// line `t` touches transactionally.
-fn crit_conflict(threads: &[ThreadFacts], t: usize, u: usize) -> bool {
-    let (ft, fu) = (&threads[t], &threads[u]);
-    let u_writes: BTreeSet<u64> = fu.crit_writes.union(&fu.plain_writes).copied().collect();
-    let u_touches: BTreeSet<u64> = u_writes
-        .union(&fu.crit_reads.union(&fu.plain_reads).copied().collect())
-        .copied()
-        .collect();
-    ft.crit_writes.iter().any(|l| u_touches.contains(l))
-        || ft.crit_reads.iter().any(|l| u_writes.contains(l))
+fn crit_conflict(threads: &[VmThreadFacts], t: usize, u: usize) -> bool {
+    let (ft, fu) = (&threads[t].abs, &threads[u].abs);
+    ft.crit_writes.intersects(&fu.touched()) || ft.crit_reads.intersects(&fu.written())
 }
 
 /// Any access of `t` conflicting with any access of `u` (what can get a
 /// request of `t` rejected, hence parked, by the recovery mechanism).
-fn data_conflict(threads: &[ThreadFacts], t: usize, u: usize) -> bool {
-    let (ft, fu) = (&threads[t], &threads[u]);
-    let writes = |f: &ThreadFacts| -> BTreeSet<u64> {
-        f.crit_writes.union(&f.plain_writes).copied().collect()
-    };
-    let touches = |f: &ThreadFacts| -> BTreeSet<u64> {
-        let mut out = writes(f);
-        out.extend(&f.crit_reads);
-        out.extend(&f.plain_reads);
-        out
-    };
-    let (wt, tt) = (writes(ft), touches(ft));
-    let (wu, tu) = (writes(fu), touches(fu));
-    wt.iter().any(|l| tu.contains(l)) || tt.iter().any(|l| wu.contains(l))
+fn data_conflict(threads: &[VmThreadFacts], t: usize, u: usize) -> bool {
+    let (ft, fu) = (&threads[t].abs, &threads[u].abs);
+    ft.written().intersects(&fu.touched()) || ft.touched().intersects(&fu.written())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn analyze(system: SystemKind, spec: &str) -> Analysis {
+    fn analyze(system: SystemKind, spec: &str) -> VmAnalysis {
         let spec = ProgSpec::parse(spec).expect("test specs are valid");
         let cfg = tmverify::Explorer::new(system, spec.clone()).config();
-        Analysis::new(system, spec, cfg)
+        VmAnalysis::of_spec(system, &spec, cfg)
+    }
+
+    fn tiny_l1(system: SystemKind, spec: &str) -> VmAnalysis {
+        let spec = ProgSpec::parse(spec).expect("test specs are valid");
+        let mut ex = tmverify::Explorer::new(system, spec.clone());
+        ex.tiny_l1 = true;
+        VmAnalysis::of_spec(system, &spec, ex.config())
     }
 
     #[test]
@@ -435,15 +387,12 @@ mod tests {
 
     #[test]
     fn overflow_blocks_the_table_and_is_attributed() {
-        let spec = ProgSpec::parse("6/c:L0,L1,L2,S0/c:L3,L4,L5,S3").unwrap();
-        let mut ex = tmverify::Explorer::new(SystemKind::LockillerTm, spec.clone());
-        ex.tiny_l1 = true;
-        let a = Analysis::new(SystemKind::LockillerTm, spec.clone(), ex.config());
-        assert!(a.threads.iter().all(|t| t.overflow));
+        let spec = "6/c:L0,L1,L2,S0/c:L3,L4,L5,S3";
+        let a = tiny_l1(SystemKind::LockillerTm, spec);
+        assert!(a.threads.iter().all(|t| t.overflow && !t.overflow_unknown));
         assert!(a.independence().is_none(), "overflow voids the premises");
         // The same kernel under the full-size L1 does not overflow.
-        let ex = tmverify::Explorer::new(SystemKind::LockillerTm, spec.clone());
-        let a = Analysis::new(SystemKind::LockillerTm, spec, ex.config());
+        let a = analyze(SystemKind::LockillerTm, spec);
         assert!(a.threads.iter().all(|t| !t.overflow));
     }
 
@@ -466,10 +415,7 @@ mod tests {
 
         // ...unless signatures can false-positive: an overflowing
         // switchingMode thread may conflict on any line the peer touches.
-        let spec = ProgSpec::parse("6/c:L0,L1,L2,S0/c:L3,L4,L5,S3").unwrap();
-        let mut ex = tmverify::Explorer::new(SystemKind::LockillerTm, spec.clone());
-        ex.tiny_l1 = true;
-        let s = Analysis::new(SystemKind::LockillerTm, spec, ex.config());
+        let s = tiny_l1(SystemKind::LockillerTm, "6/c:L0,L1,L2,S0/c:L3,L4,L5,S3");
         assert!(s.may_conflict(0, 1, SpecProgram::data_line(4)));
         assert!(s.may_conflict(1, 0, SpecProgram::data_line(0)));
     }
@@ -479,7 +425,7 @@ mod tests {
         let a = analyze(SystemKind::Cgl, "2/c:L0,S0/p:L1");
         assert!(a.threads[0].lock_write && !a.threads[0].pure);
         assert!(!a.threads[1].lock_read && a.threads[1].pure);
-        assert!(a.threads[0].segs[0].critical);
+        assert_eq!(a.threads[0].abs.regions.len(), 1);
         assert!(!a.threads[0].overflow, "CGL never runs HTM");
     }
 
@@ -487,6 +433,6 @@ mod tests {
     fn llc_eviction_check_counts_sets() {
         // The testing LLC is far larger than any small kernel arena.
         let a = analyze(SystemKind::LockillerRwi, "8/c:L0,S7/c:L3,S4");
-        assert!(!a.llc_eviction_possible());
+        assert_eq!(a.llc_eviction_possible(), Some(false));
     }
 }

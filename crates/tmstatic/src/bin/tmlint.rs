@@ -7,19 +7,22 @@
 //!        [--system NAME] [--tiny-l1] [--json] [--baseline FILE] [--table]
 //! ```
 //!
-//! The default mode analyzes the spec DSL directly (`tmstatic::lint`).
-//! The `kernel` mode compiles to guest bytecode first and runs the
-//! abstract interpreter (`tmstatic::vmabs`) over what `tmverify
-//! --backend vm` would actually execute — `--prog` compiles the spec
-//! under the standard runner arena layout, `--stamp` takes a STAMP VM
-//! workload by name (`kmeans`, `kmeans-low`, `intruder-flow`). Both
-//! modes share the simulator geometry `tmverify` explores (`--tiny-l1`
-//! matches the explorer's shrunk L1), the stable one-JSON-object-per-
-//! line schema, and the `--baseline` diff protocol; in kernel mode the
-//! position fields are (thread, critical-region ordinal, instruction
-//! pc) and `lines` are physical line numbers (see `tmstatic::vmlint`).
-//! `--table` reports the DPOR pruning table the analysis would hand the
-//! explorer.
+//! Both modes run one analysis: the guest bytecode is abstractly
+//! interpreted (`tmstatic::vmabs`) and projected onto the system
+//! (`tmstatic::VmAnalysis`), and one rule set (`tmstatic::vmlint`)
+//! reports on it. `--prog` compiles the spec under the standard runner
+//! arena layout — exactly what `tmverify --backend vm` executes;
+//! `--stamp` (kernel mode only) takes a STAMP VM workload by name
+//! (`kmeans`, `kmeans-low`, `intruder-flow`). The modes differ only in
+//! how diagnostics name positions: the default spec mode reports
+//! (thread, segment, op) indices of the spec and spec line indices
+//! (`tmstatic::lint`); kernel mode reports (thread, critical-region
+//! ordinal, instruction pc) and physical line numbers
+//! (`tmstatic::lint_kernels`). Both share the simulator geometry
+//! `tmverify` explores (`--tiny-l1` matches the explorer's shrunk L1),
+//! the stable one-JSON-object-per-line schema, and the `--baseline`
+//! diff protocol. `--table` reports the DPOR pruning table the analysis
+//! would hand the explorer.
 //!
 //! `--baseline FILE` compares against a checked-in baseline (the
 //! `--json` output of a blessed run): only diagnostics *not* present in
@@ -30,7 +33,7 @@
 //! (new) error, 2 bad usage or unreadable input.
 
 use lockiller::SystemKind;
-use tmstatic::{lint, lint_kernels, Analysis, Diag, Severity, VmAnalysis};
+use tmstatic::{lint, lint_kernels, Diag, Severity, VmAnalysis};
 use tmverify::progs::ProgSpec;
 use tmverify::Explorer;
 
@@ -109,8 +112,7 @@ fn parse_args() -> Opts {
 }
 
 /// Report diagnostics against the optional baseline; returns the exit
-/// code. Shared verbatim by both modes so the JSON / baseline / exit
-/// contract cannot drift between them.
+/// code.
 fn report(diags: &[Diag], o: &Opts, subject: &str) -> i32 {
     let known: Vec<String> = match &o.baseline {
         Some(path) => match std::fs::read_to_string(path) {
@@ -176,82 +178,83 @@ fn print_table(t: Option<lockiller::StaticIndependence>) {
 
 /// Explorer-identical geometry for `threads` simulated threads.
 fn geometry(threads: usize, tiny_l1: bool) -> sim_core::config::SystemConfig {
-    // Reuse Explorer::config so kernel mode can never drift from what
-    // `tmverify --backend vm` simulates; the spec itself is irrelevant
-    // beyond its thread count.
+    // Reuse Explorer::config so tmlint can never drift from what
+    // `tmverify` simulates; the spec itself is irrelevant beyond its
+    // thread count.
+    let spec = format!("1/{}", vec!["p:C1"; threads].join("/"));
     let mut ex = Explorer::new(
         SystemKind::LockillerRwi,
-        ProgSpec::parse(&format!("{threads}/p:C1")).expect("trivial spec"),
+        ProgSpec::parse(&spec).expect("trivial spec"),
     );
     ex.tiny_l1 = tiny_l1;
     ex.config()
 }
 
+fn parse_spec(prog: &str) -> ProgSpec {
+    ProgSpec::parse(prog).unwrap_or_else(|e| {
+        eprintln!("tmlint: {e}");
+        std::process::exit(2);
+    })
+}
+
 fn main() {
     let o = parse_args();
-    if o.kernel_mode {
-        let (kernels, subject) = match (&o.prog, &o.stamp) {
-            (Some(p), None) => {
-                let spec = match ProgSpec::parse(p) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("tmlint: {e}");
-                        std::process::exit(2);
-                    }
-                };
-                let subject = format!("kernels of {}", spec.render());
-                (tmverify::progs::SpecProgram::compile_all(&spec), subject)
-            }
-            (None, Some(name)) => {
-                let kernels = match name.as_str() {
-                    "kmeans" => stamp::kmeans::Kmeans::new(stamp::Scale::Tiny, o.threads, true)
-                        .compile_standalone(),
-                    "kmeans-low" => {
-                        stamp::kmeans::Kmeans::new(stamp::Scale::Tiny, o.threads, false)
-                            .compile_standalone()
-                    }
-                    "intruder-flow" => stamp::vm::IntruderFlow::new(stamp::Scale::Tiny, o.threads)
-                        .compile_standalone(),
-                    other => {
-                        eprintln!("tmlint: unknown stamp workload {other:?}");
-                        usage();
-                    }
-                };
-                (kernels, format!("stamp {name} x{}", o.threads))
-            }
-            _ => {
-                eprintln!("tmlint: kernel mode needs exactly one of --prog / --stamp");
-                usage();
-            }
-        };
-        let cfg = geometry(kernels.len(), o.tiny_l1);
-        let a = VmAnalysis::new(o.system, cfg, &kernels);
-        let diags = lint_kernels(&a);
-        let code = report(&diags, &o, &subject);
-        if o.table {
-            print_table(a.independence());
+    let (a, diags, subject) = match (o.kernel_mode, &o.prog, &o.stamp) {
+        (false, Some(p), None) => {
+            let spec = parse_spec(p);
+            let cfg = geometry(spec.num_threads(), o.tiny_l1);
+            let a = VmAnalysis::of_spec(o.system, &spec, cfg);
+            let diags = lint(&a, &spec);
+            (a, diags, spec.render())
         }
-        std::process::exit(code);
-    }
-
-    let Some(prog) = o.prog.clone() else {
-        eprintln!("tmlint: --prog is required");
-        usage();
-    };
-    let spec = match ProgSpec::parse(&prog) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("tmlint: {e}");
-            std::process::exit(2);
+        (false, ..) => {
+            eprintln!("tmlint: --prog is required");
+            usage();
+        }
+        (true, p, s) => {
+            let (kernels, subject) = match (p, s) {
+                (Some(p), None) => {
+                    let spec = parse_spec(p);
+                    let subject = format!("kernels of {}", spec.render());
+                    (tmverify::progs::SpecProgram::compile_all(&spec), subject)
+                }
+                (None, Some(name)) => (
+                    stamp_kernels(name, o.threads),
+                    format!("stamp {name} x{}", o.threads),
+                ),
+                _ => {
+                    eprintln!("tmlint: kernel mode needs exactly one of --prog / --stamp");
+                    usage();
+                }
+            };
+            let cfg = geometry(kernels.len(), o.tiny_l1);
+            let a = VmAnalysis::new(o.system, cfg, &kernels);
+            let diags = lint_kernels(&a);
+            (a, diags, subject)
         }
     };
-    let mut ex = Explorer::new(o.system, spec.clone());
-    ex.tiny_l1 = o.tiny_l1;
-    let analysis = Analysis::new(o.system, spec, ex.config());
-    let diags = lint(&analysis);
-    let code = report(&diags, &o, &analysis.spec.render());
+    let code = report(&diags, &o, &subject);
     if o.table {
-        print_table(analysis.independence());
+        print_table(a.independence());
     }
     std::process::exit(code);
+}
+
+/// The bytecode of a STAMP VM workload at `Scale::Tiny`.
+fn stamp_kernels(name: &str, threads: usize) -> Vec<guestvm::Kernel> {
+    match name {
+        "kmeans" => {
+            stamp::kmeans::Kmeans::new(stamp::Scale::Tiny, threads, true).compile_standalone()
+        }
+        "kmeans-low" => {
+            stamp::kmeans::Kmeans::new(stamp::Scale::Tiny, threads, false).compile_standalone()
+        }
+        "intruder-flow" => {
+            stamp::vm::IntruderFlow::new(stamp::Scale::Tiny, threads).compile_standalone()
+        }
+        other => {
+            eprintln!("tmlint: unknown stamp workload {other:?}");
+            usage();
+        }
+    }
 }

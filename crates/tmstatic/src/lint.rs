@@ -1,4 +1,9 @@
-//! Lint rules over an [`Analysis`], with machine-readable diagnostics.
+//! Machine-readable lint diagnostics, and the spec-mode front end.
+//!
+//! [`lint`] reports on a `ProgSpec` in the spec's own coordinates: the
+//! rules of [`vmlint`](crate::vmlint) run on the analysis of the kernels
+//! the spec compiles to, and each position maps back to the spec op the
+//! instruction was compiled from.
 //!
 //! The JSON schema emitted by [`Diag::to_json`] is **stable** — CI
 //! baselines and downstream tooling depend on it (see the golden-file
@@ -13,9 +18,11 @@
 //! `thread`/`segment`/`op` are indices into the spec (`null` for
 //! program-level diagnostics); `lines` are *spec* line indices.
 
-use crate::analysis::Analysis;
-use std::collections::BTreeSet;
-use tmverify::progs::Op;
+use crate::vmlint::{self, View};
+use crate::VmAnalysis;
+use guestvm::spec::{ProgSpec, Segment, SpecProgram};
+use guestvm::{Instr, Kernel};
+use std::collections::BTreeMap;
 
 /// Diagnostic severity, ordered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -96,259 +103,71 @@ impl Diag {
     }
 }
 
-/// Run every rule; diagnostics are ordered by rule, then position, so
-/// the output is deterministic.
-pub fn lint(a: &Analysis) -> Vec<Diag> {
-    let mut out = Vec::new();
-    mixed_access_race(a, &mut out);
-    capacity_overflow(a, &mut out);
-    handoff_cycle(a, &mut out);
-    dead_store(a, &mut out);
-    unused_line(a, &mut out);
-    noop_compute(a, &mut out);
-    out
-}
-
-/// (a) Mixed-access race: a plain segment touches a line some critical
-/// segment on another thread writes — the HyTM fast/slow-path hazard.
-fn mixed_access_race(a: &Analysis, out: &mut Vec<Diag>) {
-    for (t, facts) in a.threads.iter().enumerate() {
-        for (s, seg) in facts.segs.iter().enumerate() {
-            if seg.critical {
-                continue;
-            }
-            for (k, op) in a.spec.threads[t][s].ops.iter().enumerate() {
-                let (l, verb) = match *op {
-                    Op::Load(l) => (l, "load"),
-                    Op::Store(l) => (l, "store"),
-                    Op::Compute(_) => continue,
-                };
-                let writers: Vec<usize> = (0..a.threads.len())
-                    .filter(|&u| u != t && a.threads[u].crit_writes.contains(&l))
-                    .collect();
-                if let Some(&u) = writers.first() {
-                    out.push(Diag {
-                        rule: "mixed-access-race",
-                        severity: Severity::Error,
-                        thread: Some(t),
-                        segment: Some(s),
-                        op: Some(k),
-                        lines: vec![l],
-                        message: format!(
-                            "plain {verb} of line {l} races with a critical write on thread {u}"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// (b) Capacity-overflow prediction: a critical segment's static
-/// footprint cannot fit the speculative buffer, guaranteeing overflow
-/// (and, on switchingMode systems, signature spills).
-fn capacity_overflow(a: &Analysis, out: &mut Vec<Diag>) {
-    if !a.system.uses_htm() {
-        return;
-    }
-    let ways = a.cfg.speculative_ways();
-    let budget = a.cfg.signature_line_budget();
-    for (t, facts) in a.threads.iter().enumerate() {
-        for (s, seg) in facts.segs.iter().enumerate() {
-            if !seg.critical {
-                continue;
-            }
-            let lines: Vec<u64> = seg.lines().into_iter().collect();
-            // Re-derive the per-set counts so the diagnostic can name
-            // the offending set (Analysis only keeps the verdict).
-            let subscribes = !a.system.policy().htmlock;
-            let mut phys: Vec<sim_core::types::LineAddr> = lines
-                .iter()
-                .map(|&l| tmverify::progs::SpecProgram::data_line(l))
-                .collect();
-            if subscribes {
-                phys.push(tmverify::progs::SpecProgram::LOCK_LINE);
-            }
-            let mut per_set: std::collections::BTreeMap<usize, usize> =
-                std::collections::BTreeMap::new();
-            for &line in &phys {
-                *per_set.entry(a.cfg.l1_set_of(line)).or_default() += 1;
-            }
-            let Some((&set, &n)) = per_set.iter().find(|&(_, &n)| n > ways) else {
-                continue;
-            };
-            let sig = if phys.len() > budget {
-                format!(" and exceeds the {budget}-line signature budget")
-            } else {
-                String::new()
-            };
-            out.push(Diag {
-                rule: "capacity-overflow",
-                severity: Severity::Warn,
-                thread: Some(t),
-                segment: Some(s),
-                op: None,
-                lines,
-                message: format!(
-                    "critical segment maps {n} lines to L1 set {set} \
-                     (associativity {ways}): speculative overflow is guaranteed{sig}"
-                ),
-            });
-        }
-    }
-}
-
-/// (c) Hand-off cycle: a cycle in the cross-thread line-dependency
-/// graph over critical segments (thread `t` depends on `u` when `t`
-/// touches a line `u` writes critically) — the deadlock/livelock shape
-/// of the `2/c:L0,S1/c:L1,S0` kernel.
-fn handoff_cycle(a: &Analysis, out: &mut Vec<Diag>) {
-    let n = a.threads.len();
-    let touches_crit = |t: usize, l: u64| {
-        a.threads[t].crit_reads.contains(&l) || a.threads[t].crit_writes.contains(&l)
-    };
-    let edge =
-        |t: usize, u: usize| t != u && a.threads[u].crit_writes.iter().any(|&l| touches_crit(t, l));
-    // Strongly connected components via iterated DFS on the (tiny)
-    // thread graph: a multi-node SCC is a hand-off cycle.
-    let mut comp = vec![usize::MAX; n];
-    let mut n_comps = 0;
-    for start in 0..n {
-        if comp[start] != usize::MAX {
-            continue;
-        }
-        // Nodes reachable from `start` that also reach back form its SCC.
-        let reach = |from: usize| -> Vec<bool> {
-            let mut seen = vec![false; n];
-            let mut stack = vec![from];
-            while let Some(v) = stack.pop() {
-                for (w, s) in seen.iter_mut().enumerate() {
-                    if !*s && edge(v, w) {
-                        *s = true;
-                        stack.push(w);
-                    }
-                }
-            }
-            seen
-        };
-        let fwd = reach(start);
-        for v in start..n {
-            if comp[v] == usize::MAX && (v == start || (fwd[v] && reach(v)[start])) {
-                comp[v] = n_comps;
-            }
-        }
-        n_comps += 1;
-    }
-    for c in 0..n_comps {
-        let members: Vec<usize> = (0..n).filter(|&t| comp[t] == c).collect();
-        if members.len() < 2 {
-            continue;
-        }
-        let mut lines: BTreeSet<u64> = BTreeSet::new();
-        for &t in &members {
-            for &u in &members {
-                for &l in &a.threads[u].crit_writes {
-                    if t != u && touches_crit(t, l) {
-                        lines.insert(l);
-                    }
-                }
-            }
-        }
-        let names: Vec<String> = members.iter().map(usize::to_string).collect();
-        out.push(Diag {
-            rule: "handoff-cycle",
-            severity: Severity::Warn,
-            thread: Some(members[0]),
-            segment: None,
-            op: None,
-            lines: lines.into_iter().collect(),
-            message: format!(
-                "critical segments of threads {} form a line hand-off cycle",
-                names.join(", ")
-            ),
-        });
-    }
-}
-
-/// (d) Dead store: a line stored by some thread but never loaded by
-/// anyone — the value can never be observed.
-fn dead_store(a: &Analysis, out: &mut Vec<Diag>) {
-    let loaded: BTreeSet<u64> = a
+/// Run every rule on `a`, the analysis of `spec`
+/// ([`VmAnalysis::of_spec`]), and report in spec coordinates:
+/// `thread`/`segment`/`op` index the spec and `lines` are spec lines.
+pub fn lint(a: &VmAnalysis, spec: &ProgSpec) -> Vec<Diag> {
+    let kernels = SpecProgram::compile_all(spec);
+    assert_eq!(
+        a.threads.len(),
+        kernels.len(),
+        "analysis is not of this spec"
+    );
+    let sites = spec
         .threads
         .iter()
-        .flat_map(|t| t.crit_reads.union(&t.plain_reads).copied())
+        .zip(&kernels)
+        .map(|(segs, k)| spec_sites(segs, k))
         .collect();
-    for (t, _) in a.threads.iter().enumerate() {
-        for (s, seg) in a.spec.threads[t].iter().enumerate() {
-            for (k, op) in seg.ops.iter().enumerate() {
-                let Op::Store(l) = *op else { continue };
-                if loaded.contains(&l) {
-                    continue;
-                }
-                out.push(Diag {
-                    rule: "dead-store",
-                    severity: Severity::Note,
-                    thread: Some(t),
-                    segment: Some(s),
-                    op: Some(k),
-                    lines: vec![l],
-                    message: format!("store to line {l} is never loaded by any thread"),
-                });
-            }
-        }
-    }
+    vmlint::run(
+        a,
+        &View::Spec {
+            lines: spec.lines,
+            sites,
+        },
+    )
 }
 
-/// (d) Unused line: declared in the arena but never referenced.
-fn unused_line(a: &Analysis, out: &mut Vec<Diag>) {
-    let touched: BTreeSet<u64> = (0..a.threads.len()).flat_map(|t| a.touched(t)).collect();
-    for l in 0..a.spec.lines {
-        if !touched.contains(&l) {
-            out.push(Diag {
-                rule: "unused-line",
-                severity: Severity::Note,
-                thread: None,
-                segment: None,
-                op: None,
-                lines: vec![l],
-                message: format!("declared line {l} is never accessed"),
-            });
-        }
-    }
-}
-
-/// `C0` compute segments do nothing; almost always a spec typo.
-fn noop_compute(a: &Analysis, out: &mut Vec<Diag>) {
-    for (t, _) in a.threads.iter().enumerate() {
-        for (s, seg) in a.spec.threads[t].iter().enumerate() {
-            for (k, op) in seg.ops.iter().enumerate() {
-                if *op == Op::Compute(0) {
-                    out.push(Diag {
-                        rule: "noop-compute",
-                        severity: Severity::Warn,
-                        thread: Some(t),
-                        segment: Some(s),
-                        op: Some(k),
-                        lines: Vec::new(),
-                        message: "C0 computes zero instructions (no-op)".to_string(),
-                    });
-                }
-            }
-        }
-    }
+/// Spec position of each instruction of `k`, one thread's compiled
+/// segments. The spec compiler opens every critical segment with one
+/// `CritBegin` and lowers every op to exactly one `Load`/`Store`/
+/// `Compute` (plus register set-up), in program order, so the two
+/// sequences zip.
+fn spec_sites(segs: &[Segment], k: &Kernel) -> BTreeMap<usize, (usize, Option<usize>)> {
+    let mut want = segs.iter().enumerate().flat_map(|(s, seg)| {
+        let open = seg.critical.then_some((s, None));
+        open.into_iter()
+            .chain((0..seg.ops.len()).map(move |o| (s, Some(o))))
+    });
+    let sites: BTreeMap<_, _> = k
+        .instrs
+        .iter()
+        .enumerate()
+        .filter(|(_, i)| {
+            matches!(
+                i,
+                Instr::CritBegin | Instr::Load(..) | Instr::Store(..) | Instr::Compute(_)
+            )
+        })
+        .map(|(pc, _)| (pc, want.next().expect("one instruction per spec op")))
+        .collect();
+    assert!(
+        want.next().is_none(),
+        "every spec op compiles to an instruction"
+    );
+    sites
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lockiller::SystemKind;
-    use tmverify::progs::ProgSpec;
 
     fn diags(system: SystemKind, spec: &str, tiny_l1: bool) -> Vec<Diag> {
         let spec = ProgSpec::parse(spec).expect("test specs are valid");
         let mut ex = tmverify::Explorer::new(system, spec.clone());
         ex.tiny_l1 = tiny_l1;
-        lint(&Analysis::new(system, spec, ex.config()))
+        lint(&VmAnalysis::of_spec(system, &spec, ex.config()), &spec)
     }
 
     fn rules(d: &[Diag]) -> Vec<&'static str> {

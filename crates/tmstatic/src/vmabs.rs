@@ -1,10 +1,11 @@
 //! vmabs — abstract interpretation over `guestvm` bytecode kernels.
 //!
-//! PR 6's [`Analysis`](crate::Analysis) decides footprints by reading
-//! the `ProgSpec` DSL, which cannot express indexed addressing or
-//! data-dependent loops. This module recovers the same facts from the
-//! compiled [`Kernel`] bytecode itself — the artifact `--backend vm`
-//! actually executes — by running a classic worklist abstract
+//! Every footprint the whole-program analysis
+//! ([`VmAnalysis`](crate::VmAnalysis)) reasons about comes from here:
+//! the per-thread line sets are recovered from the [`Kernel`] bytecode
+//! itself — the artifact `--backend vm` actually executes, and what a
+//! `ProgSpec` compiles to — so indexed addressing and data-dependent
+//! loops are expressible. The analysis is a classic worklist abstract
 //! interpretation:
 //!
 //! - **Value domain** ([`AbsVal`]): per-register constants, bounded
@@ -34,13 +35,11 @@
 //! [`LoopBound::Unbounded`] is itself a proof (no abstract state can
 //! take any exit, hence no concrete one can). Where precision is lost
 //! the analysis degrades *soundly*: a Top footprint silently disables
-//! the lints that would need it and makes [`VmAnalysis::independence`]
-//! return `None` (no pruning) rather than an unsound table.
+//! the lints that would need it and makes
+//! [`VmAnalysis::independence`](crate::VmAnalysis::independence) return
+//! `None` (no pruning) rather than an unsound table.
 
-use guestvm::spec::SpecProgram;
 use guestvm::{BinOp, Cond, Instr, Kernel};
-use lockiller::{StaticIndependence, SystemKind};
-use sim_core::config::SystemConfig;
 use sim_core::types::{LineAddr, LINE_SHIFT, WORDS_PER_LINE};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -683,8 +682,9 @@ pub struct OpAbs {
 }
 
 /// Geometry-independent analysis result for one `(kernel, tid,
-/// threads)` triple — everything [`VmAnalysis`] later projects onto a
-/// concrete [`SystemConfig`] is derived from these line sets.
+/// threads)` triple — everything [`VmAnalysis`](crate::VmAnalysis)
+/// later projects onto a concrete system and cache geometry is derived
+/// from these line sets.
 #[derive(Clone, Debug)]
 pub struct KernelAbs {
     /// Union footprints split by context.
@@ -703,6 +703,8 @@ pub struct KernelAbs {
     /// pcs reachable both inside and outside a critical section
     /// (kernels passing [`Kernel::validate`] have none).
     pub mixed: Vec<usize>,
+    /// Reachable `Compute(0)` pcs: instructions that do nothing.
+    pub noop_compute: Vec<usize>,
     pub has_critical: bool,
     pub has_barrier: bool,
     pub has_pagetouch: bool,
@@ -813,6 +815,7 @@ pub fn analyze(k: &Kernel, tid: usize, threads: usize) -> KernelAbs {
         loops: Vec::new(),
         reachable: vec![false; n],
         mixed: Vec::new(),
+        noop_compute: Vec::new(),
         has_critical: false,
         has_barrier: false,
         has_pagetouch: false,
@@ -896,6 +899,9 @@ pub fn analyze(k: &Kernel, tid: usize, threads: usize) -> KernelAbs {
             abs.mixed.push(pc);
         }
     }
+    abs.noop_compute = (0..n)
+        .filter(|&pc| abs.reachable[pc] && k.instrs[pc] == Instr::Compute(0))
+        .collect();
     abs.loops = classify_loops(k, &states, &widened);
     abs
 }
@@ -1190,268 +1196,14 @@ pub fn cache_counters() -> (u64, u64) {
     )
 }
 
-// ---------------------------------------------------------------------
-// Whole-program projection onto a system + cache geometry
-// ---------------------------------------------------------------------
-
-/// [`KernelAbs`] projected onto one thread of a concrete system — the
-/// bytecode-level mirror of [`ThreadFacts`](crate::analysis::ThreadFacts),
-/// with explicit "unknown" where a widened footprint voids a proof.
-#[derive(Clone, Debug)]
-pub struct VmThreadFacts {
-    pub abs: Arc<KernelAbs>,
-    pub has_critical: bool,
-    /// Some critical region *provably* overflows the speculative ways.
-    pub overflow: bool,
-    /// Some critical region's footprint widened to Top, so overflow can
-    /// be neither proven nor refuted.
-    pub overflow_unknown: bool,
-    pub tx_abort: bool,
-    pub parks: bool,
-    pub fallback: bool,
-    pub lock_read: bool,
-    pub lock_write: bool,
-    pub pure: bool,
-}
-
-/// Whole-program static analysis over compiled kernels (one per
-/// thread), assuming the standard `Runner` arena layout (fallback lock
-/// on [`SpecProgram::LOCK_LINE`]). The bytecode-level mirror of
-/// [`Analysis`](crate::Analysis): same five layers, same policy model,
-/// but footprints come from [`analyze_cached`] instead of the spec DSL
-/// — so indexed addressing and data-dependent loops degrade to Top
-/// instead of being inexpressible.
-pub struct VmAnalysis {
-    pub system: SystemKind,
-    pub cfg: SystemConfig,
-    pub threads: Vec<VmThreadFacts>,
-}
-
-impl VmAnalysis {
-    pub fn new(system: SystemKind, cfg: SystemConfig, kernels: &[Kernel]) -> VmAnalysis {
-        let policy = system.policy();
-        let htm = system.uses_htm();
-        let subscribes = htm && !policy.htmlock;
-        let nthreads = kernels.len();
-
-        // Layer 1: per-thread abstract footprints (cached per kernel).
-        let mut threads: Vec<VmThreadFacts> = kernels
-            .iter()
-            .enumerate()
-            .map(|(tid, k)| {
-                let abs = analyze_cached(k, tid, nthreads);
-                VmThreadFacts {
-                    has_critical: abs.has_critical,
-                    abs,
-                    overflow: false,
-                    overflow_unknown: false,
-                    tx_abort: false,
-                    parks: false,
-                    fallback: false,
-                    lock_read: false,
-                    lock_write: false,
-                    pure: false,
-                }
-            })
-            .collect();
-
-        // Layer 2: capacity, per critical region. Mirrors the spec
-        // analysis: distinct physical lines (plus the subscribed lock
-        // line) mapping to one L1 set beyond its ways must overflow.
-        // A widened region makes the question unanswerable.
-        for t in &mut threads {
-            if !htm {
-                continue;
-            }
-            for region in &t.abs.regions {
-                match region.lines() {
-                    None => t.overflow_unknown = true,
-                    Some(mut phys) => {
-                        if subscribes {
-                            phys.insert(SpecProgram::LOCK_LINE);
-                        }
-                        let mut per_set: BTreeMap<usize, usize> = BTreeMap::new();
-                        for line in phys {
-                            *per_set.entry(cfg.l1_set_of(line)).or_default() += 1;
-                        }
-                        if per_set.values().any(|&c| c > cfg.speculative_ways()) {
-                            t.overflow = true;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Layer 3: abort sources and parking from pairwise conflicts.
-        // Unknown overflow counts as a possible abort source.
-        for t in 0..nthreads {
-            let crit_conflict = (0..nthreads).any(|u| u != t && crit_conflict(&threads, t, u));
-            let any_conflict = (0..nthreads).any(|u| u != t && data_conflict(&threads, t, u));
-            let me = &mut threads[t];
-            me.tx_abort =
-                me.has_critical && htm && (me.overflow || me.overflow_unknown || crit_conflict);
-            // A barrier parks the thread until every peer arrives; a
-            // page touch rendezvous with global paging state.
-            me.parks = any_conflict || me.abs.has_barrier || me.abs.has_pagetouch;
-        }
-
-        // Layer 4: fallback contagion on subscribing systems.
-        for t in &mut threads {
-            t.fallback = t.tx_abort;
-        }
-        if subscribes && threads.iter().any(|t| t.fallback) {
-            for t in &mut threads {
-                if t.has_critical {
-                    t.fallback = true;
-                    t.tx_abort = true;
-                }
-            }
-        }
-
-        // Layer 5: lock-line footprint and purity.
-        for t in &mut threads {
-            if policy.coarse_grained_lock {
-                t.lock_read = t.has_critical;
-                t.lock_write = t.has_critical;
-            } else if subscribes {
-                t.lock_read = t.has_critical;
-                t.lock_write = t.fallback;
-            } else {
-                t.lock_read = t.fallback;
-                t.lock_write = t.fallback;
-            }
-            let cgl_critical = policy.coarse_grained_lock && t.has_critical;
-            t.pure = !cgl_critical && !t.tx_abort && !t.parks && !t.fallback && !t.lock_write;
-        }
-
-        VmAnalysis {
-            system,
-            cfg,
-            threads,
-        }
-    }
-
-    fn writes(&self, t: usize, l: LineAddr) -> bool {
-        self.threads[t].abs.written().contains(l)
-    }
-
-    fn touches(&self, t: usize, l: LineAddr) -> bool {
-        self.threads[t].abs.touched().contains(l)
-    }
-
-    /// Bytecode-level mirror of [`Analysis::may_conflict`]: true when
-    /// cores `a` and `b` can dynamically produce a conflict edge on
-    /// `line`. Widened footprints touch every line, so the relation
-    /// over-approximates exactly where precision was lost.
-    pub fn may_conflict(&self, a: usize, b: usize, line: LineAddr) -> bool {
-        let n = self.threads.len();
-        if a >= n || b >= n {
-            return false;
-        }
-        if a == b {
-            return true;
-        }
-        if line == SpecProgram::LOCK_LINE {
-            let (fa, fb) = (&self.threads[a], &self.threads[b]);
-            return (fa.lock_read || fa.lock_write)
-                && (fb.lock_read || fb.lock_write)
-                && (fa.lock_write || fb.lock_write);
-        }
-        let data = (self.writes(a, line) && self.touches(b, line))
-            || (self.touches(a, line) && self.writes(b, line));
-        let sig = |x: usize, y: usize| {
-            self.system.policy().switching_mode
-                && (self.threads[x].overflow || self.threads[x].overflow_unknown)
-                && self.touches(y, line)
-        };
-        data || sig(a, b) || sig(b, a)
-    }
-
-    /// Physical lines thread `t` can touch, including the lock line
-    /// when its policy-dependent footprint is reachable.
-    pub fn phys_lines(&self, t: usize) -> AbsLines {
-        let f = &self.threads[t];
-        let mut out = f.abs.touched();
-        if f.lock_read || f.lock_write {
-            out.insert(SpecProgram::LOCK_LINE);
-        }
-        out
-    }
-
-    /// Whether some LLC set can exceed its associativity. `None` when a
-    /// widened footprint makes the count unknowable.
-    pub fn llc_eviction_possible(&self) -> Option<bool> {
-        let mut lines: BTreeSet<LineAddr> = [SpecProgram::LOCK_LINE].into();
-        for t in 0..self.threads.len() {
-            lines.extend(self.phys_lines(t).lines()?.iter().copied());
-        }
-        let mut per_set: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-        for line in lines {
-            let key = (self.cfg.bank_of(line), self.cfg.llc_set_of(line));
-            *per_set.entry(key).or_default() += 1;
-        }
-        Some(per_set.values().any(|&c| c > self.cfg.mem.llc_bank.ways))
-    }
-
-    /// Construct the DPOR pruning table for `tmverify --backend vm`, or
-    /// `None` when the soundness premises cannot be *proven* over the
-    /// bytecode — the Top-degradation contract: any widened footprint,
-    /// possible overflow, possible LLC eviction, page-touch traffic, or
-    /// more than 64 cores degrades to no-pruning rather than risking an
-    /// unsound table. Mirrors [`Analysis::independence`] otherwise.
-    pub fn independence(&self) -> Option<StaticIndependence> {
-        if self
-            .threads
-            .iter()
-            .any(|t| t.overflow || t.overflow_unknown || t.abs.has_pagetouch)
-        {
-            return None;
-        }
-        if self.llc_eviction_possible() != Some(false) {
-            return None;
-        }
-        let cores = self.cfg.num_cores;
-        if cores > 64 {
-            return None;
-        }
-        let mut bank_foot = vec![0u64; cores];
-        let mut pure = 0u64;
-        for (c, foot) in bank_foot.iter_mut().enumerate() {
-            if let Some(f) = self.threads.get(c) {
-                for &line in self.phys_lines(c).lines()? {
-                    *foot |= 1 << self.cfg.bank_of(line);
-                }
-                if f.pure {
-                    pure |= 1 << c;
-                }
-            } else {
-                // Cores beyond the kernels run no guest at all.
-                pure |= 1 << c;
-            }
-        }
-        Some(StaticIndependence { bank_foot, pure })
-    }
-}
-
-/// Conflicts touching `t`'s transactional lines (what can abort its HTM
-/// attempts). Mirror of the spec-level helper over [`AbsLines`].
-fn crit_conflict(threads: &[VmThreadFacts], t: usize, u: usize) -> bool {
-    let (ft, fu) = (&threads[t].abs, &threads[u].abs);
-    let u_writes = fu.written();
-    let u_touches = fu.touched();
-    ft.crit_writes.intersects(&u_touches) || ft.crit_reads.intersects(&u_writes)
-}
-
-/// Any access of `t` conflicting with any access of `u`.
-fn data_conflict(threads: &[VmThreadFacts], t: usize, u: usize) -> bool {
-    let (ft, fu) = (&threads[t].abs, &threads[u].abs);
-    ft.written().intersects(&fu.touched()) || ft.touched().intersects(&fu.written())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::VmAnalysis;
+    use guestvm::spec::SpecProgram;
     use guestvm::{KernelBuilder, ProgSpec};
+    use lockiller::SystemKind;
+    use sim_core::config::SystemConfig;
 
     fn testing_cfg() -> SystemConfig {
         SystemConfig::testing(2)

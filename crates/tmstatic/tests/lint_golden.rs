@@ -10,7 +10,7 @@
 //! ```
 
 use lockiller::SystemKind;
-use tmstatic::{lint, Analysis};
+use tmstatic::{lint, VmAnalysis};
 use tmverify::progs::ProgSpec;
 use tmverify::Explorer;
 
@@ -18,9 +18,9 @@ fn lint_json(system: SystemKind, prog: &str, tiny_l1: bool) -> String {
     let spec = ProgSpec::parse(prog).expect("golden specs parse");
     let mut ex = Explorer::new(system, spec.clone());
     ex.tiny_l1 = tiny_l1;
-    let analysis = Analysis::new(system, spec, ex.config());
+    let analysis = VmAnalysis::of_spec(system, &spec, ex.config());
     let mut out = String::new();
-    for d in lint(&analysis) {
+    for d in lint(&analysis, &spec) {
         out.push_str(&d.to_json());
         out.push('\n');
     }
@@ -69,8 +69,8 @@ fn race_free_corpus_kernels_raise_no_errors() {
         for (threads, lines) in [(2, 2), (3, 3), (4, 2)] {
             let spec = ProgSpec::conflict_ring(threads, lines);
             let ex = Explorer::new(system, spec.clone());
-            let analysis = Analysis::new(system, spec, ex.config());
-            let errors: Vec<_> = lint(&analysis)
+            let analysis = VmAnalysis::of_spec(system, &spec, ex.config());
+            let errors: Vec<_> = lint(&analysis, &spec)
                 .into_iter()
                 .filter(|d| d.severity == tmstatic::Severity::Error)
                 .collect();
@@ -81,4 +81,42 @@ fn race_free_corpus_kernels_raise_no_errors() {
             );
         }
     }
+}
+
+#[test]
+fn spec_corpus_diagnostics_match_golden() {
+    // Every spec-mode rule (hygiene included) on hand-picked and random
+    // specs across all five systems, with the tiny L1 on one HTMLock and
+    // one lock-subscribing system. The golden was recorded from the
+    // spec-level analysis this crate used to carry, so it pins spec-mode
+    // output to that implementation's, byte for byte. Each run is headed
+    // by a `# SPEC SYSTEM [--tiny-l1]` line.
+    let mut specs = vec![
+        "3/c:S0,C0;p:C0/c:L0".to_string(),
+        "5/c:L0,S1;p:C0,S3/c:S0,L1,L2,L4/p:L1".to_string(),
+    ];
+    for seed in 0..6u64 {
+        let mut rng = proptest::Rng::new(0x11A7 + seed);
+        specs.push(ProgSpec::random(&mut rng, 2 + seed as usize % 3, 5).render());
+    }
+    let systems = [
+        SystemKind::Cgl,
+        SystemKind::Baseline,
+        SystemKind::LockillerRwi,
+        SystemKind::LockillerRwil,
+        SystemKind::LockillerTm,
+    ];
+    let runs = systems.iter().map(|&s| (s, false)).chain([
+        (SystemKind::LockillerRwi, true),
+        (SystemKind::LockillerTm, true),
+    ]);
+    let mut got = String::new();
+    for prog in &specs {
+        for (system, tiny_l1) in runs.clone() {
+            let flag = if tiny_l1 { " --tiny-l1" } else { "" };
+            got.push_str(&format!("# {prog} {}{flag}\n", system.name()));
+            got.push_str(&lint_json(system, prog, tiny_l1));
+        }
+    }
+    assert_eq!(got, golden("spec_corpus.jsonl"));
 }

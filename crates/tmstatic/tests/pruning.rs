@@ -4,7 +4,7 @@
 //! baseline (digest equality is the regression oracle).
 
 use lockiller::SystemKind;
-use tmstatic::Analysis;
+use tmstatic::VmAnalysis;
 use tmverify::progs::ProgSpec;
 use tmverify::Explorer;
 
@@ -15,11 +15,14 @@ fn explorer(system: SystemKind, prog: &str) -> Explorer {
     ex
 }
 
+/// The independence table for `ex`'s own kernels and geometry — the
+/// one table both backends prune with.
+fn table(ex: &Explorer) -> Option<lockiller::StaticIndependence> {
+    VmAnalysis::new(ex.system, ex.config(), &ex.kernels()).independence()
+}
+
 fn with_table(ex: &Explorer) -> Explorer {
-    let a = Analysis::new(ex.system, ex.spec.clone(), ex.config());
-    let table = a
-        .independence()
-        .expect("premises must hold for these kernels");
+    let table = table(ex).expect("premises must hold for these kernels");
     let mut pruned = ex.clone();
     pruned.prune = Some(table);
     pruned
@@ -103,7 +106,7 @@ fn injection_disables_the_table() {
 
 #[test]
 fn corpus_witnesses_unaffected_by_analysis_premises() {
-    // Every corpus witness kernel still gets an Analysis without
+    // Every corpus witness kernel still gets an analysis without
     // panicking, and witnesses replay regardless of what it computes
     // (replay never consults the table).
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../tmverify/tests/corpus");
@@ -118,7 +121,7 @@ fn corpus_witnesses_unaffected_by_analysis_premises() {
         let text = std::fs::read_to_string(&path).expect("readable witness");
         let w = tmobs::Witness::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let ex = Explorer::from_witness(&w).expect("witness reconstructs");
-        let _ = Analysis::new(ex.system, ex.spec.clone(), ex.config());
+        let _ = table(&ex);
         assert!(
             ex.replay(&w.decisions)
                 .iter()
@@ -132,22 +135,17 @@ fn corpus_witnesses_unaffected_by_analysis_premises() {
 }
 
 // ---------------------------------------------------------------------
-// VM-backend pruning: tables derived from the *bytecode* (vmabs) must
-// satisfy the same contract — strict schedule reduction where purity is
+// VM-backend pruning: the same table must satisfy the same contract on
+// the bytecode backend — strict schedule reduction where purity is
 // proven, bit-identical exploration where the table is vacuous, and no
 // divergence between backends with or without a table installed.
 // ---------------------------------------------------------------------
-
-/// The bytecode-derived table for `ex`'s own kernels and geometry.
-fn vm_table(ex: &Explorer) -> Option<lockiller::StaticIndependence> {
-    tmstatic::VmAnalysis::new(ex.system, ex.config(), &ex.kernels()).independence()
-}
 
 #[test]
 fn vm_backend_prunes_strictly_from_bytecode_table() {
     let mut base = explorer(SystemKind::LockillerTm, "3/c:L0,S0/c:L1,S1/c:L2,S2");
     base.backend = lockiller::Backend::Vm;
-    let table = vm_table(&base).expect("disjoint kernels prove the premises");
+    let table = table(&base).expect("disjoint kernels prove the premises");
     assert_eq!(table.pure, 0b111);
     assert!(table.can_refine_any());
     let mut pruned = base.clone();
@@ -170,7 +168,7 @@ fn vacuous_bytecode_table_keeps_vm_exploration_bit_identical() {
     // pure — installing the table must not change a single run.
     let mut base = explorer(SystemKind::LockillerRwi, "2/c:L0,S1/c:L1,S0");
     base.backend = lockiller::Backend::Vm;
-    let table = vm_table(&base).expect("ring premises hold");
+    let table = table(&base).expect("ring premises hold");
     assert!(!table.can_refine_any(), "ring threads are impure");
     let mut pruned = base.clone();
     pruned.prune = Some(table);
@@ -183,8 +181,7 @@ fn vacuous_bytecode_table_keeps_vm_exploration_bit_identical() {
 fn backends_agree_on_digests_with_and_without_pruning() {
     // The guestvm contract: both backends run the same ops, so the
     // exploration digests must agree backend-to-backend — pruned and
-    // unpruned alike. (The spec- and bytecode-derived tables are
-    // themselves equal; vm_consistency.rs pins that.)
+    // unpruned alike, with one table installed on both.
     for prog in ["3/c:L0,S0/c:L1,S1/c:L2,S2", "2/c:L0,S1/c:L1,S0"] {
         let threads_ex = explorer(SystemKind::LockillerTm, prog);
         let mut vm_ex = threads_ex.clone();
@@ -193,7 +190,7 @@ fn backends_agree_on_digests_with_and_without_pruning() {
         assert_eq!(t.digest, v.digest, "{prog}: unpruned backends diverge");
         assert_eq!(t.schedules, v.schedules);
 
-        let table = vm_table(&vm_ex).expect("premises hold for these kernels");
+        let table = table(&vm_ex).expect("premises hold for these kernels");
         let mut tp = threads_ex.clone();
         tp.prune = Some(table.clone());
         let mut vp = vm_ex.clone();

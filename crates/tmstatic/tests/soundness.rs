@@ -2,8 +2,11 @@
 //! over-approximate the dynamic one. Every `ConflictEdge` the memory
 //! system records during a real run — on the injected-bug corpus
 //! kernels and on batches of deterministically generated random specs —
-//! must be predicted by [`Analysis::may_conflict`]. A miss is a bug in
-//! `tmstatic`, never in the simulator.
+//! must be predicted by [`VmAnalysis::may_conflict`] over the kernels
+//! the spec compiles to. A miss is a bug in `tmstatic`, never in the
+//! simulator. (`vm_soundness.rs` checks the same property, plus every
+//! traced access, on both guest backends and on computed-address
+//! kernels.)
 //!
 //! This doubles as the layout cross-check: if
 //! `SpecProgram::LOCK_LINE`/`data_line` ever drifted from the runner's
@@ -12,7 +15,7 @@
 
 use lockiller::{Runner, SystemKind};
 use tmobs::Recorder;
-use tmstatic::Analysis;
+use tmstatic::VmAnalysis;
 use tmverify::progs::{ProgSpec, SpecProgram};
 use tmverify::Explorer;
 
@@ -22,7 +25,7 @@ fn assert_sound(system: SystemKind, spec: &ProgSpec, tiny_l1: bool, label: &str)
     let mut ex = Explorer::new(system, spec.clone());
     ex.tiny_l1 = tiny_l1;
     let cfg = ex.config();
-    let analysis = Analysis::new(system, spec.clone(), cfg.clone());
+    let analysis = VmAnalysis::of_spec(system, spec, cfg.clone());
 
     let (handle, rec) = Recorder::shared(500);
     let mut prog = SpecProgram::new(spec.clone());

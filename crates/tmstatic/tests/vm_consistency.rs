@@ -1,111 +1,103 @@
-//! Consistency between the two analysis layers: for every `ProgSpec`,
-//! running the bytecode abstract interpreter over
-//! `SpecProgram::compile_all` must *agree with* the spec-level
-//! [`Analysis`] — same footprints (spec lines mapped through
-//! `data_line`), same per-thread verdicts, same pruning table. The
-//! compiler is a straight-line translator, so nothing may be lost
-//! (unsound) or invented (imprecise) in either direction; a divergence
+//! Spec mode is exact: for every `ProgSpec`, the analysis of
+//! `SpecProgram::compile_all` must see *exactly* the spec's own line
+//! sets — footprints per thread and per critical segment, pushed through
+//! the arena layout (`data_line`) — with nothing widened, so every
+//! verdict, pruning table and spec-mode diagnostic is as precise as the
+//! spec itself. The compiler is a straight-line translator; a divergence
 //! names the spec, thread, and set so the offending translation is
 //! immediately identifiable.
 
 use lockiller::SystemKind;
 use sim_core::types::LineAddr;
 use std::collections::BTreeSet;
-use tmstatic::{Analysis, VmAnalysis};
-use tmverify::progs::{ProgSpec, SpecProgram};
+use tmstatic::vmabs::AbsLines;
+use tmstatic::{lint, VmAnalysis};
+use tmverify::progs::{Op, ProgSpec, Segment, SpecProgram};
 use tmverify::Explorer;
 
-fn phys(spec_lines: &BTreeSet<u64>) -> BTreeSet<LineAddr> {
-    spec_lines
-        .iter()
-        .map(|&l| SpecProgram::data_line(l))
+/// Physical lines of the spec lines a group of segments loads or stores.
+fn phys<'a>(segs: impl Iterator<Item = &'a Segment>, store: bool) -> BTreeSet<LineAddr> {
+    segs.flat_map(|s| &s.ops)
+        .filter_map(|op| match *op {
+            Op::Load(l) if !store => Some(SpecProgram::data_line(l)),
+            Op::Store(l) if store => Some(SpecProgram::data_line(l)),
+            _ => None,
+        })
         .collect()
 }
 
-/// Assert full agreement between the spec-level and bytecode-level
-/// analyses of `spec` under `system`.
+fn exact<'a>(label: &str, name: &str, set: &'a AbsLines) -> &'a BTreeSet<LineAddr> {
+    set.lines()
+        .unwrap_or_else(|| panic!("{label}: {name} widened on a straight-line kernel"))
+}
+
+/// Assert the analysis of `spec`'s compiled kernels is exact under
+/// `system`.
 fn assert_consistent(system: SystemKind, spec: &ProgSpec, tiny_l1: bool) {
     let mut ex = Explorer::new(system, spec.clone());
     ex.tiny_l1 = tiny_l1;
-    let cfg = ex.config();
-    let sa = Analysis::new(system, spec.clone(), cfg.clone());
-    let kernels = SpecProgram::compile_all(spec);
-    let va = VmAnalysis::new(system, cfg, &kernels);
+    let a = VmAnalysis::of_spec(system, spec, ex.config());
     let label = format!("{} on {}", spec.render(), system.name());
 
-    assert_eq!(sa.threads.len(), va.threads.len(), "{label}: thread count");
-    for (t, (st, vt)) in sa.threads.iter().zip(&va.threads).enumerate() {
-        // Footprints: compiled kernels are straight-line with constant
-        // addresses, so the abstract sets must be *exactly* the spec
-        // sets pushed through the arena layout — no widening allowed.
-        for (name, spec_set, vm_set) in [
-            ("crit_reads", &st.crit_reads, &vt.abs.crit_reads),
-            ("crit_writes", &st.crit_writes, &vt.abs.crit_writes),
-            ("plain_reads", &st.plain_reads, &vt.abs.plain_reads),
-            ("plain_writes", &st.plain_writes, &vt.abs.plain_writes),
+    assert_eq!(spec.threads.len(), a.threads.len(), "{label}: thread count");
+    for (t, (segs, vt)) in spec.threads.iter().zip(&a.threads).enumerate() {
+        let crit = || segs.iter().filter(|s| s.critical);
+        let plain = || segs.iter().filter(|s| !s.critical);
+        for (name, want, got) in [
+            ("crit_reads", phys(crit(), false), &vt.abs.crit_reads),
+            ("crit_writes", phys(crit(), true), &vt.abs.crit_writes),
+            ("plain_reads", phys(plain(), false), &vt.abs.plain_reads),
+            ("plain_writes", phys(plain(), true), &vt.abs.plain_writes),
         ] {
-            let vm_lines = vm_set.lines().unwrap_or_else(|| {
-                panic!("{label}: thread {t} {name} widened on a straight-line kernel")
-            });
             assert_eq!(
-                &phys(spec_set),
-                vm_lines,
-                "{label}: thread {t} {name} diverges between spec and bytecode"
+                &want,
+                exact(&label, name, got),
+                "{label}: thread {t} {name} diverges from the spec"
             );
         }
-        // Per-region footprints against the corresponding critical
-        // segments, in program order.
-        let crit_segs: Vec<_> = sa.spec.threads[t]
-            .iter()
-            .enumerate()
-            .filter(|(_, seg)| seg.critical)
-            .collect();
+        // Per-region footprints against the critical segments, in
+        // program order.
         assert_eq!(
-            crit_segs.len(),
+            crit().count(),
             vt.abs.regions.len(),
             "{label}: thread {t} critical-region count"
         );
-        for ((s, _), (j, region)) in crit_segs.iter().zip(vt.abs.regions.iter().enumerate()) {
-            let sf = &sa.threads[t].segs[*s];
+        for (j, (seg, region)) in crit().zip(&vt.abs.regions).enumerate() {
+            let one = std::iter::once(seg);
             assert_eq!(
-                phys(&sf.reads),
-                region.reads.lines().cloned().unwrap(),
-                "{label}: thread {t} segment {s} (region {j}) reads"
+                &phys(one.clone(), false),
+                exact(&label, "region reads", &region.reads),
+                "{label}: thread {t} region {j} reads"
             );
             assert_eq!(
-                phys(&sf.writes),
-                region.writes.lines().cloned().unwrap(),
-                "{label}: thread {t} segment {s} (region {j}) writes"
+                &phys(one, true),
+                exact(&label, "region writes", &region.writes),
+                "{label}: thread {t} region {j} writes"
             );
         }
-        // Derived verdicts: every analysis layer must agree.
-        for (name, a, b) in [
-            ("has_critical", st.has_critical, vt.has_critical),
-            ("overflow", st.overflow, vt.overflow),
-            ("overflow_unknown", false, vt.overflow_unknown),
-            ("tx_abort", st.tx_abort, vt.tx_abort),
-            ("parks", st.parks, vt.parks),
-            ("fallback", st.fallback, vt.fallback),
-            ("lock_read", st.lock_read, vt.lock_read),
-            ("lock_write", st.lock_write, vt.lock_write),
-            ("pure", st.pure, vt.pure),
-        ] {
-            assert_eq!(a, b, "{label}: thread {t} verdict {name} diverges");
-        }
+        assert_eq!(vt.has_critical, crit().count() > 0, "{label}: thread {t}");
+        assert!(!vt.overflow_unknown, "{label}: thread {t} overflow unknown");
     }
 
-    // The pruning tables must be identical (or identically absent).
-    match (sa.independence(), va.independence()) {
-        (None, None) => {}
-        (Some(a), Some(b)) => {
-            assert_eq!(a.bank_foot, b.bank_foot, "{label}: table bank_foot");
-            assert_eq!(a.pure, b.pure, "{label}: table pure mask");
+    // Precision of the table: only a proven overflow or LLC eviction may
+    // withhold it, never a widened footprint.
+    let eviction = a
+        .llc_eviction_possible()
+        .unwrap_or_else(|| panic!("{label}: LLC eviction undecided"));
+    let overflow = a.threads.iter().any(|t| t.overflow);
+    assert_eq!(
+        a.independence().is_some(),
+        !overflow && !eviction,
+        "{label}: table availability"
+    );
+
+    // Spec-mode diagnostics point at real spec positions.
+    for d in lint(&a, spec) {
+        if let (Some(t), Some(s)) = (d.thread, d.segment) {
+            let seg = &spec.threads[t][s];
+            assert!(d.op.is_none_or(|k| k < seg.ops.len()), "{label}: {d:?}");
         }
-        (a, b) => panic!(
-            "{label}: table availability diverges (spec: {}, bytecode: {})",
-            a.is_some(),
-            b.is_some()
-        ),
+        assert!(d.lines.iter().all(|&l| l < spec.lines), "{label}: {d:?}");
     }
 }
 
@@ -144,6 +136,7 @@ fn characteristic_specs_agree_across_all_systems() {
             "2/c:L0,S1/c:L1,S0",         // hand-off ring
             "3/c:L0,S0/c:L1,S1/c:L2,S2", // disjoint (prunable)
             "2/p:C5,L0/p:S0,C2",         // plain-only
+            "3/c:S0,C0;p:C0/c:L0",       // no-ops and an unused line
         ] {
             let spec = ProgSpec::parse(prog).expect("test spec parses");
             assert_consistent(system, &spec, false);
