@@ -8,14 +8,18 @@
 //! entry may briefly outlive its tag while probes drain.
 
 use crate::msg::ReqInfo;
-use sim_core::config::CacheGeometry;
+use sim_core::config::{CacheGeometry, MAX_CORES};
 use sim_core::fxhash::FxHashMap;
 use sim_core::types::{CoreId, LineAddr};
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 
-/// Sharer bitmap: up to 32 cores (the paper's system size).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Sharer bitmap: up to 32 cores (the paper's system size), which is why
+/// `SystemConfigBuilder::build` rejects more than [`MAX_CORES`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct CoreSet(pub u32);
+
+const _: () = assert!(MAX_CORES <= u32::BITS as usize);
 
 impl CoreSet {
     pub fn empty() -> CoreSet {
@@ -52,7 +56,7 @@ impl CoreSet {
 }
 
 /// Stable directory state for a line (absence from the map means I).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DirState {
     /// Read-only copies at these cores; LLC data current.
     Shared(CoreSet),
@@ -61,7 +65,7 @@ pub enum DirState {
 }
 
 /// An in-flight request at the directory: probes sent, responses pending.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct Pending {
     pub req: ReqInfo,
     /// Cores whose probe responses are still outstanding.
@@ -80,7 +84,7 @@ pub struct Pending {
 }
 
 /// Directory entry for one line homed at this bank.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct DirEntry {
     pub state: Option<DirState>,
     pub pending: Option<Pending>,
@@ -128,7 +132,7 @@ pub struct Bank {
     pub queue_peak: u64,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Hash)]
 struct TagLine {
     line: LineAddr,
     lru: u64,
@@ -254,6 +258,22 @@ impl Bank {
     /// Is a request for this line currently in flight?
     pub fn is_busy(&self, line: LineAddr) -> bool {
         self.dir.get(&line).is_some_and(DirEntry::busy)
+    }
+
+    /// Fold the bank state into `h` for the explorer's state fingerprint:
+    /// geometry and stride, `(set, way, tag)` for each occupied way (LRU
+    /// stamp included) and an end marker, the LRU clock, the directory
+    /// entries in the map's own iteration order, and the hit, miss and
+    /// queue counters.
+    pub fn fingerprint(&self, h: &mut impl Hasher) {
+        (self.geom, self.stride).hash(h);
+        crate::fingerprint_ways(&self.sets, h);
+        self.clock.hash(h);
+        self.dir.len().hash(h);
+        for entry in &self.dir {
+            entry.hash(h);
+        }
+        (self.hits, self.misses, self.queued, self.queue_peak).hash(h);
     }
 }
 

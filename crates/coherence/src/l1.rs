@@ -15,9 +15,10 @@
 use sim_core::config::CacheGeometry;
 use sim_core::fxhash::FxHashSet;
 use sim_core::types::LineAddr;
+use std::hash::{Hash, Hasher};
 
 /// MESI stable states as held in an L1 (I is represented by absence).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Mesi {
     Shared,
     Exclusive,
@@ -25,7 +26,7 @@ pub enum Mesi {
 }
 
 /// One resident L1 line.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Hash)]
 pub struct L1Line {
     pub line: LineAddr,
     pub state: Mesi,
@@ -78,6 +79,10 @@ pub struct L1 {
     /// Lines with R or W set — kept aside so commit/abort are O(set size),
     /// not O(cache size).
     tx_lines: FxHashSet<LineAddr>,
+    /// Changes to any line's presence or MESI state so far: the live SWMR
+    /// check reruns only after some L1's count moved. Bookkeeping, not
+    /// cache state, so [`L1::fingerprint`] leaves it out.
+    mutations: u64,
 }
 
 impl L1 {
@@ -87,6 +92,7 @@ impl L1 {
             sets: vec![vec![None; geom.ways]; geom.sets],
             clock: 0,
             tx_lines: FxHashSet::default(),
+            mutations: 0,
         }
     }
 
@@ -101,9 +107,24 @@ impl L1 {
             .find(|l| l.line == line)
     }
 
-    pub fn lookup_mut(&mut self, line: LineAddr) -> Option<&mut L1Line> {
+    fn lookup_mut(&mut self, line: LineAddr) -> Option<&mut L1Line> {
         let set = self.set_of(line);
         self.sets[set].iter_mut().flatten().find(|l| l.line == line)
+    }
+
+    /// Change a resident line's MESI state.
+    pub fn set_state(&mut self, line: LineAddr, state: Mesi) {
+        let l = self.lookup_mut(line).expect("set_state on absent line");
+        let changed = l.state != state;
+        l.state = state;
+        if changed {
+            self.mutations += 1;
+        }
+    }
+
+    /// Changes to any line's presence or MESI state so far.
+    pub fn mutations(&self) -> u64 {
+        self.mutations
     }
 
     /// Bump LRU recency for a resident line.
@@ -177,6 +198,7 @@ impl L1 {
             w,
             lru: clock,
         });
+        self.mutations += 1;
         if r || w {
             self.tx_lines.insert(line);
         }
@@ -190,6 +212,7 @@ impl L1 {
                 let snap = way.as_ref().map(L1LineSnapshot::from);
                 *way = None;
                 self.tx_lines.remove(&line);
+                self.mutations += 1;
                 return snap;
             }
         }
@@ -233,6 +256,7 @@ impl L1 {
                         if l.w {
                             *way = None;
                             dropped.push(line);
+                            self.mutations += 1;
                         } else {
                             l.r = false;
                         }
@@ -244,18 +268,29 @@ impl L1 {
         dropped
     }
 
-    /// Visit every resident line (diagnostics / invariant checks).
-    pub fn for_each_line(&self, mut f: impl FnMut(&L1Line)) {
-        for set in &self.sets {
-            for way in set.iter().flatten() {
-                f(way);
-            }
-        }
+    /// Every resident line, by set then way (invariant checks).
+    pub fn lines(&self) -> impl Iterator<Item = &L1Line> {
+        self.sets.iter().flatten().flatten()
     }
 
     /// Number of resident lines (diagnostics / tests).
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(|s| s.iter().flatten().count()).sum()
+        self.lines().count()
+    }
+
+    /// Fold the cache state into `h` for the explorer's state
+    /// fingerprint: the geometry, `(set, way, line)` for each occupied
+    /// way (LRU stamp included) and an end marker, the LRU clock, and the
+    /// transactional-line set in its own iteration order. The mutation
+    /// count is left out.
+    pub fn fingerprint(&self, h: &mut impl Hasher) {
+        self.geom.hash(h);
+        crate::fingerprint_ways(&self.sets, h);
+        self.clock.hash(h);
+        self.tx_lines.len().hash(h);
+        for line in &self.tx_lines {
+            line.hash(h);
+        }
     }
 }
 
@@ -370,6 +405,25 @@ mod tests {
         c.mark_tx(LineAddr(1), true, false);
         let marked: Vec<LineAddr> = c.tx_lines().map(|l| l.line).collect();
         assert_eq!(marked, vec![LineAddr(1)]);
+    }
+
+    #[test]
+    fn mutations_count_presence_and_mesi_changes_only() {
+        let mut c = small();
+        c.install(LineAddr(0), Mesi::Exclusive, false, false);
+        c.install(LineAddr(1), Mesi::Modified, false, false);
+        assert_eq!(c.mutations(), 2);
+        c.touch(LineAddr(0));
+        c.mark_tx(LineAddr(1), true, true);
+        c.set_state(LineAddr(0), Mesi::Exclusive);
+        assert_eq!(c.mutations(), 2, "LRU, R/W bits and same-state writes");
+        c.set_state(LineAddr(0), Mesi::Modified);
+        assert_eq!(c.mutations(), 3);
+        assert_eq!(c.abort_tx(), vec![LineAddr(1)]);
+        assert_eq!(c.mutations(), 4, "an abort drops the written line");
+        c.remove(LineAddr(0));
+        c.remove(LineAddr(0));
+        assert_eq!(c.mutations(), 5, "removing an absent line changes nothing");
     }
 
     #[test]

@@ -39,3 +39,20 @@ pub use arbiter::HlaArbiter;
 pub use bloom::Signature;
 pub use memsys::{AccessKind, AccessResult, CoreNotice, MemSystem, OverflowKind};
 pub use msg::{arbitrate, NetMsg, Prio, ReqInfo, ReqKind, ReqMode, TxMode, Winner, PRIO_LOCK};
+
+use std::hash::{Hash, Hasher};
+
+/// Hash a set-associative array's occupied ways as `(set, way, entry)`,
+/// then an end marker, so arrays with different occupancy hash apart
+/// without hashing the empty ways (shared by the L1 and LLC-bank state
+/// fingerprints).
+fn fingerprint_ways<T: Hash>(sets: &[Vec<Option<T>>], h: &mut impl Hasher) {
+    for (set, ways) in sets.iter().enumerate() {
+        for (way, slot) in ways.iter().enumerate() {
+            if let Some(entry) = slot {
+                (set, way, entry).hash(h);
+            }
+        }
+    }
+    usize::MAX.hash(h);
+}

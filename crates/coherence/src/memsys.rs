@@ -81,7 +81,7 @@ pub enum ProtoEvent {
 pub type Outputs = (Vec<(Cycle, NetMsg)>, Vec<(Cycle, CoreNotice)>);
 
 /// Asynchronous notifications to the per-core controllers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CoreNotice {
     /// The pending access completed.
     AccessDone { core: CoreId },
@@ -98,7 +98,7 @@ pub enum CoreNotice {
 }
 
 /// Per-core protocol-side metadata.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 struct CoreMeta {
     mode: TxMode,
     prio: Prio,
@@ -119,7 +119,7 @@ struct CoreMeta {
     hla_held: bool,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Hash)]
 struct PendingAccess {
     line: LineAddr,
     set_r: bool,
@@ -168,6 +168,7 @@ pub struct MemStats {
 }
 
 /// The complete memory system.
+#[derive(Clone)]
 pub struct MemSystem {
     cfg: SystemConfig,
     l1s: Vec<L1>,
@@ -192,6 +193,9 @@ pub struct MemSystem {
     /// below run on every access/message, where an env lookup is a
     /// measurable per-event cost.
     dbg_trace: bool,
+    /// Sum of the L1s' mutation counts at the last passing
+    /// [`MemSystem::check_swmr_if_changed`].
+    swmr_clean: u64,
     pub stats: MemStats,
 }
 
@@ -234,6 +238,7 @@ impl MemSystem {
             conflicts: Vec::new(),
             record_conflicts: false,
             dbg_trace: std::env::var_os("MS_TRACE").is_some(),
+            swmr_clean: 0,
             stats: MemStats::default(),
             cfg,
         }
@@ -576,7 +581,7 @@ impl MemSystem {
                 AccessKind::Store => match state {
                     Mesi::Modified | Mesi::Exclusive => {
                         if state == Mesi::Exclusive {
-                            self.l1s[core].lookup_mut(line).unwrap().state = Mesi::Modified;
+                            self.l1s[core].set_state(line, Mesi::Modified);
                         }
                         if mode == TxMode::Htm && !had_w {
                             if state == Mesi::Modified {
@@ -1354,7 +1359,7 @@ impl MemSystem {
                 // Downgrade M/E -> S (R bit, if any, survives: readers
                 // sharing a line is not a conflict).
                 let was_m = state == Mesi::Modified;
-                self.l1s[core].lookup_mut(line).unwrap().state = Mesi::Shared;
+                self.l1s[core].set_state(line, Mesi::Shared);
                 if self.cfg.mem.direct_rsp {
                     // Direct topology: push the data straight to the
                     // requester; the home gets a control ack in parallel.
@@ -1572,7 +1577,7 @@ impl MemSystem {
                     }
                 }
             } else if mesi == Mesi::Modified {
-                self.l1s[core].lookup_mut(line).unwrap().state = Mesi::Modified;
+                self.l1s[core].set_state(line, Mesi::Modified);
             }
             if pending
                 .map(|p| p.line == line && attempt == p.attempt)
@@ -1588,8 +1593,7 @@ impl MemSystem {
         if self.l1s[core].lookup(line).is_some() {
             // Upgrade completion (or a re-grant while a stale install left
             // the line resident): adopt the granted state.
-            let l = self.l1s[core].lookup_mut(line).unwrap();
-            l.state = mesi;
+            self.l1s[core].set_state(line, mesi);
         } else {
             // The way reserved at issue time may have been consumed by a
             // racing fill-after-invalidate; make room again if needed.
@@ -1614,45 +1618,66 @@ impl MemSystem {
 
     /// Fold the behaviourally relevant memory-system state into `h`
     /// (for the schedule explorer's state fingerprint; see
-    /// `lockiller::sched`). Uses `Debug` renderings of the component
-    /// state machines: two runs in the *same* state always hash equal
-    /// except where hash-map iteration order diverges across insertion
-    /// histories, and such a miss only costs the explorer pruning — it
-    /// can never merge genuinely different states.
+    /// `lockiller::sched`), structurally and in a fixed order: every L1
+    /// ([`L1::fingerprint`]), the per-core protocol metadata, every LLC
+    /// bank ([`Bank::fingerprint`]), the mesh (link reservations and
+    /// traffic counters), both overflow signatures, their waiters, the
+    /// HLA arbiter (grant and denial counts included) and the mutex
+    /// line. Volatile counters (LRU stamps and clocks, bank and mesh
+    /// counters) are kept and hash maps are walked in their own
+    /// iteration order, so two states hash equal exactly when their
+    /// `Debug` renderings are equal: equal contents reached through
+    /// different insertion histories may hash apart, which only costs
+    /// the explorer pruning — it never merges different states. The
+    /// SWMR gate's mutation counts are bookkeeping and stay out.
     pub fn fingerprint(&self, h: &mut impl std::hash::Hasher) {
         use std::hash::Hash;
-        for (i, l1) in self.l1s.iter().enumerate() {
-            format!("l1[{i}]={l1:?}").hash(h);
+        for l1 in &self.l1s {
+            l1.fingerprint(h);
         }
-        for (i, m) in self.meta.iter().enumerate() {
-            format!("meta[{i}]={m:?}").hash(h);
+        self.meta.hash(h);
+        for b in &self.banks {
+            b.fingerprint(h);
         }
-        for (i, b) in self.banks.iter().enumerate() {
-            format!("bank[{i}]={b:?}").hash(h);
-        }
-        format!("mesh={:?}", self.mesh).hash(h);
-        format!("sig=({:?},{:?})", self.sig_rd, self.sig_wr).hash(h);
-        format!("waiters={:?}", self.sig_waiters).hash(h);
-        format!("arbiter={:?}", self.arbiter).hash(h);
-        format!("mutex={:?}", self.mutex_line).hash(h);
+        self.mesh.hash(h);
+        (&self.sig_rd, &self.sig_wr, &self.sig_waiters).hash(h);
+        (&self.arbiter, self.mutex_line).hash(h);
     }
 
-    /// Debug invariant: single-writer/multiple-reader — no line may be
-    /// E/M in one L1 while any other L1 holds a copy. O(cache size);
-    /// called by the engine under a debug flag and by tests.
+    /// Single-writer/multiple-reader invariant: no line may be E/M in
+    /// one L1 while any other L1 holds a copy. Reports the first E/M line
+    /// (by core, set, way) that another L1 also holds, with every holder
+    /// in core order. O(cache size); tests and the engine's
+    /// `LOCKILLER_CHECK` debug flag call it directly.
     pub fn check_swmr(&self) -> Result<(), String> {
-        use sim_core::fxhash::FxHashMap;
-        let mut holders: FxHashMap<LineAddr, Vec<(CoreId, Mesi)>> = FxHashMap::default();
-        for (c, l1) in self.l1s.iter().enumerate() {
-            l1.for_each_line(|line| {
-                holders.entry(line.line).or_default().push((c, line.state));
-            });
-        }
-        for (line, hs) in holders {
-            let writers = hs.iter().filter(|(_, s)| *s != Mesi::Shared).count();
-            if writers > 0 && hs.len() > 1 {
-                return Err(format!("SWMR violated on {line:?}: {hs:?}"));
+        let holders = |line: LineAddr| {
+            self.l1s
+                .iter()
+                .enumerate()
+                .filter_map(move |(c, l1)| l1.lookup(line).map(|l| (c, l.state)))
+        };
+        let shared = self
+            .l1s
+            .iter()
+            .flat_map(L1::lines)
+            .find(|l| l.state != Mesi::Shared && holders(l.line).nth(1).is_some());
+        match shared {
+            None => Ok(()),
+            Some(l) => {
+                let hs: Vec<(CoreId, Mesi)> = holders(l.line).collect();
+                Err(format!("SWMR violated on {:?}: {hs:?}", l.line))
             }
+        }
+    }
+
+    /// Checked mode's live SWMR check: [`MemSystem::check_swmr`], run only
+    /// when some L1 line's presence or MESI state changed since the last
+    /// passing check — nothing else can change its verdict.
+    pub fn check_swmr_if_changed(&mut self) -> Result<(), String> {
+        let mutations = self.l1s.iter().map(L1::mutations).sum();
+        if mutations != self.swmr_clean {
+            self.check_swmr()?;
+            self.swmr_clean = mutations;
         }
         Ok(())
     }
@@ -1674,5 +1699,81 @@ impl MemSystem {
         }
         self.meta[core].pending = None;
         self.notice(now, CoreNotice::AccessRejected { core, by_sig });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sim_core::fxhash::FxHasher;
+    use std::hash::Hasher;
+
+    type Change = fn(&mut MemSystem);
+
+    fn fp(ms: &MemSystem) -> u64 {
+        let mut h = FxHasher::default();
+        ms.fingerprint(&mut h);
+        h.finish()
+    }
+
+    /// Two cores; core 0 holds line 1 Exclusive.
+    fn system() -> MemSystem {
+        let mut ms = MemSystem::new(SystemConfig::testing(2));
+        ms.l1s[0].install(LineAddr(1), Mesi::Exclusive, false, false);
+        ms
+    }
+
+    #[test]
+    fn fingerprint_tracks_state_and_ignores_the_swmr_gate() {
+        let base = system();
+        assert_eq!(fp(&base), fp(&base.clone()), "a clone fingerprints equal");
+        let changes: [(&str, Change); 6] = [
+            ("an L1 install", |ms| {
+                ms.l1s[1].install(LineAddr(2), Mesi::Shared, false, false);
+            }),
+            ("an LRU touch", |ms| ms.l1s[0].touch(LineAddr(1))),
+            ("a directory entry", |ms| {
+                ms.banks[1].entry(LineAddr(1)).state = Some(DirState::Owned(0));
+            }),
+            ("a signature add", |ms| ms.sig_rd.add(LineAddr(3))),
+            ("a mesh send", |ms| {
+                ms.mesh.send(0, 0, 1, 1);
+            }),
+            ("an arbiter grant", |ms| {
+                assert_eq!(ms.arbiter.request(1, false), HlaDecision::Granted);
+            }),
+        ];
+        for (what, change) in changes {
+            let mut ms = base.clone();
+            change(&mut ms);
+            assert_ne!(fp(&ms), fp(&base), "{what} must move the fingerprint");
+        }
+        // A MESI change and its undo move only the SWMR gate's counts,
+        // which are bookkeeping, not state.
+        let mut ms = base.clone();
+        ms.l1s[0].set_state(LineAddr(1), Mesi::Modified);
+        ms.l1s[0].set_state(LineAddr(1), Mesi::Exclusive);
+        assert_eq!(ms.check_swmr_if_changed(), Ok(()));
+        assert_ne!(ms.swmr_clean, base.swmr_clean);
+        assert_eq!(fp(&ms), fp(&base), "the SWMR gate moved the fingerprint");
+    }
+
+    #[test]
+    fn swmr_gate_reports_what_the_full_check_reports() {
+        let mut ms = system();
+        assert_eq!(ms.check_swmr_if_changed(), Ok(()));
+        let clean = ms.swmr_clean;
+        assert_eq!(ms.check_swmr_if_changed(), Ok(()));
+        assert_eq!(ms.swmr_clean, clean, "no L1 change, no recheck");
+        // A second, modified copy of line 1 breaks SWMR; a failing check
+        // records nothing, so it keeps failing.
+        ms.l1s[1].install(LineAddr(1), Mesi::Modified, false, false);
+        let want = Err("SWMR violated on L0x1: [(0, Exclusive), (1, Modified)]".to_string());
+        assert_eq!(ms.check_swmr(), want);
+        assert_eq!(ms.check_swmr_if_changed(), want);
+        assert_eq!(ms.check_swmr_if_changed(), want);
+        ms.l1s[0].set_state(LineAddr(1), Mesi::Shared);
+        ms.l1s[1].set_state(LineAddr(1), Mesi::Shared);
+        assert_eq!(ms.check_swmr_if_changed(), Ok(()));
     }
 }

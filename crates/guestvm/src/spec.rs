@@ -39,6 +39,7 @@ use crate::ir::{Kernel, KernelBuilder};
 use crate::vm::GuestVm;
 use lockiller::exec::{GuestEnv, GuestExec};
 use lockiller::{GuestCtx, GuestFuture, Program, SetupCtx};
+use sim_core::config::MAX_CORES;
 use sim_core::types::{Addr, LineAddr};
 use std::fmt;
 use std::sync::Arc;
@@ -64,6 +65,9 @@ pub enum ParseError {
     BadOp { op: String },
     /// A load/store references a line index outside the declared arena.
     LineOutOfRange { op: String, line: u64, lines: u64 },
+    /// More threads than a system has cores
+    /// ([`sim_core::config::MAX_CORES`]); each thread runs on its own core.
+    TooManyThreads { threads: usize, max: usize },
 }
 
 impl fmt::Display for ParseError {
@@ -82,6 +86,9 @@ impl fmt::Display for ParseError {
             ParseError::BadOp { op } => write!(f, "spec: bad op {op:?}"),
             ParseError::LineOutOfRange { op, line, lines } => {
                 write!(f, "spec: op {op:?} references line {line} >= {lines}")
+            }
+            ParseError::TooManyThreads { threads, max } => {
+                write!(f, "spec: {threads} threads exceed the {max}-core maximum")
             }
         }
     }
@@ -188,6 +195,12 @@ impl ProgSpec {
         }
         if threads.is_empty() {
             return Err(ParseError::NoThreads);
+        }
+        if threads.len() > MAX_CORES {
+            return Err(ParseError::TooManyThreads {
+                threads: threads.len(),
+                max: MAX_CORES,
+            });
         }
         Ok(ProgSpec { lines, threads })
     }
@@ -473,6 +486,15 @@ mod tests {
                 op: "L5".into(),
                 line: 5,
                 lines: 2,
+            })
+        );
+        let threads = |n: usize| format!("1{}", "/c:L0".repeat(n));
+        assert!(ProgSpec::parse(&threads(32)).is_ok());
+        assert_eq!(
+            ProgSpec::parse(&threads(33)),
+            Err(ParseError::TooManyThreads {
+                threads: 33,
+                max: 32
             })
         );
         match ProgSpec::parse("2/x:L0") {

@@ -598,9 +598,12 @@ impl<'g> Engine<'g> {
             }
             // Live SWMR surface for checked mode: record the first
             // violation instead of panicking, so the checker can report
-            // it with the rest of the run's evidence.
+            // it with the rest of the run's evidence. The check reruns
+            // only after an event changed some L1 line's presence or
+            // MESI state, so it still fires before the first event after
+            // the violating one, at the same cycle.
             if self.cfg.check.enabled && self.stats.swmr_violation.is_none() {
-                if let Err(e) = self.ms.check_swmr() {
+                if let Err(e) = self.ms.check_swmr_if_changed() {
                     self.stats.swmr_violation = Some(format!("at cycle {t}: {e}"));
                 }
             }
@@ -899,19 +902,20 @@ impl<'g> Engine<'g> {
     }
 
     /// Stable identity hash for an event: used by the explorer to match
-    /// "the same" event across replays of one decision prefix. Park/
-    /// retry sequence tags are volatile (they depend on unrelated
-    /// scheduling) and are normalized to whether they match the core's
-    /// current park.
+    /// "the same" event across replays of one decision prefix. Hashed
+    /// structurally: a kind tag, then the event's fields (a `Recv` by the
+    /// op staged at its core). Park/retry sequence tags are volatile
+    /// (they depend on unrelated scheduling) and are normalized to
+    /// whether they match the core's current park.
     fn event_id(&self, ev: &Ev) -> u64 {
         let mut h = FxHasher::default();
         match ev {
-            Ev::Recv(c) => ("recv", c, format!("{:?}", self.ctl[*c].staged_op)).hash(&mut h),
-            Ev::Respond(c, resp) => ("respond", c, format!("{resp:?}")).hash(&mut h),
-            Ev::Net(m) => ("net", format!("{m:?}")).hash(&mut h),
-            Ev::Notice(n) => ("notice", format!("{n:?}")).hash(&mut h),
-            Ev::Retry(c, seq) => ("retry", c, self.ctl[*c].parked == Some(*seq)).hash(&mut h),
-            Ev::ParkTimeout(c, seq) => ("park", c, self.ctl[*c].parked == Some(*seq)).hash(&mut h),
+            Ev::Recv(c) => (0u8, c, self.ctl[*c].staged_op).hash(&mut h),
+            Ev::Respond(c, resp) => (1u8, c, resp).hash(&mut h),
+            Ev::Net(m) => (2u8, m).hash(&mut h),
+            Ev::Notice(n) => (3u8, n).hash(&mut h),
+            Ev::Retry(c, seq) => (4u8, c, self.ctl[*c].parked == Some(*seq)).hash(&mut h),
+            Ev::ParkTimeout(c, seq) => (5u8, c, self.ctl[*c].parked == Some(*seq)).hash(&mut h),
         }
         h.finish()
     }
@@ -941,11 +945,7 @@ impl<'g> Engine<'g> {
                 c.resp_hash,
             )
                 .hash(&mut h);
-            format!(
-                "{:?}|{:?}|{:?}|{:?}",
-                c.doomed, c.cur_op, c.deferred_op, c.staged_op
-            )
-            .hash(&mut h);
+            (c.doomed, c.cur_op, c.deferred_op, c.staged_op).hash(&mut h);
         }
         for (i, b) in self.bufs.iter().enumerate() {
             (i, b.len()).hash(&mut h);

@@ -19,9 +19,13 @@ use crate::fxhash::FxHasher;
 use crate::types::{Cycle, LineAddr};
 use std::hash::Hasher;
 
+/// Most cores a system can model: the directory's sharer set
+/// (`coherence::bank::CoreSet`) is a 32-bit bitmap, one bit per core.
+pub const MAX_CORES: usize = 32;
+
 /// Geometry of one set-associative cache (sizes are per instance: one L1,
 /// or one LLC bank).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
     /// Number of sets. Must be a power of two.
     pub sets: usize,
@@ -322,7 +326,6 @@ impl SystemConfig {
     /// A scaled-down configuration for fast unit/integration tests:
     /// fewer cores and small caches, same protocol behaviour.
     pub fn testing(num_cores: usize) -> SystemConfig {
-        assert!((1..=32).contains(&num_cores));
         SystemConfig::builder()
             .num_cores(num_cores)
             .fit_mesh()
@@ -590,7 +593,7 @@ impl SystemConfigBuilder {
         }
     }
 
-    /// Number of cores / tiles (1..=1024 modelled).
+    /// Number of cores / tiles (1..=[`MAX_CORES`] modelled).
     pub fn num_cores(mut self, n: usize) -> Self {
         self.cfg.num_cores = n;
         self
@@ -690,11 +693,11 @@ impl SystemConfigBuilder {
     /// bankable, signatures non-degenerate.
     pub fn build(self) -> Result<SystemConfig, ConfigError> {
         let mut cfg = self.cfg;
-        if cfg.num_cores == 0 || cfg.num_cores > 1024 {
+        if cfg.num_cores == 0 || cfg.num_cores > MAX_CORES {
             return Err(ConfigError::BadCoreCount {
                 got: cfg.num_cores,
                 min: 1,
-                max: 1024,
+                max: MAX_CORES,
             });
         }
         if self.fit_mesh {
@@ -862,9 +865,18 @@ mod tests {
             ConfigError::BadCoreCount {
                 got: 0,
                 min: 1,
-                max: 1024
+                max: 32
             }
         );
+        assert_eq!(
+            SystemConfig::builder().num_cores(33).build().unwrap_err(),
+            ConfigError::BadCoreCount {
+                got: 33,
+                min: 1,
+                max: 32
+            }
+        );
+        assert!(SystemConfig::builder().num_cores(32).build().is_ok());
         assert_eq!(
             SystemConfig::builder().mesh(2, 2).build().unwrap_err(),
             ConfigError::MeshTooSmall {

@@ -349,6 +349,46 @@ impl ProfReport {
     pub fn node(&self, path: &str) -> Option<&ProfNode> {
         self.nodes.iter().find(|n| n.path == path)
     }
+
+    /// Fold `other` into this report: nodes with the same path add their
+    /// times, calls and allocations; a path this report lacks is
+    /// inserted at the end of its parent's subtree, so the depth-first
+    /// order (parent before children, siblings in first-entry order)
+    /// holds. Self times still partition `total_ns` exactly. Merging
+    /// into [`ProfReport::default`] copies `other` (ids renumbered).
+    pub fn merge(&mut self, other: &ProfReport) {
+        for n in &other.nodes {
+            if let Some(m) = self.nodes.iter_mut().find(|m| m.path == n.path) {
+                m.total_ns += n.total_ns;
+                m.self_ns += n.self_ns;
+                m.calls += n.calls;
+                m.allocs += n.allocs;
+                m.alloc_bytes += n.alloc_bytes;
+                continue;
+            }
+            let at = match n.path.rsplit_once(';') {
+                Some((parent, _)) => {
+                    let p = self
+                        .nodes
+                        .iter()
+                        .position(|m| m.path == parent)
+                        .expect("parent merged first");
+                    let prefix = format!("{parent};");
+                    let subtree = self.nodes[p + 1..]
+                        .iter()
+                        .take_while(|m| m.path.starts_with(&prefix))
+                        .count();
+                    p + 1 + subtree
+                }
+                None => self.nodes.len(),
+            };
+            let id = self.nodes.iter().map(|m| m.id + 1).max().unwrap_or(0);
+            self.nodes.insert(at, ProfNode { id, ..n.clone() });
+        }
+        self.total_ns += other.total_ns;
+        self.events += other.events;
+        self.q_depth_sum += other.q_depth_sum;
+    }
 }
 
 #[cfg(test)]
@@ -419,6 +459,67 @@ mod tests {
         assert_eq!(r.node("run;ev_respond;stamp").unwrap().calls, 10);
         assert_eq!(r.events, 2);
         assert!((r.q_depth_mean() - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn merge_sums_by_path_and_keeps_depth_first_order() {
+        let run = |phases: &[(ProfPhase, ProfPhase)]| {
+            let mut p = HostProf::start();
+            for &(outer, inner) in phases {
+                p.enter(outer);
+                p.enter(inner);
+                spin(1_000);
+                p.exit();
+                p.exit();
+            }
+            p.note_event(2);
+            p.report()
+        };
+        let a = run(&[(ProfPhase::EvRecv, ProfPhase::GuestResume)]);
+        let b = run(&[
+            (ProfPhase::EvNet, ProfPhase::Coherence),
+            (ProfPhase::EvRecv, ProfPhase::GuestResume),
+            (ProfPhase::EvRecv, ProfPhase::Stamp),
+        ]);
+        let mut m = ProfReport::default();
+        m.merge(&a);
+        let times = |r: &ProfReport| -> Vec<(String, u64, u64)> {
+            r.nodes
+                .iter()
+                .map(|n| (n.path.clone(), n.self_ns, n.calls))
+                .collect()
+        };
+        assert_eq!(
+            times(&m),
+            times(&a),
+            "merging into an empty report copies it"
+        );
+        m.merge(&b);
+        let paths: Vec<&str> = m.nodes.iter().map(|n| n.path.as_str()).collect();
+        assert_eq!(
+            paths,
+            [
+                "run",
+                "run;ev_recv",
+                "run;ev_recv;guest_resume",
+                "run;ev_recv;stamp",
+                "run;ev_net",
+                "run;ev_net;coherence",
+            ]
+        );
+        let resume = m.node("run;ev_recv;guest_resume").unwrap();
+        assert_eq!(resume.calls, 2);
+        let want = a.node("run;ev_recv;guest_resume").unwrap().self_ns
+            + b.node("run;ev_recv;guest_resume").unwrap().self_ns;
+        assert_eq!(resume.self_ns, want);
+        assert_eq!(m.total_ns, a.total_ns + b.total_ns);
+        assert_eq!((m.events, m.q_depth_sum), (2, 4));
+        let self_sum: u64 = m.nodes.iter().map(|n| n.self_ns).sum();
+        assert_eq!(self_sum, m.total_ns, "self times partition the total");
+        let mut ids: Vec<usize> = m.nodes.iter().map(|n| n.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), m.nodes.len(), "node ids stay unique");
     }
 
     #[test]

@@ -8,6 +8,7 @@ use lockiller::flatmem::{FlatMem, SetupCtx};
 use lockiller::guest::GuestCtx;
 use lockiller::program::{GuestFuture, Program};
 use lockiller::system::SystemKind;
+use sim_core::config::FaultInject;
 use sim_core::types::Addr;
 use tmcheck::harness::{checked_config, run_checked};
 use tmcheck::CheckKind;
@@ -227,4 +228,104 @@ fn no_fault_is_clean() {
             run.report.render()
         );
     }
+}
+
+/// Each thread's critical section loads its own line of a ring and
+/// stores its neighbour's, so several lines are contended at once.
+struct Ring {
+    lines: u64,
+    rounds: u64,
+    base: Addr,
+}
+
+impl Program for Ring {
+    fn name(&self) -> &str {
+        "ring"
+    }
+
+    fn setup(&mut self, s: &mut SetupCtx, _threads: usize) {
+        self.base = s.alloc(8 * self.lines);
+    }
+
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            let t = ctx.tid as u64;
+            let own = Addr(self.base.0 + 8 * (t % self.lines));
+            let next = Addr(self.base.0 + 8 * ((t + 1) % self.lines));
+            for _ in 0..self.rounds {
+                ctx.critical(async |tx| {
+                    let v = tx.load(own).await?;
+                    tx.compute(20).await?;
+                    tx.store(next, v + 1).await?;
+                    Ok(())
+                })
+                .await;
+                ctx.compute(5).await;
+            }
+        })
+    }
+}
+
+/// Turns one fault-injection knob on.
+type Knob = fn(&mut FaultInject);
+
+/// The live SWMR check's first violation — its text and cycle — for
+/// every fault knob, system and thread count below, as recorded when the
+/// check still rebuilt a per-line holder map before every event. The
+/// check now runs only after some L1 line's presence or MESI state
+/// changed; it must still report the same first violation at the same
+/// cycle.
+#[test]
+fn swmr_violation_text_and_cycle_are_pinned() {
+    let knobs: [(&str, Knob); 5] = [
+        ("ignore-conflicts", |f| f.ignore_conflicts = true),
+        ("drop-nack", |f| f.drop_nack = true),
+        ("drop-wakeups", |f| f.drop_wakeups = true),
+        ("double-grant", |f| f.double_grant = true),
+        ("prio-decay", |f| f.prio_decay = true),
+    ];
+    let mut got = Vec::new();
+    for (name, set) in knobs {
+        for kind in [
+            SystemKind::Baseline,
+            SystemKind::LockillerRwi,
+            SystemKind::LockillerTm,
+        ] {
+            for threads in [2, 4] {
+                let mut cfg = checked_config(threads);
+                set(&mut cfg.check.fault);
+                let mut counter = Counter::new(25);
+                let run = run_checked(kind, threads, cfg.clone(), 1, &mut counter);
+                if let Some(msg) = run.stats.swmr_violation {
+                    got.push(format!("{name} counter {} {threads}: {msg}", kind.name()));
+                }
+                let mut ring = Ring {
+                    lines: 3,
+                    rounds: 20,
+                    base: Addr::NULL,
+                };
+                let run = run_checked(kind, threads, cfg, 1, &mut ring);
+                if let Some(msg) = run.stats.swmr_violation {
+                    got.push(format!("{name} ring {} {threads}: {msg}", kind.name()));
+                }
+            }
+        }
+    }
+    let want = [
+        "drop-nack counter LockillerTM-RWI 2: at cycle 556: SWMR violated on L0x2: \
+         [(0, Shared), (1, Modified)]",
+        "drop-nack counter LockillerTM-RWI 4: at cycle 330: SWMR violated on L0x2: \
+         [(0, Shared), (1, Modified)]",
+        "drop-nack ring LockillerTM-RWI 4: at cycle 1911: SWMR violated on L0x3: \
+         [(1, Exclusive), (3, Modified)]",
+        "drop-nack counter LockillerTM 2: at cycle 353: SWMR violated on L0x2: \
+         [(0, Shared), (1, Modified)]",
+        "drop-nack ring LockillerTM 2: at cycle 278: SWMR violated on L0x3: \
+         [(0, Modified), (1, Exclusive)]",
+        "drop-nack counter LockillerTM 4: at cycle 208: SWMR violated on L0x2: \
+         [(0, Shared), (2, Modified)]",
+        "drop-nack ring LockillerTM 4: at cycle 166: SWMR violated on L0x2: \
+         [(0, Shared), (2, Modified)]",
+    ];
+    assert_eq!(got, want);
 }

@@ -7,7 +7,7 @@
 //!          [--retries N] [--depth-bound N] [--max-schedules N]
 //!          [--max-cycles N] [--jobs N] [--no-state-dedup]
 //!          [--backend threads|vm] [--random-prog SEED]
-//!          [--out FILE] [--bench-json FILE] [-v]
+//!          [--out FILE] [--bench-json FILE] [--profile] [-v]
 //! tmverify replay WITNESS.json
 //! ```
 //!
@@ -17,7 +17,9 @@
 //! `--prog` takes the DSL documented in `tmverify::progs`;
 //! `--random-prog SEED` generates a deterministic random kernel instead.
 //! Injections: ignore-conflicts, drop-nack, drop-wakeups, double-grant,
-//! prio-decay.
+//! prio-decay. `--cores` takes 1..=32 (the modelled core limit).
+//! `--profile` profiles every explored run on the host clock and prints
+//! the merged phase tree, heaviest self time first, after the report.
 //!
 //! Exit codes — `explore`: 0 clean and complete, 1 violation found
 //! (witness written to `--out`, default `tmverify-witness.json`),
@@ -26,6 +28,7 @@
 //! 2 unreadable witness.
 
 use lockiller::SystemKind;
+use sim_core::config::MAX_CORES;
 use tmverify::dpor::{inject_by_name, Explorer, INJECT_NAMES};
 use tmverify::progs::ProgSpec;
 
@@ -36,7 +39,7 @@ fn usage() -> ! {
          \x20               [--retries N] [--depth-bound N] [--max-schedules N]\n\
          \x20               [--max-cycles N] [--jobs N] [--no-state-dedup]\n\
          \x20               [--backend threads|vm] [--random-prog SEED]\n\
-         \x20               [--out FILE] [--bench-json FILE] [-v]\n\
+         \x20               [--out FILE] [--bench-json FILE] [--profile] [-v]\n\
          \x20      tmverify replay WITNESS.json\n\
          injections: {}",
         INJECT_NAMES.join(", ")
@@ -78,8 +81,20 @@ fn parse_args(mut it: std::env::Args) -> Args {
             }
             "--prog" | "-p" => prog = Some(val()),
             "--random-prog" => random_seed = Some(val().parse().unwrap_or_else(|_| usage())),
-            "--cores" | "-c" => cores = val().parse().unwrap_or_else(|_| usage()),
-            "--lines" | "-l" => lines = val().parse().unwrap_or_else(|_| usage()),
+            "--cores" | "-c" => {
+                cores = val().parse().unwrap_or_else(|_| usage());
+                if !(1..=MAX_CORES).contains(&cores) {
+                    eprintln!("--cores takes 1..={MAX_CORES}");
+                    usage();
+                }
+            }
+            "--lines" | "-l" => {
+                lines = val().parse().unwrap_or_else(|_| usage());
+                if lines == 0 {
+                    eprintln!("--lines takes at least 1");
+                    usage();
+                }
+            }
             "--inject" => {
                 let v = val();
                 if !inject_by_name(&mut ex.inject, &v) {
@@ -106,6 +121,7 @@ fn parse_args(mut it: std::env::Args) -> Args {
             }
             "--out" | "-o" => out = val().into(),
             "--bench-json" => bench_json = Some(val().into()),
+            "--profile" => ex.profile = true,
             "-v" | "--verbose" => verbose = true,
             "-h" | "--help" => usage(),
             other => {
@@ -206,6 +222,9 @@ fn main() {
     );
     let rep = ex.explore();
     print!("{}", rep.render());
+    if let Some(prof) = &rep.profile {
+        print!("{}", tmobs::tmprof::render_prof(prof));
+    }
     if args.verbose {
         println!("{}", rep.to_json());
     }

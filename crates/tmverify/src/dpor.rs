@@ -50,6 +50,7 @@ use crate::shrink;
 use lockiller::{Backend, EvDesc, RunEnd, Runner, Scheduler, StaticIndependence, SystemKind};
 use sim_core::config::{CheckCfg, FaultInject, RejectAction, SystemConfig, SystemConfigBuilder};
 use sim_core::fxhash::{FxHashMap, FxHasher};
+use sim_core::prof::ProfReport;
 use sim_core::types::Cycle;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
@@ -135,15 +136,15 @@ pub struct Explorer {
     pub prune: Option<StaticIndependence>,
     /// Guest execution core for every explored run. Both backends are
     /// bit-identical (same decisions, fingerprints, and report digest —
-    /// asserted by the differential tests); [`Backend::Vm`] avoids two
-    /// OS context switches per simulated guest op, which multiplies
-    /// across the thousands of runs an exploration executes.
+    /// asserted by the differential tests); both run in-process on the
+    /// engine's thread, so the choice only selects which implementation
+    /// of the guest program executes.
     pub backend: Backend,
-    /// Enable host-side self-profiling (`tmprof`) on every explored run.
-    /// The profiler only reads the host clock, so exploration results —
-    /// including the report digest — are byte-identical either way
-    /// (asserted by tests); the per-run profiles themselves are
-    /// discarded by the explorer, which only wants the guarantee.
+    /// Enable host-side self-profiling (`tmprof`) on every explored run
+    /// and merge the per-run phase trees into
+    /// [`ExploreReport::profile`]. The profiler only reads the host
+    /// clock, so exploration results — including the report digest —
+    /// are byte-identical either way (asserted by tests).
     pub profile: bool,
 }
 
@@ -267,6 +268,7 @@ impl Explorer {
             redundant: sched.redundant_from.is_some(),
             depth_clipped: sched.depth_clipped,
             cycle_limited,
+            prof: out.host_prof,
         }
     }
 
@@ -357,6 +359,9 @@ impl Explorer {
                 }
                 if rec.cycle_limited {
                     rep.cycle_limited += 1;
+                }
+                if let Some(p) = &rec.prof {
+                    rep.profile.get_or_insert_with(ProfReport::default).merge(p);
                 }
                 if rec.violations.is_empty() {
                     rep.space.record_clean(idx);
@@ -520,6 +525,8 @@ struct RunRecord {
     redundant: bool,
     depth_clipped: bool,
     cycle_limited: bool,
+    /// The run's host profile ([`Explorer::profile`] only).
+    prof: Option<ProfReport>,
 }
 
 /// Replays a forced prefix, then picks the first non-sleeping candidate
@@ -670,6 +677,10 @@ pub struct ExploreReport {
     /// Order-sensitive digest of every merged run; equal digests mean
     /// bit-identical explorations (asserted across `--jobs` in tests).
     pub digest: u64,
+    /// Host profiles of every merged run, summed by phase path
+    /// ([`Explorer::profile`] only). Host time, so it stays out of
+    /// [`ExploreReport::digest`] and [`ExploreReport::to_json`].
+    pub profile: Option<ProfReport>,
 }
 
 impl ExploreReport {

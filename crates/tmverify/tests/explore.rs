@@ -205,13 +205,29 @@ fn random_specs_verify_clean_on_uninjected_systems() {
 
 /// The engine's host-side scope profiler (`Runner::profile`) reads only
 /// the host clock: turning it on for every run of an exploration must
-/// not move the decision digest or any coverage counter.
+/// not move the decision digest or any coverage counter. The per-run
+/// profiles merge into one tree whose self times still partition its
+/// total exactly.
 #[test]
 fn host_profiling_never_moves_an_exploration_digest() {
     let mut ex = ring(SystemKind::LockillerTm, 3, 2);
     let plain = ex.explore();
     ex.profile = true;
     let profiled = ex.explore();
+    assert!(plain.profile.is_none());
+    let prof = profiled.profile.as_ref().expect("profiled runs merge");
+    let self_sum: u64 = prof.nodes.iter().map(|n| n.self_ns).sum();
+    assert_eq!(
+        self_sum, prof.total_ns,
+        "merged self times partition the total"
+    );
+    assert_eq!(
+        prof.node("run").map(|n| n.calls),
+        Some(profiled.schedules),
+        "one root entry per merged run"
+    );
+    assert!(prof.node("run;dequeue;sched_pick").is_some());
+    assert_eq!(plain.to_json(), profiled.to_json());
     assert_eq!(plain.digest, profiled.digest, "profiling moved the digest");
     assert_eq!(plain.schedules, profiled.schedules);
     assert_eq!(plain.pruned_sleep, profiled.pruned_sleep);
