@@ -9,11 +9,13 @@
 //!
 //! `--backend vm` runs the workload on the bytecode guest VM (only
 //! workloads whose kernels compile to `guestvm` bytecode); results are
-//! bit-identical to the default host-Rust backend.
+//! bit-identical to the default host-Rust backend. `--threads` takes
+//! 1..=32, the core count of every hardware preset.
 
 use lockiller::runner::Runner;
 use lockiller::system::SystemKind;
 use lockiller::trace::render_timeline;
+use sim_core::config::MAX_CORES;
 use sim_core::stats::{AbortCause, Phase};
 use stamp::{Scale, Workload, WorkloadKind};
 
@@ -57,7 +59,13 @@ fn main() {
                 let v = take(&mut i);
                 workload = WorkloadKind::from_name(&v).unwrap_or_else(|| usage());
             }
-            "--threads" => threads = take(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--threads" => {
+                threads = take(&mut i).parse().unwrap_or_else(|_| usage());
+                if !(1..=MAX_CORES).contains(&threads) {
+                    eprintln!("--threads takes 1..={MAX_CORES}");
+                    usage();
+                }
+            }
             "--scale" => {
                 scale = match take(&mut i).as_str() {
                     "tiny" => Scale::Tiny,

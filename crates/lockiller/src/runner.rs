@@ -259,11 +259,12 @@ impl Runner {
         if let Some(r) = self.retries {
             cfg.policy.max_retries = r;
         }
+        let cores = cfg.num_cores;
+        assert!(self.threads >= 1, "thread count 0 is outside 1..={cores}");
         assert!(
-            self.threads >= 1 && self.threads <= cfg.num_cores,
-            "thread count {} exceeds {} cores",
-            self.threads,
-            cfg.num_cores
+            self.threads <= cores,
+            "thread count {} exceeds {cores} cores (allowed: 1..={cores})",
+            self.threads
         );
 
         // Setup phase: the fallback lock gets its own line, then the

@@ -207,6 +207,18 @@ fn too_many_threads_panics() {
         .run(&mut prog);
 }
 
+/// A zero thread count names the allowed range instead of claiming it
+/// exceeds the cores.
+#[test]
+#[should_panic(expected = "thread count 0 is outside 1..=4")]
+fn zero_threads_panics_naming_the_range() {
+    let mut prog = Counter::new(1);
+    let _ = Runner::new(SystemKind::Cgl)
+        .threads(0)
+        .config(SystemConfig::testing(4))
+        .run(&mut prog);
+}
+
 /// Validation failures surface as panics carrying the workload name.
 #[test]
 #[should_panic(expected = "validation failed")]

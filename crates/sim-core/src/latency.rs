@@ -222,7 +222,10 @@ impl LatencyHist {
     }
 
     /// Decode a [`LatencyHist::to_json`] object; the round-trip is exact
-    /// (including re-encoding byte-identity).
+    /// (including re-encoding byte-identity). A document no recording
+    /// could produce is an `Err`, never a panic: bucket counts that
+    /// overflow or do not sum to `count`, or `min > max` on a non-empty
+    /// histogram.
     pub fn from_json_value(v: &Json) -> Result<LatencyHist, String> {
         let num = |key: &str| -> Result<u64, String> {
             match v.get(key) {
@@ -240,6 +243,7 @@ impl LatencyHist {
             max: num("max")?,
             counts: Vec::new(),
         };
+        let mut total = 0u64;
         if let Some(buckets) = v.get("buckets").and_then(Json::as_arr) {
             if !buckets.is_empty() {
                 h.counts = vec![0; NUM_BUCKETS];
@@ -253,9 +257,23 @@ impl LatencyHist {
                     if i >= NUM_BUCKETS {
                         return Err(format!("bucket index {i} out of range"));
                     }
+                    // Every bucket is at most `total`, so none overflows
+                    // once the total fits.
+                    total = total
+                        .checked_add(n)
+                        .ok_or("latency hist bucket counts overflow")?;
                     h.counts[i] += n;
                 }
             }
+        }
+        if total != h.count {
+            return Err(format!(
+                "latency hist buckets hold {total} values, count says {}",
+                h.count
+            ));
+        }
+        if h.count > 0 && h.min > h.max {
+            return Err(format!("latency hist min {} > max {}", h.min, h.max));
         }
         if h.count == 0 {
             // Normalize: an empty hist stores no dense vector and min=0,
@@ -654,6 +672,58 @@ mod tests {
         let back = LatencyHist::from_json_value(&json::parse(&e.to_json()).unwrap()).unwrap();
         assert_eq!(back, e);
         assert_eq!(back.to_json(), e.to_json());
+    }
+
+    #[test]
+    fn recorded_hist_round_trips_through_json() {
+        let mut stats = LatencyStats::default();
+        let mut lc = TxnLifecycle::default();
+        for t in 0..50u64 {
+            let now = t * 1_000;
+            lc.begin_attempt(now);
+            lc.park(now + 10);
+            lc.unpark(now + 10 + t * t, &mut stats);
+            lc.commit(now + 900, TxnClass::HtmCommit, &mut stats);
+        }
+        for h in [&stats.park, stats.class(TxnClass::HtmCommit)] {
+            let doc = h.to_json();
+            let back = LatencyHist::from_json_value(&json::parse(&doc).unwrap()).unwrap();
+            assert_eq!(&back, h);
+            assert_eq!(back.to_json(), doc);
+        }
+    }
+
+    #[test]
+    fn decoding_rejects_overflowing_bucket_counts() {
+        let max = u64::MAX;
+        for doc in [
+            format!("{{\"count\":1,\"buckets\":[[1,{max}],[2,1]]}}"),
+            format!("{{\"count\":1,\"buckets\":[[1,{max}],[1,1]]}}"),
+        ] {
+            let v = json::parse(&doc).unwrap();
+            let err = LatencyHist::from_json_value(&v).unwrap_err();
+            assert!(err.contains("overflow"), "{doc}: {err}");
+        }
+    }
+
+    #[test]
+    fn decoding_rejects_buckets_that_disagree_with_count() {
+        for doc in [
+            r#"{"count":5,"buckets":[]}"#,
+            r#"{"count":5}"#,
+            r#"{"count":2,"min":1,"max":1,"buckets":[[1,3]]}"#,
+            r#"{"count":0,"buckets":[[1,1]]}"#,
+        ] {
+            let v = json::parse(doc).unwrap();
+            assert!(LatencyHist::from_json_value(&v).is_err(), "{doc} decoded");
+        }
+    }
+
+    #[test]
+    fn decoding_rejects_min_above_max() {
+        let v = json::parse(r#"{"count":1,"sum":9,"min":9,"max":3,"buckets":[[9,1]]}"#).unwrap();
+        let err = LatencyHist::from_json_value(&v).unwrap_err();
+        assert!(err.contains("min 9 > max 3"), "{err}");
     }
 
     #[test]

@@ -25,12 +25,22 @@
 
 use std::time::Instant;
 
-/// One phase scope the engine can enter. The set is closed and small:
-/// the profile is a fixed tree, not a sampling stack.
+/// One phase scope the engine, or the `tmtrace` session around it, can
+/// enter. The set is closed and small: the profile is a fixed tree, not
+/// a sampling stack.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProfPhase {
     /// Whole run (the implicit root).
     Run,
+    /// Session setup before the engine runs: workload construction and
+    /// runner configuration (`tmobs::run_trace`).
+    Setup,
+    /// The engine run as the session sees it; a profiled run's engine
+    /// tree is grafted beneath it ([`ProfReport::graft`]).
+    Simulate,
+    /// Session export after the engine run: validation, exporters,
+    /// forensics.
+    Export,
     /// Event-queue pop / front selection.
     Dequeue,
     /// Scheduler tie-break (`Scheduler::pick` on a wide front).
@@ -66,6 +76,9 @@ impl ProfPhase {
     pub fn name(self) -> &'static str {
         match self {
             ProfPhase::Run => "run",
+            ProfPhase::Setup => "setup",
+            ProfPhase::Simulate => "simulate",
+            ProfPhase::Export => "export",
             ProfPhase::Dequeue => "dequeue",
             ProfPhase::SchedPick => "sched_pick",
             ProfPhase::GuestResume => "guest_resume",
@@ -389,6 +402,42 @@ impl ProfReport {
         self.events += other.events;
         self.q_depth_sum += other.q_depth_sum;
     }
+
+    /// Place `sub`, a profile measured inside the node at path `at`, as
+    /// that node's subtree: `sub`'s root becomes `at`, and every other
+    /// node of `sub` follows `at` in depth-first order with its path
+    /// re-rooted (`run;dequeue` becomes `{at};dequeue`) and its times,
+    /// calls and allocations unchanged. `at` keeps only its own self
+    /// time: it gives up exactly the self time moved beneath it, so self
+    /// times still partition `total_ns`. Event counters add.
+    pub fn graft(&mut self, at: &str, sub: &ProfReport) {
+        let Some((root, rest)) = sub.nodes.split_first() else {
+            return;
+        };
+        let p = self
+            .nodes
+            .iter()
+            .position(|n| n.path == at)
+            .expect("graft point exists");
+        let first_id = self.nodes.iter().map(|n| n.id + 1).max().unwrap_or(0);
+        let grafted: Vec<ProfNode> = rest
+            .iter()
+            .zip(first_id..)
+            .map(|(n, id)| ProfNode {
+                id,
+                path: format!("{at}{}", &n.path[root.path.len()..]),
+                ..n.clone()
+            })
+            .collect();
+        let moved = |field: fn(&ProfNode) -> u64| rest.iter().map(field).sum::<u64>();
+        let host = &mut self.nodes[p];
+        host.self_ns = host.self_ns.saturating_sub(moved(|n| n.self_ns));
+        host.allocs = host.allocs.saturating_sub(moved(|n| n.allocs));
+        host.alloc_bytes = host.alloc_bytes.saturating_sub(moved(|n| n.alloc_bytes));
+        self.nodes.splice(p + 1..p + 1, grafted);
+        self.events += sub.events;
+        self.q_depth_sum += sub.q_depth_sum;
+    }
 }
 
 #[cfg(test)]
@@ -534,9 +583,58 @@ mod tests {
     }
 
     #[test]
+    fn graft_places_a_subprofile_under_a_leaf() {
+        let mut outer = HostProf::start();
+        outer.enter(ProfPhase::Setup);
+        outer.exit();
+        outer.enter(ProfPhase::Simulate);
+        let mut inner = HostProf::start();
+        inner.enter(ProfPhase::EvRecv);
+        inner.enter(ProfPhase::GuestResume);
+        spin(20_000);
+        inner.exit();
+        inner.exit();
+        inner.note_event(3);
+        let inner = inner.report();
+        spin(5_000);
+        outer.exit();
+        outer.enter(ProfPhase::Export);
+        outer.exit();
+        let mut r = outer.report();
+        let simulate = r.node("run;simulate").unwrap().clone();
+        r.graft("run;simulate", &inner);
+        let paths: Vec<&str> = r.nodes.iter().map(|n| n.path.as_str()).collect();
+        assert_eq!(
+            paths,
+            [
+                "run",
+                "run;setup",
+                "run;simulate",
+                "run;simulate;ev_recv",
+                "run;simulate;ev_recv;guest_resume",
+                "run;export",
+            ]
+        );
+        for n in &inner.nodes[1..] {
+            let g = r.node(&format!("run;simulate{}", &n.path[3..])).unwrap();
+            assert_eq!((g.self_ns, g.calls), (n.self_ns, n.calls));
+        }
+        let moved = inner.total_ns - inner.nodes[0].self_ns;
+        let grafted = r.node("run;simulate").unwrap();
+        assert_eq!(grafted.total_ns, simulate.total_ns);
+        assert_eq!(grafted.self_ns, simulate.self_ns - moved);
+        let self_sum: u64 = r.nodes.iter().map(|n| n.self_ns).sum();
+        assert_eq!(self_sum, r.total_ns, "self times partition the total");
+        assert_eq!((r.events, r.q_depth_sum), (1, 3));
+    }
+
+    #[test]
     fn phase_names_have_no_separator() {
         for p in [
             ProfPhase::Run,
+            ProfPhase::Setup,
+            ProfPhase::Simulate,
+            ProfPhase::Export,
             ProfPhase::Dequeue,
             ProfPhase::SchedPick,
             ProfPhase::GuestResume,

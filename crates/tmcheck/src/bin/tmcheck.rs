@@ -9,9 +9,10 @@
 //!
 //! Defaults: all workloads, the four-system ladder Baseline /
 //! LockillerRWI / LockillerRWIL / LockillerTM, 4 threads, tiny scale.
+//! `--threads` takes 1..=32, the core count of every hardware preset.
 
 use lockiller::system::SystemKind;
-use sim_core::config::SystemConfig;
+use sim_core::config::{SystemConfig, MAX_CORES};
 use stamp::{Scale, Workload, WorkloadKind};
 use tmcheck::harness::{checked_config, run_checked};
 
@@ -79,6 +80,10 @@ fn parse_args() -> Args {
             }
             "--threads" | "-t" => {
                 args.threads = val().parse().unwrap_or_else(|_| usage());
+                if !(1..=MAX_CORES).contains(&args.threads) {
+                    eprintln!("--threads takes 1..={MAX_CORES}");
+                    usage();
+                }
             }
             "--scale" => {
                 args.scale = match val().as_str() {

@@ -1,5 +1,5 @@
 //! Host-side progress reporting for batch runs: a thread-safe counter
-//! built on the same wall-clock accounting as [`crate::selfprof`].
+//! with a host wall-clock cost per completed point.
 //!
 //! Batch executors (the bench crate's `tmlab`) tick this from worker
 //! threads as points complete; when enabled it paints one stderr line

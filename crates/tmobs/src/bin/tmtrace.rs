@@ -26,12 +26,17 @@
 //! on run-to-run regressions: `diff` exits 0 when no numeric leaf differs
 //! beyond the threshold (default 0%: any change), 1 otherwise.
 //!
-//! `flame` runs the session with `tmprof` engine profiling enabled and
-//! additionally writes `<stem>.flame.txt` (collapsed-stack flamegraph,
-//! self-time in microseconds) and `<stem>.prof.trace.json` (the phase
-//! tree as nested Chrome-trace slices); the `selfprof.json` gains the
-//! schema-v2 `"prof"` block, and the command fails (exit 1) if the
-//! flamegraph totals do not reconcile with it to the millisecond.
+//! `flame` runs the session with `tmprof` engine profiling enabled: the
+//! engine's phase tree sits under the session's `run;simulate` scope,
+//! beside `run;setup` and `run;export`. It additionally writes
+//! `<stem>.flame.txt` (collapsed-stack flamegraph, self-time in
+//! microseconds) and `<stem>.prof.trace.json` (the phase tree as nested
+//! Chrome-trace slices); the `selfprof.json` gains the schema-v2
+//! `"prof"` block, and the command fails (exit 1) if the flamegraph
+//! totals do not reconcile with it to the millisecond. `-v` prints the
+//! session's phase table on every run.
+//!
+//! `--threads` takes 1..=32, the core count of every hardware preset.
 //!
 //! `perf-diff` refuses (exit 2) to compare documents whose top-level
 //! `"schema"` tags differ — the error names the path and both
@@ -44,6 +49,7 @@
 //! to re-run one.
 
 use lockiller::system::SystemKind;
+use sim_core::config::MAX_CORES;
 use stamp::{Scale, WorkloadKind};
 use tmobs::{diff_docs, run_trace, validate_chrome, TraceConfig};
 
@@ -114,7 +120,12 @@ fn parse_args(mut it: std::env::Args) -> Args {
                 args.cfg.system = k;
             }
             "--threads" | "-t" => {
-                args.cfg.threads = val().parse().unwrap_or_else(|_| usage());
+                let threads = val().parse().unwrap_or_else(|_| usage());
+                if !(1..=MAX_CORES).contains(&threads) {
+                    eprintln!("--threads takes 1..={MAX_CORES}");
+                    usage();
+                }
+                args.cfg.threads = threads;
             }
             "--scale" => {
                 args.cfg.scale = match val().as_str() {
@@ -460,7 +471,8 @@ fn main() {
     if args.timeline {
         print!("{}", art.timeline);
     }
-    if args.verbose {
+    // `flame` printed the same table above.
+    if args.verbose && !matches!(args.cmd, Cmd::Flame) {
         print!("{}", art.profile);
     }
     println!(

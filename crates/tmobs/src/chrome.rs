@@ -9,7 +9,6 @@
 //! utilization and LLC bank queue depths appear as tracks in Perfetto.
 
 use crate::json::{self, escape, Json};
-use crate::latency::latency_json;
 use crate::recorder::{Recorder, Span};
 use sim_core::obs::{SpanEnd, Track};
 use sim_core::stats::RunStats;
@@ -100,7 +99,7 @@ pub fn export_chrome(rec: &Recorder, meta: &TraceMeta, stats: &RunStats) -> Stri
         meta.threads,
         meta.seed,
         rec.end_cycle(),
-        latency_json(stats),
+        stats.latency.to_json(),
         events.join(",\n")
     )
 }

@@ -4,7 +4,6 @@
 //! produce byte-identical files.
 
 use crate::json::escape;
-use crate::latency::latency_json;
 use crate::recorder::Recorder;
 use crate::registry::MetricsRegistry;
 use sim_core::stats::RunStats;
@@ -43,7 +42,7 @@ pub fn export_jsonl(rec: &Recorder, reg: &MetricsRegistry, stats: &RunStats) -> 
         }
         out.push_str("}}\n");
     }
-    out.push_str(&format!("{{\"latency\":{}}}\n", latency_json(stats)));
+    out.push_str(&format!("{{\"latency\":{}}}\n", stats.latency.to_json()));
     out
 }
 

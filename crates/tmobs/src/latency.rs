@@ -1,18 +1,28 @@
 //! Latency rendering: the per-transaction-class percentile table shown
-//! by `tmtrace summary` and the compact JSON block the exporters embed.
+//! by `tmtrace summary`, and the same layout for any other named
+//! histograms (the summary's recorded distributions).
 //!
-//! The numbers come from `RunStats::latency` — the engine's deterministic
-//! log-bucketed histograms — so everything here is presentation: the
-//! quantile math (including the NaN-free empty-class behavior) lives in
-//! `sim_core::latency`.
+//! The class numbers come from `RunStats::latency` — the engine's
+//! deterministic log-bucketed histograms — so everything here is
+//! presentation: the quantile math (including the NaN-free empty-class
+//! behavior) lives in `sim_core::latency`.
 
 use sim_core::latency::{LatencyHist, TxnClass};
 use sim_core::stats::RunStats;
 
-fn row(name: &str, h: &LatencyHist) -> String {
+/// Width of the class table's name column.
+const CLASS_WIDTH: usize = 15;
+
+fn header(first: &str, width: usize) -> String {
     format!(
-        "  {:<15} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>10.1}\n",
-        name,
+        "  {first:<width$} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>10}\n",
+        "count", "p50", "p90", "p99", "p999", "max", "mean"
+    )
+}
+
+fn row(name: &str, width: usize, h: &LatencyHist) -> String {
+    format!(
+        "  {name:<width$} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>10.1}\n",
         h.count(),
         h.p50(),
         h.p90(),
@@ -28,25 +38,35 @@ fn row(name: &str, h: &LatencyHist) -> String {
 /// empty classes print zeros, never NaN/Inf.
 pub fn render_latency_table(stats: &RunStats) -> String {
     let mut out = String::from("transaction latency by outcome class (simulated cycles):\n");
-    out.push_str(&format!(
-        "  {:<15} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>10}\n",
-        "class", "count", "p50", "p90", "p99", "p999", "max", "mean"
-    ));
+    out.push_str(&header("class", CLASS_WIDTH));
     for c in TxnClass::ALL {
-        out.push_str(&row(c.name(), stats.latency.class(c)));
+        out.push_str(&row(c.name(), CLASS_WIDTH, stats.latency.class(c)));
     }
     out.push_str("lifecycle phases:\n");
-    out.push_str(&row("park_wait", &stats.latency.park));
-    out.push_str(&row("fallback_hold", &stats.latency.fallback_hold));
-    out.push_str(&row("first_abort", &stats.latency.first_abort));
+    let lat = &stats.latency;
+    for (name, h) in [
+        ("park_wait", &lat.park),
+        ("fallback_hold", &lat.fallback_hold),
+        ("first_abort", &lat.first_abort),
+    ] {
+        out.push_str(&row(name, CLASS_WIDTH, h));
+    }
     out
 }
 
-/// The latency block exporters embed: identical to the `latency` object
-/// inside `RunStats::to_json`, re-exposed so artifacts that don't carry
-/// full stats (Chrome traces, metrics JSONL) still ship the histograms.
-pub fn latency_json(stats: &RunStats) -> String {
-    stats.latency.to_json()
+/// Render named histograms under `title` with the class table's columns;
+/// the name column widens to fit the longest name.
+pub(crate) fn render_hist_table(title: &str, hists: &[(&str, &LatencyHist)]) -> String {
+    let width = hists
+        .iter()
+        .map(|(name, _)| name.len())
+        .fold(CLASS_WIDTH, usize::max);
+    let mut out = format!("{title}\n");
+    out.push_str(&header("name", width));
+    for (name, h) in hists {
+        out.push_str(&row(name, width, h));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -83,7 +103,17 @@ mod tests {
             .find(|l| l.trim_start().starts_with("htm_commit"))
             .unwrap();
         assert!(htm_row.contains("10"), "{htm_row}");
-        let json = latency_json(&stats);
-        assert!(json.contains("\"retry_of\":{\"count\":1"));
+    }
+
+    #[test]
+    fn hist_table_aligns_long_names_with_the_header() {
+        let mut h = LatencyHist::new();
+        h.record(3);
+        let t = render_hist_table("t:", &[("short", &h), ("a_rather_long_name", &h)]);
+        let lines: Vec<&str> = t.lines().collect();
+        assert_eq!(lines[0], "t:");
+        let width = lines[1].len();
+        assert!(lines[2..].iter().all(|l| l.len() == width), "{t}");
+        assert!(lines[3].starts_with("  a_rather_long_name        1"), "{t}");
     }
 }

@@ -8,28 +8,29 @@
 //!   span begin/end events into closed [`recorder::Span`]s and groups
 //!   periodic metric samples into per-tick rows;
 //! - [`registry::MetricsRegistry`] — the union of every layer's metric
-//!   registrations, plus fixed-bucket [`registry::Histogram`]s (txn
-//!   length, park latency, bank queue depth) built from a recording;
+//!   registrations;
 //! - exporters: [`chrome`] (Chrome trace-event JSON, loadable in
 //!   Perfetto — one track per core plus LLC and NoC tracks), [`jsonl`]
 //!   (metrics time series, one JSON object per sample tick), and
-//!   [`summary`] (terminal occupancy heatmap + abort/NoC/LLC tables);
+//!   [`summary`] (terminal occupancy heatmap, abort/NoC/LLC tables, and
+//!   percentile rows for the latency classes and the recording's
+//!   transaction lengths and bank queue depths);
 //! - [`forensics`] — conflict forensics derived from a recording: the
 //!   attacker/victim matrix with wasted-cycle weights, the per-line
 //!   hotspot table, and the recovery-outcome ledger (`tmtrace blame`);
 //! - [`diff`] — schema-agnostic numeric JSON diff used as a run-to-run
 //!   regression detector (`tmtrace diff`, bench, CI);
-//! - [`latency`] — per-transaction-class latency percentile tables and
-//!   the JSON block exporters embed, rendered from the engine's
-//!   deterministic log-bucketed histograms (`sim_core::latency`);
+//! - [`latency`] — percentile tables of the deterministic log-bucketed
+//!   histograms (`sim_core::latency::LatencyHist`): the per-transaction-
+//!   class table and the same rows for any named histogram;
 //! - [`witness`] — replayable schedule witnesses written by the
 //!   `tmverify` explorer (`tmtrace witness` renders them, `tmverify
 //!   replay` re-executes them);
 //! - [`session`] — a one-call harness running a STAMP workload on a
-//!   Table-II system with a recorder attached, returning all artifacts;
-//! - [`selfprof::SelfProfiler`] — host-side wall-clock accounting of the
-//!   simulator's own phases (setup / simulate / export / epilogue);
-//! - [`tmprof`] — exporters for the engine's scope-based host profile
+//!   Table-II system with a recorder attached, returning all artifacts
+//!   and timing its own setup / simulate / export phases as
+//!   `sim_core::prof::HostProf` scopes (`<stem>.selfprof.json`);
+//! - [`tmprof`] — exporters for the scope-based host profile
 //!   (`sim_core::prof`): collapsed-stack flamegraph, Chrome-trace
 //!   nesting, the schema-v2 `selfprof.json` `"prof"` block, and the
 //!   per-phase shares `experiments engine` records (`tmtrace flame`);
@@ -49,7 +50,6 @@ pub mod jsonl;
 pub mod latency;
 pub mod recorder;
 pub mod registry;
-pub mod selfprof;
 pub mod session;
 pub mod summary;
 pub mod tmprof;
@@ -65,10 +65,9 @@ pub use chrome::{export_chrome, validate_chrome, ChromeSummary, TraceMeta};
 pub use diff::{check_schema_match, diff_docs, diff_values, top_phase_movers, MetricDelta};
 pub use forensics::{analyze, ConflictMatrix, ForensicsReport, LineHotspot, RecoveryLedger};
 pub use jsonl::export_jsonl;
-pub use latency::{latency_json, render_latency_table};
+pub use latency::render_latency_table;
 pub use recorder::{ConflictEvent, Recorder, SampleRow, Span};
-pub use registry::{standard_histograms, Histogram, MetricsRegistry};
-pub use selfprof::SelfProfiler;
+pub use registry::MetricsRegistry;
 pub use session::{run_trace, TraceArtifacts, TraceConfig};
 pub use summary::render_summary;
 pub use tmprof::{chrome_prof, flame, flame_total_us, phase_shares, prof_json, render_prof};

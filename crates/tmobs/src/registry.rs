@@ -1,9 +1,8 @@
-//! The metrics registry (every layer's registrations in one place) and
-//! fixed-bucket histograms derived from a recording.
+//! The metrics registry: every layer's metric registrations in one
+//! place.
 
-use crate::recorder::Recorder;
 use sim_core::config::SystemConfig;
-use sim_core::obs::{Metric, MetricSpec, SpanKind};
+use sim_core::obs::{Metric, MetricSpec};
 
 /// Union of the metric registrations contributed by the engine
 /// (`lockiller::engine`), the memory system (`coherence::memsys`), and
@@ -39,174 +38,6 @@ impl MetricsRegistry {
     }
 }
 
-/// A fixed-bucket histogram: `bounds[i]` is the inclusive upper edge of
-/// bucket `i`; one overflow bucket catches the rest.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    pub name: &'static str,
-    pub unit: &'static str,
-    bounds: Vec<u64>,
-    counts: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Histogram {
-    pub fn new(name: &'static str, unit: &'static str, bounds: Vec<u64>) -> Histogram {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
-        let counts = vec![0; bounds.len() + 1];
-        Histogram {
-            name,
-            unit,
-            bounds,
-            counts,
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    pub fn observe(&mut self, v: u64) {
-        let i = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[i] += 1;
-        self.count += 1;
-        self.sum += v;
-        self.max = self.max.max(v);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Exact merge of another histogram with identical bounds: bucket
-    /// counts add element-wise, so merging is associative and
-    /// commutative. Panics if the bucket layouts differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "cannot merge histograms with different bucket bounds"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
-    /// The value at quantile `q` (0.0 ..= 1.0): the inclusive upper edge
-    /// of the bucket holding rank `ceil(q * count)`, with the overflow
-    /// bucket reporting the recorded max (its true edge is unbounded).
-    /// 0 on an empty histogram — never NaN/Inf, and safe for
-    /// single-bucket layouts where every observation lands in one bin.
-    pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cum = 0u64;
-        for (bound, n) in self.buckets() {
-            cum += n;
-            if cum >= rank {
-                return if bound == u64::MAX {
-                    self.max
-                } else {
-                    bound.min(self.max)
-                };
-            }
-        }
-        self.max
-    }
-
-    /// `(upper_bound, count)` per bucket; the final entry is the
-    /// overflow bucket with `u64::MAX` as its bound.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.bounds
-            .iter()
-            .copied()
-            .chain(std::iter::once(u64::MAX))
-            .zip(self.counts.iter().copied())
-    }
-
-    /// Terminal rendering: one `#`-bar row per non-empty bucket.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "{} ({}): n={} mean={:.1} max={}\n",
-            self.name,
-            self.unit,
-            self.count,
-            self.mean(),
-            self.max
-        );
-        if self.count == 0 {
-            return out;
-        }
-        let peak = self.counts.iter().copied().max().unwrap_or(1).max(1);
-        for (bound, n) in self.buckets() {
-            if n == 0 {
-                continue;
-            }
-            let bar = "#".repeat((n * 40 / peak).max(1) as usize);
-            let label = if bound == u64::MAX {
-                "   +inf".to_string()
-            } else {
-                format!("{bound:>7}")
-            };
-            out.push_str(&format!("  <= {label} {n:>8} {bar}\n"));
-        }
-        out
-    }
-}
-
-/// The standard histograms the issue calls out, built from a recording:
-/// transaction length, NACK-to-wake (park) latency, and per-bank queue
-/// depth as seen by the periodic sampler.
-pub fn standard_histograms(rec: &Recorder) -> Vec<Histogram> {
-    let mut txn = Histogram::new(
-        "txn_length",
-        "cycles",
-        vec![16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536],
-    );
-    for s in rec.spans_of(SpanKind::Txn) {
-        txn.observe(s.duration());
-    }
-    let mut park = Histogram::new(
-        "park_latency",
-        "cycles",
-        vec![8, 16, 32, 64, 128, 256, 512, 1024, 4096],
-    );
-    for s in rec.spans_of(SpanKind::Park) {
-        park.observe(s.duration());
-    }
-    let mut depth = Histogram::new("bank_queue_depth", "reqs", vec![0, 1, 2, 4, 8, 16, 32, 64]);
-    for row in rec.samples() {
-        for &(metric, value) in &row.values {
-            if matches!(metric, Metric::BankQueueDepth(_)) {
-                depth.observe(value);
-            }
-        }
-    }
-    vec![txn, park, depth]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,99 +58,5 @@ mod tests {
         for s in reg.specs() {
             assert_eq!(s.name, s.metric.name());
         }
-    }
-
-    #[test]
-    fn histogram_buckets_and_stats() {
-        let mut h = Histogram::new("t", "cycles", vec![10, 100]);
-        for v in [1, 10, 11, 1000] {
-            h.observe(v);
-        }
-        let buckets: Vec<_> = h.buckets().collect();
-        assert_eq!(buckets, vec![(10, 2), (100, 1), (u64::MAX, 1)]);
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.max(), 1000);
-        assert!((h.mean() - 255.5).abs() < 1e-9);
-        assert!(h.render().contains("+inf"));
-    }
-
-    #[test]
-    fn empty_histogram_renders_without_bars() {
-        let h = Histogram::new("t", "cycles", vec![10]);
-        assert_eq!(h.mean(), 0.0);
-        assert!(!h.render().contains('#'));
-    }
-
-    #[test]
-    fn empty_and_single_bucket_percentiles_are_guarded() {
-        // Empty: every quantile is 0, never NaN/Inf.
-        let empty = Histogram::new("t", "cycles", vec![10, 100]);
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(empty.percentile(q), 0);
-        }
-        // Single-bucket layout: everything lands in one bin; quantiles
-        // report min(bound, max) so they never exceed what was seen.
-        let mut one = Histogram::new("t", "cycles", vec![1000]);
-        one.observe(7);
-        assert_eq!(one.percentile(0.5), 7);
-        assert_eq!(one.percentile(1.0), 7);
-        // Overflow-only content reports the recorded max, not +inf.
-        let mut over = Histogram::new("t", "cycles", vec![10]);
-        over.observe(500);
-        assert_eq!(over.percentile(0.99), 500);
-    }
-
-    #[test]
-    fn bucket_edges_are_inclusive() {
-        let mut h = Histogram::new("t", "cycles", vec![10, 100]);
-        h.observe(10); // exactly on the first edge: belongs to bucket 0
-        h.observe(11); // first value past the edge: bucket 1
-        h.observe(100);
-        let buckets: Vec<_> = h.buckets().collect();
-        assert_eq!(buckets, vec![(10, 1), (100, 2), (u64::MAX, 0)]);
-    }
-
-    #[test]
-    fn merge_is_associative_and_matches_direct_observation() {
-        let bounds = vec![10u64, 100, 1000];
-        let mk = |vals: &[u64]| {
-            let mut h = Histogram::new("t", "cycles", bounds.clone());
-            for &v in vals {
-                h.observe(v);
-            }
-            h
-        };
-        let (a, b, c) = (mk(&[1, 50]), mk(&[200, 5000]), mk(&[10]));
-        let all = mk(&[1, 50, 200, 5000, 10]);
-        // (a+b)+c
-        let mut ab_c = mk(&[]);
-        ab_c.merge(&a);
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        // a+(b+c)
-        let mut bc = mk(&[]);
-        bc.merge(&b);
-        bc.merge(&c);
-        let mut a_bc = mk(&[]);
-        a_bc.merge(&a);
-        a_bc.merge(&bc);
-        for h in [&ab_c, &a_bc] {
-            assert_eq!(
-                h.buckets().collect::<Vec<_>>(),
-                all.buckets().collect::<Vec<_>>()
-            );
-            assert_eq!(h.count(), all.count());
-            assert_eq!(h.max(), all.max());
-            assert!((h.mean() - all.mean()).abs() < 1e-12);
-            assert_eq!(h.percentile(0.5), all.percentile(0.5));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different bucket bounds")]
-    fn merge_rejects_mismatched_bounds() {
-        let mut a = Histogram::new("t", "cycles", vec![10]);
-        let b = Histogram::new("t", "cycles", vec![20]);
-        a.merge(&b);
     }
 }

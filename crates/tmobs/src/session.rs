@@ -7,12 +7,13 @@ use crate::forensics::{self, ForensicsReport};
 use crate::jsonl::export_jsonl;
 use crate::recorder::Recorder;
 use crate::registry::MetricsRegistry;
-use crate::selfprof::SelfProfiler;
 use crate::summary::render_summary;
+use crate::tmprof::{prof_json, render_prof};
 use lockiller::system::SystemKind;
 use lockiller::Runner;
 use sim_core::config::SystemConfig;
 use sim_core::obs::ObsHandle;
+use sim_core::prof::{HostProf, ProfPhase, ProfReport};
 use sim_core::stats::RunStats;
 use sim_core::types::Cycle;
 use stamp::{Scale, Workload, WorkloadKind};
@@ -30,9 +31,11 @@ pub struct TraceConfig {
     /// Hardware configuration (Table I by default).
     pub hw: SystemConfig,
     /// Enable `tmprof` host-side engine profiling (see `sim_core::prof`):
-    /// the artifacts gain the phase tree ([`TraceArtifacts::host_prof`])
-    /// and `selfprof_json` gains a `"prof"` block. Pure host
-    /// observation — the simulated outcome is byte-identical either way.
+    /// the engine's phase tree is grafted under the session's
+    /// `run;simulate` scope, the artifacts gain the whole tree
+    /// ([`TraceArtifacts::host_prof`]) and `selfprof_json` gains a
+    /// `"prof"` block. Pure host observation — the simulated outcome is
+    /// byte-identical either way.
     pub profile: bool,
 }
 
@@ -64,25 +67,29 @@ pub struct TraceArtifacts {
     pub summary: String,
     /// Event-glyph timeline from the engine's structured trace.
     pub timeline: String,
-    /// Host wall-clock per simulator phase.
+    /// The session's host profile as a [`render_prof`] table: setup,
+    /// simulate (with the engine's phases when profiled) and export.
     pub profile: String,
-    /// Stable JSON form of the self-profile, extended with engine
-    /// self-metrics (events processed, host-ns per simulated cycle,
-    /// event-queue high-water) — `tmtrace` archives it for CI.
+    /// Schema-2 self-profile JSON: the four session phases and their
+    /// total in milliseconds, engine self-metrics (events processed,
+    /// host-ns per simulated cycle, event-queue high-water) and, when
+    /// profiled, the whole phase tree — `tmtrace` archives it for CI.
     pub selfprof_json: String,
     /// The workload's own post-run validation result.
     pub validation: Result<(), String>,
     /// Conflict forensics (attacker/victim matrix, hotspots, recovery
     /// ledger) derived from the recording; `tmtrace blame` renders it.
     pub forensics: ForensicsReport,
-    /// Engine host-profile phase tree; `Some` iff
-    /// [`TraceConfig::profile`] was set. `tmtrace flame` exports it.
-    pub host_prof: Option<sim_core::prof::ProfReport>,
+    /// The session's phase tree with the engine's grafted under
+    /// `run;simulate`; `Some` iff [`TraceConfig::profile`] was set.
+    /// `tmtrace flame` exports it.
+    pub host_prof: Option<ProfReport>,
 }
 
 /// Run `cfg` to completion and export all artifacts.
 pub fn run_trace(cfg: &TraceConfig) -> TraceArtifacts {
-    let mut prof = SelfProfiler::start();
+    let mut prof = HostProf::start();
+    prof.enter(ProfPhase::Setup);
     let mut prog = Workload::with_scale(cfg.workload, cfg.threads, cfg.scale);
     let (handle, rec) = Recorder::shared(cfg.sample_every);
     let mut runner = Runner::new(cfg.system)
@@ -93,12 +100,14 @@ pub fn run_trace(cfg: &TraceConfig) -> TraceArtifacts {
     if cfg.profile {
         runner = runner.profile();
     }
-    prof.lap("setup");
+    prof.exit();
+    prof.enter(ProfPhase::Simulate);
     let mut out = runner.tracing().no_validate().run(&mut prog);
     let events = out.take_trace_events();
-    let host_prof = out.host_prof.take();
+    let engine_prof = out.host_prof.take();
     let (stats, mem) = (out.stats, out.mem);
-    prof.lap("simulate");
+    prof.exit();
+    prof.enter(ProfPhase::Export);
     let validation = lockiller::Program::validate(&prog, &mem);
     let recorder = std::mem::take(&mut *rec.lock().expect("recorder poisoned"));
     let registry = MetricsRegistry::for_config(&cfg.hw);
@@ -113,9 +122,12 @@ pub fn run_trace(cfg: &TraceConfig) -> TraceArtifacts {
     let summary = render_summary(&recorder, &stats);
     let timeline = lockiller::render_timeline(&events, cfg.threads, 100);
     let forensics = forensics::analyze(&recorder, cfg.threads);
-    prof.lap("export");
-    prof.finish();
-    let selfprof_json = selfprof_with_engine(&prof, &stats, host_prof.as_ref());
+    prof.exit();
+    let mut tree = prof.report();
+    if let Some(engine) = &engine_prof {
+        tree.graft("run;simulate", engine);
+    }
+    let selfprof_json = selfprof_json(&tree, &stats, engine_prof.is_some());
     TraceArtifacts {
         stats,
         recorder,
@@ -123,51 +135,52 @@ pub fn run_trace(cfg: &TraceConfig) -> TraceArtifacts {
         metrics_jsonl,
         summary,
         timeline,
-        profile: prof.render(),
+        profile: render_prof(&tree),
         selfprof_json,
         validation,
         forensics,
-        host_prof,
+        host_prof: engine_prof.map(|_| tree),
     }
 }
 
-/// Combine the host-side phase profile with engine self-metrics sampled
-/// from the run's stats — simulated work done, host cost per simulated
-/// cycle (from the `simulate` lap), the event-queue high-water — and,
-/// when the engine was profiled, the `tmprof` phase tree (the schema-v2
-/// `"prof"` block). Every ratio is 0 (never NaN/Inf) when a denominator
-/// is 0.
-fn selfprof_with_engine(
-    prof: &SelfProfiler,
-    stats: &RunStats,
-    host_prof: Option<&sim_core::prof::ProfReport>,
-) -> String {
-    let simulate_s = prof
-        .phases()
-        .iter()
-        .find(|(name, _)| name == "simulate")
-        .map(|(_, d)| d.as_secs_f64())
-        .unwrap_or(0.0);
+/// The schema-2 `selfprof.json` document. `phases` holds the totals of
+/// the session's setup, simulate and export scopes plus the root's self
+/// time as `epilogue`, so the four sum to `total_ms`. The `engine` block
+/// samples the run's stats: simulated work done, host cost per simulated
+/// cycle (from the simulate scope) and the event-queue high-water; every
+/// ratio is 0 (never NaN/Inf) when its denominator is 0. A profiled run
+/// appends the whole phase tree as the `"prof"` block.
+fn selfprof_json(tree: &ProfReport, stats: &RunStats, profiled: bool) -> String {
+    let ms = |ns: u64| ns as f64 / 1e6;
+    let total = |phase: ProfPhase| {
+        tree.node(&format!("run;{}", phase.name()))
+            .map_or(0, |n| n.total_ns)
+    };
+    let simulate_ns = total(ProfPhase::Simulate);
     let ns_per_cycle = if stats.cycles == 0 {
         0.0
     } else {
-        simulate_s * 1e9 / stats.cycles as f64
+        simulate_ns as f64 / stats.cycles as f64
     };
-    let cycles_per_sec = if simulate_s <= 0.0 {
+    let cycles_per_sec = if simulate_ns == 0 {
         0.0
     } else {
-        stats.cycles as f64 / simulate_s
+        stats.cycles as f64 * 1e9 / simulate_ns as f64
     };
-    let mut doc = prof.to_json();
-    // Splice the engine block into the profile object (before the final
-    // brace) so the artifact stays one flat JSON document.
-    doc.pop();
+    let mut doc = format!(
+        "{{\"schema\":2,\"phases\":{{\"setup\":{:.3},\"simulate\":{:.3},\"export\":{:.3},\"epilogue\":{:.3}}},\"total_ms\":{:.3}",
+        ms(total(ProfPhase::Setup)),
+        ms(simulate_ns),
+        ms(total(ProfPhase::Export)),
+        ms(tree.nodes[0].self_ns),
+        ms(tree.total_ns)
+    );
     doc.push_str(&format!(
         ",\"engine\":{{\"sim_cycles\":{},\"events_processed\":{},\"event_queue_peak\":{},\"ns_per_cycle\":{ns_per_cycle:.3},\"sim_cycles_per_sec\":{cycles_per_sec:.1}}}",
         stats.cycles, stats.events_processed, stats.event_queue_peak
     ));
-    if let Some(r) = host_prof {
-        doc.push_str(&format!(",\"prof\":{}", crate::tmprof::prof_json(r)));
+    if profiled {
+        doc.push_str(&format!(",\"prof\":{}", prof_json(tree)));
     }
     doc.push('}');
     doc

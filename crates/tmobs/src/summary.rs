@@ -1,12 +1,12 @@
 //! Terminal renderer: a per-core occupancy heatmap over simulated time
 //! (the span-level companion to `lockiller::trace::render_timeline`'s
-//! event glyphs), plus abort, NoC, and LLC tables and the standard
-//! histograms.
+//! event glyphs), plus abort, NoC, and LLC tables and percentile rows
+//! for the latency classes and the recording's own distributions.
 
-use crate::latency::render_latency_table;
+use crate::latency::{render_hist_table, render_latency_table};
 use crate::recorder::Recorder;
-use crate::registry::standard_histograms;
-use sim_core::obs::{SpanKind, Track};
+use sim_core::latency::LatencyHist;
+use sim_core::obs::{Metric, SpanKind, Track};
 use sim_core::stats::{AbortCause, RunStats};
 
 /// Shade ramp for bucket occupancy (0% .. 100%).
@@ -149,10 +149,28 @@ pub fn render_summary(rec: &Recorder, stats: &RunStats) -> String {
     out.push('\n');
     out.push_str(&render_latency_table(stats));
 
-    out.push('\n');
-    for h in standard_histograms(rec) {
-        out.push_str(&h.render());
+    // Distributions only the recording holds. Park waits are not among
+    // them: the engine records the same histogram as `park_wait` above.
+    let mut txn_length = LatencyHist::new();
+    for s in rec.spans_of(SpanKind::Txn) {
+        txn_length.record(s.duration());
     }
+    let mut bank_queue_depth = LatencyHist::new();
+    for row in rec.samples() {
+        for &(metric, value) in &row.values {
+            if matches!(metric, Metric::BankQueueDepth(_)) {
+                bank_queue_depth.record(value);
+            }
+        }
+    }
+    out.push('\n');
+    out.push_str(&render_hist_table(
+        "recorded distributions (txn_length: cycles, bank_queue_depth: queued requests):",
+        &[
+            ("txn_length", &txn_length),
+            ("bank_queue_depth", &bank_queue_depth),
+        ],
+    ));
     out
 }
 
@@ -206,5 +224,60 @@ mod tests {
         assert!(s.contains("transaction latency by outcome class"));
         assert!(s.contains("htm_commit"));
         assert!(!s.contains("NaN"));
+    }
+
+    #[test]
+    fn distributions_are_percentile_rows() {
+        let row = |s: &str, name: &str| -> Vec<String> {
+            let line = s
+                .lines()
+                .find(|l| l.trim_start().starts_with(&format!("{name} ")))
+                .unwrap_or_else(|| panic!("no {name} row:\n{s}"));
+            line.split_whitespace()
+                .skip(1)
+                .map(str::to_string)
+                .collect()
+        };
+        let stats = RunStats::new(2);
+        let empty = render_summary(&Recorder::default(), &stats);
+        for name in ["txn_length", "bank_queue_depth"] {
+            assert_eq!(row(&empty, name), ["0", "0", "0", "0", "0", "0", "0.0"]);
+        }
+        assert!(!empty.contains("park_latency"));
+        assert!(!empty.contains("NaN") && !empty.contains("inf"), "{empty}");
+
+        let mut rec = Recorder::default();
+        for (start, end) in [(0, 40), (50, 250)] {
+            rec.event(ObsEvent::SpanBegin {
+                cycle: start,
+                track: Track::Core(0),
+                kind: SpanKind::Txn,
+                core: 0,
+            });
+            rec.event(ObsEvent::SpanEnd {
+                cycle: end,
+                track: Track::Core(0),
+                kind: SpanKind::Txn,
+                core: 0,
+                end: SpanEnd::Commit,
+            });
+        }
+        for (metric, value) in [
+            (Metric::BankQueueDepth(0), 3),
+            (Metric::BankQueueDepth(1), 0),
+            (Metric::Commits, 99),
+        ] {
+            rec.event(ObsEvent::Sample {
+                cycle: 0,
+                metric,
+                value,
+            });
+        }
+        rec.finish(250);
+        let s = render_summary(&rec, &stats);
+        assert_eq!(row(&s, "txn_length")[0], "2");
+        assert_eq!(row(&s, "txn_length")[5], "200");
+        assert_eq!(row(&s, "bank_queue_depth")[0], "2");
+        assert_eq!(row(&s, "bank_queue_depth")[5], "3");
     }
 }

@@ -103,7 +103,7 @@ fn parent_index(report: &ProfReport, i: usize) -> Option<usize> {
 /// The stable JSON block for a host profile (no surrounding key): totals,
 /// event counters, and one entry per phase keyed by full scope path.
 /// Milliseconds to 3 decimals everywhere a duration appears, matching
-/// the lap-style fields it sits next to in `selfprof.json`.
+/// the `phases` fields it sits next to in `selfprof.json`.
 pub fn prof_json(report: &ProfReport) -> String {
     let mut out = format!(
         "{{\"total_ms\":{:.3},\"events\":{},\"queue_depth_mean\":{:.2},\"nodes\":[",

@@ -224,3 +224,29 @@ fn summary_and_timeline_render_from_one_run() {
         .any(|s| s.outcome == SpanEnd::Commit);
     assert_eq!(timeline_has_commit, spans_have_commit);
 }
+
+/// The engine's `park` histogram and the recording's `Park` spans are
+/// the same distribution on every completed run with parks, which is
+/// why the summary shows park waits once (`park_wait`).
+#[test]
+fn park_spans_form_the_engine_park_histogram() {
+    for workload in [
+        stamp::WorkloadKind::Intruder,
+        stamp::WorkloadKind::VacationLow,
+        stamp::WorkloadKind::Yada,
+    ] {
+        for system in [SystemKind::LockillerTm, SystemKind::LockillerRwi] {
+            let art = tmobs::run_trace(&tmobs::TraceConfig::new(workload, system));
+            let point = format!("{}/{}", workload.name(), system.name());
+            assert_eq!(art.validation, Ok(()), "{point}");
+            assert_eq!(art.recorder.auto_closed(), 0, "{point} did not complete");
+            assert_eq!(art.recorder.dropped_spans(), 0, "{point}");
+            let mut spans = sim_core::latency::LatencyHist::new();
+            for s in art.recorder.spans_of(SpanKind::Park) {
+                spans.record(s.duration());
+            }
+            assert!(spans.count() > 0, "{point} has no parks");
+            assert_eq!(spans, art.stats.latency.park, "{point}");
+        }
+    }
+}

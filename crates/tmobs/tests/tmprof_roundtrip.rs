@@ -1,12 +1,16 @@
-//! `tmprof` artifact round-trips: JSON escaping of hostile phase names,
-//! the schema-v2 self-profile document, the collapsed-stack flamegraph
-//! golden structure, and the acceptance reconciliation — `tmtrace
-//! flame` per-phase totals must agree with `<stem>.selfprof.json` to
-//! the millisecond.
+//! `tmprof` artifact round-trips: JSON escaping, the schema-v2
+//! self-profile document, the collapsed-stack flamegraph golden
+//! structure, the session's one phase tree (setup, simulate with the
+//! engine grafted beneath it, export), and the acceptance reconciliation
+//! — `tmtrace flame` per-phase totals must agree with
+//! `<stem>.selfprof.json` to the millisecond.
 
-use sim_core::prof::{HostProf, ProfPhase};
+use lockiller::system::SystemKind;
+use lockiller::Runner;
+use sim_core::prof::{HostProf, ProfPhase, ProfReport};
+use stamp::{Scale, Workload, WorkloadKind};
 use tmobs::json::{self, Json};
-use tmobs::{SelfProfiler, TraceConfig};
+use tmobs::TraceConfig;
 
 #[test]
 fn escape_handles_quotes_backslashes_and_controls() {
@@ -20,34 +24,6 @@ fn escape_handles_quotes_backslashes_and_controls() {
     // Unicode above the control range passes through unescaped.
     assert_eq!(json::escape("相位φ→done"), "相位φ→done");
     assert_eq!(json::escape(""), "");
-}
-
-#[test]
-fn selfprof_json_round_trips_hostile_phase_names() {
-    let nasty = [r#"ph"ase"#, r"back\slash", "相位φ", "tab\there"];
-    let mut p = SelfProfiler::start();
-    for name in nasty {
-        p.lap(name);
-    }
-    p.finish();
-    let doc = p.to_json();
-    let v = json::parse(&doc).expect("self-profile JSON must stay parseable");
-    assert_eq!(v.get("schema").and_then(Json::as_f64), Some(2.0));
-    let phases = v.get("phases").expect("phases object");
-    for name in nasty {
-        assert!(
-            phases.get(name).and_then(Json::as_f64).is_some(),
-            "phase {name:?} lost in round-trip: {doc}"
-        );
-    }
-    assert!(phases.get("epilogue").is_some(), "finish() closes the tail");
-    // The phase durations still sum to the reported total.
-    let total = v.get("total_ms").and_then(Json::as_f64).unwrap();
-    let sum: f64 = match phases {
-        Json::Obj(kv) => kv.iter().filter_map(|(_, d)| d.as_f64()).sum(),
-        other => panic!("phases is not an object: {other:?}"),
-    };
-    assert!((sum - total).abs() < 0.01 * (nasty.len() + 1) as f64);
 }
 
 /// Golden test for the collapsed-stack export: a fixed scope sequence
@@ -140,4 +116,98 @@ fn flame_reconciles_with_selfprof_json_to_the_millisecond() {
         art.stats.to_json(),
         "profiling moved the simulated stats"
     );
+}
+
+fn self_sum(r: &ProfReport) -> u64 {
+    r.nodes.iter().map(|n| n.self_ns).sum()
+}
+
+/// A real engine profile grafted under a session's `run;simulate` scope
+/// keeps every engine node, self time and call count, and self times
+/// still partition the session's total exactly.
+#[test]
+fn grafted_engine_profile_keeps_every_node() {
+    let mut session = HostProf::start();
+    session.enter(ProfPhase::Setup);
+    let mut prog = Workload::with_scale(WorkloadKind::KmeansLow, 2, Scale::Tiny);
+    session.exit();
+    session.enter(ProfPhase::Simulate);
+    let out = Runner::new(SystemKind::LockillerTm)
+        .threads(2)
+        .profile()
+        .run(&mut prog);
+    session.exit();
+    session.enter(ProfPhase::Export);
+    session.exit();
+    let engine = out.host_prof.expect("profiled run");
+    let mut tree = session.report();
+    tree.graft("run;simulate", &engine);
+    assert_eq!(self_sum(&tree), tree.total_ns);
+    for n in &engine.nodes[1..] {
+        let path = format!("run;simulate;{}", n.path.strip_prefix("run;").unwrap());
+        let g = tree.node(&path).unwrap_or_else(|| panic!("{path} missing"));
+        assert_eq!((g.self_ns, g.calls), (n.self_ns, n.calls), "{path}");
+    }
+    assert_eq!(tree.nodes.len(), engine.nodes.len() + 3);
+    assert_eq!(tree.events, engine.events);
+}
+
+/// The `phases` of a `selfprof.json` document and their sum against
+/// `total_ms`.
+fn phases_and_total(doc: &str) -> (Vec<String>, f64, f64) {
+    let v = json::parse(doc).expect("selfprof.json parses");
+    assert_eq!(v.get("schema").and_then(Json::as_f64), Some(2.0));
+    assert!(v
+        .get("engine")
+        .and_then(|e| e.get("ns_per_cycle"))
+        .is_some());
+    let Some(Json::Obj(phases)) = v.get("phases") else {
+        panic!("phases is not an object: {doc}");
+    };
+    let names = phases.iter().map(|(k, _)| k.clone()).collect();
+    let sum = phases.iter().filter_map(|(_, d)| d.as_f64()).sum();
+    (
+        names,
+        sum,
+        v.get("total_ms").and_then(Json::as_f64).unwrap(),
+    )
+}
+
+/// `run_trace` times itself as one tree: a profiled session nests the
+/// engine's phases under `run;simulate` beside `run;setup` and
+/// `run;export`, and both profiled and unprofiled `selfprof.json`
+/// phases sum to `total_ms`.
+#[test]
+fn traced_session_is_one_phase_tree() {
+    let mut cfg = TraceConfig::new(WorkloadKind::KmeansLow, SystemKind::LockillerTm);
+    cfg.threads = 2;
+    cfg.profile = true;
+    let art = tmobs::run_trace(&cfg);
+    let tree = art.host_prof.as_ref().expect("profiled trace");
+    assert_eq!(self_sum(tree), tree.total_ns);
+    let top: Vec<&str> = tree
+        .nodes
+        .iter()
+        .map(|n| n.path.as_str())
+        .filter(|p| p.matches(';').count() == 1)
+        .collect();
+    assert_eq!(top, ["run;setup", "run;simulate", "run;export"]);
+    assert!(tree.node("run;simulate;dequeue").is_some());
+    assert!(
+        art.profile.contains("run;simulate;dequeue"),
+        "{}",
+        art.profile
+    );
+    let mut plain_cfg = cfg.clone();
+    plain_cfg.profile = false;
+    let plain = tmobs::run_trace(&plain_cfg);
+    assert!(plain.profile.contains("run;export"), "{}", plain.profile);
+    for doc in [&art.selfprof_json, &plain.selfprof_json] {
+        let (names, sum, total) = phases_and_total(doc);
+        assert_eq!(names, ["setup", "simulate", "export", "epilogue"]);
+        assert!(
+            (sum - total).abs() <= 0.01,
+            "phases {sum} ms vs total {total} ms"
+        );
+    }
 }
