@@ -7,9 +7,9 @@
 //!               [--retries N] [--seed N] [--backend threads|vm] [--timeline]
 //! ```
 //!
-//! `--backend vm` runs the workload on the bytecode guest VM (only
-//! workloads whose kernels compile to `guestvm` bytecode); results are
-//! bit-identical to the default host-Rust backend. `--threads` takes
+//! `--backend vm` runs the workload's compiled `guestvm` kernel (only
+//! workloads whose kernels compile to bytecode); results are
+//! bit-identical to the default hand-written body. `--threads` takes
 //! 1..=32, the core count of every hardware preset.
 
 use lockiller::runner::Runner;

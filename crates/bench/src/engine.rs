@@ -27,12 +27,13 @@
 //! **Backend axis.** Every `host` block carries a `backend` field
 //! (`"threads"` or `"vm"`, see [`lockiller::Backend`]). The battery
 //! always appends a backend-comparison section: each VM-capable ladder
-//! point plus the `intruder-flow` kernel program runs on *both* guest
-//! execution cores, the deterministic outputs are asserted byte-equal
-//! (a third, wall-clock-facing differential check), and the VM rows
-//! record `speedup_vs_threads` — host wall-time ratio of the bytecode
-//! VM over the in-process host-Rust guest (`Backend::Threads`, whose
-//! name predates its coroutines). `experiments engine --backend vm`
+//! point plus the `intruder-flow` kernel program runs on *both*
+//! backends, the deterministic outputs are asserted byte-equal (a third,
+//! wall-clock-facing differential check), and the VM rows record
+//! `speedup_vs_threads` — host wall-time ratio of the interpreted
+//! compiled kernel over the hand-written `Program::run` body
+//! (`Backend::Threads`, whose name predates its coroutines).
+//! `experiments engine --backend vm`
 //! additionally runs the main suite's capable points on the VM; the
 //! deterministic leaves of `BENCH_engine.json` must not move, which is
 //! exactly what the CI `perf-diff` gate checks at 0% tolerance.
@@ -296,10 +297,10 @@ pub fn run(
     }
 
     // Backend comparison: every VM-capable ladder point plus the
-    // VM-native intruder-flow kernel runs on both guest execution
-    // cores. Deterministic outputs must match byte for byte; the VM
-    // rows record the host-side speedup of the bytecode VM over the
-    // host-Rust coroutine guest.
+    // VM-native intruder-flow kernel runs on both backends.
+    // Deterministic outputs must match byte for byte; the VM rows
+    // record the host-side speedup of the interpreted kernel over the
+    // hand-written body.
     let mut best_speedup: (f64, String) = (0.0, String::new());
     {
         fn compare<P: Program>(

@@ -3,8 +3,7 @@
 //!
 //! The `experiments` binary drives [`experiments`]; each figure function
 //! returns structured rows and also renders the same series the paper
-//! plots. Criterion benches (one per figure, under `benches/`) run
-//! scaled-down instances of the same code paths.
+//! plots.
 
 pub mod ablation;
 pub mod engine;

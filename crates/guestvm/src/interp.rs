@@ -1,19 +1,12 @@
-//! The shared execution core: a register frame plus the fetch loop that
-//! turns bytecode into a stream of [`GuestOp`]s.
+//! The execution core: a register frame plus the fetch loop that turns
+//! bytecode into a stream of [`GuestOp`]s.
 //!
-//! Both backends run kernels through [`Frame::fetch`]:
-//!
-//! - [`run_on_ctx`] drives a kernel over a [`GuestCtx`] on the host
-//!   backend — every fetched op becomes the corresponding awaited
-//!   `GuestCtx` call, and critical sections become
-//!   [`GuestCtx::critical`] closures (the hand-written runtime supplies
-//!   the whole retry protocol);
-//! - `crate::vm::GuestVm` embeds a `Frame` in its resumable state
-//!   machine and re-implements the retry protocol itself.
-//!
-//! Because the pure-instruction semantics live here once, the two
-//! backends cannot drift apart on arithmetic; the differential tests
-//! pin the protocol layer.
+//! [`run_on_ctx`] drives a kernel over a [`GuestCtx`]: every fetched op
+//! becomes the corresponding awaited `GuestCtx` call, and critical
+//! sections become [`GuestCtx::critical`] closures, so the hand-written
+//! runtime supplies the whole retry protocol. The differential tests pin
+//! this interpreter and the kernel compilers against hand-written
+//! bodies.
 
 use crate::ir::{Instr, Kernel, Reg};
 use lockiller::guest::{GuestCtx, GuestOp};
@@ -145,12 +138,11 @@ impl Frame {
     }
 }
 
-/// Run `kernel` to completion over a [`GuestCtx`] — the host backend
-/// for kernel programs. Op-for-op identical to the VM backend on the
-/// same kernel: plain ops map to the awaited `GuestCtx` calls
+/// Run `kernel` to completion over a [`GuestCtx`]: the body of every
+/// kernel program's guest. Plain ops map to the awaited `GuestCtx` calls
 /// and each critical section runs under [`GuestCtx::critical`] with the
 /// registers captured at `CritBegin` restored on every (re-)execution
-/// of the body, mirroring the VM's rollback rule.
+/// of the body — the hardware's register rollback to the `xbegin`.
 pub async fn run_on_ctx(kernel: &Kernel, ctx: &mut GuestCtx) {
     let tid = ctx.tid;
     let threads = ctx.threads;

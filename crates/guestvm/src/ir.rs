@@ -2,17 +2,18 @@
 //! programs compile into.
 //!
 //! The instruction set splits into **pure** instructions (register
-//! arithmetic, moves, branches — executed inline by the VM in zero
-//! simulated time, exactly like host-side Rust between two `GuestCtx`
-//! calls on the host backend) and **op** instructions (loads,
+//! arithmetic, moves, branches — executed inline by the interpreter in
+//! zero simulated time, exactly like host-side Rust between two
+//! `GuestCtx` calls) and **op** instructions (loads,
 //! stores, CAS, compute, barrier, page touches — each producing exactly
 //! one [`lockiller::GuestOp`] rendezvous with the engine).
 //!
 //! Critical sections are bracketed by [`Instr::CritBegin`] /
-//! [`Instr::CritEnd`]; the VM wraps the enclosed op stream in the full
-//! `lock_acquire_elided` retry protocol (see `crate::vm`), restoring the
-//! registers captured at `CritBegin` on every re-execution — the
-//! software analogue of hardware register rollback on abort.
+//! [`Instr::CritEnd`]; the interpreter runs the enclosed op stream under
+//! `GuestCtx::critical`, the `lock_acquire_elided` retry protocol (see
+//! [`crate::interp::run_on_ctx`]), restoring the registers captured at
+//! `CritBegin` on every re-execution — the software analogue of
+//! hardware register rollback on abort.
 //!
 //! All arithmetic is wrapping two's-complement on `u64`; division and
 //! remainder by zero yield 0 (total and deterministic — a kernel can
@@ -120,11 +121,11 @@ pub enum Instr {
     /// Global barrier — plain regions only.
     Barrier,
     // ----- structure -----
-    /// Enter a critical section (the VM runs the elided-lock protocol).
+    /// Enter a critical section (run under the elided-lock protocol).
     CritBegin,
     /// Leave the critical section.
     CritEnd,
-    /// Guest done (the VM emits `GuestOp::Exit`).
+    /// Guest done (the guest's body returns, so it yields `GuestOp::Exit`).
     Halt,
 }
 

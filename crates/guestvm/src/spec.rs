@@ -18,6 +18,10 @@
 //! accesses). Ops: `L<i>` loads line `i`, `S<i>` stores a deterministic
 //! value to line `i`, `C<n>` computes `n` instructions.
 //!
+//! [`ProgSpec::parse`] bounds the two free numbers: `lines` is at most
+//! [`MAX_LINES`] and each `n` at most [`MAX_COMPUTE`], so no spec text
+//! can make setup overflow an allocation or wrap the cycle counter.
+//!
 //! Example — the 2-core/2-line hand-off kernel:
 //! `2/c:L0,S1/c:L1,S0`.
 //!
@@ -29,20 +33,28 @@
 //! [`SpecProgram`] runs a spec on **either** guest backend: the thread
 //! backend executes the hand-written loop in [`Program::run`], while
 //! [`Program::guest_exec`] compiles the same spec to `guestvm` bytecode
-//! ([`SpecProgram::compile`]). The two implementations are independent
-//! — one interprets the spec directly over `GuestCtx`, the other goes
-//! through the IR and the VM's re-implemented retry protocol — so the
-//! differential suite's byte-equality checks across backends validate
-//! the whole VM stack, not just one encoder.
+//! ([`SpecProgram::compile`]) and interprets it ([`run_on_ctx`]). The two
+//! programs are independent — one walks the spec directly over
+//! `GuestCtx`, the other goes through the IR, the compiler and the
+//! interpreter — so the differential suite's byte-equality checks across
+//! backends validate that whole kernel stack, not just one encoder.
 
+use crate::interp::run_on_ctx;
 use crate::ir::{Kernel, KernelBuilder};
-use crate::vm::GuestVm;
-use lockiller::exec::{GuestEnv, GuestExec};
-use lockiller::{GuestCtx, GuestFuture, Program, SetupCtx};
+use lockiller::{GuestCtx, GuestEnv, GuestExec, GuestFuture, Program, SetupCtx};
 use sim_core::config::MAX_CORES;
 use sim_core::types::{Addr, LineAddr};
 use std::fmt;
-use std::sync::Arc;
+
+/// Largest arena a spec may declare. [`SpecProgram::setup`] allocates one
+/// line-sized block per spec line, so a spec's arena is at most 4 MiB of
+/// guest memory.
+pub const MAX_LINES: u64 = 1 << 16;
+
+/// Largest `C<n>`. The engine completes a compute `n` cycles after it
+/// starts, so with `n` this small the 64-bit cycle counter wraps only
+/// after more than 2^32 maximal computes in one run.
+pub const MAX_COMPUTE: u64 = 1 << 32;
 
 /// Typed failure from [`ProgSpec::parse`]. Every variant carries enough
 /// context to point at the offending token; `Display` renders the same
@@ -55,6 +67,8 @@ pub enum ParseError {
     BadLineCount { text: String },
     /// The declared line count is zero.
     ZeroLines,
+    /// The declared line count exceeds [`MAX_LINES`].
+    TooManyLines { lines: u64, max: u64 },
     /// No thread follows the line count.
     NoThreads,
     /// A segment lacks its `c:`/`p:` mode prefix.
@@ -65,6 +79,8 @@ pub enum ParseError {
     BadOp { op: String },
     /// A load/store references a line index outside the declared arena.
     LineOutOfRange { op: String, line: u64, lines: u64 },
+    /// A `C<n>` computes more than [`MAX_COMPUTE`] instructions.
+    ComputeTooLong { op: String, max: u64 },
     /// More threads than a system has cores
     /// ([`sim_core::config::MAX_CORES`]); each thread runs on its own core.
     TooManyThreads { threads: usize, max: usize },
@@ -78,6 +94,9 @@ impl fmt::Display for ParseError {
                 write!(f, "spec: bad line count {text:?}")
             }
             ParseError::ZeroLines => write!(f, "spec: need at least one line"),
+            ParseError::TooManyLines { lines, max } => {
+                write!(f, "spec: {lines} lines exceed the {max}-line maximum")
+            }
             ParseError::NoThreads => write!(f, "spec: need at least one thread"),
             ParseError::MissingMode { segment } => {
                 write!(f, "spec: segment {segment:?} lacks 'c:'/'p:'")
@@ -86,6 +105,9 @@ impl fmt::Display for ParseError {
             ParseError::BadOp { op } => write!(f, "spec: bad op {op:?}"),
             ParseError::LineOutOfRange { op, line, lines } => {
                 write!(f, "spec: op {op:?} references line {line} >= {lines}")
+            }
+            ParseError::ComputeTooLong { op, max } => {
+                write!(f, "spec: op {op:?} computes more than {max} instructions")
             }
             ParseError::TooManyThreads { threads, max } => {
                 write!(f, "spec: {threads} threads exceed the {max}-core maximum")
@@ -143,6 +165,12 @@ impl ProgSpec {
         if lines == 0 {
             return Err(ParseError::ZeroLines);
         }
+        if lines > MAX_LINES {
+            return Err(ParseError::TooManyLines {
+                lines,
+                max: MAX_LINES,
+            });
+        }
         let mut threads = Vec::new();
         for tspec in parts {
             let mut segs = Vec::new();
@@ -178,14 +206,21 @@ impl ProgSpec {
                             })
                         }
                     };
-                    if let Op::Load(l) | Op::Store(l) = op {
-                        if l >= lines {
+                    match op {
+                        Op::Load(l) | Op::Store(l) if l >= lines => {
                             return Err(ParseError::LineOutOfRange {
                                 op: op_s.to_string(),
                                 line: l,
                                 lines,
                             });
                         }
+                        Op::Compute(n) if n > MAX_COMPUTE => {
+                            return Err(ParseError::ComputeTooLong {
+                                op: op_s.to_string(),
+                                max: MAX_COMPUTE,
+                            });
+                        }
+                        _ => {}
                     }
                     ops.push(op);
                 }
@@ -435,8 +470,11 @@ impl Program for SpecProgram {
         })
     }
 
-    fn guest_exec(&self, env: GuestEnv) -> Option<Box<dyn GuestExec + '_>> {
-        Some(GuestVm::boxed(Arc::new(self.compile(env.tid)), &env))
+    fn guest_exec(&self, env: GuestEnv) -> Option<GuestExec<'_>> {
+        let kernel = self.compile(env.tid);
+        Some(GuestExec::from_body(env, async move |ctx| {
+            run_on_ctx(&kernel, ctx).await;
+        }))
     }
 }
 
@@ -495,6 +533,29 @@ mod tests {
             Err(ParseError::TooManyThreads {
                 threads: 33,
                 max: 32
+            })
+        );
+        assert!(ProgSpec::parse(&format!("{MAX_LINES}/c:L0")).is_ok());
+        assert_eq!(
+            ProgSpec::parse(&format!("{}/c:L0", MAX_LINES + 1)),
+            Err(ParseError::TooManyLines {
+                lines: MAX_LINES + 1,
+                max: MAX_LINES
+            })
+        );
+        assert_eq!(
+            ProgSpec::parse("18446744073709551615/c:L0"),
+            Err(ParseError::TooManyLines {
+                lines: u64::MAX,
+                max: MAX_LINES
+            })
+        );
+        assert!(ProgSpec::parse(&format!("1/c:C{MAX_COMPUTE}")).is_ok());
+        assert_eq!(
+            ProgSpec::parse("1/c:C18446744073709551615"),
+            Err(ParseError::ComputeTooLong {
+                op: "C18446744073709551615".into(),
+                max: MAX_COMPUTE
             })
         );
         match ProgSpec::parse("2/x:L0") {

@@ -92,7 +92,7 @@ enum Ev {
 struct Ctl<'g> {
     /// The resumable guest driven at this core's `Recv` rendezvous
     /// points; `None` until [`Engine::register`].
-    exec: Option<Box<dyn GuestExec + 'g>>,
+    exec: Option<GuestExec<'g>>,
     /// Response delivered by [`Engine::respond`] but not yet handed to
     /// the guest — consumed by the next `resume` at the rendezvous
     /// point.
@@ -187,8 +187,8 @@ impl Ctl<'_> {
 /// The engine. Construct, [`Engine::register`] each guest executor,
 /// then [`Engine::run`] to completion and [`Engine::into_stats`].
 ///
-/// The lifetime `'g` bounds the registered [`GuestExec`]s (a host guest
-/// borrows its program; a VM guest borrows its program's kernel).
+/// The lifetime `'g` bounds the registered [`GuestExec`]s (a guest
+/// borrows its program, or the kernel its program compiled).
 pub struct Engine<'g> {
     cfg: SystemConfig,
     ms: MemSystem,
@@ -401,7 +401,7 @@ impl<'g> Engine<'g> {
     }
 
     /// Attach the resumable guest driven at `core`'s rendezvous points.
-    pub fn register(&mut self, core: CoreId, exec: Box<dyn GuestExec + 'g>) {
+    pub fn register(&mut self, core: CoreId, exec: GuestExec<'g>) {
         self.ctl[core].exec = Some(exec);
     }
 
@@ -674,9 +674,9 @@ impl<'g> Engine<'g> {
     }
 
     /// Resume `core`'s guest with its pending response (a synthetic
-    /// `Done` kick on the very first rendezvous — see
-    /// [`crate::exec::GuestExec`]) and take its next op. The guest
-    /// computes in zero simulated time, on the engine's own thread.
+    /// `Done` kick on the very first rendezvous — see [`GuestExec`]) and
+    /// take its next op. The guest computes in zero simulated time, on
+    /// the engine's own thread.
     fn recv_op(&mut self, _t: Cycle, c: CoreId) -> GuestOp {
         self.prof_enter(ProfPhase::GuestResume);
         let ctl = &mut self.ctl[c];

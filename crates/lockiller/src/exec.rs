@@ -1,25 +1,20 @@
 //! The guest execution seam: how the engine drives a simulated thread.
 //!
-//! A [`GuestExec`] is a *resumable* guest: the engine hands it the
-//! response to its previous operation and gets the next operation back,
-//! synchronously, on the engine's own thread. The engine calls
-//! [`GuestExec::resume`] at exactly the points where a guest's previous
-//! operation completes, so event order, state fingerprints, and every
-//! `RunStats` digest are independent of which backend implements it.
+//! Every simulated thread is a [`GuestExec`]: an `async` body over a
+//! [`GuestCtx`], polled as a coroutine on the engine's own thread. The
+//! engine hands it the response to its previous operation and gets the
+//! next operation back ([`GuestExec::resume`]), at exactly the points
+//! where that operation completes. [`GuestExec::from_body`] builds every
+//! guest, so both [`Backend`]s share one mailbox protocol and one
+//! best-effort retry protocol ([`GuestCtx::critical`]):
 //!
-//! Two backends implement the trait:
+//! - [`Backend::Threads`] runs the program's [`Program::run`] body;
+//! - [`Backend::Vm`] runs the guest [`Program::guest_exec`] returns —
+//!   for kernel programs, a body that interprets the program's compiled
+//!   `guestvm` bytecode (`guestvm::run_on_ctx`).
 //!
-//! - `HostGuest` — host-Rust guests: the `Program::run` body is an
-//!   `async` coroutine, and `resume` polls it once. Both halves of the
-//!   single-slot mailbox protocol between the body and the engine live
-//!   in this module. Any `Program` works here.
-//! - `guestvm::GuestVm` (separate crate) — the bytecode VM: guest
-//!   kernels compile to a compact op-stream bytecode and `resume` is a
-//!   plain function call into a state machine that also supports
-//!   snapshot/restore. Programs opt in by returning a VM from
-//!   [`crate::Program::guest_exec`].
-//!
-//! [`Backend`] selects between them on [`crate::Runner`].
+//! Event order, state fingerprints and every `RunStats` digest therefore
+//! depend only on the op stream a body issues, never on the backend.
 
 use crate::guest::{GuestCtx, GuestOp, GuestResp};
 use crate::program::{GuestFuture, Program};
@@ -30,18 +25,19 @@ use std::future::poll_fn;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-/// Which guest execution core a [`crate::Runner`] drives.
+/// Which body a [`crate::Runner`] runs on each simulated thread.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// Host-Rust guests (`HostGuest`): every [`crate::Program`] runs
-    /// here, its `run` body polled in-process as a coroutine. The name
-    /// predates the coroutines (guests used to run on OS threads) and is
-    /// kept because CLIs, CI jobs, and benchmark records use it.
+    /// The program's host-Rust [`Program::run`] body: every
+    /// [`crate::Program`] runs here. The name predates the coroutines
+    /// (guests used to run on OS threads) and is kept because CLIs, CI
+    /// jobs, and benchmark records use it.
     #[default]
     Threads,
-    /// Bytecode VM: requires the program to provide a [`GuestExec`] via
-    /// [`crate::Program::guest_exec`]. Bit-identical to
-    /// [`Backend::Threads`] on the same kernel, and checkpointable.
+    /// The program's compiled kernel: requires the program to provide a
+    /// guest via [`Program::guest_exec`]. Bit-identical to
+    /// [`Backend::Threads`] whenever the kernel issues the op stream of
+    /// the `run` body.
     Vm,
 }
 
@@ -65,8 +61,9 @@ impl Backend {
 }
 
 /// Everything a guest needs to construct its execution state for one
-/// simulated thread; handed to [`crate::Program::guest_exec`] by the
-/// runner (the single guest-construction entry point).
+/// simulated thread: the runner builds one per thread and hands it to
+/// [`GuestExec::from_body`] (through [`Program::guest_exec`] on the VM
+/// backend), which turns it into the body's [`GuestCtx`].
 #[derive(Clone, Debug)]
 pub struct GuestEnv {
     /// Simulated thread id (== core id).
@@ -74,7 +71,7 @@ pub struct GuestEnv {
     /// Total simulated threads in the run.
     pub threads: usize,
     /// Per-thread deterministic RNG (forked from the run seed; becomes
-    /// `GuestCtx.rng` on the host backend).
+    /// `GuestCtx.rng`).
     pub rng: SimRng,
     /// Guest-side runtime policy (retry budget, fallback kind, CGL).
     pub policy: crate::guest::GuestPolicy,
@@ -82,50 +79,8 @@ pub struct GuestEnv {
     pub lock_addr: Addr,
 }
 
-/// Opaque saved guest state for backends that support cheap
-/// checkpointing (see [`GuestExec::snapshot`]).
-pub struct GuestSnapshot(pub Box<dyn std::any::Any + Send>);
-
-/// A resumable guest: the engine's view of one simulated thread.
-///
-/// ## Contract
-///
-/// The engine calls [`GuestExec::resume`] exactly once per `Recv`
-/// rendezvous point. The **first** call carries a synthetic
-/// [`GuestResp::Done`] kick (there is no previous operation to answer);
-/// every later call carries the response to the operation returned by
-/// the previous call. After the guest returns [`GuestOp::Exit`] the
-/// engine never calls `resume` again.
-///
-/// Guests execute in zero simulated time: all host-side work inside
-/// `resume` happens "between cycles" and must be deterministic — the
-/// returned op may depend only on the response history and the guest's
-/// own state.
-///
-/// A run that ends early (deadlock / cycle budget) simply drops its
-/// guests mid-body; nothing else needs releasing.
-pub trait GuestExec {
-    /// Deliver `resp` and return the guest's next operation.
-    fn resume(&mut self, resp: GuestResp) -> GuestOp;
-
-    /// Capture the guest's complete execution state, if the backend
-    /// supports cheap checkpointing (the VM does; a host-Rust coroutine
-    /// cannot — a suspended future is not clonable).
-    fn snapshot(&self) -> Option<GuestSnapshot> {
-        None
-    }
-
-    /// Restore state captured by [`GuestExec::snapshot`] on the same
-    /// guest. Returns `false` (state unchanged) if the snapshot is not
-    /// one of this guest's or the backend has no checkpoint support.
-    fn restore(&mut self, snap: &GuestSnapshot) -> bool {
-        let _ = snap;
-        false
-    }
-}
-
-/// Contents of the single-slot mailbox between a host-Rust guest and its
-/// [`HostGuest`]: the op a suspended guest issued, or the response the
+/// Contents of the single-slot mailbox between a guest body and its
+/// [`GuestExec`]: the op a suspended body issued, or the response the
 /// engine left for it.
 #[derive(Clone, Copy, Debug, Default)]
 enum Mail {
@@ -135,9 +90,9 @@ enum Mail {
     Resp(GuestResp),
 }
 
-/// The mailbox shared by a [`GuestCtx`] and its [`HostGuest`]. Both
+/// The mailbox shared by a [`GuestCtx`] and its [`GuestExec`]. Both
 /// halves of the protocol live here: [`Mailbox::call`] on the guest side,
-/// [`HostGuest::resume`] on the engine side.
+/// [`GuestExec::resume`] on the engine side.
 #[derive(Clone, Default)]
 pub(crate) struct Mailbox(Rc<Cell<Mail>>);
 
@@ -161,35 +116,54 @@ impl Mailbox {
     }
 }
 
-/// Host-Rust guest: the engine-side adapter that owns one thread's
-/// [`Program::run`] coroutine and polls it with a no-op waker. The body
+/// A resumable guest: the engine's view of one simulated thread. It owns
+/// the thread's body coroutine and polls it with a no-op waker. The body
 /// suspends exactly once per operation, leaving the op in the shared
-/// mailbox; `resume` first leaves the response there for the suspended
-/// operation, then polls until the body's next suspension.
+/// mailbox; [`GuestExec::resume`] first leaves the response there for
+/// the suspended operation, then polls until the body's next suspension.
 ///
-/// The first `resume` carries the engine's synthetic `Done` kick: the
-/// body has not started, so its first operation overwrites the kick
-/// unread. A finished body answers with [`GuestOp::Exit`], once.
-pub(crate) struct HostGuest<'g> {
+/// ## Contract
+///
+/// The engine calls [`GuestExec::resume`] exactly once per `Recv`
+/// rendezvous point. The **first** call carries a synthetic
+/// [`GuestResp::Done`] kick: the body has not started, so its first
+/// operation overwrites the kick unread. Every later call carries the
+/// response to the operation returned by the previous call. A finished
+/// body answers with [`GuestOp::Exit`], once; the engine never calls
+/// `resume` again.
+///
+/// Guests execute in zero simulated time: all host-side work inside
+/// `resume` happens "between cycles" and must be deterministic — the
+/// returned op may depend only on the response history and the guest's
+/// own state. A run that ends early (deadlock / cycle budget) simply
+/// drops its guests mid-body; nothing else needs releasing.
+pub struct GuestExec<'g> {
     mailbox: Mailbox,
     /// `None` once the body has finished.
     body: Option<GuestFuture<'g>>,
 }
 
-impl<'g> HostGuest<'g> {
-    /// Start `prog`'s body for the simulated thread described by `env`.
-    pub(crate) fn new<P: Program + ?Sized>(prog: &'g P, env: GuestEnv) -> Self {
+impl<'g> GuestExec<'g> {
+    /// Build the guest for the simulated thread described by `env`:
+    /// `body` runs over that thread's [`GuestCtx`] from the first
+    /// [`GuestExec::resume`] on. The one constructor of every guest.
+    pub fn from_body(env: GuestEnv, body: impl AsyncFnOnce(&mut GuestCtx) + 'g) -> Self {
         let mailbox = Mailbox::default();
         let mut ctx = GuestCtx::new(env, mailbox.clone());
-        HostGuest {
+        GuestExec {
             mailbox,
-            body: Some(Box::pin(async move { prog.run(&mut ctx).await })),
+            body: Some(Box::pin(async move { body(&mut ctx).await })),
         }
     }
-}
 
-impl GuestExec for HostGuest<'_> {
-    fn resume(&mut self, resp: GuestResp) -> GuestOp {
+    /// Start `prog`'s [`Program::run`] body for the simulated thread
+    /// described by `env`.
+    pub(crate) fn new<P: Program + ?Sized>(prog: &'g P, env: GuestEnv) -> Self {
+        Self::from_body(env, async move |ctx| prog.run(ctx).await)
+    }
+
+    /// Deliver `resp` and return the guest's next operation.
+    pub fn resume(&mut self, resp: GuestResp) -> GuestOp {
         let body = self.body.as_mut().expect("guest resumed after Exit");
         self.mailbox.0.set(Mail::Resp(resp));
         match body.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
@@ -231,6 +205,12 @@ mod tests {
 
     /// Store, load, then compute for as many instructions as the load
     /// returned: three ops, the third depending on a delivered response.
+    async fn three_ops(ctx: &mut GuestCtx) {
+        ctx.store(Addr(8), 5).await;
+        let v = ctx.load(Addr(8)).await;
+        ctx.compute(v).await;
+    }
+
     struct ThreeOps;
 
     impl Program for ThreeOps {
@@ -239,44 +219,57 @@ mod tests {
         }
         fn setup(&mut self, _s: &mut SetupCtx, _threads: usize) {}
         fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
-            Box::pin(async move {
-                ctx.store(Addr(8), 5).await;
-                let v = ctx.load(Addr(8)).await;
-                ctx.compute(v).await;
-            })
+            Box::pin(three_ops(ctx))
         }
+    }
+
+    /// The same body started through each constructor: a program's
+    /// `run`, and a bare body as `Program::guest_exec` impls pass it.
+    fn guests() -> [(&'static str, GuestExec<'static>); 2] {
+        [
+            ("new", GuestExec::new(&ThreeOps, env())),
+            ("from_body", GuestExec::from_body(env(), three_ops)),
+        ]
     }
 
     #[test]
     fn first_resume_returns_the_first_op() {
-        let mut g = HostGuest::new(&ThreeOps, env());
-        assert_eq!(g.resume(GuestResp::Done), GuestOp::Store(Addr(8), 5));
+        for (how, mut g) in guests() {
+            assert_eq!(
+                g.resume(GuestResp::Done),
+                GuestOp::Store(Addr(8), 5),
+                "{how}"
+            );
+        }
     }
 
     #[test]
     fn finished_body_yields_exactly_one_exit() {
-        let mut g = HostGuest::new(&ThreeOps, env());
-        let ops = [
-            g.resume(GuestResp::Done),
-            g.resume(GuestResp::Done),
-            g.resume(GuestResp::Value(3)),
-            g.resume(GuestResp::Done),
-        ];
-        assert_eq!(
-            ops,
-            [
-                GuestOp::Store(Addr(8), 5),
-                GuestOp::Load(Addr(8)),
-                GuestOp::Compute(3),
-                GuestOp::Exit,
-            ]
-        );
-        let again =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| g.resume(GuestResp::Done)));
-        assert!(
-            again.is_err(),
-            "a finished guest must not yield a second op"
-        );
+        for (how, mut g) in guests() {
+            let ops = [
+                g.resume(GuestResp::Done),
+                g.resume(GuestResp::Done),
+                g.resume(GuestResp::Value(3)),
+                g.resume(GuestResp::Done),
+            ];
+            assert_eq!(
+                ops,
+                [
+                    GuestOp::Store(Addr(8), 5),
+                    GuestOp::Load(Addr(8)),
+                    GuestOp::Compute(3),
+                    GuestOp::Exit,
+                ],
+                "{how}"
+            );
+            let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                g.resume(GuestResp::Done)
+            }));
+            assert!(
+                again.is_err(),
+                "{how}: a finished guest must not yield a second op"
+            );
+        }
     }
 
     #[test]

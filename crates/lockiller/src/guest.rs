@@ -1,18 +1,17 @@
 //! Guest-program API and the transactional runtime (Listings 1 and 2 of
 //! the paper).
 //!
-//! A host-Rust guest ([`crate::exec::Backend::Threads`]) is a coroutine:
-//! every [`GuestCtx`]/[`TxCtx`] operation is an `async fn` that writes its
-//! [`GuestOp`] into a single-slot mailbox shared with the engine and then
-//! suspends once. The engine-side adapter (`HostGuest` in
-//! [`crate::exec`], which owns the mailbox protocol) polls the guest's
-//! body on the engine's own thread, takes the op from the mailbox, and
-//! on the next poll leaves the [`GuestResp`] there for the suspended
-//! operation to pick up — so each operation completes only
+//! Every guest is a coroutine: each [`GuestCtx`]/[`TxCtx`] operation is
+//! an `async fn` that writes its [`GuestOp`] into a single-slot mailbox
+//! shared with the engine and then suspends once. The engine-side
+//! adapter ([`crate::exec::GuestExec`], which owns the mailbox protocol)
+//! polls the guest's body on the engine's own thread, takes the op from
+//! the mailbox, and on the next poll leaves the [`GuestResp`] there for
+//! the suspended operation to pick up — so each operation completes only
 //! when the engine delivers its response at the correct simulated cycle.
-//! (The VM backend replays the exact same protocol as a bytecode state
-//! machine — `guestvm` mirrors [`GuestCtx::critical`] op for op.)
-//! [`GuestCtx::critical`] implements
+//! This holds on both backends: a compiled `guestvm` kernel runs through
+//! the same calls (`guestvm::run_on_ctx`), so [`GuestCtx::critical`] is
+//! the only implementation of
 //! `lock_acquire_elided`/`lock_release_elided`:
 //!
 //! - **CGL**: plain spin-lock critical section, no speculation;
@@ -53,8 +52,9 @@ impl TTest {
 
 /// Operations a guest sends to the engine.
 ///
-/// Non-exhaustive: the VM backend may grow ops without breaking
-/// downstream crates; match with a wildcard arm.
+/// Non-exhaustive: the engine may grow ops (a new system's ISA
+/// extension) without breaking downstream crates; match with a wildcard
+/// arm.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum GuestOp {

@@ -18,12 +18,14 @@
 //! chosen system and returns a [`runner::RunOutput`] (statistics, final
 //! memory image, optional event trace).
 //!
-//! Guest programs execute behind the [`exec::GuestExec`] seam, resumed
-//! by the single-threaded discrete-event engine on its own thread:
-//! either as host-Rust `async` coroutines ([`exec::Backend::Threads`])
-//! or as bytecode state machines (`guestvm`, [`exec::Backend::Vm`]).
-//! Both backends are bit-identical by construction — every simulation is
-//! bit-deterministic either way.
+//! Every simulated thread is an [`exec::GuestExec`]: an `async` body
+//! over a [`guest::GuestCtx`], resumed as a coroutine by the
+//! single-threaded discrete-event engine on its own thread. The body is
+//! either the program's host-Rust `run` ([`exec::Backend::Threads`]) or
+//! an interpreter over the program's compiled `guestvm` kernel
+//! ([`exec::Backend::Vm`]); both reach the engine through the one
+//! retry protocol in [`guest::GuestCtx::critical`], and every simulation
+//! is bit-deterministic either way.
 
 pub mod engine;
 pub mod exec;
@@ -35,7 +37,7 @@ pub mod sched;
 pub mod system;
 pub mod trace;
 
-pub use exec::{Backend, GuestEnv, GuestExec, GuestSnapshot};
+pub use exec::{Backend, GuestEnv, GuestExec};
 pub use flatmem::{FlatMem, SetupCtx};
 pub use guest::{Abort, GuestCtx, GuestOp, GuestResp, TTest, TxCtx};
 pub use program::{GuestFuture, Program};

@@ -9,7 +9,7 @@ use std::pin::Pin;
 
 /// A guest thread's body: the coroutine [`Program::run`] returns. It
 /// borrows the program and the thread's [`GuestCtx`], and is polled on
-/// the engine's thread (see [`crate::exec::HostGuest`]).
+/// the engine's thread (see [`GuestExec`]).
 pub type GuestFuture<'a> = Pin<Box<dyn Future<Output = ()> + 'a>>;
 
 /// A guest workload.
@@ -30,13 +30,14 @@ pub trait Program {
     /// as `Box::pin(async move { ... })`, awaiting every `ctx` operation.
     fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a>;
 
-    /// Construct an in-process resumable guest for one simulated thread
-    /// (the VM backend, [`crate::Backend::Vm`]). Returning `None` (the
-    /// default) means the program only supports the host backend;
-    /// programs whose kernels compile to `guestvm` bytecode return a VM
-    /// here and become runnable on either backend with bit-identical
-    /// results. Called after [`Program::setup`], once per thread.
-    fn guest_exec(&self, env: GuestEnv) -> Option<Box<dyn GuestExec + '_>> {
+    /// Construct the guest one simulated thread runs on the VM backend
+    /// ([`crate::Backend::Vm`]). Returning `None` (the default) means the
+    /// program only supports the host backend; programs whose kernels
+    /// compile to `guestvm` bytecode return a [`GuestExec::from_body`]
+    /// guest that interprets the thread's kernel (`guestvm::run_on_ctx`)
+    /// and become runnable on either backend with bit-identical results.
+    /// Called after [`Program::setup`], once per thread.
+    fn guest_exec(&self, env: GuestEnv) -> Option<GuestExec<'_>> {
         let _ = env;
         None
     }

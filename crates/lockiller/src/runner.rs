@@ -4,19 +4,20 @@
 //! [`Runner::run`] is the single entry point: it always returns the
 //! statistics, the final memory image, and — when tracing was requested
 //! via [`Runner::tracing`] or checked mode — the structured event trace.
-//! [`Runner::backend`] selects the guest execution core: host-Rust
-//! coroutines (default, works for every [`Program`]) or the bytecode VM
-//! ([`crate::Backend::Vm`], for programs that provide a
-//! [`crate::GuestExec`] through [`Program::guest_exec`]). Either way
-//! every guest is polled on the caller's thread: a run spawns no threads,
-//! and a panic in a guest body unwinds out of [`Runner::run`] unchanged.
+//! [`Runner::backend`] selects each thread's body: the program's
+//! host-Rust `run` (default, works for every [`Program`]) or its compiled
+//! kernel ([`crate::Backend::Vm`], for programs that provide a guest
+//! through [`Program::guest_exec`]). Either way every guest is a
+//! [`GuestExec`] coroutine polled on the caller's thread: a run spawns no
+//! threads, and a panic in a guest body unwinds out of [`Runner::run`]
+//! unchanged.
 //!
 //! `Runner` is plain data (`Send`), so batch executors like
 //! `lockiller_bench::tmlab` can build one per worker thread and fan
 //! simulation points out across host cores.
 
 use crate::engine::Engine;
-use crate::exec::{Backend, GuestEnv, GuestExec, HostGuest};
+use crate::exec::{Backend, GuestEnv, GuestExec};
 use crate::flatmem::{FlatMem, SetupCtx};
 use crate::guest::GuestPolicy;
 use crate::program::Program;
@@ -108,10 +109,9 @@ impl Runner {
         }
     }
 
-    /// Select the guest execution core (see [`crate::exec`]). The
-    /// default [`Backend::Threads`] runs any [`Program`] as host-Rust
-    /// coroutines;
-    /// [`Backend::Vm`] requires the program to provide a VM guest via
+    /// Select each thread's body (see [`crate::exec`]). The default
+    /// [`Backend::Threads`] runs any [`Program`]'s host-Rust `run`;
+    /// [`Backend::Vm`] requires the program to provide a guest via
     /// [`Program::guest_exec`] and panics otherwise.
     pub fn backend(mut self, b: Backend) -> Runner {
         self.backend = b;
@@ -316,8 +316,8 @@ impl Runner {
     }
 
     /// Register one guest per simulated thread and run the engine. The
-    /// host backend wraps each thread's [`Program::run`] coroutine in a
-    /// [`HostGuest`]; the VM backend takes the program's
+    /// host backend starts each thread's [`Program::run`] body in a
+    /// [`GuestExec`]; the VM backend takes the program's
     /// [`Program::guest_exec`]. A run that ends early drops its guests
     /// mid-body with the engine.
     fn drive<'g, P: Program>(
@@ -337,8 +337,8 @@ impl Runner {
                 policy: gpolicy,
                 lock_addr,
             };
-            let exec: Box<dyn GuestExec + 'g> = match self.backend {
-                Backend::Threads => Box::new(HostGuest::new(prog, env)),
+            let exec = match self.backend {
+                Backend::Threads => GuestExec::new(prog, env),
                 Backend::Vm => prog.guest_exec(env).unwrap_or_else(|| {
                     panic!(
                         "program '{}' provides no VM guest (Program::guest_exec \

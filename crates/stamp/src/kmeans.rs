@@ -310,11 +310,11 @@ impl Program for Kmeans {
         })
     }
 
-    fn guest_exec(&self, env: lockiller::GuestEnv) -> Option<Box<dyn lockiller::GuestExec + '_>> {
-        Some(guestvm::GuestVm::boxed(
-            std::sync::Arc::new(self.compile(env.tid)),
-            &env,
-        ))
+    fn guest_exec(&self, env: lockiller::GuestEnv) -> Option<lockiller::GuestExec<'_>> {
+        let kernel = self.compile(env.tid);
+        Some(lockiller::GuestExec::from_body(env, async move |ctx| {
+            guestvm::run_on_ctx(&kernel, ctx).await;
+        }))
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {

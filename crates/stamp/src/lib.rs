@@ -150,7 +150,7 @@ impl Program for Workload {
         self.inner.run(ctx)
     }
 
-    fn guest_exec(&self, env: lockiller::GuestEnv) -> Option<Box<dyn lockiller::GuestExec + '_>> {
+    fn guest_exec(&self, env: lockiller::GuestEnv) -> Option<lockiller::GuestExec<'_>> {
         self.inner.guest_exec(env)
     }
 

@@ -1,10 +1,9 @@
 //! VM-native STAMP ports: programs whose thread bodies are `guestvm`
-//! kernels, runnable on **either** execution backend from one bytecode
-//! image — [`lockiller::Backend::Threads`] interprets the kernel against
-//! a `GuestCtx` ([`guestvm::run_on_ctx`]), [`lockiller::Backend::Vm`]
-//! steps it as an in-process resumable state machine. Both paths issue
-//! the same `GuestOp` stream, so results are bit-identical by
-//! construction *and* asserted by the differential harness.
+//! kernels, with no hand-written body beside them. Both execution
+//! backends run the one bytecode image through [`guestvm::run_on_ctx`]
+//! ([`Program::run`] for [`lockiller::Backend::Threads`],
+//! [`Program::guest_exec`] for [`lockiller::Backend::Vm`]), so the two
+//! runs are the same program and bit-identical by construction.
 //!
 //! [`IntruderFlow`] here is the flow-reassembly skeleton of STAMP
 //! `intruder` (the full port in [`crate::intruder`] leans on host-side
@@ -15,14 +14,13 @@
 //! queue-head line), and data-dependent detection cost as the original.
 
 use crate::Scale;
-use guestvm::{BinOp, Cond, Kernel, KernelBuilder};
+use guestvm::{run_on_ctx, BinOp, Cond, Kernel, KernelBuilder};
 use lockiller::flatmem::{FlatMem, SetupCtx};
 use lockiller::guest::GuestCtx;
 use lockiller::program::{GuestFuture, Program};
 use lockiller::{GuestEnv, GuestExec};
 use sim_core::rng::SimRng;
 use sim_core::types::Addr;
-use std::sync::Arc;
 
 /// Fragment encoding: `flow << 40 | seq << 32 | payload` (payload is 32
 /// bits, the sequence number 8 — enough for [`IntruderFlowParams`]).
@@ -70,7 +68,7 @@ pub struct IntruderFlow {
     frags: Addr,
     entries: Addr,
     verdicts: Addr,
-    kernel: Option<Arc<Kernel>>,
+    kernel: Option<Kernel>,
 }
 
 impl IntruderFlow {
@@ -118,7 +116,7 @@ impl IntruderFlow {
         let threads = self.threads;
         self.setup(&mut s, threads);
         let k = self.kernel.expect("setup populates the kernel");
-        (0..threads).map(|_| (*k).clone()).collect()
+        vec![k; threads]
     }
 
     /// The shared thread body. One loop iteration = the original's
@@ -260,21 +258,18 @@ impl Program for IntruderFlow {
         for f in 0..flows {
             s.write(self.verdicts.add(f as u64), 0);
         }
-        self.kernel = Some(Arc::new(self.compile()));
+        self.kernel = Some(self.compile());
     }
 
     fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
-        Box::pin(guestvm::run_on_ctx(
-            self.kernel.as_ref().expect("setup first"),
-            ctx,
-        ))
+        Box::pin(run_on_ctx(self.kernel.as_ref().expect("setup first"), ctx))
     }
 
-    fn guest_exec(&self, env: GuestEnv) -> Option<Box<dyn GuestExec + '_>> {
-        Some(guestvm::GuestVm::boxed(
-            self.kernel.clone().expect("setup first"),
-            &env,
-        ))
+    fn guest_exec(&self, env: GuestEnv) -> Option<GuestExec<'_>> {
+        let kernel = self.kernel.as_ref().expect("setup first");
+        Some(GuestExec::from_body(env, async |ctx| {
+            run_on_ctx(kernel, ctx).await;
+        }))
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {

@@ -91,9 +91,9 @@ impl Witness {
     /// Parse a witness document, validating the schema.
     pub fn parse(text: &str) -> Result<Witness, String> {
         let doc = json::parse(text)?;
-        let num = |key: &str| -> Result<f64, String> {
+        let num = |key: &str, max: u64| -> Result<u64, String> {
             doc.get(key)
-                .and_then(Json::as_f64)
+                .and_then(|v| whole(v, max))
                 .ok_or_else(|| format!("witness: missing/invalid \"{key}\""))
         };
         let st = |key: &str| -> Result<String, String> {
@@ -102,7 +102,7 @@ impl Witness {
                 .map(str::to_owned)
                 .ok_or_else(|| format!("witness: missing/invalid \"{key}\""))
         };
-        let version = num("version")? as u64;
+        let version = num("version", u64::MAX)?;
         if version == 0 || version > WITNESS_VERSION {
             return Err(format!("witness: unsupported version {version}"));
         }
@@ -122,10 +122,11 @@ impl Witness {
             .and_then(Json::as_arr)
             .ok_or("witness: missing/invalid \"decisions\"")?
             .iter()
-            .map(|v| {
-                v.as_f64()
+            .enumerate()
+            .map(|(i, v)| {
+                whole(v, usize::MAX as u64)
                     .map(|n| n as usize)
-                    .ok_or_else(|| "witness: non-number in \"decisions\"".to_owned())
+                    .ok_or_else(|| format!("witness: invalid \"decisions\"[{i}]"))
             })
             .collect::<Result<Vec<_>, _>>()?;
         let flag = |key: &str| -> Result<bool, String> {
@@ -141,14 +142,14 @@ impl Witness {
         let tiny_l1 = flag("tiny_l1")?;
         let retries = match doc.get("retries") {
             None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_f64().ok_or("witness: invalid \"retries\"")? as u32),
+            Some(_) => Some(num("retries", u32::MAX.into())? as u32),
         };
         Ok(Witness {
             version,
             title: st("title")?,
             system: st("system")?,
-            cores: num("cores")? as usize,
-            lines: num("lines")? as u64,
+            cores: num("cores", usize::MAX as u64)? as usize,
+            lines: num("lines", u64::MAX)?,
             prog: st("prog")?,
             inject,
             no_safety_net,
@@ -193,6 +194,17 @@ impl Witness {
         out.push_str("  replay:    cargo run -p tmverify -- replay <this file>\n");
         out
     }
+}
+
+/// `v` as a whole number in `0..=max`. Witness numbers are versions,
+/// counts and schedule indices, so a negative, fractional or oversized
+/// value marks a corrupt file instead of being cast into range. JSON
+/// numbers parse as `f64`, exact for whole numbers only up to 2^53, so
+/// that also bounds every field.
+fn whole(v: &Json, max: u64) -> Option<u64> {
+    let n = v.as_f64()?;
+    let max = max.min(1 << 53) as f64;
+    (n >= 0.0 && n.fract() == 0.0 && n <= max).then_some(n as u64)
 }
 
 #[cfg(test)]
@@ -240,6 +252,37 @@ mod tests {
         let mut w = sample();
         w.version = WITNESS_VERSION + 1;
         assert!(Witness::parse(&w.to_json()).is_err());
+    }
+
+    /// `sample()`'s document with `field`'s value text replaced.
+    fn with(field: &str, value: &str) -> Result<Witness, String> {
+        let text = sample().to_json();
+        let start = text.find(&format!("\"{field}\": ")).expect(field) + field.len() + 4;
+        let end = start + text[start..].find(",\n").expect("not the last field");
+        Witness::parse(&format!("{}{value}{}", &text[..start], &text[end..]))
+    }
+
+    #[test]
+    fn numbers_must_be_whole_and_in_range() {
+        for (field, bad) in [
+            ("version", &["-1", "0.5", "1.5", "1e30"][..]),
+            ("cores", &["-1", "2.5", "1e30", "\"2\""]),
+            ("lines", &["-2", "0.5", "1e30", "null"]),
+            ("retries", &["-1", "2.5", "4294967296", "1e30"]),
+            (
+                "decisions",
+                &["[1e30, -1, 0.5]", "[-1]", "[0.5]", "[0, \"1\"]"],
+            ),
+        ] {
+            for v in bad {
+                let err = with(field, v).unwrap_err();
+                assert!(err.contains(&format!("\"{field}\"")), "{field} {v}: {err}");
+            }
+        }
+        assert_eq!(with("lines", "9007199254740992").unwrap().lines, 1 << 53);
+        let retries = with("retries", "4294967295").unwrap().retries;
+        assert_eq!(retries, Some(u32::MAX));
+        assert_eq!(with("decisions", "[3, 0]").unwrap().decisions, vec![3, 0]);
     }
 
     #[test]

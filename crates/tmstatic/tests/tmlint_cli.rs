@@ -65,7 +65,13 @@ fn exit_codes_follow_the_contract() {
             stdout.contains(r#""rule": "mixed-access-race""#),
             "{stdout}"
         );
-        let bad = [mode, &["--prog", "2/c:L5"]].concat();
-        assert_eq!(tmlint(&bad).0, 2, "{bad:?}");
+        for spec in [
+            "2/c:L5",
+            "1/c:C18446744073709551615",
+            "18446744073709551615/c:L0",
+        ] {
+            let bad = [mode, &["--prog", spec]].concat();
+            assert_eq!(tmlint(&bad).0, 2, "{bad:?}");
+        }
     }
 }

@@ -11,13 +11,12 @@
 //! kernels exercising computed addresses and counted loops that no
 //! `ProgSpec` can express.
 
-use guestvm::{run_on_ctx, BinOp, Cond, GuestVm, Kernel, KernelBuilder};
+use guestvm::{run_on_ctx, BinOp, Cond, Kernel, KernelBuilder};
 use lockiller::{
     Backend, GuestCtx, GuestEnv, GuestExec, GuestFuture, Program, Runner, SetupCtx, SystemKind,
     TraceKind,
 };
 use sim_core::config::{CheckCfg, SystemConfig, SystemConfigBuilder};
-use std::sync::Arc;
 use tmobs::Recorder;
 use tmstatic::VmAnalysis;
 use tmverify::progs::{ProgSpec, SpecProgram};
@@ -187,9 +186,9 @@ fn stamp_kernels_are_sound_on_both_backends() {
 }
 
 /// Test-local program running one arbitrary kernel per thread on either
-/// backend (`run_on_ctx` host interpretation vs the resumable VM).
+/// backend (both interpret it through `run_on_ctx`).
 struct KernelProg {
-    kernels: Vec<Arc<Kernel>>,
+    kernels: Vec<Kernel>,
 }
 
 impl Program for KernelProg {
@@ -212,8 +211,11 @@ impl Program for KernelProg {
         })
     }
 
-    fn guest_exec(&self, env: GuestEnv) -> Option<Box<dyn GuestExec + '_>> {
-        Some(GuestVm::boxed(Arc::clone(&self.kernels[env.tid]), &env))
+    fn guest_exec(&self, env: GuestEnv) -> Option<GuestExec<'_>> {
+        let kernel = &self.kernels[env.tid];
+        Some(GuestExec::from_body(env, async |ctx| {
+            run_on_ctx(kernel, ctx).await;
+        }))
     }
 }
 
@@ -283,7 +285,7 @@ fn random_kernels_are_sound_on_both_backends() {
                     checked_cfg(threads, false),
                     &kernels,
                     &mut KernelProg {
-                        kernels: kernels.iter().cloned().map(Arc::new).collect(),
+                        kernels: kernels.clone(),
                     },
                     backend,
                     &format!("random seed={seed}"),

@@ -17,7 +17,8 @@
 //! `--prog` takes the DSL documented in `tmverify::progs`;
 //! `--random-prog SEED` generates a deterministic random kernel instead.
 //! Injections: ignore-conflicts, drop-nack, drop-wakeups, double-grant,
-//! prio-decay. `--cores` takes 1..=32 (the modelled core limit).
+//! prio-decay. `--cores` takes 1..=32 (the modelled core limit) and
+//! `--lines` 1..=65536 (`progs::MAX_LINES`, the bound `--prog` specs obey).
 //! `--profile` profiles every explored run on the host clock and prints
 //! the merged phase tree, heaviest self time first, after the report.
 //!
@@ -30,7 +31,7 @@
 use lockiller::SystemKind;
 use sim_core::config::MAX_CORES;
 use tmverify::dpor::{inject_by_name, Explorer, INJECT_NAMES};
-use tmverify::progs::ProgSpec;
+use tmverify::progs::{ProgSpec, MAX_LINES};
 
 fn usage() -> ! {
     eprintln!(
@@ -90,8 +91,8 @@ fn parse_args(mut it: std::env::Args) -> Args {
             }
             "--lines" | "-l" => {
                 lines = val().parse().unwrap_or_else(|_| usage());
-                if lines == 0 {
-                    eprintln!("--lines takes at least 1");
+                if !(1..=MAX_LINES).contains(&lines) {
+                    eprintln!("--lines takes 1..={MAX_LINES}");
                     usage();
                 }
             }
