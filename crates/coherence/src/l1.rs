@@ -426,7 +426,9 @@ mod tests {
         assert_eq!(c.mutations(), 5, "removing an absent line changes nothing");
     }
 
+    // The check is a `debug_assert_eq!`, compiled out of release builds.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "W bit requires M state")]
     fn w_bit_requires_modified() {
         let mut c = small();

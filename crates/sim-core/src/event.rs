@@ -4,10 +4,40 @@
 //! for the same cycle fire in the order they were scheduled. That rule is
 //! what makes whole-system simulation bit-reproducible, so the experiment
 //! harness and the test suite can assert on exact cycle counts.
+//!
+//! The queue is a calendar queue that keeps that order by construction:
+//!
+//! - **Ring.** 512 one-cycle slots cover `[now, now + 512)`; cycle `c`
+//!   lives in slot `c % 512`. Each slot is a FIFO linked through one
+//!   shared node slab (a `Vec` with a free list), and an occupancy bitmap
+//!   finds the next non-empty slot. Appending to a slot *is* schedule
+//!   order, so ring events carry no sequence number.
+//! - **Far heap.** Events 512 or more cycles ahead wait in a `(cycle, seq)`
+//!   binary heap. In the engine these are the wake-up timeouts; every
+//!   other delay is under 512 (DESIGN §4.1 has the histogram).
+//! - **Migration.** Whenever a pop advances `now`, the far events that
+//!   now fall inside the window move into their slots in heap order. A
+//!   direct schedule reaches only cycles below `now + 512`, so a far event
+//!   enters its slot before any direct schedule for its cycle can, and
+//!   behind only earlier far events: every slot stays in `seq` order.
+//!
+//! Scheduling into the ring and [`EventQueue::len`] are O(1); popping and
+//! [`EventQueue::front_len`] add a scan of the eight bitmap words (and
+//! one heap pop per migrated event); [`EventQueue::front_snapshot`] and
+//! [`EventQueue::pop_nth_front`] are O(front). Only a front that exists
+//! solely in the far heap (the ring is empty) is found by a heap scan.
 
 use crate::types::Cycle;
 use std::collections::BinaryHeap;
 
+/// Ring width in cycles: a power of two that covers every delay the
+/// engine schedules except the wake-up timeout.
+const RING: usize = 512;
+const WORDS: usize = RING / 64;
+/// End of a slot chain or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// A far-heap entry.
 #[derive(Debug)]
 struct Entry<E> {
     at: Cycle,
@@ -33,10 +63,32 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// A slab node: `Some` payload while linked into a slot, `None` while
+/// on the free list.
+#[derive(Debug)]
+struct Node<E> {
+    payload: Option<E>,
+    next: u32,
+}
+
+/// One cycle's FIFO; `head` and `tail` index the slab while `len > 0`.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
 /// A min-ordered event queue with deterministic same-cycle ordering.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    nodes: Vec<Node<E>>,
+    free: u32,
+    slots: Box<[Slot; RING]>,
+    /// Bit `s` is set iff slot `s` is non-empty.
+    occupied: [u64; WORDS],
+    ring_len: usize,
+    far: BinaryHeap<Entry<E>>,
     next_seq: u64,
     now: Cycle,
 }
@@ -50,7 +102,18 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            nodes: Vec::new(),
+            free: NIL,
+            slots: Box::new(
+                [Slot {
+                    head: NIL,
+                    tail: NIL,
+                    len: 0,
+                }; RING],
+            ),
+            occupied: [0; WORDS],
+            ring_len: 0,
+            far: BinaryHeap::new(),
             next_seq: 0,
             now: 0,
         }
@@ -70,35 +133,35 @@ impl<E> EventQueue<E> {
             "event scheduled in the past ({at} < {})",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { at, seq, payload });
-    }
-
-    /// Schedule `payload` to fire `delay` cycles from now.
-    pub fn schedule_in(&mut self, delay: Cycle, payload: E) {
-        self.schedule_at(self.now + delay, payload);
+        if at - self.now < RING as Cycle {
+            self.push_slot(at, payload);
+        } else {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.far.push(Entry { at, seq, payload });
+        }
     }
 
     /// Pop the earliest event, advancing simulated time to it.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        let e = self.heap.pop()?;
-        debug_assert!(e.at >= self.now);
-        self.now = e.at;
-        Some((e.at, e.payload))
+        self.pop_nth_front(0)
     }
 
     /// Time of the next pending event without popping it.
     pub fn peek_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|e| e.at)
+        match self.first_slot() {
+            Some(s) => Some(self.cycle_of(s)),
+            // Far events all lie beyond every ring event.
+            None => self.far.peek().map(|e| e.at),
+        }
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.ring_len + self.far.len()
     }
 
     /// Number of events pending at the earliest cycle (the "front").
@@ -108,8 +171,10 @@ impl<E> EventQueue<E> {
     /// nondeterminism in the simulation, so a schedule explorer need
     /// only consider alternative orders of the front.
     pub fn front_len(&self) -> usize {
-        let Some(at) = self.peek_time() else { return 0 };
-        self.heap.iter().filter(|e| e.at == at).count()
+        match self.first_slot() {
+            Some(s) => self.slots[s].len as usize,
+            None => self.far_front().count(),
+        }
     }
 
     /// Clones of the front events in schedule (seq) order.
@@ -117,47 +182,166 @@ impl<E> EventQueue<E> {
     where
         E: Clone,
     {
-        let Some(at) = self.peek_time() else {
-            return Vec::new();
-        };
-        let mut front: Vec<&Entry<E>> = self.heap.iter().filter(|e| e.at == at).collect();
-        front.sort_by_key(|e| e.seq);
-        front.into_iter().map(|e| e.payload.clone()).collect()
+        match self.first_slot() {
+            Some(s) => self.chain(s).cloned().collect(),
+            None => {
+                let mut front: Vec<&Entry<E>> = self.far_front().collect();
+                front.sort_by_key(|e| e.seq);
+                front.into_iter().map(|e| e.payload.clone()).collect()
+            }
+        }
     }
 
     /// Pop the `n`-th front event (0-based, schedule order), advancing
     /// time to the front cycle. The other front events keep their
-    /// original sequence numbers, so the residual FIFO order among them
-    /// is preserved. `n` out of range picks the last front event.
+    /// relative FIFO order. `n` out of range picks the last front event.
     pub fn pop_nth_front(&mut self, n: usize) -> Option<(Cycle, E)> {
         let at = self.peek_time()?;
-        let mut front = Vec::new();
-        while self.heap.peek().is_some_and(|e| e.at == at) {
-            front.push(self.heap.pop().expect("peeked entry"));
-        }
-        front.sort_by_key(|e| e.seq);
-        let chosen = front.remove(n.min(front.len() - 1));
-        for rest in front {
-            self.heap.push(rest);
-        }
         self.now = at;
-        Some((at, chosen.payload))
+        // Bring every far event now inside the window into its slot
+        // (including the whole front, if it was only in the far heap).
+        while self.far.peek().is_some_and(|e| e.at - at < RING as Cycle) {
+            let e = self.far.pop().expect("peeked entry");
+            self.push_slot(e.at, e.payload);
+        }
+        Some((at, self.unlink(at as usize % RING, n)))
     }
 
     /// Visit every pending event in deterministic `(cycle, seq)` order
     /// (used for state fingerprinting).
     pub fn for_each_sorted(&self, mut f: impl FnMut(Cycle, &E)) {
-        let mut entries: Vec<&Entry<E>> = self.heap.iter().collect();
-        entries.sort_by_key(|e| (e.at, e.seq));
-        for e in entries {
+        for k in 0..=WORDS {
+            let (w, mut bits) = self.word(k);
+            while bits != 0 {
+                let s = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let at = self.cycle_of(s);
+                for e in self.chain(s) {
+                    f(at, e);
+                }
+            }
+        }
+        let mut far: Vec<&Entry<E>> = self.far.iter().collect();
+        far.sort_by_key(|e| (e.at, e.seq));
+        for e in far {
             f(e.at, &e.payload);
         }
+    }
+
+    /// Append `payload` to the FIFO of `at`'s slot (`at` is inside the
+    /// window).
+    fn push_slot(&mut self, at: Cycle, payload: E) {
+        let node = Node {
+            payload: Some(payload),
+            next: NIL,
+        };
+        let i = if self.free == NIL {
+            let i = u32::try_from(self.nodes.len()).expect("event slab index fits in u32");
+            self.nodes.push(node);
+            i
+        } else {
+            let i = self.free;
+            self.free = self.nodes[i as usize].next;
+            self.nodes[i as usize] = node;
+            i
+        };
+        let s = at as usize % RING;
+        let slot = &mut self.slots[s];
+        if slot.len == 0 {
+            slot.head = i;
+            self.occupied[s / 64] |= 1 << (s % 64);
+        } else {
+            self.nodes[slot.tail as usize].next = i;
+        }
+        slot.tail = i;
+        slot.len += 1;
+        self.ring_len += 1;
+    }
+
+    /// Unlink the `n`-th event of non-empty slot `s` (`n` clamped to the
+    /// last) and return its node to the free list.
+    fn unlink(&mut self, s: usize, n: usize) -> E {
+        let slot = &mut self.slots[s];
+        let mut prev = NIL;
+        let mut i = slot.head;
+        for _ in 0..n.min(slot.len as usize - 1) {
+            prev = i;
+            i = self.nodes[i as usize].next;
+        }
+        let next = self.nodes[i as usize].next;
+        if prev == NIL {
+            slot.head = next;
+        } else {
+            self.nodes[prev as usize].next = next;
+        }
+        if slot.tail == i {
+            slot.tail = prev;
+        }
+        slot.len -= 1;
+        if slot.len == 0 {
+            self.occupied[s / 64] &= !(1 << (s % 64));
+        }
+        self.ring_len -= 1;
+        let node = &mut self.nodes[i as usize];
+        node.next = self.free;
+        self.free = i;
+        node.payload
+            .take()
+            .expect("a linked node holds its payload")
+    }
+
+    /// Payloads of slot `s` in FIFO order.
+    fn chain(&self, s: usize) -> impl Iterator<Item = &E> {
+        let slot = self.slots[s];
+        (0..slot.len).scan(slot.head, |i, _| {
+            let node = &self.nodes[*i as usize];
+            *i = node.next;
+            node.payload.as_ref()
+        })
+    }
+
+    /// The cycle slot `s` stands for in the window `[now, now + RING)`.
+    fn cycle_of(&self, s: usize) -> Cycle {
+        self.now + (s.wrapping_sub(self.now as usize) % RING) as Cycle
+    }
+
+    /// The `k`-th occupancy word (`k` in `0..=WORDS`) in cycle order from
+    /// `now`'s slot: that slot's word masked to the slots at or after it,
+    /// the following words, then the same word masked to the slots
+    /// before it. Returns the word index and its masked bits.
+    fn word(&self, k: usize) -> (usize, u64) {
+        let start = self.now as usize % RING;
+        let (w, b) = ((start / 64 + k) % WORDS, start % 64);
+        let mask = match k {
+            0 => !0u64 << b,
+            WORDS => !(!0u64 << b),
+            _ => !0,
+        };
+        (w, self.occupied[w] & mask)
+    }
+
+    /// The first occupied slot in cycle order.
+    fn first_slot(&self) -> Option<usize> {
+        if self.ring_len == 0 {
+            return None;
+        }
+        (0..=WORDS).find_map(|k| {
+            let (w, bits) = self.word(k);
+            (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
+        })
+    }
+
+    /// The far heap's earliest-cycle entries, in heap order.
+    fn far_front(&self) -> impl Iterator<Item = &Entry<E>> {
+        let at = self.far.peek().map(|e| e.at);
+        self.far.iter().filter(move |e| Some(e.at) == at)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     #[test]
     fn pops_in_time_order() {
@@ -189,8 +373,9 @@ mod tests {
         assert_eq!(q.now(), 0);
         q.pop();
         assert_eq!(q.now(), 7);
-        q.schedule_in(3, ());
+        q.schedule_at(10, ());
         assert_eq!(q.pop(), Some((10, ())));
+        assert_eq!(q.now(), 10);
     }
 
     #[test]
@@ -222,6 +407,9 @@ mod tests {
         q.schedule_at(5, "b");
         q.schedule_at(5, "c");
         q.schedule_at(9, "late");
+        q.schedule_at(200_009, "t0");
+        q.schedule_at(200_009, "t1");
+        q.schedule_at(200_009, "t2");
         assert_eq!(q.front_len(), 3);
         assert_eq!(q.front_snapshot(), vec!["a", "b", "c"]);
         // Pop the middle front event; the rest stay FIFO.
@@ -232,6 +420,14 @@ mod tests {
         assert_eq!(q.pop(), Some((5, "c")));
         assert_eq!(q.front_len(), 1);
         assert_eq!(q.pop_nth_front(7), Some((9, "late")));
+        // The front now exists only in the far heap.
+        assert_eq!(q.ring_len, 0);
+        assert_eq!(q.front_len(), 3);
+        assert_eq!(q.front_snapshot(), vec!["t0", "t1", "t2"]);
+        assert_eq!(q.pop_nth_front(1), Some((200_009, "t1")));
+        assert_eq!(q.front_snapshot(), vec!["t0", "t2"]);
+        assert_eq!(q.pop_nth_front(7), Some((200_009, "t2")));
+        assert_eq!(q.pop(), Some((200_009, "t0")));
         assert_eq!(q.front_len(), 0);
         assert_eq!(q.pop_nth_front(0), None);
     }
@@ -239,12 +435,25 @@ mod tests {
     #[test]
     fn sorted_visit_matches_pop_order() {
         let mut q = EventQueue::new();
+        q.schedule_at(200_002, 9u32);
         q.schedule_at(4, 40u32);
         q.schedule_at(2, 20u32);
         q.schedule_at(2, 21u32);
+        q.schedule_at(700, 70u32);
+        q.schedule_at(200_002, 8u32);
         let mut seen = Vec::new();
         q.for_each_sorted(|at, e| seen.push((at, *e)));
-        assert_eq!(seen, vec![(2, 20), (2, 21), (4, 40)]);
+        let want = vec![
+            (2, 20),
+            (2, 21),
+            (4, 40),
+            (700, 70),
+            (200_002, 9),
+            (200_002, 8),
+        ];
+        assert_eq!(seen, want);
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(popped, want);
     }
 
     #[test]
@@ -257,5 +466,110 @@ mod tests {
         q.pop();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
+    }
+
+    /// The migration rule: a far event that enters the window when `now`
+    /// advances is already in its slot when a direct schedule for the
+    /// same cycle arrives, so it keeps its earlier place.
+    #[test]
+    fn migrated_far_event_pops_before_a_later_direct_insert() {
+        let mut q = EventQueue::new();
+        q.schedule_at(600, "far");
+        assert_eq!(q.far.len(), 1);
+        q.schedule_at(100, "near");
+        assert_eq!(q.pop(), Some((100, "near")));
+        assert!(
+            q.far.is_empty(),
+            "cycle 600 entered the window at now = 100"
+        );
+        q.schedule_at(600, "direct");
+        assert_eq!(q.front_snapshot(), vec!["far", "direct"]);
+        assert_eq!(q.pop(), Some((600, "far")));
+        assert_eq!(q.pop(), Some((600, "direct")));
+    }
+
+    /// Reference model: every pending event as `(cycle, seq, payload)`,
+    /// kept sorted, so the front is a prefix in schedule order.
+    #[derive(Default)]
+    struct Model {
+        events: Vec<(Cycle, u64, u32)>,
+        next_seq: u64,
+        now: Cycle,
+    }
+
+    impl Model {
+        fn schedule_at(&mut self, at: Cycle, payload: u32) {
+            let i = self.events.partition_point(|e| e.0 <= at);
+            self.events.insert(i, (at, self.next_seq, payload));
+            self.next_seq += 1;
+        }
+
+        fn front(&self) -> &[(Cycle, u64, u32)] {
+            let Some(&(at, ..)) = self.events.first() else {
+                return &[];
+            };
+            &self.events[..self.events.partition_point(|e| e.0 == at)]
+        }
+
+        fn pop_nth_front(&mut self, n: usize) -> Option<(Cycle, u32)> {
+            let len = self.front().len();
+            if len == 0 {
+                return None;
+            }
+            let (at, _, payload) = self.events.remove(n.min(len - 1));
+            self.now = at;
+            Some((at, payload))
+        }
+    }
+
+    /// Differential test against the sorted-`Vec` model over mixed
+    /// schedules and pops, with delays on both sides of the ring width
+    /// and the 200,000-cycle timeout.
+    #[test]
+    fn matches_sorted_vec_model() {
+        let mut rng = SimRng::new(0xCA1E_0DA2);
+        let mut q = EventQueue::new();
+        let mut m = Model::default();
+        let (mut far_only_fronts, mut wide_fronts, mut migrated) = (0, 0, 0);
+        for payload in 0..20_000u32 {
+            match rng.below(10) {
+                0..=4 => {
+                    let delay = match rng.below(8) {
+                        0 => 0,
+                        1 | 2 => rng.range(1, 65),
+                        3 => 511,
+                        4 => 512,
+                        5 => 513,
+                        6 => rng.range(65, 1_025),
+                        _ => 200_000,
+                    };
+                    q.schedule_at(q.now() + delay, payload);
+                    m.schedule_at(m.now + delay, payload);
+                }
+                5..=7 => assert_eq!(q.pop(), m.pop_nth_front(0)),
+                _ => {
+                    let n = rng.below(4) as usize;
+                    let far_before = q.far.len();
+                    assert_eq!(q.pop_nth_front(n), m.pop_nth_front(n));
+                    migrated += far_before - q.far.len();
+                }
+            }
+            assert_eq!(q.now(), m.now);
+            assert_eq!(q.len(), m.events.len());
+            assert_eq!(q.is_empty(), m.events.is_empty());
+            assert_eq!(q.peek_time(), m.events.first().map(|e| e.0));
+            let front: Vec<u32> = m.front().iter().map(|e| e.2).collect();
+            assert_eq!(q.front_len(), front.len());
+            assert_eq!(q.front_snapshot(), front);
+            let mut seen = Vec::new();
+            q.for_each_sorted(|at, &p| seen.push((at, p)));
+            let want: Vec<_> = m.events.iter().map(|e| (e.0, e.2)).collect();
+            assert_eq!(seen, want);
+            far_only_fronts += usize::from(q.ring_len == 0 && !q.far.is_empty());
+            wide_fronts += usize::from(front.len() > 1);
+        }
+        assert!(far_only_fronts > 0, "no front lived only in the far heap");
+        assert!(wide_fronts > 0, "no front was wider than one event");
+        assert!(migrated > 0, "no far event migrated on a pop_nth_front");
     }
 }
