@@ -22,12 +22,13 @@
 //! `engine-perf-smoke` gate checks at 0% tolerance.
 //!
 //! `--jobs N` (or `LOCKILLER_JOBS=N`) fans simulation points across N
-//! host threads; results are byte-identical for every N. Completed
-//! points persist in a run cache (default `target/tmlab/cache.jsonl`,
-//! override with `--cache FILE`, disable with `--no-cache`), so repeated
-//! invocations only simulate what changed. `--bench-json FILE` writes
-//! the host-side accounting (per-point wall-clock, cache hit rate,
-//! parallel efficiency) as JSON; default `BENCH_lab.json`.
+//! host threads; results are byte-identical for every N, and a value
+//! that is not a count exits 2. Completed points persist in a run cache
+//! (default `target/tmlab/cache.jsonl`, override with `--cache FILE`,
+//! disable with `--no-cache`), so repeated invocations only simulate
+//! what changed. `--bench-json FILE` writes the host-side accounting
+//! (per-point wall-clock, cache hit rate, parallel efficiency) as JSON;
+//! default `BENCH_lab.json`.
 
 use lockiller_bench::experiments as ex;
 use lockiller_bench::lab::Lab;
@@ -48,10 +49,19 @@ fn main() {
     let csv_path = flag_value("--csv");
     let cache_path = flag_value("--cache").unwrap_or_else(|| "target/tmlab/cache.jsonl".into());
     let bench_json = flag_value("--bench-json").unwrap_or_else(|| "BENCH_lab.json".into());
-    let jobs = flag_value("--jobs")
-        .or_else(|| std::env::var("LOCKILLER_JOBS").ok())
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1);
+    #[allow(clippy::disallowed_methods)] // the job count is a deployment setting of this binary
+    let jobs_arg = flag_value("--jobs").map(|v| ("--jobs", v)).or_else(|| {
+        std::env::var("LOCKILLER_JOBS")
+            .ok()
+            .map(|v| ("LOCKILLER_JOBS", v))
+    });
+    let jobs = match jobs_arg {
+        None => 1,
+        Some((name, v)) => v.parse::<usize>().unwrap_or_else(|_| {
+            eprintln!("{name} takes a job count, got {v:?}");
+            std::process::exit(2);
+        }),
+    };
     let backend = match flag_value("--backend") {
         None => lockiller::Backend::Threads,
         Some(v) => lockiller::Backend::from_name(&v).unwrap_or_else(|| {

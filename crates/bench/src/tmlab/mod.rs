@@ -112,18 +112,6 @@ impl BatchReport {
         }
     }
 
-    /// Fold another batch's accounting into this one.
-    pub fn absorb(&mut self, other: BatchReport) {
-        self.requested += other.requested;
-        self.unique += other.unique;
-        self.cache_hits += other.cache_hits;
-        self.simulated += other.simulated;
-        self.jobs = self.jobs.max(other.jobs);
-        self.wall_ms += other.wall_ms;
-        self.busy_ms += other.busy_ms;
-        self.points.extend(other.points);
-    }
-
     /// Machine-readable form (`BENCH_lab.json`).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");

@@ -189,10 +189,6 @@ pub struct MemSystem {
     /// [`ProtoEvent`]s: dropping them changes nothing.
     conflicts: Vec<(Cycle, ConflictEdge)>,
     record_conflicts: bool,
-    /// `MS_TRACE` debug logging, read once at construction — the sites
-    /// below run on every access/message, where an env lookup is a
-    /// measurable per-event cost.
-    dbg_trace: bool,
     /// Sum of the L1s' mutation counts at the last passing
     /// [`MemSystem::check_swmr_if_changed`].
     swmr_clean: u64,
@@ -237,7 +233,6 @@ impl MemSystem {
             proto_events: Vec::new(),
             conflicts: Vec::new(),
             record_conflicts: false,
-            dbg_trace: std::env::var_os("MS_TRACE").is_some(),
             swmr_clean: 0,
             stats: MemStats::default(),
             cfg,
@@ -553,12 +548,6 @@ impl MemSystem {
         line: LineAddr,
         kind: AccessKind,
     ) -> AccessResult {
-        if self.dbg_trace {
-            eprintln!(
-                "  ms[{now}] access c{core} {line:?} {kind:?} mode={:?}",
-                self.meta[core].mode
-            );
-        }
         debug_assert!(
             self.meta[core].pending.is_none(),
             "second outstanding access"
@@ -701,20 +690,12 @@ impl MemSystem {
         self.meta[core].pending = None;
     }
 
-    /// True if a request is in flight for this core.
-    pub fn has_pending(&self, core: CoreId) -> bool {
-        self.meta[core].pending.is_some()
-    }
-
     // ------------------------------------------------------------------
     // Message dispatch
     // ------------------------------------------------------------------
 
     /// Deliver a previously scheduled NoC message.
     pub fn handle_msg(&mut self, now: Cycle, msg: NetMsg) {
-        if self.dbg_trace {
-            eprintln!("  ms[{now}] {msg:?}");
-        }
         match msg {
             NetMsg::Req(req) => self.bank_req(now, req),
             NetMsg::PutM { core, line } | NetMsg::PutClean { core, line } => {
@@ -814,12 +795,6 @@ impl MemSystem {
     /// the direct-response topology, where the requester may be served
     /// before the home finishes the exchange).
     fn expect_unblock(&mut self, at: Cycle, b: usize, line: LineAddr, core: CoreId) {
-        if self.dbg_trace {
-            eprintln!(
-                "  ms[{at}] expect_unblock bank{b} {line:?} core{core} early={:?}",
-                self.banks[b].entry(line).early_unblock
-            );
-        }
         let entry = self.banks[b].entry(line);
         if entry.early_unblock.take() == Some(core) {
             // Already confirmed: the exchange is complete; serve the
@@ -1115,13 +1090,6 @@ impl MemSystem {
         if entry.unblock_wait != Some(core) {
             // Direct-response race: the requester confirmed before the
             // owner's ack reached us. Remember it for expect_unblock.
-            if self.dbg_trace {
-                eprintln!(
-                    "  ms[{now}] EARLY unblock {line:?} core{core} wait={:?} pending={}",
-                    entry.unblock_wait,
-                    entry.pending.is_some()
-                );
-            }
             debug_assert!(
                 self.cfg.mem.direct_rsp && entry.pending.is_some(),
                 "unexpected unblock from {core} for {line:?}"
@@ -1647,8 +1615,7 @@ impl MemSystem {
     /// Single-writer/multiple-reader invariant: no line may be E/M in
     /// one L1 while any other L1 holds a copy. Reports the first E/M line
     /// (by core, set, way) that another L1 also holds, with every holder
-    /// in core order. O(cache size); tests and the engine's
-    /// `LOCKILLER_CHECK` debug flag call it directly.
+    /// in core order. O(cache size); tests call it directly.
     pub fn check_swmr(&self) -> Result<(), String> {
         let holders = |line: LineAddr| {
             self.l1s

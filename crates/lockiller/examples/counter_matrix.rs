@@ -1,9 +1,9 @@
 //! Diagnostic matrix: run a contended shared-counter program on every
 //! Table-II system and several thread counts, printing commit/abort/
-//! reject statistics. Doubles as a liveness smoke test: set
-//! `LOCKILLER_MAX_CYCLES=...` to turn a livelock into a diagnosable
-//! panic with a full engine state dump (a deadlock already panics with
-//! the stuck cores, since guests cannot block outside the engine).
+//! reject statistics. Doubles as a liveness smoke test: add
+//! `Runner::max_cycles` to turn a livelock into a "cycle budget
+//! exhausted" panic (a deadlock already panics with the stuck cores,
+//! since guests cannot block outside the engine).
 
 use lockiller::flatmem::{FlatMem, SetupCtx};
 use lockiller::guest::GuestCtx;

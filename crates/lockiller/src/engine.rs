@@ -185,7 +185,7 @@ impl Ctl<'_> {
 }
 
 /// The engine. Construct, [`Engine::register`] each guest executor,
-/// then [`Engine::run`] to completion and [`Engine::into_stats`].
+/// then [`Engine::run_with`] until it ends and [`Engine::into_stats`].
 ///
 /// The lifetime `'g` bounds the registered [`GuestExec`]s (a guest
 /// borrows its program, or the kernel its program compiled).
@@ -218,21 +218,13 @@ pub struct Engine<'g> {
     /// Host-side self-profiler ([`Engine::enable_prof`]): `None` (the
     /// default) is the unprofiled fast path — every scope site is one
     /// `is_some()` branch, mirroring `obs`. The profiler only reads the
-    /// host clock and allocation counters; nothing it does feeds back
-    /// into the simulation, so cycles, stats, traces, and fingerprints
-    /// are byte-identical with it on or off.
+    /// host clock; nothing it does feeds back into the simulation, so
+    /// cycles, stats, traces, and fingerprints are byte-identical with it
+    /// on or off.
     prof: Option<HostProf>,
     /// Programmatic cycle budget ([`Engine::set_max_cycles`]): exceeding
-    /// it ends the run with [`RunEnd::CycleLimit`] instead of panicking
-    /// (the `LOCKILLER_MAX_CYCLES` env watchdog still panics).
+    /// it ends the run with [`RunEnd::CycleLimit`].
     max_cycles: Option<Cycle>,
-    /// `LOCKILLER_TRACE` debug logging, read once at construction: the
-    /// per-op/per-response log lines format eagerly, so the check must
-    /// be a field load, not an env lookup in the event loop.
-    dbg_trace: bool,
-    /// `LOCKILLER_WATCH` watched address (`Some(0)` if unparseable),
-    /// read once for the same reason as `dbg_trace`.
-    dbg_watch: Option<u64>,
     /// True while [`Engine::run_with`] is driven by a [`Scheduler`].
     /// Only the scheduler's pick points read [`Engine::state_fingerprint`],
     /// so the per-response `resp_hash` fold in `respond` is skipped on
@@ -273,10 +265,6 @@ impl<'g> Engine<'g> {
             next_sample: 0,
             prof: None,
             max_cycles: None,
-            dbg_trace: std::env::var_os("LOCKILLER_TRACE").is_some(),
-            dbg_watch: std::env::var("LOCKILLER_WATCH")
-                .ok()
-                .map(|w| w.parse().unwrap_or(0)),
             fingerprinting: false,
             cfg,
         }
@@ -299,8 +287,8 @@ impl<'g> Engine<'g> {
     }
 
     /// Start host-side self-profiling: the root `run` scope opens now,
-    /// and the hot loop attributes host time / allocations to phase
-    /// scopes until [`Engine::take_prof`].
+    /// and the hot loop attributes host time to phase scopes until
+    /// [`Engine::take_prof`].
     pub fn enable_prof(&mut self) {
         self.prof = Some(HostProf::start());
     }
@@ -445,9 +433,6 @@ impl<'g> Engine<'g> {
     // ---------------- responses ----------------
 
     fn respond(&mut self, core: CoreId, now: Cycle, resp: GuestResp) {
-        if self.dbg_trace {
-            self.trace(now, core, &format!("resp {resp:?}"));
-        }
         self.prof_enter(ProfPhase::Stamp);
         self.attr(core, now);
         if self.fingerprinting {
@@ -513,21 +498,6 @@ impl<'g> Engine<'g> {
 
     // ---------------- main loop ----------------
 
-    /// Run until every guest thread has exited; panics on deadlock or a
-    /// blown cycle budget (callers that want to observe those outcomes
-    /// use [`Engine::run_with`]).
-    pub fn run(&mut self) {
-        match self.run_with(None) {
-            RunEnd::Done => {}
-            RunEnd::Deadlock { stuck } => {
-                panic!("deadlock: no events but threads alive (cores {stuck:?} unfinished)")
-            }
-            RunEnd::CycleLimit { at } => {
-                panic!("cycle budget exhausted at cycle {at}")
-            }
-        }
-    }
-
     /// Run until every guest thread has exited, the event queue drains
     /// with live threads (deadlock), or the cycle budget runs out. When
     /// a [`Scheduler`] is supplied it resolves every same-cycle FIFO
@@ -537,13 +507,6 @@ impl<'g> Engine<'g> {
     /// On a non-[`RunEnd::Done`] outcome the guests stay suspended where
     /// they were; dropping the engine drops them.
     pub fn run_with(&mut self, mut sched: Option<&mut dyn Scheduler>) -> RunEnd {
-        let env_max: Cycle = std::env::var("LOCKILLER_MAX_CYCLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(Cycle::MAX);
-        // Read once: an env lookup per dispatched event is measurable on
-        // the in-process VM backend (the loop runs millions of times).
-        let env_check = std::env::var_os("LOCKILLER_CHECK").is_some();
         self.fingerprinting = sched.is_some();
         for c in 0..self.threads {
             self.q.schedule_at(0, Ev::Recv(c));
@@ -583,18 +546,9 @@ impl<'g> Engine<'g> {
                     self.prof_exit();
                 }
             }
-            if t > env_max {
-                self.dump_state(t);
-                panic!("watchdog: simulation exceeded {env_max} cycles");
-            }
             if self.max_cycles.is_some_and(|limit| t > limit) {
                 self.end_time = self.q.now().max(self.end_time);
                 return RunEnd::CycleLimit { at: t };
-            }
-            if env_check {
-                if let Err(e) = self.ms.check_swmr() {
-                    panic!("at cycle {t} before {ev:?}: {e}");
-                }
             }
             // Live SWMR surface for checked mode: record the first
             // violation instead of panicking, so the checker can report
@@ -996,40 +950,6 @@ impl<'g> Engine<'g> {
         (self.stats, self.mem)
     }
 
-    /// Diagnostic dump used by the cycle watchdog.
-    fn dump_state(&self, t: Cycle) {
-        eprintln!("=== engine state at cycle {t} ===");
-        for (c, ctl) in self.ctl.iter().enumerate() {
-            eprintln!(
-                "core {c}: finished={} in_tx={} stl={} parked={:?} cur_op={:?} deferred={:?} doomed={:?} resp_sched={} tl_pend={} sw_pend={} ms_mode={:?} ms_pending={}",
-                ctl.finished,
-                ctl.in_tx,
-                ctl.is_stl,
-                ctl.parked,
-                ctl.cur_op,
-                ctl.deferred_op,
-                ctl.doomed,
-                ctl.respond_scheduled,
-                ctl.tl_pending,
-                ctl.switch_pending,
-                self.ms.core_mode(c),
-                self.ms.has_pending(c),
-            );
-        }
-        eprintln!(
-            "stats: commits={} aborts={:?} rejects={} sig_rejects={} wakeups={} timeouts={} fallbacks={} switches={}/{}",
-            self.stats.commits,
-            self.stats.aborts,
-            self.ms.stats.rejects,
-            self.ms.stats.sig_rejects,
-            self.ms.stats.wakeups_sent,
-            self.stats.wakeup_timeouts,
-            self.stats.fallbacks,
-            self.stats.switches_granted,
-            self.stats.switches_denied,
-        );
-    }
-
     // ---------------- op handling ----------------
 
     fn update_prio(&mut self, core: CoreId) {
@@ -1049,23 +969,7 @@ impl<'g> Engine<'g> {
         self.ms.set_prio(core, p);
     }
 
-    fn trace(&self, t: Cycle, core: CoreId, what: &str) {
-        if self.dbg_trace {
-            eprintln!("[{t}] c{core} {what}");
-        }
-    }
-
     fn handle_op(&mut self, t: Cycle, core: CoreId, op: GuestOp) {
-        if self.dbg_trace {
-            self.trace(
-                t,
-                core,
-                &format!(
-                    "op {op:?} in_tx={} doomed={:?}",
-                    self.ctl[core].in_tx, self.ctl[core].doomed
-                ),
-            );
-        }
         // A protocol abort that arrived between ops is delivered on the
         // next transactional interaction. If the memory subsystem has
         // already aborted us but its notice has not landed yet, defer the
@@ -1119,9 +1023,6 @@ impl<'g> Engine<'g> {
                 self.schedule_respond(core, t + 1, GuestResp::Value(v));
             }
             GuestOp::TxCommit => {
-                if self.dbg_watch.is_some() {
-                    eprintln!("[{t}] COMMIT c{core} buf={} entries", self.bufs[core].len());
-                }
                 debug_assert!(!self.ctl[core].is_stl, "STL commits via hlend");
                 let (rs, ws) = self.ms.tx_set_sizes(core);
                 self.stats.rs_lines_sum += rs;
@@ -1333,19 +1234,6 @@ impl<'g> Engine<'g> {
         // then would leak a dying transaction's store (the abort notice
         // converts the response to Aborted and discards the buffer).
         let htm = self.ctl[core].in_tx && !self.ctl[core].is_stl;
-        if let Some(watch) = self.dbg_watch {
-            let a = match op {
-                GuestOp::Load(a) | GuestOp::Store(a, _) | GuestOp::Cas(a, ..) => Some(a),
-                _ => None,
-            };
-            if a.map(|a| a.0 == watch).unwrap_or(false) {
-                eprintln!(
-                    "[{t}] WATCH c{core} {op:?} htm={htm} mode={:?} flat={}",
-                    self.ms.core_mode(core),
-                    self.mem.read(Addr(watch))
-                );
-            }
-        }
         // Checked mode records access events at the instant the value
         // resolves: trace-vector order therefore matches flat-memory /
         // write-buffer visibility order exactly, which is what the
@@ -1452,12 +1340,6 @@ impl<'g> Engine<'g> {
 
     /// Common abort delivery (memory-subsystem side already cleaned up).
     fn deliver_abort(&mut self, t: Cycle, core: CoreId, cause: AbortCause) {
-        if self.dbg_watch.is_some() {
-            eprintln!(
-                "[{t}] ABORT c{core} {cause:?} buf={}",
-                self.bufs[core].len()
-            );
-        }
         self.bufs[core].discard();
         self.attr(core, t);
         self.life[core].on_abort(t, cause, &mut self.stats.latency);
@@ -1487,9 +1369,6 @@ impl<'g> Engine<'g> {
     // ---------------- notices ----------------
 
     fn handle_notice(&mut self, t: Cycle, n: CoreNotice) {
-        if self.dbg_trace {
-            eprintln!("[{t}] notice {n:?}");
-        }
         match n {
             CoreNotice::AccessDone { core } => {
                 if self.ctl[core].cur_op.is_some() && self.ctl[core].parked.is_none() {

@@ -152,10 +152,6 @@ impl Trace {
         std::mem::take(&mut self.events)
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Events discarded because the storage bound was reached.
     pub fn dropped(&self) -> u64 {
         self.dropped

@@ -1,6 +1,7 @@
 //! Runs that end early on the host backend: a blown cycle budget and a
-//! deadlock both return their `RunEnd` promptly, with every guest body
-//! dropped where it was suspended. Guest bodies run on the caller's
+//! deadlock both return their `RunEnd` promptly from `run_scheduled`,
+//! with every guest body dropped where it was suspended, and `run`
+//! panics on each with its message. Guest bodies run on the caller's
 //! thread, so an early end has no thread to release or join.
 
 use lockiller::flatmem::SetupCtx;
@@ -91,6 +92,20 @@ impl Program for Endless {
 }
 
 #[test]
+#[should_panic(expected = "cycle budget exhausted at cycle")]
+fn cycle_budget_panics_a_plain_run() {
+    let mut prog = Endless {
+        addr: Addr::NULL,
+        probe: Probe::default(),
+    };
+    let _ = Runner::new(SystemKind::LockillerTm)
+        .threads(2)
+        .config(SystemConfig::testing(2))
+        .max_cycles(20_000)
+        .run(&mut prog);
+}
+
+#[test]
 fn cycle_budget_returns_cycle_limit() {
     let mut prog = Endless {
         addr: Addr::NULL,
@@ -172,4 +187,20 @@ fn unreleased_fallback_lock_returns_deadlock() {
     assert!(out.stats.rejects > 0, "thread 1 was parked, not spinning");
     assert!(start.elapsed() < Duration::from_secs(10), "slow early end");
     prog.probe.assert_released(2);
+}
+
+#[test]
+#[should_panic(expected = "deadlock: no events but threads alive")]
+fn unreleased_fallback_lock_panics_a_plain_run() {
+    let mut prog = LockHolder {
+        addr: Addr::NULL,
+        probe: Probe::default(),
+    };
+    let mut policy = SystemKind::LockillerTm.policy();
+    policy.wakeup_timeout = Cycle::MAX;
+    let _ = Runner::new(SystemKind::LockillerTm)
+        .threads(2)
+        .config(SystemConfig::testing(2))
+        .policy(policy)
+        .run(&mut prog);
 }

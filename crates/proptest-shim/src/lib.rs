@@ -70,6 +70,7 @@ pub fn seed_from_name(name: &str) -> u64 {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
+    #[allow(clippy::disallowed_methods)] // proptest's documented seed override
     std::env::var("PROPTEST_SEED")
         .ok()
         .and_then(|s| s.parse().ok())

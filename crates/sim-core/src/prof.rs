@@ -5,19 +5,17 @@
 //! per-event-kind dispatch, coherence handling, guest resume, scheduler
 //! tie-breaks, response stamping, observability sampling) accumulate
 //! into a phase tree keyed by the full scope path. Per phase it records
-//! host nanoseconds (total and self), entry counts, and — when the
-//! `alloc-count` feature links the `tmprof-alloc` counting allocator —
-//! heap allocations and bytes.
+//! host nanoseconds (total and self) and entry counts.
 //!
 //! ## Zero cost when disabled, zero influence when enabled
 //!
 //! The engine stores an `Option<HostProf>`; every scope site is one
 //! `is_some()` branch on the disabled path (the same pattern as
 //! [`crate::obs::ObsSink`]). When enabled the profiler only *reads* the
-//! host clock and the thread-local allocation counters — it never feeds
-//! anything back into the simulation, so simulated cycles, statistics,
-//! state fingerprints, and tmverify digests are byte-identical with
-//! profiling on or off. Tests assert exactly that.
+//! host clock — it never feeds anything back into the simulation, so
+//! simulated cycles, statistics, state fingerprints, and tmverify digests
+//! are byte-identical with profiling on or off. Tests assert exactly
+//! that.
 //!
 //! The consuming side (flamegraph / Chrome-trace / JSON exporters)
 //! lives in `tmobs::tmprof`; this module owns only what the emitting
@@ -95,21 +93,6 @@ impl ProfPhase {
     }
 }
 
-/// Cumulative `(allocations, bytes)` on this thread — live counters from
-/// the `tmprof-alloc` allocator when the `alloc-count` feature is on and
-/// the binary registered it, `(0, 0)` otherwise.
-#[inline]
-fn alloc_counters() -> (u64, u64) {
-    #[cfg(feature = "alloc-count")]
-    {
-        tmprof_alloc::thread_counters()
-    }
-    #[cfg(not(feature = "alloc-count"))]
-    {
-        (0, 0)
-    }
-}
-
 #[derive(Debug)]
 struct Node {
     phase: ProfPhase,
@@ -119,8 +102,6 @@ struct Node {
     total_ns: u64,
     self_ns: u64,
     calls: u64,
-    allocs: u64,
-    alloc_bytes: u64,
 }
 
 #[derive(Debug)]
@@ -129,10 +110,6 @@ struct Frame {
     start: Instant,
     /// Host-ns spent in already-closed children of this frame.
     child_ns: u64,
-    start_allocs: u64,
-    start_bytes: u64,
-    child_allocs: u64,
-    child_bytes: u64,
 }
 
 /// Scope-based hierarchical host profiler. Construct with
@@ -151,7 +128,6 @@ pub struct HostProf {
 impl HostProf {
     /// Open the root `run` scope.
     pub fn start() -> HostProf {
-        let (a, b) = alloc_counters();
         HostProf {
             nodes: vec![Node {
                 phase: ProfPhase::Run,
@@ -160,17 +136,11 @@ impl HostProf {
                 total_ns: 0,
                 self_ns: 0,
                 calls: 1,
-                allocs: 0,
-                alloc_bytes: 0,
             }],
             stack: vec![Frame {
                 node: 0,
                 start: Instant::now(),
                 child_ns: 0,
-                start_allocs: a,
-                start_bytes: b,
-                child_allocs: 0,
-                child_bytes: 0,
             }],
             events: 0,
             q_depth_sum: 0,
@@ -196,23 +166,16 @@ impl HostProf {
                     total_ns: 0,
                     self_ns: 0,
                     calls: 0,
-                    allocs: 0,
-                    alloc_bytes: 0,
                 });
                 self.nodes[parent].children.push(idx);
                 idx
             }
         };
         self.nodes[node].calls += 1;
-        let (a, b) = alloc_counters();
         self.stack.push(Frame {
             node,
             start: Instant::now(),
             child_ns: 0,
-            start_allocs: a,
-            start_bytes: b,
-            child_allocs: 0,
-            child_bytes: 0,
         });
     }
 
@@ -223,18 +186,10 @@ impl HostProf {
         let f = self.stack.pop().expect("exit without matching enter");
         assert!(!self.stack.is_empty(), "cannot exit the root scope");
         let elapsed = f.start.elapsed().as_nanos() as u64;
-        let (a, b) = alloc_counters();
-        let allocs = (a - f.start_allocs).saturating_sub(f.child_allocs);
-        let bytes = (b - f.start_bytes).saturating_sub(f.child_bytes);
         let node = &mut self.nodes[f.node];
         node.total_ns += elapsed;
         node.self_ns += elapsed.saturating_sub(f.child_ns);
-        node.allocs += allocs;
-        node.alloc_bytes += bytes;
-        let parent = self.stack.last_mut().expect("checked non-empty");
-        parent.child_ns += elapsed;
-        parent.child_allocs += a - f.start_allocs;
-        parent.child_bytes += b - f.start_bytes;
+        self.stack.last_mut().expect("checked non-empty").child_ns += elapsed;
     }
 
     /// Record one dispatched event with the instantaneous queue depth
@@ -253,12 +208,9 @@ impl HostProf {
         }
         let f = self.stack.pop().expect("root frame");
         let elapsed = f.start.elapsed().as_nanos() as u64;
-        let (a, b) = alloc_counters();
         let root = &mut self.nodes[0];
         root.total_ns = elapsed;
         root.self_ns = elapsed.saturating_sub(f.child_ns);
-        root.allocs = (a - f.start_allocs).saturating_sub(f.child_allocs);
-        root.alloc_bytes = (b - f.start_bytes).saturating_sub(f.child_bytes);
 
         // Flatten depth-first so every node appears after its parent and
         // the collapsed-stack export is one pass.
@@ -283,8 +235,6 @@ impl HostProf {
                 total_ns: n.total_ns,
                 self_ns: n.self_ns,
                 calls: n.calls,
-                allocs: n.allocs,
-                alloc_bytes: n.alloc_bytes,
             });
             // Reverse keeps first-entry order after the stack pop.
             for &c in n.children.iter().rev() {
@@ -317,11 +267,6 @@ pub struct ProfNode {
     pub self_ns: u64,
     /// Times the scope was entered.
     pub calls: u64,
-    /// Heap allocations attributed to this scope (self, not children);
-    /// 0 unless the `alloc-count` allocator is registered.
-    pub allocs: u64,
-    /// Heap bytes attributed to this scope (self, not children).
-    pub alloc_bytes: u64,
 }
 
 /// A finished host profile: the phase tree in depth-first order (parent
@@ -364,10 +309,9 @@ impl ProfReport {
     }
 
     /// Fold `other` into this report: nodes with the same path add their
-    /// times, calls and allocations; a path this report lacks is
-    /// inserted at the end of its parent's subtree, so the depth-first
-    /// order (parent before children, siblings in first-entry order)
-    /// holds. Self times still partition `total_ns` exactly. Merging
+    /// times and calls; a path this report lacks is inserted at the end
+    /// of its parent's subtree, so the depth-first order (parent before
+    /// children, siblings in first-entry order) holds. Self times still partition `total_ns` exactly. Merging
     /// into [`ProfReport::default`] copies `other` (ids renumbered).
     pub fn merge(&mut self, other: &ProfReport) {
         for n in &other.nodes {
@@ -375,8 +319,6 @@ impl ProfReport {
                 m.total_ns += n.total_ns;
                 m.self_ns += n.self_ns;
                 m.calls += n.calls;
-                m.allocs += n.allocs;
-                m.alloc_bytes += n.alloc_bytes;
                 continue;
             }
             let at = match n.path.rsplit_once(';') {
@@ -406,10 +348,10 @@ impl ProfReport {
     /// Place `sub`, a profile measured inside the node at path `at`, as
     /// that node's subtree: `sub`'s root becomes `at`, and every other
     /// node of `sub` follows `at` in depth-first order with its path
-    /// re-rooted (`run;dequeue` becomes `{at};dequeue`) and its times,
-    /// calls and allocations unchanged. `at` keeps only its own self
-    /// time: it gives up exactly the self time moved beneath it, so self
-    /// times still partition `total_ns`. Event counters add.
+    /// re-rooted (`run;dequeue` becomes `{at};dequeue`) and its times and
+    /// calls unchanged. `at` keeps only its own self time: it gives up
+    /// exactly the self time moved beneath it, so self times still
+    /// partition `total_ns`. Event counters add.
     pub fn graft(&mut self, at: &str, sub: &ProfReport) {
         let Some((root, rest)) = sub.nodes.split_first() else {
             return;
@@ -429,11 +371,9 @@ impl ProfReport {
                 ..n.clone()
             })
             .collect();
-        let moved = |field: fn(&ProfNode) -> u64| rest.iter().map(field).sum::<u64>();
+        let moved: u64 = rest.iter().map(|n| n.self_ns).sum();
         let host = &mut self.nodes[p];
-        host.self_ns = host.self_ns.saturating_sub(moved(|n| n.self_ns));
-        host.allocs = host.allocs.saturating_sub(moved(|n| n.allocs));
-        host.alloc_bytes = host.alloc_bytes.saturating_sub(moved(|n| n.alloc_bytes));
+        host.self_ns = host.self_ns.saturating_sub(moved);
         self.nodes.splice(p + 1..p + 1, grafted);
         self.events += sub.events;
         self.q_depth_sum += sub.q_depth_sum;

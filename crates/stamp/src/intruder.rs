@@ -92,28 +92,6 @@ impl Intruder {
     }
 }
 
-impl Intruder {
-    /// Diagnostics: dump a flow's residual state (debugging aid).
-    pub fn debug_flow(&self, mem: &FlatMem, flow: u64) -> String {
-        let snap = self.map.unwrap().snapshot(mem);
-        let entry = snap.iter().find(|(k, _)| *k == flow);
-        let verdict = mem.read(self.verdicts.add(flow));
-        let need = self.frags_of[flow as usize];
-        match entry {
-            Some(&(_, e)) => {
-                let e = Addr(e);
-                format!(
-                    "flow {flow}: need={need} got={} acc={} verdict={verdict} (entry at word {})",
-                    mem.read(e.add(E_GOT)),
-                    mem.read(e.add(E_ACC)),
-                    e.0
-                )
-            }
-            None => format!("flow {flow}: need={need} no entry, verdict={verdict}"),
-        }
-    }
-}
-
 impl Program for Intruder {
     fn name(&self) -> &str {
         "intruder"

@@ -7,7 +7,7 @@ use crate::{check_trace, CheckKind, CheckOpts, Report, Violation};
 use lockiller::program::Program;
 use lockiller::runner::Runner;
 use lockiller::system::SystemKind;
-use sim_core::config::{CheckCfg, RejectAction, SystemConfig};
+use sim_core::config::{CheckCfg, SystemConfig};
 use sim_core::stats::RunStats;
 
 /// Everything a checked run produces.
@@ -44,10 +44,7 @@ pub fn run_checked<P: Program>(
     let mut out = runner.tracing().no_validate().run(prog);
     let trace = out.take_trace_events();
     let (stats, mem) = (out.stats, out.mem);
-    let opts = CheckOpts {
-        wait_wakeup: kind.policy().reject_action == RejectAction::WaitWakeup,
-    };
-    let mut report = check_trace(&trace, opts);
+    let mut report = check_trace(&trace, CheckOpts::for_system(kind));
     if let Some(msg) = &stats.swmr_violation {
         report.violations.push(Violation {
             check: CheckKind::Swmr,

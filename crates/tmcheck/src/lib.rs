@@ -15,6 +15,8 @@ pub mod harness;
 pub mod invariants;
 pub mod space;
 
+use lockiller::SystemKind;
+use sim_core::config::RejectAction;
 use std::fmt;
 
 /// Which checker flagged a violation.
@@ -77,6 +79,15 @@ pub struct CheckOpts {
     /// The system parks rejected requests until a wake-up
     /// (`RejectAction::WaitWakeup`); enables the liveness checkers.
     pub wait_wakeup: bool,
+}
+
+impl CheckOpts {
+    /// The invariants that apply to `kind`'s reject policy.
+    pub fn for_system(kind: SystemKind) -> CheckOpts {
+        CheckOpts {
+            wait_wakeup: kind.policy().reject_action == RejectAction::WaitWakeup,
+        }
+    }
 }
 
 /// The combined result of all trace checkers for one run.

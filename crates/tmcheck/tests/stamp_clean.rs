@@ -131,7 +131,6 @@ fn contended_counter_clean_on_all_systems() {
 #[test]
 fn lock_only_execution_clean() {
     use lockiller::runner::Runner;
-    use sim_core::config::RejectAction;
     for kind in [
         SystemKind::Cgl,
         SystemKind::Baseline,
@@ -148,10 +147,7 @@ fn lock_only_execution_clean() {
         let mut out = runner.tracing().no_validate().run(&mut prog);
         let trace = out.take_trace_events();
         let (stats, mem) = (out.stats, out.mem);
-        let opts = tmcheck::CheckOpts {
-            wait_wakeup: kind.policy().reject_action == RejectAction::WaitWakeup,
-        };
-        let report = tmcheck::check_trace(&trace, opts);
+        let report = tmcheck::check_trace(&trace, tmcheck::CheckOpts::for_system(kind));
         assert!(report.is_clean(), "{}: {}", kind.name(), report.render());
         assert!(stats.swmr_violation.is_none());
         assert!(prog.validate(&mem).is_ok());

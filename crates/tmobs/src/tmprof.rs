@@ -79,13 +79,12 @@ pub fn chrome_prof(report: &ProfReport) -> String {
         }
         first = false;
         out.push_str(&format!(
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":{},\"dur\":{},\"args\":{{\"calls\":{},\"self_us\":{},\"allocs\":{}}}}}",
+            "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":{},\"dur\":{},\"args\":{{\"calls\":{},\"self_us\":{}}}}}",
             crate::json::escape(n.name),
             ts / 1000,
             n.total_ns / 1000,
             n.calls,
-            n.self_ns / 1000,
-            n.allocs
+            n.self_ns / 1000
         ));
     }
     out.push_str("]}");
@@ -116,13 +115,11 @@ pub fn prof_json(report: &ProfReport) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"path\":\"{}\",\"total_ms\":{:.3},\"self_ms\":{:.3},\"calls\":{},\"allocs\":{},\"alloc_bytes\":{}}}",
+            "{{\"path\":\"{}\",\"total_ms\":{:.3},\"self_ms\":{:.3},\"calls\":{}}}",
             crate::json::escape(&n.path),
             n.total_ns as f64 / 1e6,
             n.self_ns as f64 / 1e6,
-            n.calls,
-            n.allocs,
-            n.alloc_bytes
+            n.calls
         ));
     }
     out.push_str("]}");

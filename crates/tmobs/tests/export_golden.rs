@@ -73,6 +73,7 @@ fn record(workload: WorkloadKind, system: SystemKind) -> String {
 fn exporter_bytes_match_the_recorded_artifacts() {
     let got: String = POINTS.iter().map(|&(w, s)| record(w, s)).collect();
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN);
+    #[allow(clippy::disallowed_methods)] // the golden's deliberate re-bless switch
     if std::env::var_os("TMOBS_BLESS").is_some() {
         std::fs::create_dir_all(path.parent().expect("golden has a directory"))
             .expect("golden directory is writable");

@@ -47,8 +47,11 @@
 
 use crate::progs::{ProgSpec, SpecProgram};
 use crate::shrink;
-use lockiller::{Backend, EvDesc, RunEnd, Runner, Scheduler, StaticIndependence, SystemKind};
-use sim_core::config::{CheckCfg, FaultInject, RejectAction, SystemConfig, SystemConfigBuilder};
+use lockiller::{
+    Backend, EvDesc, RunEnd, RunOutput, Runner, Scheduler, StaticIndependence, SystemKind,
+    TraceEvent,
+};
+use sim_core::config::{CheckCfg, FaultInject, SystemConfig, SystemConfigBuilder};
 use sim_core::fxhash::{FxHashMap, FxHasher};
 use sim_core::prof::ProfReport;
 use sim_core::types::Cycle;
@@ -226,10 +229,29 @@ impl Explorer {
         r
     }
 
-    fn check_opts(&self) -> CheckOpts {
-        CheckOpts {
-            wait_wakeup: self.system.policy().reject_action == RejectAction::WaitWakeup,
+    /// The checked-run verdict of one schedule: a deadlock, then every
+    /// trace checker, the live SWMR result and grant exclusivity. A
+    /// budget-cut trace is a prefix, so end-of-trace checks (liveness
+    /// "never woken") would report false positives there: only Done and
+    /// Deadlock traces, which are final, are checked.
+    fn verdict(&self, out: &RunOutput, events: &[TraceEvent]) -> Vec<Violation> {
+        let mut violations = Vec::new();
+        if let RunEnd::Deadlock { stuck } = &out.end {
+            violations.push(space::deadlock_violation(stuck));
         }
+        if !matches!(out.end, RunEnd::CycleLimit { .. }) {
+            violations.extend(check_trace(events, CheckOpts::for_system(self.system)).violations);
+            if let Some(msg) = &out.stats.swmr_violation {
+                violations.push(Violation {
+                    check: CheckKind::Swmr,
+                    message: msg.clone(),
+                });
+            }
+            if let Some(v) = space::check_grant_exclusivity(events) {
+                violations.push(v);
+            }
+        }
+        violations
     }
 
     /// Execute one work item (pure function of `self` + `item`).
@@ -239,26 +261,8 @@ impl Explorer {
         let mut prog = SpecProgram::new(self.spec.clone());
         let mut out = self.runner().run_scheduled(&mut prog, &mut sched);
         let events = out.take_trace_events();
-        let mut violations = Vec::new();
+        let violations = self.verdict(&out, &events);
         let cycle_limited = matches!(out.end, RunEnd::CycleLimit { .. });
-        if let RunEnd::Deadlock { stuck } = &out.end {
-            violations.push(space::deadlock_violation(stuck));
-        }
-        if !cycle_limited {
-            // A budget-cut trace is a prefix, so end-of-trace checks
-            // (liveness "never woken") would report false positives;
-            // Done and Deadlock traces are final.
-            violations.extend(check_trace(&events, self.check_opts()).violations);
-            if let Some(msg) = &out.stats.swmr_violation {
-                violations.push(Violation {
-                    check: CheckKind::Swmr,
-                    message: msg.clone(),
-                });
-            }
-            if let Some(v) = space::check_grant_exclusivity(&events) {
-                violations.push(v);
-            }
-        }
         RunRecord {
             decisions: sched.decisions,
             choices: sched.choices,
@@ -282,23 +286,7 @@ impl Explorer {
         let mut prog = SpecProgram::new(self.spec.clone());
         let mut out = self.runner().run_scheduled(&mut prog, &mut sched);
         let events = out.take_trace_events();
-        let mut violations = Vec::new();
-        if let RunEnd::Deadlock { stuck } = &out.end {
-            violations.push(space::deadlock_violation(stuck));
-        }
-        if !matches!(out.end, RunEnd::CycleLimit { .. }) {
-            violations.extend(check_trace(&events, self.check_opts()).violations);
-            if let Some(msg) = &out.stats.swmr_violation {
-                violations.push(Violation {
-                    check: CheckKind::Swmr,
-                    message: msg.clone(),
-                });
-            }
-            if let Some(v) = space::check_grant_exclusivity(&events) {
-                violations.push(v);
-            }
-        }
-        violations
+        self.verdict(&out, &events)
     }
 
     /// Explore the schedule space and aggregate the verdict.

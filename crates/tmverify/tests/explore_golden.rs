@@ -156,6 +156,7 @@ fn record(name: &str, ex: &Explorer) -> String {
 fn explorations_match_the_recorded_corpus() {
     let got: String = corpus().iter().map(|(n, ex)| record(n, ex)).collect();
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN);
+    #[allow(clippy::disallowed_methods)] // the golden's deliberate re-bless switch
     if std::env::var_os("TMVERIFY_BLESS").is_some() {
         std::fs::write(&path, &got).expect("golden is writable");
         return;
