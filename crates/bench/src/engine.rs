@@ -447,6 +447,7 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::json::{self, Json};
 
     #[test]
     fn quick_battery_writes_gateable_json() {
@@ -457,13 +458,13 @@ mod tests {
         let mut lab = Lab::new(Scale::Tiny);
         run(&mut lab, true, Backend::Threads, true, &path).unwrap();
         let doc = std::fs::read_to_string(&path).unwrap();
-        let v = tmobs::json::parse(&doc).expect("BENCH_engine.json parses");
+        let v = json::parse(&doc).expect("BENCH_engine.json parses");
         assert_eq!(
-            v.get("schema").and_then(tmobs::json::Json::as_f64),
+            v.get("schema").and_then(Json::as_f64),
             Some(2.0),
             "host.phases rows are a schema-2 artifact"
         );
-        let pts = v.get("points").and_then(tmobs::json::Json::as_arr).unwrap();
+        let pts = v.get("points").and_then(Json::as_arr).unwrap();
         // 3 suite points + kmeans vm twin + intruder-flow on both backends.
         assert_eq!(pts.len(), 6, "quick suite is 6 points");
         let mut vm_rows = 0;
@@ -471,13 +472,13 @@ mod tests {
             let host = p.get("host").unwrap();
             let backend = host
                 .get("backend")
-                .and_then(tmobs::json::Json::as_str)
+                .and_then(Json::as_str)
                 .expect("host.backend present");
             if backend == "vm" {
                 vm_rows += 1;
                 assert!(
                     host.get("speedup_vs_threads")
-                        .and_then(tmobs::json::Json::as_f64)
+                        .and_then(Json::as_f64)
                         .is_some(),
                     "vm rows carry speedup_vs_threads"
                 );
@@ -486,21 +487,16 @@ mod tests {
         assert_eq!(vm_rows, 2, "kmeans twin + intruder-flow vm rows");
         for p in pts {
             let det = p.get("deterministic").unwrap();
-            assert!(
-                det.get("cycles")
-                    .and_then(tmobs::json::Json::as_f64)
-                    .unwrap()
-                    > 0.0
-            );
+            assert!(det.get("cycles").and_then(Json::as_f64).unwrap() > 0.0);
             let lat = det.get("latency").unwrap();
             for class in ["htm_commit", "stl_commit", "lock_commit", "park"] {
                 let h = lat.get(class).unwrap_or_else(|| panic!("missing {class}"));
-                assert!(h.get("p99").and_then(tmobs::json::Json::as_f64).is_some());
+                assert!(h.get("p99").and_then(Json::as_f64).is_some());
             }
             let host = p.get("host").unwrap();
             assert!(
                 host.get("sim_cycles_per_sec")
-                    .and_then(tmobs::json::Json::as_f64)
+                    .and_then(Json::as_f64)
                     .unwrap()
                     > 0.0
             );
@@ -508,7 +504,7 @@ mod tests {
             // phases, and self-time shares partition the total.
             let phases = host.get("phases").expect("host.phases present");
             let shares: Vec<f64> = match phases {
-                tmobs::json::Json::Obj(fields) => fields
+                Json::Obj(fields) => fields
                     .iter()
                     .map(|(_, v)| v.as_f64().expect("share is a number"))
                     .collect(),

@@ -185,7 +185,7 @@ pub struct MemSystem {
     proto_events: Vec<(Cycle, ProtoEvent)>,
     /// Conflict-edge observations for forensics; populated only when
     /// [`MemSystem::set_record_conflicts`] armed them (the engine does so
-    /// iff an observability sink is attached). Write-only, like
+    /// iff its trace records spans). Write-only, like
     /// [`ProtoEvent`]s: dropping them changes nothing.
     conflicts: Vec<(Cycle, ConflictEdge)>,
     record_conflicts: bool,
@@ -300,8 +300,8 @@ impl MemSystem {
     }
 
     /// Arm (or disarm) conflict-edge recording for forensics. The engine
-    /// arms this when an observability sink is attached; recording is a
-    /// pure observation and cannot change protocol decisions.
+    /// arms this when its trace records spans; recording is a pure
+    /// observation and cannot change protocol decisions.
     pub fn set_record_conflicts(&mut self, on: bool) {
         self.record_conflicts = on;
     }

@@ -32,7 +32,7 @@ use sim_core::config::{PriorityKind, RejectAction, SystemConfig};
 use sim_core::event::EventQueue;
 use sim_core::fxhash::{FxHashSet, FxHasher};
 use sim_core::latency::{TxnClass, TxnLifecycle};
-use sim_core::obs::{Metric, MetricSpec, ObsEvent, ObsHandle, SpanEnd, SpanKind, Track};
+use sim_core::obs::{Metric, MetricSpec};
 use sim_core::prof::{HostProf, ProfPhase, ProfReport};
 use sim_core::stats::{AbortCause, Phase, PhaseTracker, RunStats};
 use sim_core::types::{Addr, CoreId, Cycle};
@@ -208,19 +208,15 @@ pub struct Engine<'g> {
     txn_counter: u64,
     stats: RunStats,
     end_time: Cycle,
-    pub trace: Trace,
-    /// Observability sink: `None` (the default) is the uninstrumented
-    /// fast path — every emission site is one `is_some()` branch, and
-    /// sinks are write-only, so the simulation is bit-identical either
-    /// way.
-    obs: Option<ObsHandle>,
+    /// The run's recording ([`Engine::set_trace`]); off by default.
+    trace: Trace,
+    /// Next metric sample row's cycle (span-level traces only).
     next_sample: Cycle,
     /// Host-side self-profiler ([`Engine::enable_prof`]): `None` (the
     /// default) is the unprofiled fast path — every scope site is one
-    /// `is_some()` branch, mirroring `obs`. The profiler only reads the
-    /// host clock; nothing it does feeds back into the simulation, so
-    /// cycles, stats, traces, and fingerprints are byte-identical with it
-    /// on or off.
+    /// `is_some()` branch. The profiler only reads the host clock;
+    /// nothing it does feeds back into the simulation, so cycles, stats,
+    /// traces, and fingerprints are byte-identical with it on or off.
     prof: Option<HostProf>,
     /// Programmatic cycle budget ([`Engine::set_max_cycles`]): exceeding
     /// it ends the run with [`RunEnd::CycleLimit`].
@@ -261,7 +257,6 @@ impl<'g> Engine<'g> {
             stats: RunStats::new(threads),
             end_time: 0,
             trace: Trace::default(),
-            obs: None,
             next_sample: 0,
             prof: None,
             max_cycles: None,
@@ -277,13 +272,18 @@ impl<'g> Engine<'g> {
         self.max_cycles = Some(limit);
     }
 
-    /// Attach an observability sink (span tracing + periodic sampling).
-    /// Also arms conflict-edge recording in the memory system so the
-    /// sink receives forensics events; recording is write-only and never
-    /// feeds back into protocol decisions.
-    pub fn set_obs(&mut self, obs: ObsHandle) {
-        self.obs = Some(obs);
-        self.ms.set_record_conflicts(true);
+    /// Record the run into `trace`. At span level this also arms
+    /// conflict-edge recording in the memory system; recording is
+    /// write-only and never feeds back into protocol decisions.
+    pub fn set_trace(&mut self, trace: Trace) {
+        self.ms.set_record_conflicts(trace.sample_every().is_some());
+        self.trace = trace;
+    }
+
+    /// Hand out the run's recording, noting its drop count in the stats.
+    pub fn take_trace(&mut self) -> Trace {
+        self.stats.trace_dropped = self.trace.dropped();
+        std::mem::take(&mut self.trace)
     }
 
     /// Start host-side self-profiling: the root `run` scope opens now,
@@ -325,47 +325,10 @@ impl<'g> Engine<'g> {
         }
     }
 
-    // ---------------- observability emission ----------------
-
-    #[inline]
-    fn obs_begin(&self, cycle: Cycle, core: CoreId, kind: SpanKind) {
-        if let Some(o) = &self.obs {
-            let track = if kind == SpanKind::HlaArb {
-                Track::Llc
-            } else {
-                Track::Core(core)
-            };
-            o.emit(ObsEvent::SpanBegin {
-                cycle,
-                track,
-                kind,
-                core,
-            });
-        }
-    }
-
-    #[inline]
-    fn obs_end(&self, cycle: Cycle, core: CoreId, kind: SpanKind, end: SpanEnd) {
-        if let Some(o) = &self.obs {
-            let track = if kind == SpanKind::HlaArb {
-                Track::Llc
-            } else {
-                Track::Core(core)
-            };
-            o.emit(ObsEvent::SpanEnd {
-                cycle,
-                track,
-                kind,
-                core,
-                end,
-            });
-        }
-    }
-
-    /// Emit one sample row: engine occupancy gauges and outcome counters,
-    /// then the memory system's bank/NoC metrics. Pure observation.
-    fn emit_samples(&self, at: Cycle) {
-        let Some(o) = &self.obs else { return };
+    /// Record one sample row: engine occupancy gauges and outcome
+    /// counters, then the memory system's bank/NoC metrics. Pure
+    /// observation.
+    fn record_samples(&mut self, at: Cycle) {
         let (htm, lock, fallback) = self.ms.mode_counts();
         let parked = self.ctl.iter().filter(|c| c.parked.is_some()).count() as u64;
         let mut out: Vec<(Metric, u64)> = vec![
@@ -379,13 +342,7 @@ impl<'g> Engine<'g> {
             (Metric::EventQueueDepth, self.q.len() as u64),
         ];
         self.ms.obs_sample(&mut out);
-        for (metric, value) in out {
-            o.emit(ObsEvent::Sample {
-                cycle: at,
-                metric,
-                value,
-            });
-        }
+        self.trace.record_samples(at, out);
     }
 
     /// Attach the resumable guest driven at `core`'s rendezvous points.
@@ -489,9 +446,9 @@ impl<'g> Engine<'g> {
                 self.trace.record(at, from, kind);
             }
         }
-        if let Some(o) = &self.obs {
+        if self.trace.sample_every().is_some() {
             for (cycle, edge) in self.ms.take_conflicts() {
-                o.emit(ObsEvent::Conflict { cycle, edge });
+                self.trace.record_conflict(cycle, edge);
             }
         }
     }
@@ -535,12 +492,12 @@ impl<'g> Engine<'g> {
             if let Some(p) = self.prof.as_mut() {
                 p.note_event(depth);
             }
-            if let Some(every) = self.obs.as_ref().map(ObsHandle::sample_every) {
+            if let Some(every) = self.trace.sample_every() {
                 if t >= self.next_sample {
                     self.prof_enter(ProfPhase::ObsSample);
                     while t >= self.next_sample {
                         let at = self.next_sample;
-                        self.emit_samples(at);
+                        self.record_samples(at);
                         self.next_sample += every;
                     }
                     self.prof_exit();
@@ -566,9 +523,8 @@ impl<'g> Engine<'g> {
             self.prof_exit();
         }
         self.end_time = self.q.now().max(self.end_time);
-        if let Some(o) = &self.obs {
-            self.emit_samples(self.end_time);
-            o.finish(self.end_time);
+        if self.trace.sample_every().is_some() {
+            self.record_samples(self.end_time);
         }
         RunEnd::Done
     }
@@ -606,7 +562,7 @@ impl<'g> Engine<'g> {
             Ev::Notice(n) => self.handle_notice(t, n),
             Ev::Retry(c, seq) => {
                 if self.ctl[c].parked == Some(seq) {
-                    self.obs_end(t, c, SpanKind::Park, SpanEnd::Retried);
+                    self.trace.record(t, c, TraceKind::Retried);
                     self.ctl[c].parked = None;
                     self.life[c].unpark(t, &mut self.stats.latency);
                     self.reissue(t, c);
@@ -615,10 +571,7 @@ impl<'g> Engine<'g> {
             Ev::ParkTimeout(c, seq) => {
                 if self.ctl[c].parked == Some(seq) {
                     self.stats.wakeup_timeouts += 1;
-                    if self.cfg.check.enabled {
-                        self.trace.record(t, c, TraceKind::WakeTimeout);
-                    }
-                    self.obs_end(t, c, SpanKind::Park, SpanEnd::Timeout);
+                    self.trace.record(t, c, TraceKind::WakeTimeout);
                     self.ctl[c].parked = None;
                     self.life[c].unpark(t, &mut self.stats.latency);
                     self.reissue(t, c);
@@ -945,7 +898,6 @@ impl<'g> Engine<'g> {
         self.stats.bank_misses = banks.misses;
         self.stats.bank_queued = banks.queued;
         self.stats.bank_queue_peak = banks.queue_peak;
-        self.stats.trace_dropped = self.trace.dropped();
         self.stats.threads = self.threads;
         (self.stats, self.mem)
     }
@@ -997,7 +949,6 @@ impl<'g> Engine<'g> {
             }
             GuestOp::TxBegin => {
                 self.trace.record(t, core, TraceKind::TxBegin);
-                self.obs_begin(t, core, SpanKind::Txn);
                 self.begin_txn(core);
                 self.life[core].begin_attempt(t);
                 self.stats.tx_starts += 1;
@@ -1033,7 +984,6 @@ impl<'g> Engine<'g> {
                 let buf = &mut self.bufs[core];
                 buf.commit(&mut self.mem);
                 self.trace.record(t, core, TraceKind::Commit);
-                self.obs_end(t, core, SpanKind::Txn, SpanEnd::Commit);
                 self.stats.commits += 1;
                 self.life[core].commit(t, TxnClass::HtmCommit, &mut self.stats.latency);
                 self.ctl[core].in_tx = false;
@@ -1055,13 +1005,12 @@ impl<'g> Engine<'g> {
                     // opens at the grant.
                     self.life[core].begin_attempt(t);
                     self.ctl[core].tl_pending = true;
-                    self.obs_begin(t, core, SpanKind::HlaArb);
+                    self.trace.record(t, core, TraceKind::HlaRequest);
                     self.ms.hla_request(t, core, false);
                     self.drain_ms();
                 } else {
                     self.ms.enter_lock(core, false);
                     self.trace.record(t, core, TraceKind::HlBegin);
-                    self.obs_begin(t, core, SpanKind::TlLock);
                     self.begin_txn(core);
                     self.life[core].begin_hold(t);
                     self.stats.fallbacks += 1;
@@ -1071,11 +1020,6 @@ impl<'g> Engine<'g> {
             }
             GuestOp::HlEnd => {
                 self.trace.record(t, core, TraceKind::HlEnd);
-                if self.ctl[core].is_stl {
-                    self.obs_end(t, core, SpanKind::StlLock, SpanEnd::Commit);
-                } else {
-                    self.obs_end(t, core, SpanKind::TlLock, SpanEnd::End);
-                }
                 if self.ctl[core].is_stl {
                     let (rs, ws) = self.ms.tx_set_sizes(core);
                     self.stats.rs_lines_sum += rs;
@@ -1112,7 +1056,6 @@ impl<'g> Engine<'g> {
             GuestOp::FallbackBegin => {
                 self.ms.set_fallback(core, true);
                 self.trace.record(t, core, TraceKind::Fallback);
-                self.obs_begin(t, core, SpanKind::Fallback);
                 self.begin_txn(core);
                 self.life[core].begin_hold(t);
                 self.stats.fallbacks += 1;
@@ -1121,10 +1064,7 @@ impl<'g> Engine<'g> {
             }
             GuestOp::FallbackEnd => {
                 self.ms.set_fallback(core, false);
-                if self.cfg.check.enabled {
-                    self.trace.record(t, core, TraceKind::FallbackEnd);
-                }
-                self.obs_end(t, core, SpanKind::Fallback, SpanEnd::End);
+                self.trace.record(t, core, TraceKind::FallbackEnd);
                 self.ctl[core].cur_txn = 0;
                 self.stats.lock_commits += 1;
                 self.life[core].commit(t, TxnClass::LockCommit, &mut self.stats.latency);
@@ -1215,7 +1155,7 @@ impl<'g> Engine<'g> {
         if can_switch {
             self.ctl[core].switch_tried = true;
             self.ctl[core].switch_pending = true;
-            self.obs_begin(t, core, SpanKind::HlaArb);
+            self.trace.record(t, core, TraceKind::HlaRequest);
             self.ms.hla_request(t, core, true);
             self.drain_ms();
         } else {
@@ -1343,10 +1283,6 @@ impl<'g> Engine<'g> {
         self.bufs[core].discard();
         self.attr(core, t);
         self.life[core].on_abort(t, cause, &mut self.stats.latency);
-        if self.ctl[core].parked.is_some() {
-            self.obs_end(t, core, SpanKind::Park, SpanEnd::End);
-        }
-        self.obs_end(t, core, SpanKind::Txn, SpanEnd::Abort(cause));
         let c = &mut self.ctl[core];
         c.tracker.resolve_spec(Phase::Aborted);
         c.spec = false;
@@ -1400,7 +1336,6 @@ impl<'g> Engine<'g> {
             CoreNotice::Wakeup { core } => {
                 if self.ctl[core].parked.is_some() {
                     self.trace.record(t, core, TraceKind::Woken);
-                    self.obs_end(t, core, SpanKind::Park, SpanEnd::Woken);
                     self.ctl[core].parked = None;
                     self.ctl[core].wakeup_banked = false;
                     self.life[core].unpark(t, &mut self.stats.latency);
@@ -1419,13 +1354,11 @@ impl<'g> Engine<'g> {
                         "TL authorization is granted or queued, never denied"
                     );
                     self.ctl[core].tl_pending = false;
-                    self.obs_end(t, core, SpanKind::HlaArb, SpanEnd::Granted);
                     self.ms.enter_lock(core, false);
                     // Record the grant so hlend releases the arbiter.
                     self.ms.finish_hla(t, core, true);
                     self.drain_ms();
                     self.trace.record(t, core, TraceKind::HlBegin);
-                    self.obs_begin(t, core, SpanKind::TlLock);
                     self.begin_txn(core);
                     self.life[core].begin_hold(t);
                     self.stats.fallbacks += 1;
@@ -1437,9 +1370,6 @@ impl<'g> Engine<'g> {
                         // Successful proactive switch: speculative state
                         // becomes permanent, priority becomes lock-level,
                         // and the blocked access retries in STL mode.
-                        self.obs_end(t, core, SpanKind::HlaArb, SpanEnd::Granted);
-                        self.obs_end(t, core, SpanKind::Txn, SpanEnd::Switched);
-                        self.obs_begin(t, core, SpanKind::StlLock);
                         self.ms.enter_lock(core, true);
                         self.bufs[core].commit(&mut self.mem);
                         self.ms.finish_hla(t, core, true);
@@ -1450,7 +1380,6 @@ impl<'g> Engine<'g> {
                         self.stats.switches_granted += 1;
                         self.reissue(t, core);
                     } else {
-                        self.obs_end(t, core, SpanKind::HlaArb, SpanEnd::Denied);
                         self.ms.finish_hla(t, core, false);
                         self.drain_ms();
                         self.trace.record(t, core, TraceKind::SwitchDenied);
@@ -1473,7 +1402,7 @@ impl<'g> Engine<'g> {
                 let seq = self.next_seq();
                 self.ctl[core].parked = Some(seq);
                 self.life[core].park(t);
-                self.obs_begin(t, core, SpanKind::Park);
+                self.trace.record(t, core, TraceKind::Parked);
                 self.q
                     .schedule_at(t + self.cfg.policy.retry_pause, Ev::Retry(core, seq));
             }
@@ -1495,7 +1424,7 @@ impl<'g> Engine<'g> {
                 let seq = self.next_seq();
                 self.ctl[core].parked = Some(seq);
                 self.life[core].park(t);
-                self.obs_begin(t, core, SpanKind::Park);
+                self.trace.record(t, core, TraceKind::Parked);
                 // wakeup_timeout == Cycle::MAX disables the safety net
                 // entirely (schedule-explorer mode: a lost wake-up must
                 // surface as a deadlock, not a silent timeout recovery).

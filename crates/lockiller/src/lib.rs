@@ -44,4 +44,4 @@ pub use program::{GuestFuture, Program};
 pub use runner::{RunOutput, Runner};
 pub use sched::{EvClass, EvDesc, RunEnd, Scheduler, StaticIndependence};
 pub use system::SystemKind;
-pub use trace::{render_timeline, Trace, TraceEvent, TraceKind, DEFAULT_TRACE_CAP};
+pub use trace::{render_timeline, Trace, TraceEvent, TraceKind, TraceLevel, DEFAULT_TRACE_CAP};

@@ -2,8 +2,9 @@
 //! [`Program`] on it, get a [`RunOutput`] back.
 //!
 //! [`Runner::run`] is the single entry point: it always returns the
-//! statistics, the final memory image, and — when tracing was requested
-//! via [`Runner::tracing`] or checked mode — the structured event trace.
+//! statistics, the final memory image, and — when recording was
+//! requested via [`Runner::tracing`], [`Runner::spans`] or checked mode —
+//! the run's [`Trace`].
 //! [`Runner::backend`] selects each thread's body: the program's
 //! host-Rust `run` (default, works for every [`Program`]) or its compiled
 //! kernel ([`crate::Backend::Vm`], for programs that provide a guest
@@ -23,9 +24,8 @@ use crate::guest::GuestPolicy;
 use crate::program::Program;
 use crate::sched::{RunEnd, Scheduler};
 use crate::system::SystemKind;
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{Trace, TraceEvent, TraceLevel};
 use sim_core::config::{PolicyConfig, SystemConfig};
-use sim_core::obs::ObsHandle;
 use sim_core::prof::ProfReport;
 use sim_core::rng::SimRng;
 use sim_core::stats::RunStats;
@@ -35,15 +35,15 @@ use sim_core::types::{Addr, Cycle};
 ///
 /// `stats` is the aggregate counters every caller wants; `mem` is the
 /// final simulated memory image (the serializability oracle fed to
-/// [`Program::validate`]); `trace` is the structured event trace,
-/// present iff tracing was enabled ([`Runner::tracing`] or
+/// [`Program::validate`]); `trace` is the run's recording, present iff
+/// recording was enabled ([`Runner::tracing`], [`Runner::spans`] or
 /// `cfg.check.enabled`).
 #[must_use = "a RunOutput carries the run's statistics, memory image, and trace"]
 #[derive(Debug)]
 pub struct RunOutput {
     /// Aggregate statistics (cycles, commits, aborts, NoC/LLC counters).
     pub stats: RunStats,
-    /// Structured event trace; `Some` iff tracing was enabled.
+    /// The run's recording; `Some` iff recording was enabled.
     pub trace: Option<Trace>,
     /// Final simulated memory image.
     pub mem: FlatMem,
@@ -85,8 +85,7 @@ pub struct Runner {
     retries: Option<u32>,
     policy: Option<PolicyConfig>,
     max_cycles: Option<Cycle>,
-    tracing: bool,
-    obs: Option<ObsHandle>,
+    trace: TraceLevel,
     backend: Backend,
     profile: bool,
 }
@@ -102,8 +101,7 @@ impl Runner {
             retries: None,
             policy: None,
             max_cycles: None,
-            tracing: false,
-            obs: None,
+            trace: TraceLevel::Off,
             backend: Backend::default(),
             profile: false,
         }
@@ -118,18 +116,24 @@ impl Runner {
         self
     }
 
-    /// Attach an observability sink (span tracing + periodic metric
-    /// sampling; see `sim_core::obs`). Sinks are write-only, so attaching
-    /// one cannot change the simulated outcome.
-    pub fn obs(mut self, obs: ObsHandle) -> Runner {
-        self.obs = Some(obs);
+    /// Record the run's transactional events (see [`crate::trace`]);
+    /// retrieve them from [`RunOutput::trace`]. Replaces an earlier
+    /// [`Runner::spans`].
+    pub fn tracing(mut self) -> Runner {
+        self.trace = TraceLevel::Events;
         self
     }
 
-    /// Record a structured execution trace (see [`crate::trace`]);
-    /// retrieve it from [`RunOutput::trace`].
-    pub fn tracing(mut self) -> Runner {
-        self.tracing = true;
+    /// Record everything `tmobs` derives its spans, conflict forensics
+    /// and metric series from: the events, the span facts, the conflict
+    /// edges, and a metric sample row every `sample_every` simulated
+    /// cycles (0 counts as 1). Recording is write-only, so it cannot
+    /// change the simulated outcome. Replaces an earlier
+    /// [`Runner::tracing`].
+    pub fn spans(mut self, sample_every: Cycle) -> Runner {
+        self.trace = TraceLevel::Spans {
+            sample_every: sample_every.max(1),
+        };
         self
     }
 
@@ -278,13 +282,12 @@ impl Runner {
         if let Some(limit) = self.max_cycles {
             engine.set_max_cycles(limit);
         }
-        let traced = self.tracing || cfg.check.enabled;
-        if traced {
-            engine.trace = Trace::enabled();
-        }
-        if let Some(h) = &self.obs {
-            engine.set_obs(h.clone());
-        }
+        let level = match self.trace {
+            TraceLevel::Off if cfg.check.enabled => TraceLevel::Events,
+            level => level,
+        };
+        let traced = level != TraceLevel::Off;
+        engine.set_trace(Trace::new(level));
         if self.profile {
             engine.enable_prof();
         }
@@ -298,14 +301,9 @@ impl Runner {
 
         let end = self.drive(prog, &mut engine, sched, gpolicy, lock_addr);
 
-        let trace = traced.then(|| std::mem::take(&mut engine.trace));
+        let trace = traced.then(|| engine.take_trace());
         let host_prof = engine.take_prof();
-        let (mut stats, mem) = engine.into_stats();
-        if let Some(t) = &trace {
-            // `into_stats` read the drop counter from the (already taken)
-            // engine-side trace; restore it from the real one.
-            stats.trace_dropped = t.dropped();
-        }
+        let (stats, mem) = engine.into_stats();
         RunOutput {
             stats,
             trace,
@@ -373,6 +371,13 @@ mod tests {
         let r = r.threads(4).seed(1);
         assert_eq!(r.threads, 4);
         assert_eq!(r.seed, 1);
+    }
+
+    #[test]
+    fn sample_every_clamped_to_one() {
+        let r = Runner::new(SystemKind::Baseline).spans(0);
+        assert_eq!(r.trace, TraceLevel::Spans { sample_every: 1 });
+        assert_eq!(r.tracing().trace, TraceLevel::Events);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub mod types;
 pub use config::{CacheGeometry, ConfigError, MemConfig, PolicyConfig, SystemConfig};
 pub use event::EventQueue;
 pub use latency::{LatencyHist, LatencyStats, TxnClass, TxnLifecycle};
-pub use obs::{Metric, MetricSpec, ObsEvent, ObsHandle, ObsSink, SpanEnd, SpanKind, Track};
+pub use obs::{Metric, MetricSpec};
 pub use prof::{HostProf, ProfNode, ProfPhase, ProfReport};
 pub use rng::SimRng;
 pub use stats::{AbortCause, Phase, RunStats};

@@ -1,105 +1,20 @@
-//! Observability primitives shared by every layer of the simulator.
+//! Observability vocabulary shared by the layers that emit it.
 //!
-//! The `tmobs` crate owns the recorder, metrics registry, and exporters;
-//! this module owns only what the *emitting* layers need: the
-//! [`ObsSink`] trait, the event vocabulary ([`ObsEvent`], [`SpanKind`],
-//! [`Metric`]), and the cloneable [`ObsHandle`] the engine threads
-//! through the stack. Keeping the trait here (like [`crate::stats`])
-//! lets `lockiller`, `coherence`, and `noc` emit without depending on
-//! the observability crate.
+//! A run has one recording, the engine's `lockiller::Trace`; `tmobs`
+//! derives spans, conflict forensics and metric series from it. This
+//! module owns only what the *emitting* layers below the engine need to
+//! name: conflict edges ([`ConflictEdge`]), which `coherence` records
+//! when the engine arms it, and the metric vocabulary ([`Metric`],
+//! [`MetricSpec`]) that the engine, `coherence` and `noc` sample and
+//! register. Keeping it here (like [`crate::stats`]) lets those crates
+//! emit without depending on the observability crate.
 //!
-//! ## Zero cost when disabled
-//!
-//! The engine stores an `Option<ObsHandle>`; every emission site is
-//! guarded by one `is_some()` branch, and no event values are even
-//! constructed on the disabled path. An uninstrumented run therefore
-//! executes the exact same simulation: sinks are write-only observers
-//! and can never feed back into timing or protocol decisions.
+//! Recording is write-only: nothing recorded feeds back into timing or
+//! protocol decisions, so a recorded run is bit-identical to an
+//! unrecorded one.
 
 use crate::stats::AbortCause;
-use crate::types::{CoreId, Cycle, LineAddr};
-use std::sync::{Arc, Mutex};
-
-/// Where a span lives in the exported trace: one track per core plus
-/// shared LLC and NoC tracks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Track {
-    /// Per-core track (txn attempts, lock sections, park intervals).
-    Core(CoreId),
-    /// The LLC / HLA-arbiter track (authorization grants).
-    Llc,
-    /// The NoC track (utilization counters).
-    Noc,
-}
-
-/// Kinds of simulated-time spans the engine emits.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SpanKind {
-    /// Speculative transaction attempt (`xbegin` .. commit/abort/switch).
-    Txn,
-    /// TL-mode lock transaction (`hlbegin` .. `hlend`).
-    TlLock,
-    /// STL continuation after a granted proactive switch (.. `hlend`).
-    StlLock,
-    /// Fallback-path critical section.
-    Fallback,
-    /// Recovery park: reject .. wake-up/retry/timeout.
-    Park,
-    /// LLC authorization (HLA) arbitration: request .. grant/deny.
-    HlaArb,
-}
-
-impl SpanKind {
-    pub fn name(self) -> &'static str {
-        match self {
-            SpanKind::Txn => "txn",
-            SpanKind::TlLock => "tl-lock",
-            SpanKind::StlLock => "stl-lock",
-            SpanKind::Fallback => "fallback",
-            SpanKind::Park => "park",
-            SpanKind::HlaArb => "hla-arb",
-        }
-    }
-}
-
-/// How a span ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpanEnd {
-    /// Transaction committed (HTM commit, or STL finish at `hlend`).
-    Commit,
-    /// Transaction aborted with this cause.
-    Abort(AbortCause),
-    /// Txn converted into an STL lock transaction (proactive switch).
-    Switched,
-    /// HLA arbitration granted.
-    Granted,
-    /// HLA arbitration denied.
-    Denied,
-    /// Park ended by a wake-up message.
-    Woken,
-    /// Park ended by the RetryLater pause elapsing.
-    Retried,
-    /// Park ended by the wake-up safety-net timeout.
-    Timeout,
-    /// Ordinary close (lock/fallback sections) or end-of-run truncation.
-    End,
-}
-
-impl SpanEnd {
-    pub fn name(self) -> &'static str {
-        match self {
-            SpanEnd::Commit => "commit",
-            SpanEnd::Abort(_) => "abort",
-            SpanEnd::Switched => "switched",
-            SpanEnd::Granted => "granted",
-            SpanEnd::Denied => "denied",
-            SpanEnd::Woken => "woken",
-            SpanEnd::Retried => "retried",
-            SpanEnd::Timeout => "timeout",
-            SpanEnd::End => "end",
-        }
-    }
-}
+use crate::types::{CoreId, LineAddr};
 
 /// How a detected conflict was resolved by the protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -265,94 +180,6 @@ impl MetricSpec {
     }
 }
 
-/// One observability event, stamped with the simulated cycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ObsEvent {
-    /// A span opened. `core` identifies the actor (for per-core tracks it
-    /// equals the track core; for the LLC track it is the requester).
-    SpanBegin {
-        cycle: Cycle,
-        track: Track,
-        kind: SpanKind,
-        core: CoreId,
-    },
-    /// The matching span closed.
-    SpanEnd {
-        cycle: Cycle,
-        track: Track,
-        kind: SpanKind,
-        core: CoreId,
-        end: SpanEnd,
-    },
-    /// A periodic metric sample.
-    Sample {
-        cycle: Cycle,
-        metric: Metric,
-        value: u64,
-    },
-    /// A conflict edge resolved by the coherence protocol (forensics).
-    Conflict { cycle: Cycle, edge: ConflictEdge },
-}
-
-/// Write-only sink for observability events. Implementations must not
-/// influence the simulation in any way; the engine only ever hands them
-/// data.
-pub trait ObsSink: Send {
-    fn event(&mut self, ev: ObsEvent);
-    /// Called once when the simulation finishes, with the final cycle, so
-    /// sinks can close still-open spans.
-    fn finish(&mut self, _cycle: Cycle) {}
-}
-
-/// A sink that discards everything (useful as a stand-in in tests).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl ObsSink for NullSink {
-    fn event(&mut self, _ev: ObsEvent) {}
-}
-
-/// Cloneable handle to a shared sink plus the sampling policy. The
-/// engine samples gauges/counters every `sample_every` simulated cycles.
-#[derive(Clone)]
-pub struct ObsHandle {
-    sink: Arc<Mutex<dyn ObsSink>>,
-    sample_every: Cycle,
-}
-
-impl ObsHandle {
-    /// Default sampling interval: fine enough to resolve STAMP phase
-    /// structure, coarse enough to keep artifacts small.
-    pub const DEFAULT_SAMPLE_EVERY: Cycle = 2_000;
-
-    pub fn new(sink: Arc<Mutex<dyn ObsSink>>, sample_every: Cycle) -> ObsHandle {
-        ObsHandle {
-            sink,
-            sample_every: sample_every.max(1),
-        }
-    }
-
-    pub fn sample_every(&self) -> Cycle {
-        self.sample_every
-    }
-
-    pub fn emit(&self, ev: ObsEvent) {
-        self.sink.lock().expect("obs sink poisoned").event(ev);
-    }
-
-    pub fn finish(&self, cycle: Cycle) {
-        self.sink.lock().expect("obs sink poisoned").finish(cycle);
-    }
-}
-
-impl std::fmt::Debug for ObsHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ObsHandle")
-            .field("sample_every", &self.sample_every)
-            .finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,35 +212,7 @@ mod tests {
     }
 
     #[test]
-    fn handle_routes_events_to_sink() {
-        #[derive(Default)]
-        struct Counting(u64, Option<Cycle>);
-        impl ObsSink for Counting {
-            fn event(&mut self, _ev: ObsEvent) {
-                self.0 += 1;
-            }
-            fn finish(&mut self, cycle: Cycle) {
-                self.1 = Some(cycle);
-            }
-        }
-        let sink = Arc::new(Mutex::new(Counting::default()));
-        let h = ObsHandle::new(sink.clone(), 100);
-        h.emit(ObsEvent::Sample {
-            cycle: 1,
-            metric: Metric::Commits,
-            value: 2,
-        });
-        h.finish(7);
-        let s = sink.lock().unwrap();
-        assert_eq!(s.0, 1);
-        assert_eq!(s.1, Some(7));
-    }
-
-    #[test]
     fn conflict_vocabulary_names_are_stable() {
-        // ObsEvent must stay Copy: emission sites pass events by value.
-        fn assert_copy<T: Copy>() {}
-        assert_copy::<ObsEvent>();
         assert_eq!(ConflictResolution::Nack.name(), "nack");
         assert_eq!(ConflictResolution::SigReject.name(), "sig_reject");
         assert_eq!(ConflictResolution::Abort(AbortCause::Mc).name(), "abort");
@@ -431,11 +230,5 @@ mod tests {
             action: RecoveryAction::Rwi,
         };
         assert_eq!(e, e);
-    }
-
-    #[test]
-    fn sample_every_clamped_to_one() {
-        let h = ObsHandle::new(Arc::new(Mutex::new(NullSink)), 0);
-        assert_eq!(h.sample_every(), 1);
     }
 }

@@ -10,12 +10,11 @@
 //! ## Zero cost when disabled, zero influence when enabled
 //!
 //! The engine stores an `Option<HostProf>`; every scope site is one
-//! `is_some()` branch on the disabled path (the same pattern as
-//! [`crate::obs::ObsSink`]). When enabled the profiler only *reads* the
-//! host clock — it never feeds anything back into the simulation, so
-//! simulated cycles, statistics, state fingerprints, and tmverify digests
-//! are byte-identical with profiling on or off. Tests assert exactly
-//! that.
+//! `is_some()` branch on the disabled path. When enabled the profiler
+//! only *reads* the host clock — it never feeds anything back into the
+//! simulation, so simulated cycles, statistics, state fingerprints, and
+//! tmverify digests are byte-identical with profiling on or off. Tests
+//! assert exactly that.
 //!
 //! The consuming side (flamegraph / Chrome-trace / JSON exporters)
 //! lives in `tmobs::tmprof`; this module owns only what the emitting

@@ -1,5 +1,5 @@
-//! Observability CLI: run one STAMP workload on one Table-II system with
-//! the recorder attached and write the artifacts to disk.
+//! Observability CLI: run one STAMP workload on one Table-II system at
+//! span level and write the artifacts derived from its trace to disk.
 //!
 //! ```text
 //! tmtrace [run]  [--workload NAME] [--system NAME] [--threads N]
@@ -273,7 +273,7 @@ fn cmd_perf_diff(mut it: std::env::Args) -> ! {
     // Refuse to gate across schema versions: the error names the
     // offending path and both versions so the fix is self-evident.
     let parse = |name: &str, text: &str| {
-        tmobs::json::parse(text).unwrap_or_else(|e| {
+        sim_core::json::parse(text).unwrap_or_else(|e| {
             eprintln!("perf-diff FAILED: {name}: {e}");
             std::process::exit(2);
         })
@@ -448,7 +448,7 @@ fn main() {
     if matches!(args.cmd, Cmd::Blame) {
         let blame_path = args.out.join(format!("{stem}.blame.json"));
         let doc = art.forensics.to_json(args.top);
-        if let Err(e) = tmobs::json::parse(&doc) {
+        if let Err(e) = sim_core::json::parse(&doc) {
             eprintln!("blame JSON validation FAILED: {e}");
             std::process::exit(1);
         }

@@ -8,9 +8,8 @@
 //! become counter tracks (`ph: "C"`) — which is how the NoC link
 //! utilization and LLC bank queue depths appear as tracks in Perfetto.
 
-use crate::json::{self, escape, Json};
-use crate::recorder::{Recorder, Span};
-use sim_core::obs::{SpanEnd, Track};
+use crate::recorder::{Recorder, Span, SpanEnd, Track};
+use sim_core::json::{self, escape, Json};
 use sim_core::stats::RunStats;
 
 /// Run identification embedded in the trace (`otherData` + process
@@ -28,7 +27,6 @@ fn tid(track: Track, threads: usize) -> usize {
     match track {
         Track::Core(c) => c,
         Track::Llc => threads,
-        Track::Noc => threads + 1,
     }
 }
 
@@ -211,7 +209,9 @@ pub fn validate_chrome(doc: &str) -> Result<ChromeSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::obs::{Metric, ObsEvent, ObsSink, SpanKind};
+    use crate::recorder::trace;
+    use lockiller::TraceKind;
+    use sim_core::obs::Metric;
 
     fn meta() -> TraceMeta {
         TraceMeta {
@@ -224,28 +224,14 @@ mod tests {
 
     #[test]
     fn export_parses_and_validates() {
-        let mut rec = Recorder::default();
-        for core in 0..2 {
-            rec.event(ObsEvent::SpanBegin {
-                cycle: 10 + core as u64,
-                track: Track::Core(core),
-                kind: SpanKind::Txn,
-                core,
-            });
-            rec.event(ObsEvent::SpanEnd {
-                cycle: 50,
-                track: Track::Core(core),
-                kind: SpanKind::Txn,
-                core,
-                end: SpanEnd::Commit,
-            });
-        }
-        rec.event(ObsEvent::Sample {
-            cycle: 0,
-            metric: Metric::Commits,
-            value: 2,
-        });
-        rec.finish(60);
+        let mut t = trace(&[
+            (10, 0, TraceKind::TxBegin),
+            (11, 1, TraceKind::TxBegin),
+            (50, 0, TraceKind::Commit),
+            (50, 1, TraceKind::Commit),
+        ]);
+        t.record_samples(0, vec![(Metric::Commits, 2)]);
+        let rec = Recorder::from_trace(&t, 60);
         let mut stats = RunStats::new(2);
         stats
             .latency
@@ -288,21 +274,13 @@ mod tests {
     #[test]
     fn abort_cause_lands_in_args() {
         use sim_core::stats::AbortCause;
-        let mut rec = Recorder::default();
-        rec.event(ObsEvent::SpanBegin {
-            cycle: 1,
-            track: Track::Core(0),
-            kind: SpanKind::Txn,
-            core: 0,
-        });
-        rec.event(ObsEvent::SpanEnd {
-            cycle: 9,
-            track: Track::Core(0),
-            kind: SpanKind::Txn,
-            core: 0,
-            end: SpanEnd::Abort(AbortCause::Mc),
-        });
-        rec.finish(9);
+        let rec = Recorder::from_trace(
+            &trace(&[
+                (1, 0, TraceKind::TxBegin),
+                (9, 0, TraceKind::Abort(AbortCause::Mc)),
+            ]),
+            9,
+        );
         let doc = export_chrome(&rec, &meta(), &RunStats::new(2));
         assert!(doc.contains("\"cause\":\"mc\""));
         validate_chrome(&doc).unwrap();

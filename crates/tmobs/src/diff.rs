@@ -8,7 +8,7 @@
 //! `tmtrace diff` fronts this; the bench crate and CI reuse it as a
 //! self-contained regression gate.
 
-use crate::json::{self, Json};
+use sim_core::json::{self, Json};
 
 /// One flagged difference between documents A and B.
 #[derive(Clone, Debug, PartialEq)]

@@ -18,9 +18,9 @@
 //!    least one NACK, tracked to its eventual commit, proactive switch,
 //!    or abort: the "fraction of recoveries that saved work".
 
-use crate::recorder::{ConflictEvent, Recorder};
+use crate::recorder::{ConflictEvent, Recorder, SpanEnd, SpanKind, Track};
 use sim_core::json::escape;
-use sim_core::obs::{ConflictResolution, RecoveryAction, SpanEnd, SpanKind, Track};
+use sim_core::obs::{ConflictResolution, RecoveryAction};
 use sim_core::stats::{AbortCause, RunStats};
 use sim_core::types::{Cycle, LineAddr};
 
@@ -457,20 +457,23 @@ impl ForensicsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::obs::{ConflictEdge, ObsEvent, ObsSink, SpanKind};
+    use crate::recorder::trace;
+    use lockiller::{Trace, TraceKind};
+    use sim_core::obs::ConflictEdge;
     use sim_core::types::CoreId;
 
     fn conflict(
+        t: &mut Trace,
         cycle: Cycle,
         attacker: CoreId,
         victim: CoreId,
         line: u64,
         resolution: ConflictResolution,
         action: RecoveryAction,
-    ) -> ObsEvent {
-        ObsEvent::Conflict {
+    ) {
+        t.record_conflict(
             cycle,
-            edge: ConflictEdge {
+            ConflictEdge {
                 attacker,
                 victim,
                 line: LineAddr(line),
@@ -479,59 +482,53 @@ mod tests {
                 resolution,
                 action,
             },
-        }
+        );
     }
 
-    fn txn(rec: &mut Recorder, core: CoreId, start: Cycle, end: Cycle, outcome: SpanEnd) {
-        rec.event(ObsEvent::SpanBegin {
-            cycle: start,
-            track: Track::Core(core),
-            kind: SpanKind::Txn,
-            core,
-        });
-        rec.event(ObsEvent::SpanEnd {
-            cycle: end,
-            track: Track::Core(core),
-            kind: SpanKind::Txn,
-            core,
-            end: outcome,
-        });
+    /// A `Txn` span from `start` to `end`, closed by `outcome` (`Commit`
+    /// or `Abort`).
+    fn txn(t: &mut Trace, core: CoreId, start: Cycle, end: Cycle, outcome: TraceKind) {
+        t.record(start, core, TraceKind::TxBegin);
+        t.record(end, core, outcome);
     }
 
     #[test]
     fn attribution_prefers_abort_edge_and_reconciles() {
-        let mut rec = Recorder::default();
+        let mut t = trace(&[]);
         // Core 1 gets NACKed by core 0, then aborted by core 2.
-        rec.event(conflict(
+        conflict(
+            &mut t,
             12,
             0,
             1,
             0x40,
             ConflictResolution::Nack,
             RecoveryAction::Rwi,
-        ));
-        rec.event(conflict(
+        );
+        conflict(
+            &mut t,
             18,
             2,
             1,
             0x41,
             ConflictResolution::Abort(AbortCause::Mc),
             RecoveryAction::None,
-        ));
-        txn(&mut rec, 1, 10, 20, SpanEnd::Abort(AbortCause::Mc));
+        );
+        txn(&mut t, 1, 10, 20, TraceKind::Abort(AbortCause::Mc));
         // Core 2 aborts for capacity with no conflict edge: unattributed.
-        txn(&mut rec, 2, 5, 35, SpanEnd::Abort(AbortCause::Of));
+        txn(&mut t, 2, 5, 35, TraceKind::Abort(AbortCause::Of));
         // Core 0 commits after a NACK: a saved recovery.
-        rec.event(conflict(
+        conflict(
+            &mut t,
             42,
             2,
             0,
             0x40,
             ConflictResolution::Nack,
             RecoveryAction::Rwi,
-        ));
-        txn(&mut rec, 0, 40, 50, SpanEnd::Commit);
-        rec.finish(60);
+        );
+        txn(&mut t, 0, 40, 50, TraceKind::Commit);
+        let rec = Recorder::from_trace(&t, 60);
 
         let r = analyze(&rec, 3);
         assert_eq!(r.matrix.aborts[2][1], 1, "abort edge wins attribution");
@@ -556,17 +553,18 @@ mod tests {
     fn nack_edge_attributes_local_self_abort() {
         // RAI: the victim aborts itself after a NACK — no protocol abort
         // edge exists, the NACKer still gets the blame.
-        let mut rec = Recorder::default();
-        rec.event(conflict(
+        let mut t = trace(&[]);
+        conflict(
+            &mut t,
             15,
             0,
             1,
             0x80,
             ConflictResolution::Nack,
             RecoveryAction::Rai,
-        ));
-        txn(&mut rec, 1, 10, 17, SpanEnd::Abort(AbortCause::Mc));
-        rec.finish(20);
+        );
+        txn(&mut t, 1, 10, 17, TraceKind::Abort(AbortCause::Mc));
+        let rec = Recorder::from_trace(&t, 20);
         let r = analyze(&rec, 2);
         assert_eq!(r.matrix.aborts[0][1], 1);
         assert_eq!(r.matrix.wasted[0][1], 7);
@@ -576,26 +574,28 @@ mod tests {
 
     #[test]
     fn hotspots_rank_by_aborts_then_nacks() {
-        let mut rec = Recorder::default();
+        let mut t = trace(&[]);
         for i in 0..3 {
-            rec.event(conflict(
+            conflict(
+                &mut t,
                 i,
                 0,
                 1,
                 0x10,
                 ConflictResolution::Nack,
                 RecoveryAction::Rwi,
-            ));
+            );
         }
-        rec.event(conflict(
+        conflict(
+            &mut t,
             5,
             0,
             1,
             0x20,
             ConflictResolution::Abort(AbortCause::Mc),
             RecoveryAction::None,
-        ));
-        rec.finish(10);
+        );
+        let rec = Recorder::from_trace(&t, 10);
         let r = analyze(&rec, 2);
         assert_eq!(r.hotspots[0].line, LineAddr(0x20));
         assert_eq!(r.hotspots[0].total_aborts(), 1);
@@ -605,17 +605,18 @@ mod tests {
 
     #[test]
     fn json_round_trips_through_parser() {
-        let mut rec = Recorder::default();
-        rec.event(conflict(
+        let mut t = trace(&[]);
+        conflict(
+            &mut t,
             3,
             0,
             1,
             0x40,
             ConflictResolution::SigReject,
             RecoveryAction::Rwi,
-        ));
-        txn(&mut rec, 1, 1, 9, SpanEnd::Abort(AbortCause::Lock));
-        rec.finish(10);
+        );
+        txn(&mut t, 1, 1, 9, TraceKind::Abort(AbortCause::Lock));
+        let rec = Recorder::from_trace(&t, 10);
         let r = analyze(&rec, 2);
         let doc = r.to_json(8);
         let v = sim_core::json::parse(&doc).unwrap();

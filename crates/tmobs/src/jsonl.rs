@@ -3,9 +3,9 @@
 //! function of the recording and stats, so two identically-seeded runs
 //! produce byte-identical files.
 
-use crate::json::escape;
 use crate::recorder::Recorder;
 use crate::registry::MetricsRegistry;
+use sim_core::json::escape;
 use sim_core::stats::RunStats;
 
 /// Serialize the sampled time series. Line 1 is the schema (every
@@ -49,26 +49,20 @@ pub fn export_jsonl(rec: &Recorder, reg: &MetricsRegistry, stats: &RunStats) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
     use sim_core::config::SystemConfig;
-    use sim_core::obs::{Metric, ObsEvent, ObsSink};
+    use sim_core::json;
+    use sim_core::obs::Metric;
 
     #[test]
     fn every_line_is_valid_json() {
-        let mut rec = Recorder::default();
+        let mut t = crate::recorder::trace(&[]);
         for (cycle, value) in [(0, 0), (2000, 5)] {
-            rec.event(ObsEvent::Sample {
+            t.record_samples(
                 cycle,
-                metric: Metric::Commits,
-                value,
-            });
-            rec.event(ObsEvent::Sample {
-                cycle,
-                metric: Metric::BankQueueDepth(3),
-                value: 1,
-            });
+                vec![(Metric::Commits, value), (Metric::BankQueueDepth(3), 1)],
+            );
         }
-        rec.finish(4000);
+        let rec = Recorder::from_trace(&t, 4000);
         let reg = MetricsRegistry::for_config(&SystemConfig::table1());
         let mut stats = sim_core::stats::RunStats::new(2);
         stats

@@ -4,9 +4,10 @@
 //! vocabulary defined in `sim_core::obs`; this crate owns everything on
 //! the *consuming* side:
 //!
-//! - [`recorder::Recorder`] — an [`sim_core::obs::ObsSink`] that pairs
-//!   span begin/end events into closed [`recorder::Span`]s and groups
-//!   periodic metric samples into per-tick rows;
+//! - [`recorder::Recorder`] — a run's recording, derived from its
+//!   span-level `lockiller::Trace`: closed [`recorder::Span`]s paired
+//!   from the trace's events, per-tick metric sample rows, and conflict
+//!   edges;
 //! - [`registry::MetricsRegistry`] — the union of every layer's metric
 //!   registrations;
 //! - exporters: [`chrome`] (Chrome trace-event JSON, loadable in
@@ -27,7 +28,7 @@
 //!   `tmverify` explorer (`tmtrace witness` renders them, `tmverify
 //!   replay` re-executes them);
 //! - [`session`] — a one-call harness running a STAMP workload on a
-//!   Table-II system with a recorder attached, returning all artifacts
+//!   Table-II system at span level, returning all artifacts
 //!   and timing its own setup / simulate / export phases as
 //!   `sim_core::prof::HostProf` scopes (`<stem>.selfprof.json`);
 //! - [`tmprof`] — exporters for the scope-based host profile
@@ -38,9 +39,9 @@
 //!   progress lines for batch executors (the bench crate's `tmlab`);
 //! - the `tmtrace` CLI binary, which writes the artifacts to disk.
 //!
-//! Attaching a recorder never changes a simulation's outcome: sinks are
-//! write-only, and the engine's emission sites are dead branches when no
-//! sink is installed (see `sim_core::obs`).
+//! The engine records each event once, into its trace; everything here
+//! is derived from a finished run. Recording never changes a
+//! simulation's outcome: it is write-only (see `sim_core::obs`).
 
 pub mod batch;
 pub mod chrome;
@@ -55,18 +56,13 @@ pub mod summary;
 pub mod tmprof;
 pub mod witness;
 
-/// Minimal JSON support (escaping + a recursive-descent parser); lives in
-/// `sim_core` so statistics serialization can share it, re-exported here
-/// because the exporters and their callers historically used `tmobs::json`.
-pub use sim_core::json;
-
 pub use batch::BatchProgress;
 pub use chrome::{export_chrome, validate_chrome, ChromeSummary, TraceMeta};
 pub use diff::{check_schema_match, diff_docs, diff_values, top_phase_movers, MetricDelta};
 pub use forensics::{analyze, ConflictMatrix, ForensicsReport, LineHotspot, RecoveryLedger};
 pub use jsonl::export_jsonl;
 pub use latency::render_latency_table;
-pub use recorder::{ConflictEvent, Recorder, SampleRow, Span};
+pub use recorder::{ConflictEvent, Recorder, SampleRow, Span, SpanEnd, SpanKind, Track};
 pub use registry::MetricsRegistry;
 pub use session::{run_trace, TraceArtifacts, TraceConfig};
 pub use summary::render_summary;

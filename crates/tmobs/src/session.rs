@@ -1,6 +1,6 @@
 //! One-call tracing harness: run a STAMP workload on a Table-II system
-//! with a recorder attached and return every artifact (`tmtrace` is a
-//! thin CLI over this; tests drive it directly).
+//! at span level, derive its [`Recorder`] from the trace and return every
+//! artifact (`tmtrace` is a thin CLI over this; tests drive it directly).
 
 use crate::chrome::{export_chrome, TraceMeta};
 use crate::forensics::{self, ForensicsReport};
@@ -12,7 +12,6 @@ use crate::tmprof::{prof_json, render_prof};
 use lockiller::system::SystemKind;
 use lockiller::Runner;
 use sim_core::config::SystemConfig;
-use sim_core::obs::ObsHandle;
 use sim_core::prof::{HostProf, ProfPhase, ProfReport};
 use sim_core::stats::RunStats;
 use sim_core::types::Cycle;
@@ -26,7 +25,7 @@ pub struct TraceConfig {
     pub threads: usize,
     pub scale: Scale,
     pub seed: u64,
-    /// Metric sampling interval in simulated cycles.
+    /// Metric sampling interval in simulated cycles (0 counts as 1).
     pub sample_every: Cycle,
     /// Hardware configuration (Table I by default).
     pub hw: SystemConfig,
@@ -47,7 +46,9 @@ impl TraceConfig {
             threads: 4,
             scale: Scale::Tiny,
             seed: 0xC0FFEE,
-            sample_every: ObsHandle::DEFAULT_SAMPLE_EVERY,
+            // Fine enough to resolve STAMP phase structure, coarse
+            // enough to keep artifacts small.
+            sample_every: 2_000,
             hw: SystemConfig::table1(),
             profile: false,
         }
@@ -91,25 +92,23 @@ pub fn run_trace(cfg: &TraceConfig) -> TraceArtifacts {
     let mut prof = HostProf::start();
     prof.enter(ProfPhase::Setup);
     let mut prog = Workload::with_scale(cfg.workload, cfg.threads, cfg.scale);
-    let (handle, rec) = Recorder::shared(cfg.sample_every);
     let mut runner = Runner::new(cfg.system)
         .config(cfg.hw.clone())
         .threads(cfg.threads)
         .seed(cfg.seed)
-        .obs(handle);
+        .spans(cfg.sample_every);
     if cfg.profile {
         runner = runner.profile();
     }
     prof.exit();
     prof.enter(ProfPhase::Simulate);
-    let mut out = runner.tracing().no_validate().run(&mut prog);
-    let events = out.take_trace_events();
-    let engine_prof = out.host_prof.take();
-    let (stats, mem) = (out.stats, out.mem);
+    let out = runner.no_validate().run(&mut prog);
+    let trace = out.trace.expect("a span-level run returns its trace");
+    let (stats, mem, engine_prof) = (out.stats, out.mem, out.host_prof);
     prof.exit();
     prof.enter(ProfPhase::Export);
     let validation = lockiller::Program::validate(&prog, &mem);
-    let recorder = std::mem::take(&mut *rec.lock().expect("recorder poisoned"));
+    let recorder = Recorder::from_trace(&trace, stats.cycles);
     let registry = MetricsRegistry::for_config(&cfg.hw);
     let meta = TraceMeta {
         workload: cfg.workload.name().to_string(),
@@ -120,7 +119,7 @@ pub fn run_trace(cfg: &TraceConfig) -> TraceArtifacts {
     let chrome_json = export_chrome(&recorder, &meta, &stats);
     let metrics_jsonl = export_jsonl(&recorder, &registry, &stats);
     let summary = render_summary(&recorder, &stats);
-    let timeline = lockiller::render_timeline(&events, cfg.threads, 100);
+    let timeline = lockiller::render_timeline(trace.events(), cfg.threads, 100);
     let forensics = forensics::analyze(&recorder, cfg.threads);
     prof.exit();
     let mut tree = prof.report();

@@ -4,9 +4,9 @@
 //! for the latency classes and the recording's own distributions.
 
 use crate::latency::{render_hist_table, render_latency_table};
-use crate::recorder::Recorder;
+use crate::recorder::{Recorder, SpanKind, Track};
 use sim_core::latency::LatencyHist;
-use sim_core::obs::{Metric, SpanKind, Track};
+use sim_core::obs::Metric;
 use sim_core::stats::{AbortCause, RunStats};
 
 /// Shade ramp for bucket occupancy (0% .. 100%).
@@ -177,7 +177,8 @@ pub fn render_summary(rec: &Recorder, stats: &RunStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::obs::{ObsEvent, ObsSink, SpanEnd};
+    use crate::recorder::trace;
+    use lockiller::TraceKind;
 
     #[test]
     fn ramp_is_monotone_and_bounded() {
@@ -188,21 +189,10 @@ mod tests {
 
     #[test]
     fn occupancy_covers_full_span() {
-        let mut rec = Recorder::default();
-        rec.event(ObsEvent::SpanBegin {
-            cycle: 0,
-            track: Track::Core(0),
-            kind: SpanKind::Txn,
-            core: 0,
-        });
-        rec.event(ObsEvent::SpanEnd {
-            cycle: 100,
-            track: Track::Core(0),
-            kind: SpanKind::Txn,
-            core: 0,
-            end: SpanEnd::Commit,
-        });
-        rec.finish(100);
+        let rec = Recorder::from_trace(
+            &trace(&[(0, 0, TraceKind::TxBegin), (100, 0, TraceKind::Commit)]),
+            100,
+        );
         let occ = occupancy(&rec, 0, &[SpanKind::Txn], 100, 10);
         assert!(occ.iter().all(|&f| (f - 1.0).abs() < 1e-9), "{occ:?}");
         let none = occupancy(&rec, 1, &[SpanKind::Txn], 100, 10);
@@ -246,34 +236,21 @@ mod tests {
         assert!(!empty.contains("park_latency"));
         assert!(!empty.contains("NaN") && !empty.contains("inf"), "{empty}");
 
-        let mut rec = Recorder::default();
-        for (start, end) in [(0, 40), (50, 250)] {
-            rec.event(ObsEvent::SpanBegin {
-                cycle: start,
-                track: Track::Core(0),
-                kind: SpanKind::Txn,
-                core: 0,
-            });
-            rec.event(ObsEvent::SpanEnd {
-                cycle: end,
-                track: Track::Core(0),
-                kind: SpanKind::Txn,
-                core: 0,
-                end: SpanEnd::Commit,
-            });
-        }
-        for (metric, value) in [
-            (Metric::BankQueueDepth(0), 3),
-            (Metric::BankQueueDepth(1), 0),
-            (Metric::Commits, 99),
-        ] {
-            rec.event(ObsEvent::Sample {
-                cycle: 0,
-                metric,
-                value,
-            });
-        }
-        rec.finish(250);
+        let mut t = trace(&[
+            (0, 0, TraceKind::TxBegin),
+            (40, 0, TraceKind::Commit),
+            (50, 0, TraceKind::TxBegin),
+            (250, 0, TraceKind::Commit),
+        ]);
+        t.record_samples(
+            0,
+            vec![
+                (Metric::BankQueueDepth(0), 3),
+                (Metric::BankQueueDepth(1), 0),
+                (Metric::Commits, 99),
+            ],
+        );
+        let rec = Recorder::from_trace(&t, 250);
         let s = render_summary(&rec, &stats);
         assert_eq!(row(&s, "txn_length")[0], "2");
         assert_eq!(row(&s, "txn_length")[5], "200");

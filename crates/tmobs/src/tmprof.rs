@@ -80,7 +80,7 @@ pub fn chrome_prof(report: &ProfReport) -> String {
         first = false;
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":{},\"dur\":{},\"args\":{{\"calls\":{},\"self_us\":{}}}}}",
-            crate::json::escape(n.name),
+            sim_core::json::escape(n.name),
             ts / 1000,
             n.total_ns / 1000,
             n.calls,
@@ -116,7 +116,7 @@ pub fn prof_json(report: &ProfReport) -> String {
         }
         out.push_str(&format!(
             "{{\"path\":\"{}\",\"total_ms\":{:.3},\"self_ms\":{:.3},\"calls\":{}}}",
-            crate::json::escape(&n.path),
+            sim_core::json::escape(&n.path),
             n.total_ns as f64 / 1e6,
             n.self_ns as f64 / 1e6,
             n.calls
@@ -204,7 +204,7 @@ mod tests {
     fn chrome_prof_is_valid_json_with_nested_slices() {
         let r = sample_report();
         let doc = chrome_prof(&r);
-        let v = crate::json::parse(&doc).expect("valid JSON");
+        let v = sim_core::json::parse(&doc).expect("valid JSON");
         let events = v.get("traceEvents").unwrap().as_arr().unwrap();
         assert_eq!(events.len(), r.nodes.len());
         // The root slice spans the whole profile.
@@ -224,7 +224,7 @@ mod tests {
     fn prof_json_parses_and_shares_sum_to_one() {
         let r = sample_report();
         let doc = prof_json(&r);
-        let v = crate::json::parse(&doc).expect("valid JSON");
+        let v = sim_core::json::parse(&doc).expect("valid JSON");
         let nodes = v.get("nodes").unwrap().as_arr().unwrap();
         assert_eq!(nodes.len(), r.nodes.len());
         let total = v.get("total_ms").unwrap().as_f64().unwrap();

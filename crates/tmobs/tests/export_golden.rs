@@ -18,9 +18,10 @@
 
 use lockiller::system::SystemKind;
 use sim_core::fxhash::FxHasher;
+use sim_core::json;
 use stamp::WorkloadKind;
 use std::hash::Hasher;
-use tmobs::{json, run_trace, TraceConfig};
+use tmobs::{run_trace, TraceConfig};
 
 const GOLDEN: &str = "tests/golden/artifacts.jsonl";
 

@@ -1,7 +1,8 @@
 //! Exporter round-trip and determinism tests: the Chrome trace parses
 //! and nests, the JSONL series is byte-identical across identically
-//! seeded runs, span data agrees with the engine's structured trace and
-//! RunStats, and attaching a recorder never changes a simulation.
+//! seeded runs, the spans derived from a trace agree with its events and
+//! reconcile with RunStats, and recording spans never changes a
+//! simulation.
 
 use lockiller::flatmem::{FlatMem, SetupCtx};
 use lockiller::guest::GuestCtx;
@@ -9,10 +10,12 @@ use lockiller::program::{GuestFuture, Program};
 use lockiller::runner::Runner;
 use lockiller::system::SystemKind;
 use lockiller::TraceKind;
-use sim_core::obs::{SpanEnd, SpanKind};
 use sim_core::stats::RunStats;
 use sim_core::types::Addr;
-use tmobs::{export_chrome, export_jsonl, validate_chrome, MetricsRegistry, Recorder, TraceMeta};
+use tmobs::{
+    export_chrome, export_jsonl, validate_chrome, MetricsRegistry, Recorder, SpanEnd, SpanKind,
+    TraceMeta,
+};
 
 /// Litmus workload: every thread increments one shared counter, forcing
 /// conflicts, aborts, and (on Lockiller systems) parks.
@@ -72,21 +75,18 @@ const THREADS: usize = 4;
 const SEED: u64 = 0xBEEF;
 
 fn traced_run(kind: SystemKind) -> (RunStats, Vec<lockiller::TraceEvent>, Recorder) {
-    let (handle, rec) = Recorder::shared(500);
     let mut prog = Counter::new(40, THREADS);
-    let runner = Runner::new(kind).threads(THREADS).seed(SEED).obs(handle);
-    let mut out = runner.tracing().no_validate().run(&mut prog);
-    let events = out.take_trace_events();
-    let (stats, mem) = (out.stats, out.mem);
-    prog.validate(&mem).expect("counter total wrong");
-    let rec = std::mem::take(&mut *rec.lock().unwrap());
-    (stats, events, rec)
+    let runner = Runner::new(kind).threads(THREADS).seed(SEED).spans(500);
+    let mut out = runner.no_validate().run(&mut prog);
+    prog.validate(&out.mem).expect("counter total wrong");
+    let trace = out.trace.take().expect("span-level trace");
+    let rec = Recorder::from_trace(&trace, out.stats.cycles);
+    (out.stats, trace.events().to_vec(), rec)
 }
 
 #[test]
 fn chrome_export_parses_and_nests() {
     let (stats, _events, rec) = traced_run(SystemKind::LockillerTm);
-    assert!(rec.is_finished());
     let meta = TraceMeta {
         workload: "counter".into(),
         system: SystemKind::LockillerTm.name().into(),
@@ -188,18 +188,17 @@ fn observability_does_not_perturb_the_simulation() {
             .seed(SEED)
             .run(&mut prog)
             .stats;
-        let (handle, _rec) = Recorder::shared(100);
         let mut prog = Counter::new(25, THREADS);
         let observed = Runner::new(kind)
             .threads(THREADS)
             .seed(SEED)
-            .obs(handle)
+            .spans(100)
             .run(&mut prog)
             .stats;
         assert_eq!(
             format!("{plain:?}"),
             format!("{observed:?}"),
-            "attaching a recorder changed the run on {}",
+            "recording spans changed the run on {}",
             kind.name()
         );
     }
@@ -227,26 +226,76 @@ fn summary_and_timeline_render_from_one_run() {
 
 /// The engine's `park` histogram and the recording's `Park` spans are
 /// the same distribution on every completed run with parks, which is
-/// why the summary shows park waits once (`park_wait`).
+/// why the summary shows park waits once (`park_wait`). Every other
+/// span count reconciles exactly with the run's counters too, and the
+/// last four points reach all 12 span kind/outcome pairs: small-cache
+/// vacation switches (granted and denied), small-cache labyrinth
+/// arbitrates TL entry, RRI intruder retries and falls back, and
+/// checked RWI intruder with dropped wake-ups times out.
 #[test]
 fn park_spans_form_the_engine_park_histogram() {
-    for workload in [
-        stamp::WorkloadKind::Intruder,
-        stamp::WorkloadKind::VacationLow,
-        stamp::WorkloadKind::Yada,
-    ] {
-        for system in [SystemKind::LockillerTm, SystemKind::LockillerRwi] {
-            let art = tmobs::run_trace(&tmobs::TraceConfig::new(workload, system));
-            let point = format!("{}/{}", workload.name(), system.name());
-            assert_eq!(art.validation, Ok(()), "{point}");
-            assert_eq!(art.recorder.auto_closed(), 0, "{point} did not complete");
-            assert_eq!(art.recorder.dropped_spans(), 0, "{point}");
-            let mut spans = sim_core::latency::LatencyHist::new();
-            for s in art.recorder.spans_of(SpanKind::Park) {
-                spans.record(s.duration());
-            }
-            assert!(spans.count() > 0, "{point} has no parks");
-            assert_eq!(spans, art.stats.latency.park, "{point}");
+    use sim_core::config::{CheckCfg, SystemConfig};
+    use stamp::{Scale, WorkloadKind as W};
+    use SpanKind::{Fallback, HlaArb, Park, StlLock, TlLock, Txn};
+    use SystemKind::{LockillerRri as Rri, LockillerRwi as Rwi, LockillerTm as Tm};
+    let (table1, small) = (SystemConfig::table1(), SystemConfig::small_cache());
+    let mut dropped = table1.clone();
+    dropped.check = CheckCfg::on();
+    dropped.check.fault.drop_wakeups = true;
+    let mut points = Vec::new();
+    for workload in [W::Intruder, W::VacationLow, W::Yada] {
+        for system in [Tm, Rwi] {
+            points.push((workload, system, 4, Scale::Tiny, table1.clone()));
         }
     }
+    points.extend([
+        (W::VacationLow, Tm, 4, Scale::Small, small.clone()),
+        (W::Labyrinth, Tm, 8, Scale::Tiny, small),
+        (W::Intruder, Rri, 4, Scale::Tiny, table1),
+        (W::Intruder, Rwi, 4, Scale::Tiny, dropped),
+    ]);
+    let mut pairs = std::collections::BTreeSet::new();
+    for (workload, system, threads, scale, hw) in points {
+        let mut cfg = tmobs::TraceConfig::new(workload, system);
+        (cfg.threads, cfg.scale, cfg.hw) = (threads, scale, hw);
+        let art = tmobs::run_trace(&cfg);
+        let (rec, st) = (&art.recorder, &art.stats);
+        let point = format!("{}/{}/{threads}", workload.name(), system.name());
+        assert_eq!(art.validation, Ok(()), "{point}");
+        let incomplete = (rec.auto_closed(), rec.unmatched_ends(), st.trace_dropped);
+        assert_eq!(incomplete, (0, 0, 0), "{point} did not complete");
+        let mut spans = sim_core::latency::LatencyHist::new();
+        for s in rec.spans_of(Park) {
+            spans.record(s.duration());
+        }
+        assert!(spans.count() > 0, "{point} has no parks");
+        assert_eq!(spans, st.latency.park, "{point}");
+        let count = |kind, outcome: &str| {
+            let hit = |s: &&tmobs::Span| outcome.is_empty() || s.outcome.name() == outcome;
+            rec.spans_of(kind).filter(hit).count() as u64
+        };
+        let locked = count(TlLock, "") + count(Fallback, "");
+        let htm_commits = st.commits - st.stl_commits;
+        for (what, got, want) in [
+            ("txn", count(Txn, ""), st.tx_starts),
+            ("txn commit", count(Txn, "commit"), htm_commits),
+            ("txn abort", count(Txn, "abort"), st.total_aborts()),
+            ("txn switched", count(Txn, "switched"), st.switches_granted),
+            ("stl commit", count(StlLock, "commit"), st.stl_commits),
+            ("hla denied", count(HlaArb, "denied"), st.switches_denied),
+            ("park timeout", count(Park, "timeout"), st.wakeup_timeouts),
+            ("locked", locked, st.lock_commits),
+            ("locked", locked, st.fallbacks),
+        ] {
+            assert_eq!(got, want, "{point}: {what} spans");
+        }
+        for s in rec.spans() {
+            pairs.insert((s.kind.name(), s.outcome.name()));
+        }
+    }
+    let all = "fallback end hla-arb denied hla-arb granted park end park retried park timeout \
+               park woken stl-lock commit tl-lock end txn abort txn commit txn switched";
+    let words: Vec<&str> = all.split_whitespace().collect();
+    let want = words.chunks(2).map(|p| (p[0], p[1])).collect();
+    assert_eq!(pairs, want);
 }

@@ -1,17 +1,17 @@
-//! Conflict-forensics acceptance tests: attaching the forensics sink
-//! never changes a run (byte-identical RunStats JSON), the blame
-//! matrix's wasted cycles reconcile exactly with the aborted-cycle
-//! statistics, a run diffed against itself reports zero deltas, and
-//! bounded recorder storage keeps the exporters well-formed.
+//! Conflict-forensics acceptance tests: recording conflict edges never
+//! changes a run (byte-identical RunStats JSON), the blame matrix's
+//! wasted cycles reconcile exactly with the aborted-cycle statistics, a
+//! run diffed against itself reports zero deltas, and a recording
+//! derived from a truncated trace keeps the exporters well-formed.
 
 use lockiller::flatmem::{FlatMem, SetupCtx};
 use lockiller::guest::GuestCtx;
 use lockiller::program::{GuestFuture, Program};
 use lockiller::runner::Runner;
 use lockiller::system::SystemKind;
-use sim_core::obs::ObsHandle;
+use lockiller::{Trace, TraceLevel};
+use sim_core::json::{self, Json};
 use sim_core::types::Addr;
-use std::sync::{Arc, Mutex};
 use tmobs::{
     diff_docs, export_chrome, export_jsonl, forensics, run_trace, validate_chrome, MetricsRegistry,
     Recorder, TraceConfig, TraceMeta,
@@ -74,15 +74,19 @@ impl Program for Counter {
 const THREADS: usize = 4;
 const SEED: u64 = 0xBEEF;
 
-fn recorded_run(kind: SystemKind) -> (sim_core::stats::RunStats, Recorder) {
-    let (handle, rec) = Recorder::shared(500);
-    let mut prog = Counter::new(40, THREADS);
-    let out = Runner::new(kind)
+/// A span-level run of the counter litmus and its full trace.
+fn span_run(kind: SystemKind, per_thread: u64, sample_every: u64) -> lockiller::RunOutput {
+    let mut prog = Counter::new(per_thread, THREADS);
+    Runner::new(kind)
         .threads(THREADS)
         .seed(SEED)
-        .obs(handle)
-        .run(&mut prog);
-    let rec = std::mem::take(&mut *rec.lock().unwrap());
+        .spans(sample_every)
+        .run(&mut prog)
+}
+
+fn recorded_run(kind: SystemKind) -> (sim_core::stats::RunStats, Recorder) {
+    let out = span_run(kind, 40, 500);
+    let rec = Recorder::from_trace(out.trace.as_ref().expect("trace"), out.stats.cycles);
     (out.stats, rec)
 }
 
@@ -100,28 +104,18 @@ fn forensics_sink_never_changes_the_run() {
             .seed(SEED)
             .run(&mut prog)
             .stats;
-        let (observed, rec) = {
-            let (handle, rec) = Recorder::shared(100);
-            let mut prog = Counter::new(25, THREADS);
-            let out = Runner::new(kind)
-                .threads(THREADS)
-                .seed(SEED)
-                .obs(handle)
-                .run(&mut prog);
-            let taken = std::mem::take(&mut *rec.lock().unwrap());
-            (out.stats, taken)
-        };
+        let out = span_run(kind, 25, 100);
         // Byte-identical statistics even though the observed run recorded
         // conflict edges the plain run never materialized.
         assert_eq!(
             plain.to_json(),
-            observed.to_json(),
-            "forensics sink changed the run on {}",
+            out.stats.to_json(),
+            "recording conflict edges changed the run on {}",
             kind.name()
         );
         if kind != SystemKind::Baseline {
             assert!(
-                !rec.conflicts().is_empty(),
+                !out.trace.expect("trace").conflicts().is_empty(),
                 "{}: conflict-heavy run recorded no conflict edges",
                 kind.name()
             );
@@ -175,9 +169,9 @@ fn blame_on_intruder_lockillertm_is_nonempty_and_self_diffs_clean() {
         .expect("wasted-cycle reconciliation");
     // Blame JSON is valid and carries the reconciled total.
     let doc = f.to_json(10);
-    let v = tmobs::json::parse(&doc).expect("blame json parses");
+    let v = json::parse(&doc).expect("blame json parses");
     assert_eq!(
-        v.get("total_wasted").and_then(tmobs::json::Json::as_f64),
+        v.get("total_wasted").and_then(Json::as_f64),
         Some(art.stats.aborted_cycles() as f64)
     );
     // A run diffed against itself reports zero deltas; rerunning the
@@ -196,18 +190,25 @@ fn blame_on_intruder_lockillertm_is_nonempty_and_self_diffs_clean() {
 
 #[test]
 fn capped_recorder_keeps_exports_well_formed() {
-    // Tiny span cap: the conflict-heavy run must overflow it.
-    let rec = Arc::new(Mutex::new(Recorder::with_span_cap(8)));
-    let handle = ObsHandle::new(rec.clone(), 500);
-    let mut prog = Counter::new(40, THREADS);
-    let out = Runner::new(SystemKind::LockillerTm)
-        .threads(THREADS)
-        .seed(SEED)
-        .obs(handle)
-        .run(&mut prog);
-    let rec = std::mem::take(&mut *rec.lock().unwrap());
-    assert_eq!(rec.spans().len(), 8);
-    assert!(rec.dropped_spans() > 0, "cap was never exceeded");
+    // Replay a conflict-heavy run into a trace capped at 16 events: the
+    // prefix is kept, the rest only counted, and spans open at the cut
+    // close at the run's last cycle.
+    let out = span_run(SystemKind::LockillerTm, 40, 500);
+    let full = out.trace.expect("trace");
+    let mut capped = Trace::with_capacity(TraceLevel::Spans { sample_every: 500 }, 16);
+    for e in full.events() {
+        capped.record(e.cycle, e.core, e.kind);
+    }
+    for ev in full.conflicts() {
+        capped.record_conflict(ev.cycle, ev.edge);
+    }
+    for row in full.samples() {
+        capped.record_samples(row.cycle, row.values.clone());
+    }
+    assert!(capped.dropped() > 0, "cap was never exceeded");
+    let rec = Recorder::from_trace(&capped, out.stats.cycles);
+    assert!(rec.auto_closed() > 0, "no span was open at the cut");
+    assert!(rec.spans().len() <= 16);
     // Both exporters stay structurally valid on the truncated recording.
     let meta = TraceMeta {
         workload: "counter".into(),
@@ -217,12 +218,12 @@ fn capped_recorder_keeps_exports_well_formed() {
     };
     let doc = export_chrome(&rec, &meta, &out.stats);
     let s = validate_chrome(&doc).expect("capped chrome trace invalid");
-    assert_eq!(s.spans, 8);
+    assert_eq!(s.spans, rec.spans().len());
     let reg = MetricsRegistry::for_config(&sim_core::config::SystemConfig::table1());
     for line in export_jsonl(&rec, &reg, &out.stats)
         .lines()
         .filter(|l| !l.is_empty())
     {
-        tmobs::json::parse(line).expect("capped jsonl line invalid");
+        json::parse(line).expect("capped jsonl line invalid");
     }
 }

@@ -7,9 +7,9 @@
 
 use lockiller::system::SystemKind;
 use lockiller::Runner;
+use sim_core::json::{self, Json};
 use sim_core::prof::{HostProf, ProfPhase, ProfReport};
 use stamp::{Scale, Workload, WorkloadKind};
-use tmobs::json::{self, Json};
 use tmobs::TraceConfig;
 
 #[test]

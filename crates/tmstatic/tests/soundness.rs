@@ -14,7 +14,6 @@
 //! analysis maps to nothing and the prediction would fail.
 
 use lockiller::{Runner, SystemKind};
-use tmobs::Recorder;
 use tmstatic::VmAnalysis;
 use tmverify::progs::{ProgSpec, SpecProgram};
 use tmverify::Explorer;
@@ -27,21 +26,20 @@ fn assert_sound(system: SystemKind, spec: &ProgSpec, tiny_l1: bool, label: &str)
     let cfg = ex.config();
     let analysis = VmAnalysis::of_spec(system, spec, cfg.clone());
 
-    let (handle, rec) = Recorder::shared(500);
     let mut prog = SpecProgram::new(spec.clone());
     let out = Runner::new(system)
         .threads(spec.num_threads())
         .config(cfg)
         .retries(2)
         .seed(0)
-        .obs(handle)
+        .spans(500)
         .run(&mut prog);
     assert!(
         out.end.is_done(),
         "{label}: run must complete for the recording to be total"
     );
-    let rec = std::mem::take(&mut *rec.lock().unwrap());
-    for ev in rec.conflicts() {
+    let trace = out.trace.expect("span-level trace");
+    for ev in trace.conflicts() {
         let e = &ev.edge;
         assert!(
             analysis.may_conflict(e.attacker, e.victim, e.line),
@@ -54,7 +52,7 @@ fn assert_sound(system: SystemKind, spec: &ProgSpec, tiny_l1: bool, label: &str)
             ev.cycle,
         );
     }
-    rec.conflicts().len()
+    trace.conflicts().len()
 }
 
 #[test]

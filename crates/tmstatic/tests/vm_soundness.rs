@@ -17,7 +17,6 @@ use lockiller::{
     TraceKind,
 };
 use sim_core::config::{CheckCfg, SystemConfig, SystemConfigBuilder};
-use tmobs::Recorder;
 use tmstatic::VmAnalysis;
 use tmverify::progs::{ProgSpec, SpecProgram};
 use tmverify::Explorer;
@@ -49,15 +48,13 @@ fn assert_vm_sound<P: Program>(
 ) -> usize {
     let threads = kernels.len();
     let analysis = VmAnalysis::new(system, cfg.clone(), kernels);
-    let (handle, rec) = Recorder::shared(500);
     let out = Runner::new(system)
         .threads(threads)
         .config(cfg)
         .backend(backend)
         .retries(2)
         .seed(0)
-        .tracing()
-        .obs(handle)
+        .spans(500)
         .run(prog);
 
     // Touched-line soundness: every traced data access by core c must
@@ -86,9 +83,8 @@ fn assert_vm_sound<P: Program>(
 
     // Conflict-edge soundness: the static may-conflict relation must
     // predict every recorded edge.
-    let rec = std::mem::take(&mut *rec.lock().unwrap());
     let mut edges = 0usize;
-    for ev in rec.conflicts() {
+    for ev in out.trace.as_ref().expect("span-level trace").conflicts() {
         let e = &ev.edge;
         edges += 1;
         assert!(

@@ -21,6 +21,8 @@
 //! `--lines` 1..=65536 (`progs::MAX_LINES`, the bound `--prog` specs obey).
 //! `--profile` profiles every explored run on the host clock and prints
 //! the merged phase tree, heaviest self time first, after the report.
+//! Stdout carries only the report (and `-v`'s JSON); the header line and
+//! the `wrote …` / `witness written to …` notices go to stderr.
 //!
 //! Exit codes — `explore`: 0 clean and complete, 1 violation found
 //! (witness written to `--out`, default `tmverify-witness.json`),
@@ -210,7 +212,7 @@ fn main() {
     }
     let args = parse_args(raw);
     let ex = &args.explorer;
-    println!(
+    eprintln!(
         "tmverify: exploring {} on {} (inject: [{}], safety net {}, dedup {}, jobs {}, \
          backend {})",
         ex.spec.render(),
@@ -234,11 +236,11 @@ fn main() {
             eprintln!("tmverify: cannot write {}: {e}", path.display());
             std::process::exit(2);
         }
-        println!("wrote {}", path.display());
+        eprintln!("wrote {}", path.display());
     }
     if let Some(w) = &rep.witness {
         match std::fs::write(&args.out, w.to_json() + "\n") {
-            Ok(()) => println!("witness written to {}", args.out.display()),
+            Ok(()) => eprintln!("witness written to {}", args.out.display()),
             Err(e) => eprintln!("tmverify: cannot write {}: {e}", args.out.display()),
         }
     }

@@ -1,6 +1,7 @@
 //! `tmverify` command-line behaviour: out-of-range sizes and malformed
-//! witness files are usage errors (exit 2), never panics, and
-//! `--profile` prints the merged host profile after an unchanged report.
+//! witness files are usage errors (exit 2), never panics,
+//! `--profile` prints the merged host profile after an unchanged report,
+//! and stdout does not depend on the job count or the output paths.
 
 use std::process::{Command, Output};
 
@@ -135,4 +136,28 @@ fn profile_flag_prints_the_merged_phase_tree() {
     let table = &profiled[plain.len()..];
     assert!(table.starts_with("host profile:"), "{table}");
     assert!(table.contains("run;dequeue;sched_pick"), "{table}");
+}
+
+#[test]
+fn stdout_is_identical_across_job_counts_and_output_paths() {
+    let dir = std::env::temp_dir().join(format!("tmverify-cli-jobs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |jobs: &str, name: &str| {
+        let json = dir.join(name);
+        let path = json.to_str().unwrap();
+        let args = ["--cores", "3", "--lines", "3", "--jobs", jobs];
+        let out = tmverify(&[&args[..], &["--bench-json", path]].concat());
+        assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+        assert!(json.exists(), "--bench-json {name} was not written");
+        (
+            stdout(&out),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let ((a, _), (b, err)) = (run("2", "verify-a.json"), run("4", "verify-b.json"));
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(a, b);
+    assert!(a.contains("schedule(s) explored"), "{a}");
+    // The header and the file notice still reach the user, on stderr.
+    assert!(err.contains("jobs 4") && err.contains("wrote "), "{err}");
 }
