@@ -1,9 +1,8 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! experiments [--quick] [--verbose] [--jobs N] [--no-cache]
-//!             [--cache FILE] [--csv FILE] [--bench-json FILE]
-//!             [--backend threads|vm] [--no-profile]
+//! experiments [--quick] [--verbose] [--jobs N] [--csv FILE]
+//!             [--bench-json FILE] [--backend threads|vm] [--no-profile]
 //!             [table1|table2|fig1|fig7..fig13|headline|ablation|characterize|forensics|verify|engine|all]
 //! ```
 //!
@@ -21,91 +20,75 @@
 //! but simulate identically — another leaves-must-not-move axis the CI
 //! `engine-perf-smoke` gate checks at 0% tolerance.
 //!
-//! `--jobs N` (or `LOCKILLER_JOBS=N`) fans simulation points across N
-//! host threads; results are byte-identical for every N, and a value
-//! that is not a count exits 2. Completed points persist in a run cache
-//! (default `target/tmlab/cache.jsonl`, override with `--cache FILE`,
-//! disable with `--no-cache`), so repeated invocations only simulate
-//! what changed. `--bench-json FILE` writes the host-side accounting
-//! (per-point wall-clock, cache hit rate, parallel efficiency) as JSON;
-//! default `BENCH_lab.json`.
+//! `--jobs N` fans simulation points across N host threads; results are
+//! byte-identical for every N. Every point is simulated by this
+//! invocation: nothing is kept on disk between runs. `--bench-json FILE`
+//! writes the host-side accounting (per-point wall-clock, parallel
+//! efficiency) as JSON; default `BENCH_lab.json`.
+//!
+//! Any other `--` flag, a value flag without its value, and a `--jobs`
+//! value that is not a count are usage errors (exit 2).
 
 use lockiller_bench::experiments as ex;
 use lockiller_bench::lab::Lab;
 use stamp::Scale;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let verbose = args.iter().any(|a| a == "--verbose");
-    let no_cache = args.iter().any(|a| a == "--no-cache");
-    let profile = !args.iter().any(|a| a == "--no-profile");
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let csv_path = flag_value("--csv");
-    let cache_path = flag_value("--cache").unwrap_or_else(|| "target/tmlab/cache.jsonl".into());
-    let bench_json = flag_value("--bench-json").unwrap_or_else(|| "BENCH_lab.json".into());
-    #[allow(clippy::disallowed_methods)] // the job count is a deployment setting of this binary
-    let jobs_arg = flag_value("--jobs").map(|v| ("--jobs", v)).or_else(|| {
-        std::env::var("LOCKILLER_JOBS")
-            .ok()
-            .map(|v| ("LOCKILLER_JOBS", v))
-    });
-    let jobs = match jobs_arg {
-        None => 1,
-        Some((name, v)) => v.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("{name} takes a job count, got {v:?}");
-            std::process::exit(2);
-        }),
-    };
-    let backend = match flag_value("--backend") {
-        None => lockiller::Backend::Threads,
-        Some(v) => lockiller::Backend::from_name(&v).unwrap_or_else(|| {
-            eprintln!("unknown backend {v:?} (threads|vm)");
-            std::process::exit(2);
-        }),
-    };
+const USAGE: &str = "usage: experiments [--quick] [--verbose] [--jobs N] [--csv FILE] \
+                     [--bench-json FILE] [--backend threads|vm] [--no-profile] [EXPERIMENT...]";
 
-    let value_flags = ["--csv", "--cache", "--bench-json", "--jobs", "--backend"];
-    let mut skip_next = false;
-    let what: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
+fn usage(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+fn main() {
+    let mut quick = false;
+    let mut verbose = false;
+    let mut profile = true;
+    let mut jobs = 1;
+    let mut csv_path = None;
+    let mut bench_json = "BENCH_lab.json".to_string();
+    let mut backend = lockiller::Backend::Threads;
+    let mut what: Vec<String> = Vec::new();
+
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = || match args.next() {
+            Some(v) if !v.starts_with("--") => v,
+            _ => usage(&format!("{arg} takes a value")),
+        };
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--verbose" => verbose = true,
+            "--no-profile" => profile = false,
+            "--csv" => csv_path = Some(value()),
+            "--bench-json" => bench_json = value(),
+            "--jobs" => {
+                let v = value();
+                jobs = v
+                    .parse::<usize>()
+                    .unwrap_or_else(|_| usage(&format!("--jobs takes a job count, got {v:?}")));
             }
-            if value_flags.contains(&a.as_str()) {
-                skip_next = true;
-                return false;
+            "--backend" => {
+                let v = value();
+                backend = lockiller::Backend::from_name(&v)
+                    .unwrap_or_else(|| usage(&format!("unknown backend {v:?} (threads|vm)")));
             }
-            !a.starts_with("--")
-        })
-        .map(std::string::String::as_str)
-        .collect();
-    let what = if what.is_empty() { vec!["all"] } else { what };
+            flag if flag.starts_with("--") => usage(&format!("unknown option {flag}")),
+            _ => what.push(arg),
+        }
+    }
+    if what.is_empty() {
+        what.push("all".into());
+    }
 
     let scale = if quick { Scale::Small } else { Scale::Full };
     let mut lab = Lab::new(scale);
     lab.verbose = verbose;
     lab.jobs(jobs);
-    if !no_cache {
-        match lab.with_cache(std::path::Path::new(&cache_path)) {
-            Ok(l) => {
-                if let Some(n) = l.disk_cached() {
-                    eprintln!("[run cache: {cache_path}, {n} points on disk]");
-                }
-            }
-            Err(e) => eprintln!("[run cache disabled: {cache_path}: {e}]"),
-        }
-    }
 
     for w in &what {
-        match *w {
+        match w.as_str() {
             "table1" => {
                 ex::table1();
             }
@@ -212,16 +195,11 @@ fn main() {
     let report = lab.report();
     std::fs::write(&bench_json, report.to_json()).expect("write bench json");
     eprintln!(
-        "[{} simulation points run ({} unique, {} cache hits, {} simulated) \
-         in {:.1}s with {} jobs; hit rate {:.0}%, parallel efficiency {:.0}%; \
+        "[{} simulation points run in {:.1}s with {} jobs; parallel efficiency {:.0}%; \
          report in {bench_json}]",
-        lab.runs_cached(),
-        report.unique,
-        report.cache_hits,
         report.simulated,
         report.wall_ms / 1e3,
         report.jobs,
-        report.cache_hit_rate() * 100.0,
         report.parallel_efficiency() * 100.0,
     );
 }

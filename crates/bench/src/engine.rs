@@ -412,15 +412,15 @@ pub fn run(
         "{p0:?}: run statistics are not deterministic"
     );
 
-    // Cross-check the lab's (possibly parallel, possibly cached)
-    // executor against the direct runs, point for point. This also puts
-    // real traffic into the lab's batch report → BENCH_lab.json.
+    // Cross-check the lab's (possibly parallel) batch against the direct
+    // runs, point for point. This also puts real traffic into the lab's
+    // batch report → BENCH_lab.json.
     let batched = lab.run_many(&points);
     for (p, (d, b)) in points.iter().zip(direct.iter().zip(&batched)) {
         assert_eq!(
             d.to_json(),
             b.to_json(),
-            "{p:?}: lab executor diverged from a direct run"
+            "{p:?}: lab batch diverged from a direct run"
         );
     }
 
@@ -517,8 +517,8 @@ mod tests {
                 "phase shares sum to {sum}, not 1.0"
             );
         }
-        // The executor cross-check routed the suite through the lab.
-        assert_eq!(lab.report().requested, 3);
+        // The batch cross-check routed the suite through the lab.
+        assert_eq!(lab.report().simulated, 3);
         // Same battery on the VM backend *without* profiling:
         // deterministic leaves must move for neither the backend swap
         // (the CI guestvm-smoke gate runs this same comparison via

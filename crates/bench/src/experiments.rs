@@ -645,7 +645,7 @@ pub fn headline(lab: &mut Lab, quick: bool) -> String {
 
 /// Conflict-forensics summary: who aborts whom and whether each reject
 /// action's recoveries save work, per system variant. Runs traced
-/// simulations through `tmobs` (recordings bypass the run cache), renders
+/// simulations through `tmobs` (outside the `Lab` memo), renders
 /// the per-variant ledger comparison, and writes the per-system blame
 /// reports as one JSON artifact (`BENCH_forensics.json`).
 pub fn forensics(quick: bool, json_out: &std::path::Path) -> std::io::Result<String> {

@@ -1,24 +1,25 @@
-//! Run cache: one simulation per (system, workload, threads, config)
-//! point, memoized so figures sharing points (every speedup figure needs
-//! the CGL baseline) do not re-simulate.
+//! The figure-facing runner: one simulation per (system, workload,
+//! threads, config) point, memoized so figures sharing points (every
+//! speedup figure needs the CGL baseline) do not re-simulate.
 //!
-//! `Lab` is the figure-facing layer over [`crate::tmlab`]: single-point
-//! lookups hit an in-memory memo; batches go through
-//! [`crate::tmlab::Executor`], which fans cache misses across host cores
-//! ([`Lab::jobs`]) and, when a persistent cache is attached
-//! ([`Lab::with_cache`]), serves previously-simulated points from disk —
-//! making repeated `experiments` invocations incremental. Figures call
+//! Single-point lookups hit an in-memory memo. [`Lab::run_many`] fans
+//! the memo misses of a whole batch across host cores ([`Lab::jobs`])
+//! on [`crate::tmlab::pool::run_ordered`] and accounts each simulation
+//! into the [`BatchReport`] behind `BENCH_lab.json`. Figures call
 //! [`Lab::prefetch`] with their whole point list up front so the
-//! subsequent per-cell [`Lab::run`] calls are memo hits.
+//! subsequent per-cell [`Lab::run`] calls are memo hits. The memo lives
+//! as long as the `Lab`: nothing is read from or written to disk.
 
 pub use crate::tmlab::Point;
-use crate::tmlab::{BatchReport, Executor, RunCache};
+use crate::tmlab::{pool, BatchReport, PointReport};
+use lockiller::runner::Runner;
 use lockiller::system::SystemKind;
 use sim_core::config::SystemConfig;
 use sim_core::stats::RunStats;
-use stamp::{Scale, WorkloadKind};
-use std::collections::HashMap;
-use std::path::Path;
+use stamp::{Scale, Workload, WorkloadKind};
+use std::collections::{HashMap, HashSet};
+use std::time::Instant;
+use tmobs::BatchProgress;
 
 /// Hardware configuration points used by the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -49,15 +50,12 @@ impl ConfigPoint {
     }
 }
 
-type Key = (SystemKind, WorkloadKind, usize, ConfigPoint);
-
 /// The memoizing runner.
 pub struct Lab {
     scale: Scale,
     seed: u64,
     jobs: usize,
-    memo: HashMap<Key, RunStats>,
-    disk: Option<RunCache>,
+    memo: HashMap<Point, RunStats>,
     report: BatchReport,
     pub verbose: bool,
 }
@@ -69,7 +67,6 @@ impl Lab {
             seed: 0xC0FFEE,
             jobs: 1,
             memo: HashMap::new(),
-            disk: None,
             report: BatchReport::default(),
             verbose: false,
         }
@@ -86,57 +83,58 @@ impl Lab {
         self
     }
 
-    /// Attach a persistent run cache at `path` (versioned JSONL; see
-    /// [`crate::tmlab::cache`]). Previously-simulated points load now and
-    /// everything simulated from here on is written back.
-    pub fn with_cache(&mut self, path: &Path) -> std::io::Result<&mut Lab> {
-        self.disk = Some(RunCache::open(path)?);
-        Ok(self)
-    }
-
-    /// Entries currently in the attached persistent cache, if any.
-    pub fn disk_cached(&self) -> Option<usize> {
-        self.disk.as_ref().map(RunCache::len)
-    }
-
     /// Host-side accounting accumulated over every batch so far.
     pub fn report(&self) -> &BatchReport {
         &self.report
     }
 
-    fn executor(&self) -> Executor {
-        Executor {
-            scale: self.scale,
-            seed: self.seed,
-            jobs: self.jobs,
-            verbose: self.verbose,
+    /// Run (or recall) a whole batch of points, in order. Memo hits cost
+    /// nothing; the rest, each distinct point once, are simulated in one
+    /// fan-out over `jobs` host threads.
+    pub fn run_many(&mut self, points: &[Point]) -> Vec<RunStats> {
+        let mut seen = HashSet::new();
+        let misses: Vec<Point> = points
+            .iter()
+            .filter(|p| !self.memo.contains_key(p) && seen.insert(**p))
+            .copied()
+            .collect();
+        if !misses.is_empty() {
+            self.simulate(misses);
         }
+        points.iter().map(|p| self.memo[p].clone()).collect()
     }
 
-    /// Run (or recall) a whole batch of points, in order. Memo hits cost
-    /// nothing; the rest go through the parallel executor (and the
-    /// persistent cache, when attached) in one fan-out.
-    pub fn run_many(&mut self, points: &[Point]) -> Vec<RunStats> {
-        let mut misses: Vec<Point> = Vec::new();
-        let mut seen: HashMap<Key, ()> = HashMap::new();
-        for p in points {
-            let key = (p.system, p.workload, p.threads, p.cfg);
-            if !self.memo.contains_key(&key) && seen.insert(key, ()).is_none() {
-                misses.push(*p);
-            }
+    /// Simulate `points` (distinct, none memoized) on the pool and
+    /// account each into the report.
+    fn simulate(&mut self, points: Vec<Point>) {
+        let t_batch = Instant::now();
+        let n = points.len();
+        let progress = BatchProgress::new(n, self.verbose);
+        let (scale, seed) = (self.scale, self.seed);
+        let done = pool::run_ordered(self.jobs, points, |_, p| {
+            let t0 = Instant::now();
+            let mut prog = Workload::with_scale(p.workload, p.threads, scale);
+            let stats = Runner::new(p.system)
+                .threads(p.threads)
+                .config(p.cfg.config())
+                .seed(seed)
+                .run(&mut prog)
+                .stats;
+            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+            progress.tick(&p.label(), wall_ms);
+            (p, stats, wall_ms)
+        });
+        for (p, stats, wall_ms) in done {
+            self.report.points.push(PointReport {
+                label: p.label(),
+                wall_ms,
+            });
+            self.report.busy_ms += wall_ms;
+            self.memo.insert(p, stats);
         }
-        if !misses.is_empty() {
-            let exec = self.executor();
-            let stats = exec.run(&misses, self.disk.as_mut(), &mut self.report);
-            for (p, s) in misses.iter().zip(stats) {
-                self.memo
-                    .insert((p.system, p.workload, p.threads, p.cfg), s);
-            }
-        }
-        points
-            .iter()
-            .map(|p| self.memo[&(p.system, p.workload, p.threads, p.cfg)].clone())
-            .collect()
+        self.report.simulated += n;
+        self.report.jobs = self.report.jobs.max(self.jobs);
+        self.report.wall_ms += t_batch.elapsed().as_secs_f64() * 1e3;
     }
 
     /// Batch-run `points` for their side effect on the memo (figures call
@@ -153,8 +151,13 @@ impl Lab {
         threads: usize,
         cfg: ConfigPoint,
     ) -> RunStats {
-        let key = (system, workload, threads, cfg);
-        if let Some(s) = self.memo.get(&key) {
+        let point = Point {
+            system,
+            workload,
+            threads,
+            cfg,
+        };
+        if let Some(s) = self.memo.get(&point) {
             return s.clone();
         }
         if self.verbose {
@@ -166,14 +169,9 @@ impl Lab {
                 cfg.name()
             );
         }
-        self.run_many(&[Point {
-            system,
-            workload,
-            threads,
-            cfg,
-        }])
-        .pop()
-        .expect("run_many returns one result per point")
+        self.run_many(&[point])
+            .pop()
+            .expect("run_many returns one result per point")
     }
 
     /// Speedup of `system` over CGL on the same point (the paper's
@@ -205,15 +203,18 @@ impl Lab {
         (logsum / WorkloadKind::ALL.len() as f64).exp()
     }
 
-    pub fn runs_cached(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// Export every cached simulation point as CSV (for external
-    /// plotting). Columns are stable; one row per point.
+    /// Export every simulated point as CSV (for external plotting).
+    /// Columns are stable; one row per point.
     pub fn dump_csv(&self) -> String {
-        let mut rows: Vec<(&Key, &RunStats)> = self.memo.iter().collect();
-        rows.sort_by_key(|(k, _)| (k.1.name(), k.2, k.0.name(), format!("{:?}", k.3)));
+        let mut rows: Vec<(&Point, &RunStats)> = self.memo.iter().collect();
+        rows.sort_by_key(|(p, _)| {
+            (
+                p.workload.name(),
+                p.threads,
+                p.system.name(),
+                format!("{:?}", p.cfg),
+            )
+        });
         let mut out = String::from(
             "system,workload,threads,config,cycles,tx_starts,commits,stl_commits,\
              lock_commits,aborts_mc,aborts_lock,aborts_mutex,aborts_nontran,aborts_of,\
@@ -221,14 +222,14 @@ impl Lab {
              switches_denied,messages
 ",
         );
-        for ((sys, w, t, cfg), s) in rows {
+        for (p, s) in rows {
             out.push_str(&format!(
                 "{},{},{},{:?},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}
 ",
-                sys.name(),
-                w.name(),
-                t,
-                cfg,
+                p.system.name(),
+                p.workload.name(),
+                p.threads,
+                p.cfg,
                 s.cycles,
                 s.tx_starts,
                 s.commits,
@@ -266,16 +267,15 @@ mod tests {
             2,
             ConfigPoint::Typical,
         );
-        assert_eq!(lab.runs_cached(), 1);
+        assert_eq!(lab.report().simulated, 1);
         let b = lab.run(
             SystemKind::Cgl,
             WorkloadKind::Ssca2,
             2,
             ConfigPoint::Typical,
         );
-        assert_eq!(lab.runs_cached(), 1, "second call must hit the cache");
+        assert_eq!(lab.report().simulated, 1, "second call must hit the memo");
         assert_eq!(a.cycles, b.cycles);
-        assert_eq!(lab.report().simulated, 1, "one real simulation");
     }
 
     #[test]
@@ -310,6 +310,63 @@ mod tests {
         for (p, b) in points.iter().zip(batched) {
             let s = seq.run(p.system, p.workload, p.threads, p.cfg);
             assert_eq!(s, b, "parallel batch diverged on {p:?}");
+        }
+    }
+
+    fn some_points() -> Vec<Point> {
+        let mut pts = Vec::new();
+        for system in [
+            SystemKind::Cgl,
+            SystemKind::Baseline,
+            SystemKind::LockillerTm,
+        ] {
+            for threads in [2usize, 4] {
+                pts.push(Point {
+                    system,
+                    workload: WorkloadKind::Ssca2,
+                    threads,
+                    cfg: ConfigPoint::Typical,
+                });
+            }
+        }
+        pts
+    }
+
+    #[test]
+    fn duplicate_points_simulate_once() {
+        let points = some_points();
+        let n = points.len();
+        let twice: Vec<Point> = points.iter().chain(&points).copied().collect();
+        let mut lab = Lab::new(Scale::Tiny);
+        lab.jobs(2);
+        let out = lab.run_many(&twice);
+        assert_eq!(out.len(), 2 * n);
+        assert_eq!(lab.report().simulated, n);
+        assert_eq!(lab.report().points.len(), n);
+        assert_eq!(out[..n], out[n..]);
+    }
+
+    #[test]
+    fn report_json_is_well_formed() {
+        use sim_core::json::{self, Json};
+        let points = some_points();
+        let mut lab = Lab::new(Scale::Tiny);
+        lab.jobs(2);
+        lab.prefetch(&points);
+        let doc = json::parse(&lab.report().to_json()).expect("BENCH_lab.json must parse");
+        assert_eq!(
+            doc.get("simulated").and_then(Json::as_f64),
+            Some(points.len() as f64)
+        );
+        assert!(doc.get("parallel_efficiency").is_some());
+        let rows = doc.get("points").and_then(Json::as_arr).expect("points");
+        assert_eq!(rows.len(), points.len());
+        // Nothing is cached across invocations, so no key may claim so.
+        for obj in rows.iter().chain([&doc]) {
+            let Json::Obj(fields) = obj else {
+                panic!("not an object: {obj:?}")
+            };
+            assert!(fields.iter().all(|(k, _)| !k.contains("cache")), "{obj:?}");
         }
     }
 

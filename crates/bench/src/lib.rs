@@ -16,4 +16,4 @@ pub mod verify;
 
 pub use experiments::*;
 pub use lab::{ConfigPoint, Lab, Point};
-pub use tmlab::{BatchReport, Executor, RunCache};
+pub use tmlab::BatchReport;

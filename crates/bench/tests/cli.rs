@@ -1,7 +1,8 @@
 //! Command-line behaviour: a `lockiller_sim` thread count outside the
 //! modelled cores is a usage error (exit 2), never a panic, while one
-//! thread still runs; an `experiments` job count that is not a number is
-//! a usage error too, never a silent single-job run.
+//! thread still runs. `experiments` treats an unknown flag, a value flag
+//! without its value and a job count that is not a number as usage
+//! errors too, never as a silently different run.
 
 use std::process::{Command, Output};
 
@@ -31,24 +32,44 @@ fn one_thread_runs() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("cycles"));
 }
 
+fn experiments(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(args)
+        .output()
+        .expect("experiments runs")
+}
+
 #[test]
 fn experiments_rejects_a_job_count_that_is_not_a_number() {
-    let run = |args: &[&str], env: Option<&str>| {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_experiments"));
-        cmd.args(args).arg("--no-cache").arg("table2");
-        match env {
-            Some(v) => cmd.env("LOCKILLER_JOBS", v),
-            None => cmd.env_remove("LOCKILLER_JOBS"),
-        };
-        cmd.output().expect("experiments runs")
-    };
-    for (out, name) in [
-        (run(&["--jobs", "abc"], None), "--jobs"),
-        (run(&[], Some("abc")), "LOCKILLER_JOBS"),
+    let out = experiments(&["--jobs", "abc", "table2"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains("--jobs takes a job count, got \"abc\""),
+        "{err}"
+    );
+}
+
+#[test]
+fn experiments_rejects_unknown_flags_and_missing_values() {
+    for (args, want) in [
+        (&["--quik", "fig1"][..], "unknown option --quik"),
+        (&["--no-cache", "table2"], "unknown option --no-cache"),
+        (
+            &["--cache", "lab.jsonl", "table2"],
+            "unknown option --cache",
+        ),
+        (&["table1", "--csv"], "--csv takes a value"),
+        (&["--csv", "--quick", "table1"], "--csv takes a value"),
+        (&["table2", "--bench-json"], "--bench-json takes a value"),
+        (&["table2", "--jobs"], "--jobs takes a value"),
+        (&["table2", "--backend"], "--backend takes a value"),
     ] {
+        let out = experiments(args);
         let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{name}: {err}");
-        assert!(err.contains(&format!("{name} takes a job count")), "{err}");
-        assert!(err.contains("\"abc\""), "{err}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(want), "{args:?}: {err}");
+        assert!(err.contains("usage: experiments"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran an experiment");
     }
 }

@@ -26,7 +26,7 @@ fn fig1_has_all_workloads() {
     for w in stamp::WorkloadKind::ALL {
         assert!(out.contains(w.name()), "missing {}", w.name());
     }
-    assert_eq!(lab.runs_cached(), 18, "9 workloads x (CGL + Baseline)");
+    assert_eq!(lab.report().simulated, 18, "9 workloads x (CGL + Baseline)");
 }
 
 #[test]

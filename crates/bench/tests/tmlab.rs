@@ -1,18 +1,9 @@
-//! End-to-end tests for the tmlab batch executor: parallel determinism,
-//! persistent-cache round-trips across Lab instances, and stale-version
-//! invalidation, all at Tiny scale.
+//! End-to-end test of the lab's parallel batches: any job count gives
+//! the sequential reference's results exactly, at Tiny scale.
 
 use lockiller::system::SystemKind;
 use lockiller_bench::lab::{ConfigPoint, Lab, Point};
-use lockiller_bench::tmlab::CACHE_VERSION;
 use stamp::{Scale, WorkloadKind};
-use std::path::PathBuf;
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("tmlab-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
 
 fn sweep() -> Vec<Point> {
     let mut pts = Vec::new();
@@ -49,90 +40,4 @@ fn parallel_batches_match_sequential_lab_exactly() {
         let got = par.run_many(&points);
         assert_eq!(reference, got, "jobs={jobs} diverged from sequential Lab");
     }
-}
-
-#[test]
-fn persistent_cache_round_trips_across_lab_instances() {
-    let dir = tmpdir("roundtrip");
-    let path = dir.join("cache.jsonl");
-    let points = sweep();
-
-    let first = {
-        let mut lab = Lab::new(Scale::Tiny);
-        lab.jobs(2).with_cache(&path).unwrap();
-        let out = lab.run_many(&points);
-        assert_eq!(lab.report().simulated, points.len());
-        assert_eq!(lab.report().cache_hits, 0);
-        out
-    };
-
-    // A fresh Lab (fresh memo) over the same file: everything must come
-    // off disk, byte-identical.
-    let mut lab = Lab::new(Scale::Tiny);
-    lab.with_cache(&path).unwrap();
-    assert_eq!(lab.disk_cached(), Some(points.len()));
-    let second = lab.run_many(&points);
-    assert_eq!(lab.report().simulated, 0, "no re-simulation allowed");
-    assert_eq!(lab.report().cache_hits, points.len());
-    assert!((lab.report().cache_hit_rate() - 1.0).abs() < 1e-12);
-    assert_eq!(first, second, "cached stats must be byte-identical");
-    for (a, b) in first.iter().zip(&second) {
-        assert_eq!(a.to_json(), b.to_json());
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn changed_seed_or_scale_misses_the_cache() {
-    let dir = tmpdir("keying");
-    let path = dir.join("cache.jsonl");
-    let points = vec![Point {
-        system: SystemKind::Baseline,
-        workload: WorkloadKind::Ssca2,
-        threads: 2,
-        cfg: ConfigPoint::Typical,
-    }];
-    {
-        let mut lab = Lab::new(Scale::Tiny);
-        lab.with_cache(&path).unwrap();
-        lab.prefetch(&points);
-    }
-    // Same point at a different workload scale: a distinct key, so it
-    // must simulate, not alias the Tiny entry.
-    let mut lab = Lab::new(Scale::Small);
-    lab.with_cache(&path).unwrap();
-    lab.prefetch(&points);
-    assert_eq!(lab.report().cache_hits, 0);
-    assert_eq!(lab.report().simulated, 1);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn stale_cache_version_forces_resimulation() {
-    let dir = tmpdir("stale");
-    let path = dir.join("cache.jsonl");
-    let points = sweep();
-    let first = {
-        let mut lab = Lab::new(Scale::Tiny);
-        lab.with_cache(&path).unwrap();
-        lab.run_many(&points)
-    };
-
-    // Forge an older binary's header; the whole file must be dropped.
-    let text = std::fs::read_to_string(&path).unwrap();
-    let stale = text.replacen(
-        &format!("\"tmlab_cache\":{CACHE_VERSION}"),
-        "\"tmlab_cache\":0",
-        1,
-    );
-    assert_ne!(text, stale, "header rewrite must hit");
-    std::fs::write(&path, stale).unwrap();
-
-    let mut lab = Lab::new(Scale::Tiny);
-    lab.with_cache(&path).unwrap();
-    assert_eq!(lab.disk_cached(), Some(0), "stale cache must be dropped");
-    let second = lab.run_many(&points);
-    assert_eq!(lab.report().simulated, points.len());
-    assert_eq!(first, second, "re-simulation reproduces the same stats");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,9 +13,9 @@
 //! threads, and a panic in a guest body unwinds out of [`Runner::run`]
 //! unchanged.
 //!
-//! `Runner` is plain data (`Send`), so batch executors like
-//! `lockiller_bench::tmlab` can build one per worker thread and fan
-//! simulation points out across host cores.
+//! `Runner` is plain data (`Send`), so the experiment harness
+//! (`lockiller_bench::lab::Lab::run_many`) can build one per worker
+//! thread and fan simulation points out across host cores.
 
 use crate::engine::Engine;
 use crate::exec::{Backend, GuestEnv, GuestExec};
@@ -351,8 +351,8 @@ impl Runner {
     }
 }
 
-// `Runner` must stay `Send`: the tmlab batch executor builds one per
-// worker thread. This fails to compile if a non-Send field sneaks in.
+// `Runner` must stay `Send`: the experiment harness's pool builds one
+// per worker thread. This fails to compile if a non-Send field sneaks in.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<Runner>();

@@ -10,14 +10,8 @@
 //! [`SystemConfig::large_cache`] are the Fig. 13 sensitivity points
 //! (8 KB L1 / 1 MB LLC and 128 KB L1 / 32 MB LLC); and
 //! [`SystemConfig::testing`] is the scaled-down unit-test system.
-//!
-//! [`SystemConfig::stable_hash`] gives a process-independent fingerprint
-//! of every modelled parameter; the `tmlab` persistent run cache keys
-//! simulation results on it (DESIGN.md §13).
 
-use crate::fxhash::FxHasher;
 use crate::types::{Cycle, LineAddr};
-use std::hash::Hasher;
 
 /// Most cores a system can model: the directory's sharer set
 /// (`coherence::bank::CoreSet`) is a 32-bit bitmap, one bit per core.
@@ -80,7 +74,7 @@ impl CacheGeometry {
 }
 
 /// Memory-subsystem parameters (Table I).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MemConfig {
     /// Private L1 geometry (per core).
     pub l1: CacheGeometry,
@@ -106,7 +100,7 @@ pub struct MemConfig {
 }
 
 /// Network-on-chip parameters (Table I: 4x8 mesh, X-Y routing, 16 B flits).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NocConfig {
     /// Mesh width (X dimension).
     pub width: usize,
@@ -153,7 +147,7 @@ pub enum RejectAction {
 
 /// Policy knobs distinguishing the Table II systems. The `lockiller`
 /// crate maps each named system to one of these.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PolicyConfig {
     /// Execute critical sections under a single global lock instead of HTM.
     pub coarse_grained_lock: bool,
@@ -272,7 +266,7 @@ impl FaultInject {
 }
 
 /// Full system model configuration (Table I + policy).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SystemConfig {
     /// Number of cores / tiles.
     pub num_cores: usize,
@@ -382,75 +376,6 @@ impl SystemConfig {
     /// budget make signature aliasing (spurious conflicts) plausible.
     pub fn signature_line_budget(&self) -> usize {
         (self.mem.signature_bits / (8 * self.mem.signature_hashes)).max(1)
-    }
-
-    /// Schema version folded into [`SystemConfig::stable_hash`]; bump it
-    /// whenever a field is added, removed, or its meaning changes so
-    /// stale persisted results can never alias a new configuration.
-    pub const HASH_SCHEMA: u64 = 2;
-
-    /// A process-independent 64-bit fingerprint of every modelled
-    /// parameter (memory, NoC, policy, checked-mode switches, penalties).
-    ///
-    /// Two `SystemConfig` values hash equal iff a simulation run cannot
-    /// distinguish them; the hash is stable across processes and hosts
-    /// (FxHash with a fixed field order, no pointer or RandomState
-    /// input), which is what lets the `tmlab` run cache persist results
-    /// on disk.
-    pub fn stable_hash(&self) -> u64 {
-        let mut h = FxHasher::default();
-        h.write_u64(SystemConfig::HASH_SCHEMA);
-        h.write_usize(self.num_cores);
-        // MemConfig.
-        h.write_usize(self.mem.l1.sets);
-        h.write_usize(self.mem.l1.ways);
-        h.write_usize(self.mem.llc_bank.sets);
-        h.write_usize(self.mem.llc_bank.ways);
-        h.write_u64(self.mem.l1_hit);
-        h.write_u64(self.mem.llc_hit);
-        h.write_u64(self.mem.mem_latency);
-        h.write_usize(self.mem.signature_bits);
-        h.write_usize(self.mem.signature_hashes);
-        h.write_u8(u8::from(self.mem.direct_rsp));
-        // NocConfig.
-        h.write_usize(self.noc.width);
-        h.write_usize(self.noc.height);
-        h.write_u64(self.noc.link_latency);
-        h.write_u32(self.noc.control_flits);
-        h.write_u32(self.noc.data_flits);
-        // PolicyConfig.
-        h.write_u8(u8::from(self.policy.coarse_grained_lock));
-        h.write_u8(u8::from(self.policy.recovery));
-        h.write_u8(match self.policy.priority {
-            PriorityKind::RequesterWins => 0,
-            PriorityKind::InstsBased => 1,
-            PriorityKind::ProgressionBased => 2,
-            PriorityKind::Fcfs => 3,
-        });
-        h.write_u8(match self.policy.reject_action {
-            RejectAction::SelfAbort => 0,
-            RejectAction::RetryLater => 1,
-            RejectAction::WaitWakeup => 2,
-        });
-        h.write_u8(u8::from(self.policy.htmlock));
-        h.write_u8(u8::from(self.policy.switching_mode));
-        h.write_u32(self.policy.max_retries);
-        h.write_u8(u8::from(self.policy.fallback_on_capacity));
-        h.write_u64(self.policy.retry_pause);
-        h.write_u64(self.policy.wakeup_timeout);
-        // CheckCfg (fault injection changes behaviour; tracing does not,
-        // but a traced run is still a distinct artifact).
-        h.write_u8(u8::from(self.check.enabled));
-        h.write_u8(u8::from(self.check.fault.ignore_conflicts));
-        h.write_u8(u8::from(self.check.fault.drop_nack));
-        h.write_u8(u8::from(self.check.fault.drop_wakeups));
-        h.write_u8(u8::from(self.check.fault.double_grant));
-        h.write_u8(u8::from(self.check.fault.prio_decay));
-        // Penalties.
-        h.write_u64(self.abort_penalty);
-        h.write_u64(self.commit_penalty);
-        h.write_u64(self.fault_service);
-        h.finish()
     }
 }
 
@@ -843,15 +768,14 @@ mod tests {
         // The presets are now builder shortcuts; spot-check the builder
         // reproduces the historical values field-for-field.
         let b = SystemConfig::builder().build().unwrap();
-        let t = SystemConfig::table1();
-        assert_eq!(b.stable_hash(), t.stable_hash());
+        assert_eq!(b, SystemConfig::table1());
         assert_eq!(b.mem.l1.sets, 128);
         let s = SystemConfig::builder()
             .l1_capacity(8 * 1024, 4)
             .llc_capacity(1024 * 1024, 16)
             .build()
             .unwrap();
-        assert_eq!(s.stable_hash(), SystemConfig::small_cache().stable_hash());
+        assert_eq!(s, SystemConfig::small_cache());
         for n in [1, 2, 3, 4, 6, 8, 12, 16, 24, 32] {
             let legacy = SystemConfig::testing(n);
             assert!(legacy.noc.width * legacy.noc.height >= n);
@@ -917,41 +841,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(tweaked.mem.mem_latency, 200);
-        assert_ne!(tweaked.stable_hash(), base.stable_hash());
-    }
-
-    #[test]
-    fn stable_hash_distinguishes_all_layers() {
-        let base = SystemConfig::table1();
-        let mut cfgs = vec![base.clone()];
-        cfgs.push(SystemConfig::small_cache());
-        cfgs.push(SystemConfig::large_cache());
-        cfgs.push(SystemConfig::testing(4));
-        let mut c = base.clone();
-        c.policy.max_retries += 1;
-        cfgs.push(c);
-        let mut c = base.clone();
-        c.check.fault.drop_nack = true;
-        cfgs.push(c);
-        let mut c = base.clone();
-        c.check.fault.double_grant = true;
-        cfgs.push(c);
-        let mut c = base.clone();
-        c.check.fault.prio_decay = true;
-        cfgs.push(c);
-        let mut c = base.clone();
-        c.abort_penalty += 1;
-        cfgs.push(c);
-        let mut c = base.clone();
-        c.noc.link_latency += 1;
-        cfgs.push(c);
-        let hashes: Vec<u64> = cfgs.iter().map(SystemConfig::stable_hash).collect();
-        for i in 0..hashes.len() {
-            for j in i + 1..hashes.len() {
-                assert_ne!(hashes[i], hashes[j], "configs {i} and {j} collide");
-            }
-        }
-        // Deterministic across calls (and, by construction, processes).
-        assert_eq!(base.stable_hash(), SystemConfig::table1().stable_hash());
+        assert_ne!(tweaked, base);
     }
 }

@@ -12,8 +12,8 @@
 //! `2^-SUB_BITS` (6.25%). Everything is integer arithmetic on `u64`
 //! cycle counts — recording, merging, and quantiles are exactly
 //! reproducible on any host, which is what lets histograms ride inside
-//! `RunStats` through the tmlab cache and the `--jobs` determinism
-//! oracle without ever perturbing byte-identical results.
+//! `RunStats` through the `--jobs` determinism oracle without ever
+//! perturbing byte-identical results.
 //!
 //! ## NaN-freedom
 //!

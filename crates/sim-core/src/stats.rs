@@ -2,13 +2,12 @@
 //! breakdown of Figs. 9/11, the abort-cause taxonomy of Fig. 10, and the
 //! commit-rate counters of Fig. 8.
 //!
-//! [`RunStats`] also round-trips through a compact JSON object
-//! ([`RunStats::to_json`] / [`RunStats::from_json`]) so the `tmlab`
-//! persistent run cache can store completed simulation points on disk.
-//! Every field is an integer (or a list / optional string of them), so
-//! the round-trip is exact.
+//! [`RunStats::to_json`] encodes a run as one compact JSON object with a
+//! fixed field order (the `stats.json` artifact, the golden and
+//! determinism fingerprints). Every field is an integer (or a list /
+//! optional string of them), so equal runs encode to equal bytes.
 
-use crate::json::{escape, Json};
+use crate::json::escape;
 use crate::latency::LatencyStats;
 use crate::types::{CoreId, Cycle};
 
@@ -347,11 +346,6 @@ impl RunStats {
         ratio(hits, hits + misses)
     }
 
-    /// Schema version of the JSON encoding below; bumped whenever a field
-    /// is added, removed, or renamed. Persisted caches embed it and
-    /// discard entries written under a different schema.
-    pub const JSON_SCHEMA: u64 = 2;
-
     /// Encode as a single-line JSON object (field order fixed).
     pub fn to_json(&self) -> String {
         fn arr(v: &[u64]) -> String {
@@ -404,105 +398,6 @@ impl RunStats {
         }
         out.push('}');
         out
-    }
-
-    /// Decode a [`RunStats::to_json`] object. Unknown fields are ignored;
-    /// missing fields decode to their defaults (schema evolution is
-    /// handled one level up by the cache's schema stamp).
-    pub fn from_json(s: &str) -> Result<RunStats, String> {
-        let v = crate::json::parse(s)?;
-        RunStats::from_json_value(&v)
-    }
-
-    /// Decode from an already-parsed JSON object (see
-    /// [`RunStats::from_json`]).
-    pub fn from_json_value(v: &Json) -> Result<RunStats, String> {
-        if !matches!(v, Json::Obj(_)) {
-            return Err("RunStats JSON must be an object".into());
-        }
-        let num = |key: &str| -> Result<u64, String> {
-            match v.get(key) {
-                None => Ok(0),
-                Some(j) => j
-                    .as_f64()
-                    .map(|f| f as u64)
-                    .ok_or_else(|| format!("field {key} is not a number")),
-            }
-        };
-        let vec = |key: &str| -> Result<Vec<u64>, String> {
-            match v.get(key) {
-                None => Ok(Vec::new()),
-                Some(j) => j
-                    .as_arr()
-                    .ok_or_else(|| format!("field {key} is not an array"))?
-                    .iter()
-                    .map(|e| {
-                        e.as_f64()
-                            .map(|f| f as u64)
-                            .ok_or_else(|| format!("field {key} holds a non-number"))
-                    })
-                    .collect(),
-            }
-        };
-        let fixed = |key: &str, n: usize| -> Result<Vec<u64>, String> {
-            let got = vec(key)?;
-            if got.len() == n {
-                Ok(got)
-            } else if got.is_empty() {
-                Ok(vec![0; n])
-            } else {
-                Err(format!(
-                    "field {key} has {} entries, expected {n}",
-                    got.len()
-                ))
-            }
-        };
-        let mut s = RunStats {
-            cycles: num("cycles")?,
-            threads: num("threads")? as usize,
-            tx_starts: num("tx_starts")?,
-            commits: num("commits")?,
-            stl_commits: num("stl_commits")?,
-            lock_commits: num("lock_commits")?,
-            rejects: num("rejects")?,
-            sig_rejects: num("sig_rejects")?,
-            wakeups: num("wakeups")?,
-            wakeup_timeouts: num("wakeup_timeouts")?,
-            switches_granted: num("switches_granted")?,
-            switches_denied: num("switches_denied")?,
-            fallbacks: num("fallbacks")?,
-            messages: num("messages")?,
-            hops: num("hops")?,
-            flit_hops: num("flit_hops")?,
-            noc_queue_cycles: num("noc_queue_cycles")?,
-            noc_link_busy: vec("noc_link_busy")?,
-            bank_hits: vec("bank_hits")?,
-            bank_misses: vec("bank_misses")?,
-            bank_queued: vec("bank_queued")?,
-            bank_queue_peak: vec("bank_queue_peak")?,
-            trace_dropped: num("trace_dropped")?,
-            rs_lines_sum: num("rs_lines_sum")?,
-            ws_lines_sum: num("ws_lines_sum")?,
-            tx_cycles_sum: num("tx_cycles_sum")?,
-            events_processed: num("events_processed")?,
-            event_queue_peak: num("event_queue_peak")?,
-            per_core_cycles: vec("per_core_cycles")?,
-            latency: match v.get("latency") {
-                None => LatencyStats::default(),
-                Some(l) => LatencyStats::from_json_value(l)?,
-            },
-            swmr_violation: match v.get("swmr_violation") {
-                None | Some(Json::Null) => None,
-                Some(Json::Str(m)) => Some(m.clone()),
-                Some(_) => return Err("field swmr_violation is not a string".into()),
-            },
-            ..RunStats::default()
-        };
-        let aborts = fixed("aborts", 6)?;
-        s.aborts.copy_from_slice(&aborts);
-        let phases = fixed("phases", 7)?;
-        s.phases.copy_from_slice(&phases);
-        Ok(s)
     }
 
     pub fn merge_core(&mut self, core: CoreId, tracker: &PhaseTracker) {
@@ -595,48 +490,6 @@ mod tests {
         assert_eq!(s.link_utilization(99), 0.0, "out-of-range link is 0");
         assert!((s.max_link_utilization() - 0.5).abs() < 1e-12);
         assert!((s.llc_hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn json_round_trip_is_exact() {
-        let mut s = RunStats::new(3);
-        s.cycles = 123_456;
-        s.tx_starts = 42;
-        s.commits = 40;
-        s.aborts = [1, 2, 3, 4, 5, 6];
-        s.phases = [7, 6, 5, 4, 3, 2, 1];
-        s.noc_link_busy = vec![9, 8, 7];
-        s.bank_hits = vec![1, 2];
-        s.bank_misses = vec![3, 4];
-        s.per_core_cycles = vec![10, 20, 30];
-        s.events_processed = 9_876;
-        s.event_queue_peak = 17;
-        s.latency
-            .record_class(crate::latency::TxnClass::HtmCommit, 150);
-        s.latency
-            .record_class(crate::latency::TxnClass::Retry(AbortCause::Mc), 60);
-        s.latency.park.record(30);
-        s.swmr_violation = Some("line 0x40 \"quoted\"\nsharers {1,2}".to_string());
-        let json = s.to_json();
-        let back = RunStats::from_json(&json).unwrap();
-        assert_eq!(back, s);
-        // Re-encoding is byte-identical (the cache's hit guarantee).
-        assert_eq!(back.to_json(), json);
-        // None round-trips too.
-        s.swmr_violation = None;
-        assert_eq!(RunStats::from_json(&s.to_json()).unwrap(), s);
-    }
-
-    #[test]
-    fn json_decode_rejects_malformed_fields() {
-        assert!(RunStats::from_json("[]").is_err());
-        assert!(RunStats::from_json("{\"cycles\":\"x\"}").is_err());
-        assert!(RunStats::from_json("{\"aborts\":[1,2]}").is_err());
-        assert!(RunStats::from_json("{\"swmr_violation\":5}").is_err());
-        // Missing fields default (forward compatibility within a schema).
-        let s = RunStats::from_json("{\"cycles\":7}").unwrap();
-        assert_eq!(s.cycles, 7);
-        assert_eq!(s.commits, 0);
     }
 
     #[test]

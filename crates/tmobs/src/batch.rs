@@ -1,7 +1,7 @@
 //! Host-side progress reporting for batch runs: a thread-safe counter
 //! with a host wall-clock cost per completed point.
 //!
-//! Batch executors (the bench crate's `tmlab`) tick this from worker
+//! The bench crate's `Lab::run_many` ticks this from its pool's worker
 //! threads as points complete; when enabled it paints one stderr line
 //! per completion with the running count, the point's label, and its
 //! host wall-clock cost. Like every tmobs facility it is write-only:
@@ -35,23 +35,17 @@ impl BatchProgress {
         }
     }
 
-    /// Record one completed item. `label` names the point; `cached` marks
-    /// a cache hit (reported, not simulated); `wall_ms` is the item's own
-    /// host wall-clock cost.
-    pub fn tick(&self, label: &str, cached: bool, wall_ms: f64) {
+    /// Record one completed item. `label` names the point; `wall_ms` is
+    /// the item's own host wall-clock cost.
+    pub fn tick(&self, label: &str, wall_ms: f64) {
         let (done, total) = {
             let mut s = self.state.lock().unwrap();
             s.done += 1;
             (s.done, s.total)
         };
         if self.verbose {
-            let how = if cached {
-                "cache".to_string()
-            } else {
-                format!("{wall_ms:.1} ms")
-            };
             eprintln!(
-                "  [tmlab {done:>4}/{total}] {label} ({how}, {:.1}s elapsed)",
+                "  [tmlab {done:>4}/{total}] {label} ({wall_ms:.1} ms, {:.1}s elapsed)",
                 self.started.elapsed().as_secs_f64()
             );
         }
@@ -78,8 +72,8 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
-                    p.tick("a", false, 1.0);
-                    p.tick("b", true, 0.0);
+                    p.tick("a", 1.0);
+                    p.tick("b", 0.0);
                 });
             }
         });

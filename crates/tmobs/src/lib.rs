@@ -36,7 +36,7 @@
 //!   nesting, the schema-v2 `selfprof.json` `"prof"` block, and the
 //!   per-phase shares `experiments engine` records (`tmtrace flame`);
 //! - [`batch::BatchProgress`] — thread-safe completion counter + stderr
-//!   progress lines for batch executors (the bench crate's `tmlab`);
+//!   progress lines for batch runs (the bench crate's `Lab::run_many`);
 //! - the `tmtrace` CLI binary, which writes the artifacts to disk.
 //!
 //! The engine records each event once, into its trace; everything here

@@ -12,7 +12,8 @@
 //! point), each executed as a pure function — the engine, guests and
 //! scheduler are rebuilt per run — so batches can run on host threads
 //! while all bookkeeping happens sequentially in frontier order, making
-//! every count and the report digest independent of `--jobs`.
+//! every count and the report digest independent of `--jobs` (the
+//! frontier high-water mark, [`ExploreReport::frontier_peak`], is not).
 //!
 //! # Reduction soundness
 //!
@@ -652,7 +653,11 @@ pub struct ExploreReport {
     pub depth_clipped: u64,
     /// Deepest decision vector seen.
     pub max_depth: usize,
-    /// Peak frontier length (memory high-water mark).
+    /// Peak frontier length (memory high-water mark). Sampled after each
+    /// merged run, when the current batch of up to `jobs` work items has
+    /// already left the frontier, so unlike every other field it depends
+    /// on the job count: 9, 8 and 7 at 1, 2 and 4 jobs on the default
+    /// 2-core, 2-line kernel.
     pub frontier_peak: usize,
     /// The schedule budget ran out before the frontier drained.
     pub budget_exhausted: bool,
