@@ -222,10 +222,14 @@ pub struct Engine<'g> {
     /// it ends the run with [`RunEnd::CycleLimit`].
     max_cycles: Option<Cycle>,
     /// True while [`Engine::run_with`] is driven by a [`Scheduler`].
-    /// Only the scheduler's pick points read [`Engine::state_fingerprint`],
-    /// so the per-response `resp_hash` fold in `respond` is skipped on
-    /// plain runs — the `tmprof` stamp phase showed the hash as the
-    /// fold's only cost on the VM backend, where responses dominate.
+    /// Only a scheduler reads [`Engine::state_fingerprint`], lazily
+    /// through `pick`'s `state_fp` argument, so the whole-state hash is
+    /// taken only at the pick points where the scheduler asks for it.
+    /// The per-response `resp_hash` fold in `respond` cannot be lazy: it
+    /// is history that any later pick point may read, so it runs on every
+    /// scheduled run and is skipped on plain runs — the `tmprof` stamp
+    /// phase showed the hash as the fold's only cost on the VM backend,
+    /// where responses dominate.
     fingerprinting: bool,
 }
 
@@ -621,9 +625,12 @@ impl<'g> Engine<'g> {
                 }
                 let descs: Vec<EvDesc> = front.iter().map(|e| self.describe(e)).collect();
                 let at = self.q.peek_time().expect("front is non-empty");
+                // The scope covers the tie-break, including any
+                // fingerprint the scheduler asks for.
                 self.prof_enter(ProfPhase::SchedPick);
-                let fp = self.state_fingerprint();
-                let idx = s.pick(at, &descs, fp).min(descs.len() - 1);
+                let idx = s
+                    .pick(at, &descs, &|| self.state_fingerprint())
+                    .min(descs.len() - 1);
                 self.prof_exit();
                 let (t, ev) = self.q.pop_nth_front(idx).expect("front is non-empty");
                 s.observe(t, &descs[idx]);

@@ -182,14 +182,17 @@ impl StaticIndependence {
 /// A tie-break policy driven by the engine at every nondeterministic
 /// pick point (see module docs). `pick` receives the same-cycle
 /// candidates in FIFO (schedule) order — index 0 is what the default
-/// deterministic engine would fire — plus a fingerprint of the current
-/// architectural state. `observe` is called for **every** dispatched
-/// event, including forced single-candidate fronts, so a partial-order
-/// reducer can maintain its sleep sets.
+/// deterministic engine would fire — plus `state_fp`, which computes a
+/// fingerprint of the current architectural state
+/// ([`crate::engine::Engine::state_fingerprint`]) when called. The hash
+/// walks the whole simulator, so a scheduler calls it only where it
+/// keeps the value; calling it has no side effects. `observe` is called
+/// for **every** dispatched event, including forced single-candidate
+/// fronts, so a partial-order reducer can maintain its sleep sets.
 pub trait Scheduler {
     /// Choose which of `options` fires first; returns an index into
     /// `options` (out-of-range picks are clamped to the last candidate).
-    fn pick(&mut self, at: Cycle, options: &[EvDesc], state_fp: u64) -> usize;
+    fn pick(&mut self, at: Cycle, options: &[EvDesc], state_fp: &dyn Fn() -> u64) -> usize;
 
     /// Notification that `ev` was just dispatched at cycle `at`.
     fn observe(&mut self, at: Cycle, ev: &EvDesc) {

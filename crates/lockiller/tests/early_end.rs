@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 struct Fifo;
 
 impl Scheduler for Fifo {
-    fn pick(&mut self, _at: Cycle, _options: &[EvDesc], _state_fp: u64) -> usize {
+    fn pick(&mut self, _at: Cycle, _options: &[EvDesc], _state_fp: &dyn Fn() -> u64) -> usize {
         0
     }
 }

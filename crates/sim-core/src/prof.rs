@@ -40,7 +40,8 @@ pub enum ProfPhase {
     Export,
     /// Event-queue pop / front selection.
     Dequeue,
-    /// Scheduler tie-break (`Scheduler::pick` on a wide front).
+    /// Scheduler tie-break (`Scheduler::pick` on a wide front),
+    /// including any state fingerprint the scheduler asks for.
     SchedPick,
     /// Guest `resume`: handing a response to the guest execution core
     /// and receiving its next op (both backends).

@@ -29,19 +29,22 @@
 //!   elsewhere and generates no children. This explores at least one
 //!   interleaving per Mazurkiewicz trace — sound for all properties we
 //!   check on a per-schedule basis.
-//! - **State deduplication**: each choice point is fingerprinted
-//!   ([`lockiller::engine::Engine::state_fingerprint`] — controllers,
-//!   write buffers, memory digest, pending queue with volatile sequence
-//!   tags normalized, and the full memory system; guest positions are
-//!   covered by each core's response-history hash, since a
-//!   deterministic guest is a pure function of the responses it has
-//!   seen). Reaching a fingerprint already explored with an equal-or-
+//! - **State deduplication**: each recorded choice point is
+//!   fingerprinted ([`lockiller::engine::Engine::state_fingerprint`] —
+//!   controllers, write buffers, memory digest, pending queue with
+//!   volatile sequence tags normalized, and the full memory system;
+//!   guest positions are covered by each core's response-history hash,
+//!   since a deterministic guest is a pure function of the responses it
+//!   has seen). Reaching a fingerprint already explored with an equal-or-
 //!   smaller sleep set proves the whole subtree is covered, so no
 //!   children are generated there. Dedup is exact for *state*
 //!   properties (deadlock-freedom, grant exclusivity); for *history*
 //!   properties (the serializability check runs over the whole trace)
 //!   it can merge prefixes with different histories, so runs where a
 //!   history distinction matters can disable it (`--no-state-dedup`).
+//!   Fronts in the forced prefix, past the depth bound or after a run
+//!   turns redundant record no choice and are never hashed; a run
+//!   without dedup hashes nothing.
 //!
 //! Coverage is exact when the report says so ([`ExploreReport::complete`]):
 //! no budget exhaustion, no depth clipping, no cycle-limited runs.
@@ -257,8 +260,12 @@ impl Explorer {
 
     /// Execute one work item (pure function of `self` + `item`).
     fn execute(&self, item: &WorkItem) -> RunRecord {
-        let mut sched =
-            RecordingScheduler::new(item, self.depth_bound, self.active_prune().cloned());
+        let mut sched = RecordingScheduler::new(
+            item,
+            self.depth_bound,
+            self.state_dedup,
+            self.active_prune().cloned(),
+        );
         let mut prog = SpecProgram::new(self.spec.clone());
         let mut out = self.runner().run_scheduled(&mut prog, &mut sched);
         let events = out.take_trace_events();
@@ -307,7 +314,7 @@ impl Explorer {
             None => a.conflicts(b),
         };
         let mut digest = FxHasher::default();
-        let mut first_violation: Option<(u64, Violation, Vec<usize>)> = None;
+        let mut first_violation: Option<(Violation, Vec<usize>)> = None;
         let jobs = self.jobs.max(1);
 
         'outer: while !frontier.is_empty() {
@@ -357,17 +364,17 @@ impl Explorer {
                 } else {
                     rep.space.record(idx, &rec.violations);
                     if first_violation.is_none() {
-                        first_violation =
-                            Some((idx, rec.violations[0].clone(), rec.decisions.clone()));
+                        first_violation = Some((rec.violations[0].clone(), rec.decisions.clone()));
                     }
                 }
                 // Child generation (sleep-set siblings + state dedup).
                 for ch in &rec.choices {
-                    if self.state_dedup {
+                    // A fingerprint is recorded exactly when dedup is on.
+                    if let Some(fp) = ch.fp {
                         let mut ids: Vec<u64> = ch.sleep_before.iter().map(|d| d.id).collect();
                         ids.sort_unstable();
                         ids.dedup();
-                        let sets = seen.entry(ch.fp).or_default();
+                        let sets = seen.entry(fp).or_default();
                         if sets.iter().any(|s| is_subset(s, &ids)) {
                             // Covered: a previous visit to this state had
                             // an equal-or-smaller sleep set, so both this
@@ -407,13 +414,12 @@ impl Explorer {
             }
         }
 
-        if let Some((idx, viol, decisions)) = first_violation {
+        if let Some((viol, decisions)) = first_violation {
             let kind = viol.check;
             let shrunk = shrink::ddmin(&decisions, self.shrink_budget, |cand| {
                 self.replay(cand).iter().any(|v| v.check == kind)
             });
             rep.witness = Some(self.witness(&viol, &shrunk));
-            let _ = idx;
         }
         rep.digest = digest.finish();
         rep
@@ -495,8 +501,9 @@ struct WorkItem {
 struct Choice {
     /// Index among the run's multi-candidate fronts.
     depth: usize,
-    /// State fingerprint at the front (before dispatch).
-    fp: u64,
+    /// State fingerprint at the front (before dispatch); `None` when
+    /// state deduplication is off, since nothing reads it then.
+    fp: Option<u64>,
     options: Vec<EvDesc>,
     chosen: usize,
     /// Live sleep set just before dispatch.
@@ -507,7 +514,6 @@ struct Choice {
 struct RunRecord {
     decisions: Vec<usize>,
     choices: Vec<Choice>,
-    #[allow(dead_code)]
     end: RunEnd,
     violations: Vec<Violation>,
     trace_len: usize,
@@ -533,6 +539,8 @@ struct RecordingScheduler {
     /// covered by other schedules, so no further choices are recorded.
     redundant_from: Option<usize>,
     depth_clipped: bool,
+    /// Fingerprint each recorded choice ([`Explorer::state_dedup`]).
+    state_dedup: bool,
     /// Static refinement of the wake-up relation: a sleeping event stays
     /// asleep past dispatches proven independent of it.
     prune: Option<StaticIndependence>,
@@ -542,12 +550,14 @@ impl RecordingScheduler {
     fn new(
         item: &WorkItem,
         depth_bound: usize,
+        state_dedup: bool,
         prune: Option<StaticIndependence>,
     ) -> RecordingScheduler {
         RecordingScheduler {
             forced: item.forced.clone(),
             entry_sleep: item.entry_sleep.clone(),
             depth_bound,
+            state_dedup,
             prune,
             depth: 0,
             sleep: if item.forced.is_empty() {
@@ -569,7 +579,7 @@ impl RecordingScheduler {
 }
 
 impl Scheduler for RecordingScheduler {
-    fn pick(&mut self, _at: Cycle, options: &[EvDesc], fp: u64) -> usize {
+    fn pick(&mut self, _at: Cycle, options: &[EvDesc], state_fp: &dyn Fn() -> u64) -> usize {
         let d = self.depth;
         self.depth += 1;
         let idx = if d < self.forced.len() {
@@ -585,9 +595,11 @@ impl Scheduler for RecordingScheduler {
             0
         } else if let Some(i) = (0..options.len()).find(|&i| !self.asleep(&options[i])) {
             if self.redundant_from.is_none() {
+                // The only fingerprint this run reads: taken here, for a
+                // recorded choice, and only when dedup will look it up.
                 self.choices.push(Choice {
                     depth: d,
-                    fp,
+                    fp: self.state_dedup.then(state_fp),
                     options: options.to_vec(),
                     chosen: i,
                     sleep_before: self.sleep.clone(),
@@ -624,7 +636,7 @@ struct ReplayScheduler {
 }
 
 impl Scheduler for ReplayScheduler {
-    fn pick(&mut self, _at: Cycle, options: &[EvDesc], _fp: u64) -> usize {
+    fn pick(&mut self, _at: Cycle, options: &[EvDesc], _state_fp: &dyn Fn() -> u64) -> usize {
         let i = self
             .forced
             .get(self.depth)
@@ -798,6 +810,81 @@ mod tests {
                 .and_then(sim_core::json::Json::as_f64),
             Some(1.0)
         );
+    }
+
+    /// A core-private `Recv` descriptor with identity `id`.
+    fn desc(id: u64) -> EvDesc {
+        EvDesc {
+            class: lockiller::EvClass::Recv,
+            cores: 1 << id,
+            line: None,
+            bank: None,
+            global: false,
+            sync: false,
+            id,
+        }
+    }
+
+    /// Drive `s` over four stretches — two forced picks, two free picks,
+    /// a front where every candidate sleeps, then a free-looking front
+    /// and two picks past the depth bound of 6 — with a closure that
+    /// counts how often the fingerprint is taken.
+    fn drive(s: &mut dyn Scheduler) -> usize {
+        let calls = std::cell::Cell::new(0);
+        let fp = || {
+            calls.set(calls.get() + 1);
+            0xf00d
+        };
+        let (a, b, z) = (desc(1), desc(2), desc(3));
+        let fronts = [
+            vec![a.clone(), b.clone()],
+            vec![a.clone(), b.clone()],
+            vec![a.clone(), b.clone()],
+            vec![z.clone(), a.clone()],
+            vec![z.clone()],
+            vec![a.clone(), b.clone()],
+            vec![a.clone(), b.clone()],
+            vec![a, b],
+        ];
+        for front in &fronts {
+            s.pick(0, front, &fp);
+        }
+        calls.get()
+    }
+
+    /// A work item that forces `[1, 0]` and puts `z` (id 3) to sleep
+    /// from the branch point on.
+    fn item() -> WorkItem {
+        WorkItem {
+            forced: vec![1, 0],
+            entry_sleep: vec![desc(3)],
+        }
+    }
+
+    #[test]
+    fn fingerprint_is_taken_only_for_recorded_choices() {
+        let mut s = RecordingScheduler::new(&item(), 6, true, None);
+        let calls = drive(&mut s);
+        assert_eq!(s.decisions, vec![1, 0, 0, 1, 0, 0, 0, 0]);
+        assert_eq!(s.redundant_from, Some(4), "the all-asleep front");
+        assert!(s.depth_clipped, "the last two picks pass the bound");
+        let depths: Vec<usize> = s.choices.iter().map(|c| c.depth).collect();
+        assert_eq!(depths, vec![2, 3], "only the two free picks record");
+        assert_eq!(calls, s.choices.len(), "one hash per recorded choice");
+        assert!(s.choices.iter().all(|c| c.fp == Some(0xf00d)));
+    }
+
+    #[test]
+    fn no_fingerprint_without_dedup_or_on_replay() {
+        let mut s = RecordingScheduler::new(&item(), 6, false, None);
+        assert_eq!(drive(&mut s), 0, "dedup off: nothing reads a hash");
+        assert_eq!(s.choices.len(), 2, "choices are still recorded");
+        assert!(s.choices.iter().all(|c| c.fp.is_none()));
+        let mut r = ReplayScheduler {
+            forced: vec![1, 0, 1],
+            depth: 0,
+        };
+        assert_eq!(drive(&mut r), 0, "replay never reads a hash");
     }
 
     #[test]
