@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
 /// Sharer bitmap: up to 32 cores (the paper's system size), which is why
-/// `SystemConfigBuilder::build` rejects more than [`MAX_CORES`].
+/// `MemSystem::new` rejects more than [`MAX_CORES`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct CoreSet(pub u32);
 

@@ -26,7 +26,7 @@ use crate::msg::{
     PRIO_LOCK,
 };
 use noc::Mesh;
-use sim_core::config::{RejectAction, SystemConfig};
+use sim_core::config::{RejectAction, SystemConfig, MAX_CORES};
 use sim_core::obs::{ConflictEdge, ConflictResolution, Metric, MetricSpec, RecoveryAction};
 use sim_core::stats::AbortCause;
 use sim_core::types::{CoreId, Cycle, LineAddr};
@@ -198,6 +198,10 @@ pub struct MemSystem {
 impl MemSystem {
     pub fn new(cfg: SystemConfig) -> MemSystem {
         let n = cfg.num_cores;
+        assert!(
+            (1..=MAX_CORES).contains(&n),
+            "core count {n} outside 1..={MAX_CORES}"
+        );
         let mesh = Mesh::new(cfg.noc.width, cfg.noc.height, cfg.noc.link_latency);
         assert!(mesh.nodes() >= n, "mesh smaller than core count");
         MemSystem {
@@ -1688,6 +1692,17 @@ mod tests {
         let mut ms = MemSystem::new(SystemConfig::testing(2));
         ms.l1s[0].install(LineAddr(1), Mesi::Exclusive, false, false);
         ms
+    }
+
+    #[test]
+    #[should_panic(expected = "core count 33 outside 1..=32")]
+    fn more_cores_than_the_sharer_set_holds_are_refused() {
+        // 33 cores fit an 8x8 mesh, but core 32 would alias core 0 in
+        // the 32-bit directory `CoreSet`.
+        let mut cfg = SystemConfig::testing(32);
+        cfg.num_cores = 33;
+        (cfg.noc.width, cfg.noc.height) = (8, 8);
+        let _ = MemSystem::new(cfg);
     }
 
     #[test]

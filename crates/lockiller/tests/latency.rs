@@ -271,6 +271,5 @@ fn latency_histograms_are_bit_deterministic() {
         b.latency.to_json(),
         "latency histograms must be byte-identical across identical runs"
     );
-    assert_eq!(a.latency.digest(), b.latency.digest());
     assert_eq!(a.to_json(), b.to_json());
 }

@@ -1,15 +1,17 @@
 //! System configuration mirroring Table I of the paper, plus the policy
 //! knobs that distinguish the Table II systems.
 //!
-//! Configurations are assembled through [`SystemConfig::builder`]: a
-//! preset base (Table I by default) plus fluent overrides, validated by
-//! [`SystemConfigBuilder::build`] into either a `SystemConfig` or a typed
-//! [`ConfigError`]. The historical presets remain as shortcuts:
+//! A configuration is plain data. Four presets build it:
 //! [`SystemConfig::table1`] is the "typical" configuration every headline
 //! experiment uses; [`SystemConfig::small_cache`] and
 //! [`SystemConfig::large_cache`] are the Fig. 13 sensitivity points
 //! (8 KB L1 / 1 MB LLC and 128 KB L1 / 32 MB LLC); and
 //! [`SystemConfig::testing`] is the scaled-down unit-test system.
+//! Ablations and tests assign fields of a preset directly. Each value is
+//! checked where the model uses it: cache sizes by
+//! [`CacheGeometry::from_capacity`], the signature by
+//! `coherence::bloom::Signature::new`, and the core count and mesh size
+//! by `coherence::MemSystem::new`.
 
 use crate::types::{Cycle, LineAddr};
 
@@ -29,36 +31,17 @@ pub struct CacheGeometry {
 
 impl CacheGeometry {
     /// Geometry for a cache of `bytes` capacity with `ways` associativity
-    /// and 64-byte lines. Panics on an invalid geometry; the builder path
-    /// ([`CacheGeometry::try_from_capacity`]) reports a typed error
-    /// instead.
+    /// and 64-byte lines. Panics on an invalid geometry.
     pub fn from_capacity(bytes: usize, ways: usize) -> CacheGeometry {
-        match CacheGeometry::try_from_capacity(bytes, ways) {
-            Ok(g) => g,
-            Err(ConfigError::BadCacheGeometry { reason, .. }) => panic!("{reason}"),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`CacheGeometry::from_capacity`].
-    pub fn try_from_capacity(bytes: usize, ways: usize) -> Result<CacheGeometry, ConfigError> {
-        let bad = |reason: &'static str| ConfigError::BadCacheGeometry {
-            bytes,
-            ways,
-            reason,
-        };
-        if ways == 0 {
-            return Err(bad("associativity must be at least 1"));
-        }
+        assert!(ways > 0, "associativity must be at least 1");
         let lines = bytes / 64;
-        if lines < ways || !lines.is_multiple_of(ways) {
-            return Err(bad("capacity not divisible by ways"));
-        }
+        assert!(
+            lines >= ways && lines.is_multiple_of(ways),
+            "capacity not divisible by ways"
+        );
         let sets = lines / ways;
-        if !sets.is_power_of_two() {
-            return Err(bad("set count must be a power of two"));
-        }
-        Ok(CacheGeometry { sets, ways })
+        assert!(sets.is_power_of_two(), "set count must be a power of two");
+        CacheGeometry { sets, ways }
     }
 
     /// Total lines held.
@@ -285,48 +268,68 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// Start a validated configuration build from the Table-I base.
-    pub fn builder() -> SystemConfigBuilder {
-        SystemConfigBuilder::new()
-    }
-
     /// The paper's Table I configuration: 32 in-order cores, 32 KB 4-way
     /// private L1s, 8 MB 16-way shared LLC, 4x8 mesh, 100-cycle memory.
-    /// Shortcut for `SystemConfig::builder().build()`.
     pub fn table1() -> SystemConfig {
-        SystemConfig::builder()
-            .build()
-            .expect("Table-I preset is valid")
+        SystemConfig {
+            num_cores: 32,
+            mem: MemConfig {
+                l1: CacheGeometry { sets: 128, ways: 4 },
+                // 8 MB shared LLC over 32 banks = 256 KB/bank, 16-way.
+                llc_bank: CacheGeometry {
+                    sets: 256,
+                    ways: 16,
+                },
+                l1_hit: 2,
+                llc_hit: 12,
+                mem_latency: 100,
+                signature_bits: 1024,
+                signature_hashes: 3,
+                direct_rsp: false,
+            },
+            noc: NocConfig {
+                width: 4,
+                height: 8,
+                link_latency: 1,
+                control_flits: 1,
+                data_flits: 5,
+            },
+            policy: PolicyConfig::default(),
+            check: CheckCfg::default(),
+            abort_penalty: 30,
+            commit_penalty: 6,
+            fault_service: 300,
+        }
     }
 
     /// Fig. 13 "small cache" point: 8 KB L1, 1 MB LLC.
     pub fn small_cache() -> SystemConfig {
-        SystemConfig::builder()
-            .l1_capacity(8 * 1024, 4)
-            .llc_capacity(1024 * 1024, 16)
-            .build()
-            .expect("small-cache preset is valid")
+        let mut cfg = SystemConfig::table1();
+        cfg.mem.l1 = CacheGeometry::from_capacity(8 * 1024, 4);
+        cfg.mem.llc_bank = CacheGeometry::from_capacity(1024 * 1024 / cfg.num_cores, 16);
+        cfg
     }
 
     /// Fig. 13 "large cache" point: 128 KB L1, 32 MB LLC.
     pub fn large_cache() -> SystemConfig {
-        SystemConfig::builder()
-            .l1_capacity(128 * 1024, 4)
-            .llc_capacity(32 * 1024 * 1024, 16)
-            .build()
-            .expect("large-cache preset is valid")
+        let mut cfg = SystemConfig::table1();
+        cfg.mem.l1 = CacheGeometry::from_capacity(128 * 1024, 4);
+        cfg.mem.llc_bank = CacheGeometry::from_capacity(32 * 1024 * 1024 / cfg.num_cores, 16);
+        cfg
     }
 
     /// A scaled-down configuration for fast unit/integration tests:
     /// fewer cores and small caches, same protocol behaviour.
     pub fn testing(num_cores: usize) -> SystemConfig {
-        SystemConfig::builder()
-            .num_cores(num_cores)
-            .fit_mesh()
-            .l1_capacity(4 * 1024, 4)
-            .llc_capacity(64 * 1024 / num_cores.next_power_of_two() * num_cores, 8)
-            .build()
-            .expect("testing preset is valid")
+        let mut cfg = SystemConfig::table1();
+        cfg.num_cores = num_cores;
+        (cfg.noc.width, cfg.noc.height) = fit_mesh_dims(num_cores);
+        cfg.mem.l1 = CacheGeometry::from_capacity(4 * 1024, 4);
+        // 64 KB of LLC at a power-of-two core count; other counts keep
+        // the bank size of the next power of two.
+        let bank_bytes = 64 * 1024 / num_cores.next_power_of_two();
+        cfg.mem.llc_bank = CacheGeometry::from_capacity(bank_bytes, 8);
+        cfg
     }
 
     /// Number of LLC banks (one per tile).
@@ -379,293 +382,6 @@ impl SystemConfig {
     }
 }
 
-/// Typed validation failure from [`SystemConfigBuilder::build`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ConfigError {
-    /// Core count outside the modelled range.
-    BadCoreCount { got: usize, min: usize, max: usize },
-    /// The mesh has fewer tiles than cores (every core needs a tile with
-    /// its L1 and LLC bank).
-    MeshTooSmall {
-        cores: usize,
-        width: usize,
-        height: usize,
-    },
-    /// A mesh dimension is zero.
-    EmptyMesh { width: usize, height: usize },
-    /// A cache capacity/associativity pair yields no valid set count.
-    BadCacheGeometry {
-        bytes: usize,
-        ways: usize,
-        reason: &'static str,
-    },
-    /// The total LLC capacity does not split evenly over the banks.
-    LlcNotBankable { bytes: usize, banks: usize },
-    /// An overflow signature needs at least one bit and one hash.
-    BadSignature { bits: usize, hashes: usize },
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfigError::BadCoreCount { got, min, max } => {
-                write!(
-                    f,
-                    "core count {got} outside the modelled range {min}..={max}"
-                )
-            }
-            ConfigError::MeshTooSmall {
-                cores,
-                width,
-                height,
-            } => write!(
-                f,
-                "{width}x{height} mesh has {} tiles but the system has {cores} cores",
-                width * height
-            ),
-            ConfigError::EmptyMesh { width, height } => {
-                write!(f, "mesh dimensions {width}x{height} include zero")
-            }
-            ConfigError::BadCacheGeometry {
-                bytes,
-                ways,
-                reason,
-            } => write!(f, "cache of {bytes} bytes / {ways} ways: {reason}"),
-            ConfigError::LlcNotBankable { bytes, banks } => {
-                write!(f, "LLC of {bytes} bytes does not split over {banks} banks")
-            }
-            ConfigError::BadSignature { bits, hashes } => {
-                write!(
-                    f,
-                    "overflow signature of {bits} bits / {hashes} hashes is degenerate"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-/// Fluent, validated [`SystemConfig`] constructor: a preset base
-/// (Table I unless another preset is given) plus overrides, checked as a
-/// whole by [`SystemConfigBuilder::build`].
-///
-/// Cache overrides are expressed in capacity terms (`bytes`, `ways`) and
-/// converted to set/way geometry at build time, so an invalid size
-/// surfaces as a [`ConfigError`] instead of a panic deep in geometry
-/// code. The LLC override takes the *total* capacity and splits it over
-/// one bank per tile, like the paper's Table I.
-#[derive(Clone, Debug)]
-pub struct SystemConfigBuilder {
-    cfg: SystemConfig,
-    l1: Option<(usize, usize)>,
-    llc_total: Option<(usize, usize)>,
-    fit_mesh: bool,
-}
-
-impl Default for SystemConfigBuilder {
-    fn default() -> Self {
-        SystemConfigBuilder::new()
-    }
-}
-
-impl SystemConfigBuilder {
-    /// Builder seeded with the Table-I base configuration.
-    pub fn new() -> SystemConfigBuilder {
-        SystemConfigBuilder {
-            cfg: SystemConfig {
-                num_cores: 32,
-                mem: MemConfig {
-                    l1: CacheGeometry { sets: 128, ways: 4 },
-                    // 8 MB shared LLC over 32 banks = 256 KB/bank, 16-way.
-                    llc_bank: CacheGeometry {
-                        sets: 256,
-                        ways: 16,
-                    },
-                    l1_hit: 2,
-                    llc_hit: 12,
-                    mem_latency: 100,
-                    signature_bits: 1024,
-                    signature_hashes: 3,
-                    direct_rsp: false,
-                },
-                noc: NocConfig {
-                    width: 4,
-                    height: 8,
-                    link_latency: 1,
-                    control_flits: 1,
-                    data_flits: 5,
-                },
-                policy: PolicyConfig::default(),
-                check: CheckCfg::default(),
-                abort_penalty: 30,
-                commit_penalty: 6,
-                fault_service: 300,
-            },
-            l1: None,
-            llc_total: None,
-            fit_mesh: false,
-        }
-    }
-
-    /// Builder seeded with an existing configuration (tweak-and-rebuild).
-    pub fn from_config(cfg: SystemConfig) -> SystemConfigBuilder {
-        SystemConfigBuilder {
-            cfg,
-            l1: None,
-            llc_total: None,
-            fit_mesh: false,
-        }
-    }
-
-    /// Number of cores / tiles (1..=[`MAX_CORES`] modelled).
-    pub fn num_cores(mut self, n: usize) -> Self {
-        self.cfg.num_cores = n;
-        self
-    }
-
-    /// Explicit mesh dimensions. Overrides [`SystemConfigBuilder::fit_mesh`].
-    pub fn mesh(mut self, width: usize, height: usize) -> Self {
-        self.cfg.noc.width = width;
-        self.cfg.noc.height = height;
-        self.fit_mesh = false;
-        self
-    }
-
-    /// Choose the smallest near-square mesh holding every core instead of
-    /// the preset's dimensions (what the scaled-down test configs want).
-    pub fn fit_mesh(mut self) -> Self {
-        self.fit_mesh = true;
-        self
-    }
-
-    /// Private L1 capacity in bytes with the given associativity.
-    pub fn l1_capacity(mut self, bytes: usize, ways: usize) -> Self {
-        self.l1 = Some((bytes, ways));
-        self
-    }
-
-    /// *Total* shared-LLC capacity in bytes with the given associativity;
-    /// split over one bank per tile at build time.
-    pub fn llc_capacity(mut self, bytes: usize, ways: usize) -> Self {
-        self.llc_total = Some((bytes, ways));
-        self
-    }
-
-    /// L1 hit latency in cycles.
-    pub fn l1_hit(mut self, cycles: Cycle) -> Self {
-        self.cfg.mem.l1_hit = cycles;
-        self
-    }
-
-    /// LLC bank access latency in cycles.
-    pub fn llc_hit(mut self, cycles: Cycle) -> Self {
-        self.cfg.mem.llc_hit = cycles;
-        self
-    }
-
-    /// Off-chip memory latency in cycles.
-    pub fn mem_latency(mut self, cycles: Cycle) -> Self {
-        self.cfg.mem.mem_latency = cycles;
-        self
-    }
-
-    /// Overflow-signature geometry (Bloom bits and hash count).
-    pub fn signature(mut self, bits: usize, hashes: usize) -> Self {
-        self.cfg.mem.signature_bits = bits;
-        self.cfg.mem.signature_hashes = hashes;
-        self
-    }
-
-    /// Enable direct L1-to-L1 responses (§III-A topology variant).
-    pub fn direct_rsp(mut self, on: bool) -> Self {
-        self.cfg.mem.direct_rsp = on;
-        self
-    }
-
-    /// Replace the whole policy block (usually `SystemKind::policy()`).
-    pub fn policy(mut self, policy: PolicyConfig) -> Self {
-        self.cfg.policy = policy;
-        self
-    }
-
-    /// Replace the checked-mode switches.
-    pub fn check(mut self, check: CheckCfg) -> Self {
-        self.cfg.check = check;
-        self
-    }
-
-    /// Abort-processing penalty in cycles.
-    pub fn abort_penalty(mut self, cycles: Cycle) -> Self {
-        self.cfg.abort_penalty = cycles;
-        self
-    }
-
-    /// Commit penalty in cycles.
-    pub fn commit_penalty(mut self, cycles: Cycle) -> Self {
-        self.cfg.commit_penalty = cycles;
-        self
-    }
-
-    /// Demand-paging service latency in cycles.
-    pub fn fault_service(mut self, cycles: Cycle) -> Self {
-        self.cfg.fault_service = cycles;
-        self
-    }
-
-    /// Validate the assembled configuration: core count in range, mesh
-    /// large enough for every tile, cache geometries realizable, LLC
-    /// bankable, signatures non-degenerate.
-    pub fn build(self) -> Result<SystemConfig, ConfigError> {
-        let mut cfg = self.cfg;
-        if cfg.num_cores == 0 || cfg.num_cores > MAX_CORES {
-            return Err(ConfigError::BadCoreCount {
-                got: cfg.num_cores,
-                min: 1,
-                max: MAX_CORES,
-            });
-        }
-        if self.fit_mesh {
-            let (w, h) = fit_mesh_dims(cfg.num_cores);
-            cfg.noc.width = w;
-            cfg.noc.height = h;
-        }
-        if cfg.noc.width == 0 || cfg.noc.height == 0 {
-            return Err(ConfigError::EmptyMesh {
-                width: cfg.noc.width,
-                height: cfg.noc.height,
-            });
-        }
-        if cfg.noc.width * cfg.noc.height < cfg.num_cores {
-            return Err(ConfigError::MeshTooSmall {
-                cores: cfg.num_cores,
-                width: cfg.noc.width,
-                height: cfg.noc.height,
-            });
-        }
-        if let Some((bytes, ways)) = self.l1 {
-            cfg.mem.l1 = CacheGeometry::try_from_capacity(bytes, ways)?;
-        }
-        if let Some((bytes, ways)) = self.llc_total {
-            let banks = cfg.num_cores;
-            if bytes == 0 || !bytes.is_multiple_of(banks) {
-                return Err(ConfigError::LlcNotBankable { bytes, banks });
-            }
-            cfg.mem.llc_bank = CacheGeometry::try_from_capacity(bytes / banks, ways)?;
-        }
-        if cfg.mem.signature_bits == 0
-            || !cfg.mem.signature_bits.is_power_of_two()
-            || cfg.mem.signature_hashes == 0
-        {
-            return Err(ConfigError::BadSignature {
-                bits: cfg.mem.signature_bits,
-                hashes: cfg.mem.signature_hashes,
-            });
-        }
-        Ok(cfg)
-    }
-}
-
 /// Smallest power-of-two mesh holding `cores` tiles, using exactly the
 /// shapes the scaled-down test configurations have always used (2x2,
 /// 2x4, 4x4, 4x8) so simulated routes — and therefore cycle counts —
@@ -707,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_geometry_from_capacity() {
+    fn cache_geometry_of_capacity() {
         let g = CacheGeometry::from_capacity(32 * 1024, 4);
         assert_eq!(g.sets, 128);
         assert_eq!(g.lines(), 512);
@@ -719,12 +435,23 @@ mod tests {
 
     #[test]
     fn sensitivity_configs() {
+        let geom = |sets, ways| CacheGeometry { sets, ways };
         let s = SystemConfig::small_cache();
         assert_eq!(s.mem.l1.lines() * 64, 8 * 1024);
         assert_eq!(s.mem.llc_bank.lines() * 64 * 32, 1024 * 1024);
+        assert_eq!(s.mem.l1, geom(32, 4));
+        assert_eq!(s.mem.llc_bank, geom(32, 16));
         let l = SystemConfig::large_cache();
         assert_eq!(l.mem.l1.lines() * 64, 128 * 1024);
         assert_eq!(l.mem.llc_bank.lines() * 64 * 32, 32 * 1024 * 1024);
+        assert_eq!(l.mem.l1, geom(512, 4));
+        assert_eq!(l.mem.llc_bank, geom(1024, 16));
+        // Only the caches differ from Table I.
+        for mut c in [s, l] {
+            c.mem.l1 = SystemConfig::table1().mem.l1;
+            c.mem.llc_bank = SystemConfig::table1().mem.llc_bank;
+            assert_eq!(c, SystemConfig::table1());
+        }
     }
 
     #[test]
@@ -759,88 +486,9 @@ mod tests {
         // Table-I signature: 1024 bits, 3 hashes -> 42-line budget.
         assert_eq!(SystemConfig::table1().signature_line_budget(), 42);
         // Degenerate geometries still give a usable (>= 1) budget.
-        let tiny = SystemConfig::builder().signature(8, 4).build().unwrap();
+        let mut tiny = SystemConfig::table1();
+        tiny.mem.signature_bits = 8;
+        tiny.mem.signature_hashes = 4;
         assert_eq!(tiny.signature_line_budget(), 1);
-    }
-
-    #[test]
-    fn builder_matches_presets() {
-        // The presets are now builder shortcuts; spot-check the builder
-        // reproduces the historical values field-for-field.
-        let b = SystemConfig::builder().build().unwrap();
-        assert_eq!(b, SystemConfig::table1());
-        assert_eq!(b.mem.l1.sets, 128);
-        let s = SystemConfig::builder()
-            .l1_capacity(8 * 1024, 4)
-            .llc_capacity(1024 * 1024, 16)
-            .build()
-            .unwrap();
-        assert_eq!(s, SystemConfig::small_cache());
-        for n in [1, 2, 3, 4, 6, 8, 12, 16, 24, 32] {
-            let legacy = SystemConfig::testing(n);
-            assert!(legacy.noc.width * legacy.noc.height >= n);
-        }
-    }
-
-    #[test]
-    fn builder_reports_typed_errors() {
-        assert_eq!(
-            SystemConfig::builder().num_cores(0).build().unwrap_err(),
-            ConfigError::BadCoreCount {
-                got: 0,
-                min: 1,
-                max: 32
-            }
-        );
-        assert_eq!(
-            SystemConfig::builder().num_cores(33).build().unwrap_err(),
-            ConfigError::BadCoreCount {
-                got: 33,
-                min: 1,
-                max: 32
-            }
-        );
-        assert!(SystemConfig::builder().num_cores(32).build().is_ok());
-        assert_eq!(
-            SystemConfig::builder().mesh(2, 2).build().unwrap_err(),
-            ConfigError::MeshTooSmall {
-                cores: 32,
-                width: 2,
-                height: 2
-            }
-        );
-        assert_eq!(
-            SystemConfig::builder().mesh(0, 8).build().unwrap_err(),
-            ConfigError::EmptyMesh {
-                width: 0,
-                height: 8
-            }
-        );
-        assert!(matches!(
-            SystemConfig::builder().l1_capacity(24 * 1024, 4).build(),
-            Err(ConfigError::BadCacheGeometry { .. })
-        ));
-        assert!(matches!(
-            SystemConfig::builder().llc_capacity(1000, 16).build(),
-            Err(ConfigError::LlcNotBankable { .. })
-        ));
-        assert!(matches!(
-            SystemConfig::builder().signature(0, 3).build(),
-            Err(ConfigError::BadSignature { .. })
-        ));
-        // Errors are Display + Error.
-        let e = SystemConfig::builder().num_cores(0).build().unwrap_err();
-        assert!(e.to_string().contains("core count"));
-    }
-
-    #[test]
-    fn builder_from_config_tweaks() {
-        let base = SystemConfig::table1();
-        let tweaked = SystemConfigBuilder::from_config(base.clone())
-            .mem_latency(200)
-            .build()
-            .unwrap();
-        assert_eq!(tweaked.mem.mem_latency, 200);
-        assert_ne!(tweaked, base);
     }
 }

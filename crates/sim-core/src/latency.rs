@@ -21,11 +21,8 @@
 //! [`LatencyHist::mean`]), matching the `RunStats` ratio-helper
 //! convention: summary tables and JSON exports never contain NaN/Inf.
 
-use crate::fxhash::FxHasher;
-use crate::json::Json;
 use crate::stats::AbortCause;
 use crate::types::Cycle;
-use std::hash::{Hash, Hasher};
 
 /// Sub-bucket resolution: each octave splits into `2^SUB_BITS` linear
 /// buckets (values below `2^SUB_BITS` are exact).
@@ -220,80 +217,6 @@ impl LatencyHist {
         out.push_str("]}");
         out
     }
-
-    /// Decode a [`LatencyHist::to_json`] object; the round-trip is exact
-    /// (including re-encoding byte-identity). A document no recording
-    /// could produce is an `Err`, never a panic: bucket counts that
-    /// overflow or do not sum to `count`, or `min > max` on a non-empty
-    /// histogram.
-    pub fn from_json_value(v: &Json) -> Result<LatencyHist, String> {
-        let num = |key: &str| -> Result<u64, String> {
-            match v.get(key) {
-                None => Ok(0),
-                Some(j) => j
-                    .as_f64()
-                    .map(|f| f as u64)
-                    .ok_or_else(|| format!("latency hist field {key} is not a number")),
-            }
-        };
-        let mut h = LatencyHist {
-            count: num("count")?,
-            sum: num("sum")?,
-            min: num("min")?,
-            max: num("max")?,
-            counts: Vec::new(),
-        };
-        let mut total = 0u64;
-        if let Some(buckets) = v.get("buckets").and_then(Json::as_arr) {
-            if !buckets.is_empty() {
-                h.counts = vec![0; NUM_BUCKETS];
-                for b in buckets {
-                    let pair = b
-                        .as_arr()
-                        .filter(|p| p.len() == 2)
-                        .ok_or("latency hist bucket is not an [index,count] pair")?;
-                    let i = pair[0].as_f64().ok_or("bucket index is not a number")? as usize;
-                    let n = pair[1].as_f64().ok_or("bucket count is not a number")? as u64;
-                    if i >= NUM_BUCKETS {
-                        return Err(format!("bucket index {i} out of range"));
-                    }
-                    // Every bucket is at most `total`, so none overflows
-                    // once the total fits.
-                    total = total
-                        .checked_add(n)
-                        .ok_or("latency hist bucket counts overflow")?;
-                    h.counts[i] += n;
-                }
-            }
-        }
-        if total != h.count {
-            return Err(format!(
-                "latency hist buckets hold {total} values, count says {}",
-                h.count
-            ));
-        }
-        if h.count > 0 && h.min > h.max {
-            return Err(format!("latency hist min {} > max {}", h.min, h.max));
-        }
-        if h.count == 0 {
-            // Normalize: an empty hist stores no dense vector and min=0,
-            // so decode(encode(h)) == h structurally, not just logically.
-            h.counts = Vec::new();
-            h.min = 0;
-        }
-        Ok(h)
-    }
-
-    /// Order-insensitive content digest (regression oracle for
-    /// bit-determinism tests).
-    pub fn digest(&self) -> u64 {
-        let mut h = FxHasher::default();
-        (self.count, self.sum, self.min(), self.max).hash(&mut h);
-        for (i, _, n) in self.nonzero_buckets() {
-            (i, n).hash(&mut h);
-        }
-        h.finish()
-    }
 }
 
 /// Outcome class of one completed transaction lifecycle (commit
@@ -409,41 +332,6 @@ impl LatencyStats {
         ));
         out
     }
-
-    /// Decode a [`LatencyStats::to_json`] object (exact round-trip;
-    /// missing keys decode to empty histograms).
-    pub fn from_json_value(v: &Json) -> Result<LatencyStats, String> {
-        let mut s = LatencyStats::default();
-        if let Some(classes) = v.get("classes") {
-            for c in TxnClass::ALL {
-                if let Some(h) = classes.get(c.name()) {
-                    s.classes[c.index()] = LatencyHist::from_json_value(h)?;
-                }
-            }
-        }
-        for (key, slot) in [
-            ("park", &mut s.park),
-            ("fallback_hold", &mut s.fallback_hold),
-            ("first_abort", &mut s.first_abort),
-        ] {
-            if let Some(h) = v.get(key) {
-                *slot = LatencyHist::from_json_value(h)?;
-            }
-        }
-        Ok(s)
-    }
-
-    /// Content digest over every histogram (determinism oracle).
-    pub fn digest(&self) -> u64 {
-        let mut h = FxHasher::default();
-        for c in &self.classes {
-            c.digest().hash(&mut h);
-        }
-        self.park.digest().hash(&mut h);
-        self.fallback_hold.digest().hash(&mut h);
-        self.first_abort.digest().hash(&mut h);
-        h.finish()
-    }
 }
 
 /// Per-core in-flight lifecycle tracker. The engine owns one per core,
@@ -540,7 +428,6 @@ impl TxnLifecycle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     #[test]
     fn bucket_index_is_monotone_and_contiguous() {
@@ -658,75 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_is_byte_exact() {
-        let mut h = LatencyHist::new();
-        for v in [0u64, 1, 15, 16, 100, 12_345, 9_999_999] {
-            h.record_n(v, v % 5 + 1);
-        }
-        let doc = h.to_json();
-        let back = LatencyHist::from_json_value(&json::parse(&doc).unwrap()).unwrap();
-        assert_eq!(back, h);
-        assert_eq!(back.to_json(), doc);
-        // Empty round-trips to the structurally-empty state.
-        let e = LatencyHist::new();
-        let back = LatencyHist::from_json_value(&json::parse(&e.to_json()).unwrap()).unwrap();
-        assert_eq!(back, e);
-        assert_eq!(back.to_json(), e.to_json());
-    }
-
-    #[test]
-    fn recorded_hist_round_trips_through_json() {
-        let mut stats = LatencyStats::default();
-        let mut lc = TxnLifecycle::default();
-        for t in 0..50u64 {
-            let now = t * 1_000;
-            lc.begin_attempt(now);
-            lc.park(now + 10);
-            lc.unpark(now + 10 + t * t, &mut stats);
-            lc.commit(now + 900, TxnClass::HtmCommit, &mut stats);
-        }
-        for h in [&stats.park, stats.class(TxnClass::HtmCommit)] {
-            let doc = h.to_json();
-            let back = LatencyHist::from_json_value(&json::parse(&doc).unwrap()).unwrap();
-            assert_eq!(&back, h);
-            assert_eq!(back.to_json(), doc);
-        }
-    }
-
-    #[test]
-    fn decoding_rejects_overflowing_bucket_counts() {
-        let max = u64::MAX;
-        for doc in [
-            format!("{{\"count\":1,\"buckets\":[[1,{max}],[2,1]]}}"),
-            format!("{{\"count\":1,\"buckets\":[[1,{max}],[1,1]]}}"),
-        ] {
-            let v = json::parse(&doc).unwrap();
-            let err = LatencyHist::from_json_value(&v).unwrap_err();
-            assert!(err.contains("overflow"), "{doc}: {err}");
-        }
-    }
-
-    #[test]
-    fn decoding_rejects_buckets_that_disagree_with_count() {
-        for doc in [
-            r#"{"count":5,"buckets":[]}"#,
-            r#"{"count":5}"#,
-            r#"{"count":2,"min":1,"max":1,"buckets":[[1,3]]}"#,
-            r#"{"count":0,"buckets":[[1,1]]}"#,
-        ] {
-            let v = json::parse(doc).unwrap();
-            assert!(LatencyHist::from_json_value(&v).is_err(), "{doc} decoded");
-        }
-    }
-
-    #[test]
-    fn decoding_rejects_min_above_max() {
-        let v = json::parse(r#"{"count":1,"sum":9,"min":9,"max":3,"buckets":[[9,1]]}"#).unwrap();
-        let err = LatencyHist::from_json_value(&v).unwrap_err();
-        assert!(err.contains("min 9 > max 3"), "{err}");
-    }
-
-    #[test]
     fn txn_class_indices_cover_and_are_unique() {
         let mut seen = [false; TxnClass::COUNT];
         for c in TxnClass::ALL {
@@ -738,26 +556,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), TxnClass::COUNT);
-    }
-
-    #[test]
-    fn latency_stats_json_round_trip_and_digest() {
-        let mut s = LatencyStats::default();
-        s.record_class(TxnClass::HtmCommit, 120);
-        s.record_class(TxnClass::Retry(AbortCause::Mc), 48);
-        s.park.record(32);
-        s.fallback_hold.record(500);
-        s.first_abort.record(48);
-        let doc = s.to_json();
-        let back = LatencyStats::from_json_value(&json::parse(&doc).unwrap()).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(back.to_json(), doc);
-        assert_eq!(back.digest(), s.digest());
-        let empty = LatencyStats::default();
-        assert_ne!(empty.digest(), s.digest());
-        let doc = empty.to_json();
-        let back = LatencyStats::from_json_value(&json::parse(&doc).unwrap()).unwrap();
-        assert_eq!(back, empty);
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub mod rng;
 pub mod stats;
 pub mod types;
 
-pub use config::{CacheGeometry, ConfigError, MemConfig, PolicyConfig, SystemConfig};
+pub use config::{CacheGeometry, MemConfig, PolicyConfig, SystemConfig};
 pub use event::EventQueue;
 pub use latency::{LatencyHist, LatencyStats, TxnClass, TxnLifecycle};
 pub use obs::{Metric, MetricSpec};

@@ -88,7 +88,7 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Stable lowercase tag, used in run-cache keys and reports.
+    /// Stable lowercase tag; tmbench stores it with each golden record.
     pub fn name(self) -> &'static str {
         match self {
             Scale::Tiny => "tiny",

@@ -16,7 +16,6 @@
 //! best-effort HTM.
 
 pub mod alloc;
-pub mod bitmap;
 pub mod hashtable;
 pub mod heap;
 pub mod list;
@@ -24,7 +23,6 @@ pub mod queue;
 pub mod tmap;
 
 pub use alloc::TmAlloc;
-pub use bitmap::Bitmap;
 pub use hashtable::HashTable;
 pub use heap::Heap;
 pub use list::List;

@@ -242,11 +242,10 @@ mod tests {
         assert_eq!(s.counters, 1);
         assert_eq!(s.tracks, 2);
         assert_eq!(s.counter_series, 1);
-        // The latency block rides in otherData and round-trips.
+        // The latency block rides in otherData.
         let v = json::parse(&doc).unwrap();
         let lat = v.get("otherData").unwrap().get("latency").unwrap();
-        let back = sim_core::latency::LatencyStats::from_json_value(lat).unwrap();
-        assert_eq!(back, stats.latency);
+        assert_eq!(lat, &json::parse(&stats.latency.to_json()).unwrap());
     }
 
     #[test]

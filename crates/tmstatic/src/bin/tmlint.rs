@@ -7,6 +7,8 @@
 //!        [--system NAME] [--tiny-l1] [--json] [--baseline FILE] [--table]
 //! ```
 //!
+//! `--threads` takes 1..=32, the most cores a system models.
+//!
 //! Both modes run one analysis: the guest bytecode is abstractly
 //! interpreted (`tmstatic::vmabs`) and projected onto the system
 //! (`tmstatic::VmAnalysis`), and one rule set (`tmstatic::vmlint`)
@@ -33,6 +35,7 @@
 //! (new) error, 2 bad usage or unreadable input.
 
 use lockiller::SystemKind;
+use sim_core::config::MAX_CORES;
 use tmstatic::{lint, lint_kernels, Diag, Severity, VmAnalysis};
 use tmverify::progs::ProgSpec;
 use tmverify::Explorer;
@@ -83,11 +86,15 @@ fn parse_args() -> Opts {
             "--stamp" if kernel_mode => o.stamp = Some(val()),
             "--threads" if kernel_mode => {
                 let v = val();
-                let Ok(n) = v.parse::<usize>() else {
-                    eprintln!("tmlint: bad --threads {v:?}");
+                let Some(n) = v
+                    .parse::<usize>()
+                    .ok()
+                    .filter(|n| (1..=MAX_CORES).contains(n))
+                else {
+                    eprintln!("tmlint: --threads takes 1..={MAX_CORES}, got {v:?}");
                     usage();
                 };
-                o.threads = n.max(1);
+                o.threads = n;
             }
             "--system" | "-s" => {
                 let v = val();
@@ -181,10 +188,9 @@ fn geometry(threads: usize, tiny_l1: bool) -> sim_core::config::SystemConfig {
     // Reuse Explorer::config so tmlint can never drift from what
     // `tmverify` simulates; the spec itself is irrelevant beyond its
     // thread count.
-    let spec = format!("1/{}", vec!["p:C1"; threads].join("/"));
     let mut ex = Explorer::new(
         SystemKind::LockillerRwi,
-        ProgSpec::parse(&spec).expect("trivial spec"),
+        ProgSpec::conflict_ring(threads, 1),
     );
     ex.tiny_l1 = tiny_l1;
     ex.config()

@@ -1203,7 +1203,7 @@ mod tests {
     use guestvm::spec::SpecProgram;
     use guestvm::{KernelBuilder, ProgSpec};
     use lockiller::SystemKind;
-    use sim_core::config::SystemConfig;
+    use sim_core::config::{CacheGeometry, SystemConfig};
 
     fn testing_cfg() -> SystemConfig {
         SystemConfig::testing(2)
@@ -1514,10 +1514,8 @@ mod tests {
         // mirrors the spec analysis' overflow kernel.
         let spec = ProgSpec::parse("6/c:L0,L1,L2,S0/c:L3,L4,L5,S3").unwrap();
         let kernels = SpecProgram::compile_all(&spec);
-        let tiny = sim_core::config::SystemConfigBuilder::from_config(SystemConfig::testing(2))
-            .l1_capacity(128, 2)
-            .build()
-            .expect("tiny L1 config");
+        let mut tiny = SystemConfig::testing(2);
+        tiny.mem.l1 = CacheGeometry::from_capacity(128, 2);
         let a = VmAnalysis::new(SystemKind::LockillerTm, tiny, &kernels);
         assert!(a.threads.iter().all(|t| t.overflow));
         assert!(a.independence().is_none());

@@ -74,4 +74,12 @@ fn exit_codes_follow_the_contract() {
             assert_eq!(tmlint(&bad).0, 2, "{bad:?}");
         }
     }
+    // A thread count outside 1..=32 is bad usage: never a panic, never
+    // silently clamped.
+    for threads in ["0", "33"] {
+        let args = ["kernel", "--stamp", "kmeans", "--threads", threads];
+        let (code, _, stderr) = tmlint(&args);
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(stderr.contains("--threads takes 1..=32"), "{stderr}");
+    }
 }

@@ -16,23 +16,15 @@ use lockiller::{
     Backend, GuestCtx, GuestEnv, GuestExec, GuestFuture, Program, Runner, SetupCtx, SystemKind,
     TraceKind,
 };
-use sim_core::config::{CheckCfg, SystemConfig, SystemConfigBuilder};
+use sim_core::config::SystemConfig;
 use tmstatic::VmAnalysis;
 use tmverify::progs::{ProgSpec, SpecProgram};
 use tmverify::Explorer;
 
-/// Checked-mode geometry matching `Explorer::config` for `threads`.
-fn checked_cfg(threads: usize, tiny_l1: bool) -> SystemConfig {
-    let mut b = SystemConfigBuilder::from_config(SystemConfig::testing(threads.max(2)));
-    if tiny_l1 {
-        b = b.l1_capacity(128, 2);
-    }
-    b.check(CheckCfg {
-        enabled: true,
-        fault: Default::default(),
-    })
-    .build()
-    .expect("test config is valid")
+/// The checked-mode configuration `Explorer::config` gives `threads`
+/// threads.
+fn checked_cfg(threads: usize) -> SystemConfig {
+    Explorer::new(SystemKind::LockillerTm, ProgSpec::conflict_ring(threads, 1)).config()
 }
 
 /// Run `prog` with tracing + conflict recording on `backend`; assert
@@ -150,7 +142,7 @@ fn stamp_kernels_are_sound_on_both_backends() {
             for backend in [Backend::Threads, Backend::Vm] {
                 assert_vm_sound(
                     system,
-                    checked_cfg(threads, false),
+                    checked_cfg(threads),
                     &kernels,
                     &mut Kmeans::new(Scale::Tiny, threads, high),
                     backend,
@@ -162,7 +154,7 @@ fn stamp_kernels_are_sound_on_both_backends() {
         // data-dependent indices: its footprint widens to Top, which
         // must still be sound (Top contains every traced line).
         let kernels = IntruderFlow::new(Scale::Tiny, threads).compile_standalone();
-        let a = VmAnalysis::new(system, checked_cfg(threads, false), &kernels);
+        let a = VmAnalysis::new(system, checked_cfg(threads), &kernels);
         assert!(
             a.threads.iter().any(|t| t.abs.touched().is_top()),
             "IntruderFlow must exercise the Top degradation path"
@@ -171,7 +163,7 @@ fn stamp_kernels_are_sound_on_both_backends() {
         for backend in [Backend::Threads, Backend::Vm] {
             assert_vm_sound(
                 system,
-                checked_cfg(threads, false),
+                checked_cfg(threads),
                 &kernels,
                 &mut IntruderFlow::new(Scale::Tiny, threads),
                 backend,
@@ -278,7 +270,7 @@ fn random_kernels_are_sound_on_both_backends() {
             for backend in [Backend::Threads, Backend::Vm] {
                 edges += assert_vm_sound(
                     system,
-                    checked_cfg(threads, false),
+                    checked_cfg(threads),
                     &kernels,
                     &mut KernelProg {
                         kernels: kernels.clone(),

@@ -55,7 +55,7 @@ use lockiller::{
     Backend, EvDesc, RunEnd, RunOutput, Runner, Scheduler, StaticIndependence, SystemKind,
     TraceEvent,
 };
-use sim_core::config::{CheckCfg, FaultInject, SystemConfig, SystemConfigBuilder};
+use sim_core::config::{CacheGeometry, CheckCfg, FaultInject, SystemConfig};
 use sim_core::fxhash::{FxHashMap, FxHasher};
 use sim_core::prof::ProfReport;
 use sim_core::types::Cycle;
@@ -190,17 +190,15 @@ impl Explorer {
     /// so static analyses (the `tmstatic` crate) reason about exactly the
     /// geometry the explorer simulates.
     pub fn config(&self) -> SystemConfig {
-        let cores = self.spec.num_threads().max(2);
-        let mut b = SystemConfigBuilder::from_config(SystemConfig::testing(cores));
+        let mut cfg = SystemConfig::testing(self.spec.num_threads().max(2));
         if self.tiny_l1 {
-            b = b.l1_capacity(128, 2);
+            cfg.mem.l1 = CacheGeometry::from_capacity(128, 2);
         }
-        b.check(CheckCfg {
+        cfg.check = CheckCfg {
             enabled: true,
             fault: self.inject,
-        })
-        .build()
-        .expect("explorer config is valid")
+        };
+        cfg
     }
 
     /// The per-thread guest kernels the vm backend executes, compiled
