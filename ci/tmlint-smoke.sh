@@ -46,8 +46,8 @@ print(1 if w.get('tiny_l1') else 0)
 done
 
 # Kernel mode: the same demo specs compiled to guest bytecode, plus the
-# STAMP VM kernels (kmeans both contention modes; intruder-flow is the
-# Top-degradation case and must stay diagnostic-free).
+# STAMP kernel programs (kmeans both contention modes; intruder-flow is
+# the Top-degradation case and must stay diagnostic-free).
 klint() {
   cargo run --release -q -p tmstatic --bin tmlint -- kernel "$@" >> "$kout" && rc=0 || rc=$?
   if [ "$rc" -ge 2 ]; then
@@ -58,8 +58,8 @@ klint() {
 klint --prog '2/c:L0,S1/p:L1' --json
 klint --prog '6/c:L0,L1,L2,S0/c:L3,L4,L5,S3' --system LockillerTM --tiny-l1 --json
 klint --prog '2/c:L0,S1/c:L1,S0' --json
+klint --stamp kmeans+ --threads 2 --system LockillerTM --json
 klint --stamp kmeans --threads 2 --system LockillerTM --json
-klint --stamp kmeans-low --threads 2 --system LockillerTM --json
 klint --stamp intruder-flow --threads 2 --system LockillerTM --json
 
 if [ "${1:-}" = "--bless" ]; then

@@ -2,18 +2,13 @@
 //!
 //! ```text
 //! experiments [--quick] [--verbose] [--jobs N] [--csv FILE]
-//!             [--bench-json FILE] [--backend threads|vm] [--no-profile]
+//!             [--bench-json FILE] [--no-profile]
 //!             [table1|table2|fig1|fig7..fig13|headline|ablation|characterize|forensics|verify|engine|all]
 //! ```
 //!
 //! `--quick` runs the reduced thread sweep {2, 8, 32} at Small workload
 //! scale; the default runs {2,4,8,16,32} at Full scale (the numbers
 //! recorded in EXPERIMENTS.md).
-//!
-//! `--backend vm` runs the `engine` battery's VM-capable points on the
-//! bytecode guest VM instead of the host-Rust coroutine guests; simulated
-//! results are bit-identical, only host metrics move (the CI
-//! `guestvm-smoke` job relies on this).
 //!
 //! `--no-profile` drops the `tmprof` engine scope profiler from the
 //! `engine` battery: points lose their `host.phases` attribution block
@@ -34,7 +29,7 @@ use lockiller_bench::lab::Lab;
 use stamp::Scale;
 
 const USAGE: &str = "usage: experiments [--quick] [--verbose] [--jobs N] [--csv FILE] \
-                     [--bench-json FILE] [--backend threads|vm] [--no-profile] [EXPERIMENT...]";
+                     [--bench-json FILE] [--no-profile] [EXPERIMENT...]";
 
 fn usage(msg: &str) -> ! {
     eprintln!("{msg}\n{USAGE}");
@@ -48,7 +43,6 @@ fn main() {
     let mut jobs = 1;
     let mut csv_path = None;
     let mut bench_json = "BENCH_lab.json".to_string();
-    let mut backend = lockiller::Backend::Threads;
     let mut what: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -68,11 +62,6 @@ fn main() {
                 jobs = v
                     .parse::<usize>()
                     .unwrap_or_else(|_| usage(&format!("--jobs takes a job count, got {v:?}")));
-            }
-            "--backend" => {
-                let v = value();
-                backend = lockiller::Backend::from_name(&v)
-                    .unwrap_or_else(|| usage(&format!("unknown backend {v:?} (threads|vm)")));
             }
             flag if flag.starts_with("--") => usage(&format!("unknown option {flag}")),
             _ => what.push(arg),
@@ -147,7 +136,6 @@ fn main() {
                 lockiller_bench::engine::run(
                     &mut lab,
                     quick,
-                    backend,
                     profile,
                     std::path::Path::new("BENCH_engine.json"),
                 )
@@ -176,7 +164,6 @@ fn main() {
                 lockiller_bench::engine::run(
                     &mut lab,
                     quick,
-                    backend,
                     profile,
                     std::path::Path::new("BENCH_engine.json"),
                 )

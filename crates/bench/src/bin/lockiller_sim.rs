@@ -4,13 +4,10 @@
 //! ```text
 //! lockiller_sim --system LockillerTM --workload vacation+ --threads 8 \
 //!               [--scale tiny|small|full] [--cache typical|small|large] \
-//!               [--retries N] [--seed N] [--backend threads|vm] [--timeline]
+//!               [--retries N] [--seed N] [--timeline]
 //! ```
 //!
-//! `--backend vm` runs the workload's compiled `guestvm` kernel (only
-//! workloads whose kernels compile to bytecode); results are
-//! bit-identical to the default hand-written body. `--threads` takes
-//! 1..=32, the core count of every hardware preset.
+//! `--threads` takes 1..=32, the core count of every hardware preset.
 
 use lockiller::runner::Runner;
 use lockiller::system::SystemKind;
@@ -23,7 +20,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: lockiller_sim --system <name> --workload <name> [--threads N]\n\
          \x20                  [--scale tiny|small|full] [--cache typical|small|large]\n\
-         \x20                  [--retries N] [--seed N] [--backend threads|vm] [--timeline]\n\
+         \x20                  [--retries N] [--seed N] [--timeline]\n\
          systems:   {}\n\
          workloads: {}",
         SystemKind::ALL.map(lockiller::SystemKind::name).join(" "),
@@ -41,7 +38,6 @@ fn main() {
     let mut cache = "typical".to_string();
     let mut retries: Option<u32> = None;
     let mut seed = 0xC0FFEEu64;
-    let mut backend = lockiller::Backend::Threads;
     let mut timeline = false;
 
     let mut i = 0;
@@ -77,10 +73,6 @@ fn main() {
             "--cache" => cache = take(&mut i),
             "--retries" => retries = Some(take(&mut i).parse().unwrap_or_else(|_| usage())),
             "--seed" => seed = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--backend" => {
-                let v = take(&mut i);
-                backend = lockiller::Backend::from_name(&v).unwrap_or_else(|| usage());
-            }
             "--timeline" => timeline = true,
             "--help" | "-h" => usage(),
             other => {
@@ -99,20 +91,15 @@ fn main() {
     };
 
     let mut prog = Workload::with_scale(workload, threads, scale);
-    let mut runner = Runner::new(system)
-        .threads(threads)
-        .config(cfg)
-        .seed(seed)
-        .backend(backend);
+    let mut runner = Runner::new(system).threads(threads).config(cfg).seed(seed);
     if let Some(r) = retries {
         runner = runner.retries(r);
     }
 
     println!(
-        "{} / {} / {threads} threads / {cache} cache / scale {scale:?} / {} backend\n",
+        "{} / {} / {threads} threads / {cache} cache / scale {scale:?}\n",
         system.name(),
         workload.name(),
-        backend.name()
     );
     let (stats, trace) = if timeline {
         let mut out = runner.tracing().run(&mut prog);

@@ -22,30 +22,18 @@
 //! check), then pushes the whole suite through the shared [`Lab`]'s
 //! parallel executor and asserts the batched stats agree with the
 //! direct runs — which also makes `BENCH_lab.json` record real traffic
-//! on every `experiments engine` invocation.
-//!
-//! **Backend axis.** Every `host` block carries a `backend` field
-//! (`"threads"` or `"vm"`, see [`lockiller::Backend`]). The battery
-//! always appends a backend-comparison section: each VM-capable ladder
-//! point plus the `intruder-flow` kernel program runs on *both*
-//! backends, the deterministic outputs are asserted byte-equal (a third,
-//! wall-clock-facing differential check), and the VM rows record
-//! `speedup_vs_threads` — host wall-time ratio of the interpreted
-//! compiled kernel over the hand-written `Program::run` body
-//! (`Backend::Threads`, whose name predates its coroutines).
-//! `experiments engine --backend vm`
-//! additionally runs the main suite's capable points on the VM; the
-//! deterministic leaves of `BENCH_engine.json` must not move, which is
-//! exactly what the CI `perf-diff` gate checks at 0% tolerance.
+//! on every `experiments engine` invocation. After the ladder rows comes
+//! one `intruder-flow` row: the flow-reassembly kernel program
+//! ([`stamp::vm::IntruderFlow`]), which is not a ladder workload.
 
 use crate::lab::{ConfigPoint, Lab, Point};
 use lockiller::program::Program;
 use lockiller::system::SystemKind;
-use lockiller::{Backend, Runner};
+use lockiller::Runner;
 use sim_core::latency::{LatencyHist, TxnClass};
 use sim_core::prof::ProfReport;
 use sim_core::stats::RunStats;
-use stamp::{Scale, Workload, WorkloadKind};
+use stamp::{Workload, WorkloadKind};
 use std::io::Write;
 use std::path::Path;
 
@@ -87,51 +75,22 @@ fn suite(quick: bool) -> Vec<Point> {
     points
 }
 
-/// Ladder workloads whose kernels compile to `guestvm` bytecode and can
-/// therefore run on either execution backend.
-fn vm_capable(w: WorkloadKind) -> bool {
-    matches!(w, WorkloadKind::KmeansHigh | WorkloadKind::KmeansLow)
-}
-
-/// The same call the lab executor makes for a cache miss, run inline so
-/// the point's wall-clock is attributable to exactly one simulation.
-/// With `profile` the engine's `tmprof` scope profiler rides along; the
-/// stats are byte-identical either way (the determinism self-check in
-/// [`run`] re-runs the first point unprofiled and asserts exactly that).
-fn run_point(
-    p: &Point,
-    scale: Scale,
-    backend: Backend,
-    profile: bool,
-) -> (RunStats, Option<ProfReport>) {
-    let mut prog = Workload::with_scale(p.workload, p.threads, scale);
-    let mut runner = Runner::new(p.system)
-        .threads(p.threads)
-        .config(p.cfg.config())
-        .seed(SEED)
-        .backend(backend);
-    if profile {
-        runner = runner.profile();
-    }
-    let mut out = runner.run(&mut prog);
-    let prof = out.host_prof.take();
-    (out.stats, prof)
-}
-
-/// Run any program at a ladder point's settings under `backend`,
-/// returning (stats, wall-clock ms, host profile).
-fn timed_run<P: Program>(
+/// Run `prog` at a ladder point's settings, inline, so the point's
+/// wall-clock is attributable to exactly one simulation; returns (stats,
+/// wall-clock ms, host profile). With `profile` the engine's `tmprof`
+/// scope profiler rides along; the stats are byte-identical either way
+/// (the determinism self-check in [`run`] re-runs the first point
+/// unprofiled and asserts exactly that).
+fn run_point<P: Program>(
     p: &Point,
     prog: &mut P,
-    backend: Backend,
     profile: bool,
 ) -> (RunStats, f64, Option<ProfReport>) {
     let t0 = std::time::Instant::now();
     let mut runner = Runner::new(p.system)
         .threads(p.threads)
         .config(p.cfg.config())
-        .seed(SEED)
-        .backend(backend);
+        .seed(SEED);
     if profile {
         runner = runner.profile();
     }
@@ -168,21 +127,44 @@ fn phases_json(report: &ProfReport) -> String {
     out
 }
 
-/// Machine-dependent inputs to a point's `host` block, as opposed to
-/// the deterministic [`RunStats`] they ride alongside.
-struct HostSide<'a> {
-    wall_ms: f64,
-    backend: Backend,
-    speedup_vs_threads: Option<f64>,
-    prof: Option<&'a ProfReport>,
+/// One battery row: simulate `prog` at `p`'s settings, log it, and
+/// append its JSON row (named `name`) to `rows`; returns the stats.
+fn run_row<P: Program>(
+    p: &Point,
+    name: &str,
+    prog: &mut P,
+    profile: bool,
+    rows: &mut Vec<String>,
+) -> RunStats {
+    let (stats, wall_ms, prof) = run_point(p, prog, profile);
+    assert!(stats.cycles > 0, "{p:?}: zero-cycle run");
+    eprintln!(
+        "[engine {} / {name} / {} threads: {} cycles, {} commits, {wall_ms:.0} ms]",
+        p.system.name(),
+        p.threads,
+        stats.cycles,
+        stats.commits,
+    );
+    rows.push(point_json(
+        p.system.name(),
+        name,
+        p.threads,
+        &stats,
+        wall_ms,
+        prof.as_ref(),
+    ));
+    stats
 }
 
+/// One point's JSON row: the deterministic block from `stats`, and the
+/// machine-dependent `host` block from the wall-clock and profile.
 fn point_json(
     system: &str,
     workload: &str,
     threads: usize,
     stats: &RunStats,
-    host: HostSide<'_>,
+    wall_ms: f64,
+    prof: Option<&ProfReport>,
 ) -> String {
     let mut latency = String::from("{");
     for c in TxnClass::ALL {
@@ -198,7 +180,6 @@ fn point_json(
         hist_json(&stats.latency.fallback_hold),
         hist_json(&stats.latency.first_abort)
     ));
-    let wall_ms = host.wall_ms;
     let wall_s = wall_ms / 1e3;
     let per_sec = |n: u64| if wall_s > 0.0 { n as f64 / wall_s } else { 0.0 };
     let ns_per_cycle = if stats.cycles == 0 {
@@ -206,15 +187,8 @@ fn point_json(
     } else {
         wall_ms * 1e6 / stats.cycles as f64
     };
-    // Host block: machine-dependent, never gated at 0%. `backend` is
-    // identity metadata (a string, invisible to the diff flattener);
-    // `speedup_vs_threads` only appears on VM comparison rows.
-    let speedup = host
-        .speedup_vs_threads
-        .map(|s| format!(",\"speedup_vs_threads\":{s:.2}"))
-        .unwrap_or_default();
-    let phases = host
-        .prof
+    // Host block: machine-dependent, never gated at 0%.
+    let phases = prof
         .map(|r| format!(",\"phases\":{}", phases_json(r)))
         .unwrap_or_default();
     format!(
@@ -222,9 +196,8 @@ fn point_json(
          \"deterministic\":{{\"cycles\":{},\"commits\":{},\"stl_commits\":{},\
          \"lock_commits\":{},\"aborts\":{},\"events_processed\":{},\
          \"event_queue_peak\":{},\"latency\":{latency}}},\
-         \"host\":{{\"backend\":\"{}\",\"wall_ms\":{wall_ms:.3},\
-         \"sim_cycles_per_sec\":{:.1},\
-         \"commits_per_sec\":{:.1},\"ns_per_cycle\":{ns_per_cycle:.3}{speedup}{phases}}}}}",
+         \"host\":{{\"wall_ms\":{wall_ms:.3},\"sim_cycles_per_sec\":{:.1},\
+         \"commits_per_sec\":{:.1},\"ns_per_cycle\":{ns_per_cycle:.3}{phases}}}}}",
         stats.cycles,
         stats.commits,
         stats.stl_commits,
@@ -232,167 +205,41 @@ fn point_json(
         stats.total_aborts(),
         stats.events_processed,
         stats.event_queue_peak,
-        host.backend.name(),
         per_sec(stats.cycles),
         per_sec(stats.commits),
     )
 }
 
-/// Run the battery and write `BENCH_engine.json`. `backend` selects the
-/// guest execution core for the main suite; points whose workload does
-/// not compile to bytecode always run on the host backend, so
-/// `--backend vm` changes host metrics only — the deterministic leaves
-/// must be identical, which the CI `perf-diff` gate enforces. `profile`
-/// (the default; `--no-profile` clears it) attaches the engine's scope
+/// Run the battery and write `BENCH_engine.json`. `profile` (the
+/// default; `--no-profile` clears it) attaches the engine's scope
 /// profiler to every point and records per-phase self-time shares in
 /// each `host` block; because the profiler only reads the host clock,
-/// the deterministic leaves again must not move — the determinism
-/// self-check below re-runs the first point *unprofiled* and asserts
-/// byte-identical stats. Panics if the engine loses determinism (latency
-/// histograms differ between identical runs, the lab executor disagrees
-/// with a direct run, or the two backends diverge).
-pub fn run(
-    lab: &mut Lab,
-    quick: bool,
-    backend: Backend,
-    profile: bool,
-    path: &Path,
-) -> std::io::Result<()> {
+/// the deterministic leaves must not move — the determinism self-check
+/// below re-runs the first point *unprofiled* and asserts byte-identical
+/// stats, and the CI `perf-diff` gate checks a `--no-profile` battery at
+/// 0%. Panics if the engine loses determinism (latency histograms
+/// differ between identical runs, or the lab executor disagrees with a
+/// direct run).
+pub fn run(lab: &mut Lab, quick: bool, profile: bool, path: &Path) -> std::io::Result<()> {
     let points = suite(quick);
+    let scale = lab.scale();
     let mut rows = Vec::new();
     let mut direct: Vec<RunStats> = Vec::new();
     for p in &points {
-        let be = if vm_capable(p.workload) {
-            backend
-        } else {
-            Backend::Threads
-        };
-        let t0 = std::time::Instant::now();
-        let (stats, prof) = run_point(p, lab.scale(), be, profile);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert!(stats.cycles > 0, "{p:?}: zero-cycle run");
-        eprintln!(
-            "[engine {} / {} / {} threads ({}): {} cycles, {} commits, {:.0} ms]",
-            p.system.name(),
-            p.workload.name(),
-            p.threads,
-            be.name(),
-            stats.cycles,
-            stats.commits,
-            wall_ms
-        );
-        rows.push(point_json(
-            p.system.name(),
-            p.workload.name(),
-            p.threads,
-            &stats,
-            HostSide {
-                wall_ms,
-                backend: be,
-                speedup_vs_threads: None,
-                prof: prof.as_ref(),
-            },
-        ));
-        direct.push(stats);
+        let mut prog = Workload::with_scale(p.workload, p.threads, scale);
+        direct.push(run_row(p, p.workload.name(), &mut prog, profile, &mut rows));
     }
-
-    // Backend comparison: every VM-capable ladder point plus the
-    // VM-native intruder-flow kernel runs on both backends.
-    // Deterministic outputs must match byte for byte; the VM rows
-    // record the host-side speedup of the interpreted kernel over the
-    // hand-written body.
-    let mut best_speedup: (f64, String) = (0.0, String::new());
-    {
-        fn compare<P: Program>(
-            p: &Point,
-            name: &str,
-            mut mk: impl FnMut() -> P,
-            profile: bool,
-            rows: &mut Vec<String>,
-            best_speedup: &mut (f64, String),
-        ) {
-            let (st, wall_t, prof_t) = timed_run(p, &mut mk(), Backend::Threads, profile);
-            let (sv, wall_v, prof_v) = timed_run(p, &mut mk(), Backend::Vm, profile);
-            assert_eq!(
-                st.to_json(),
-                sv.to_json(),
-                "{}/{name}: VM backend diverged from the host backend",
-                p.system.name(),
-            );
-            let speedup = if wall_v > 0.0 { wall_t / wall_v } else { 0.0 };
-            eprintln!(
-                "[engine {} / {name} / {} threads: vm backend {:.2}x host speedup \
-                 over host-Rust guests ({wall_t:.0} ms -> {wall_v:.0} ms)]",
-                p.system.name(),
-                p.threads,
-                speedup,
-            );
-            if name == "intruder-flow" {
-                rows.push(point_json(
-                    p.system.name(),
-                    name,
-                    p.threads,
-                    &st,
-                    HostSide {
-                        wall_ms: wall_t,
-                        backend: Backend::Threads,
-                        speedup_vs_threads: None,
-                        prof: prof_t.as_ref(),
-                    },
-                ));
-            }
-            rows.push(point_json(
-                p.system.name(),
-                name,
-                p.threads,
-                &sv,
-                HostSide {
-                    wall_ms: wall_v,
-                    backend: Backend::Vm,
-                    speedup_vs_threads: Some(speedup),
-                    prof: prof_v.as_ref(),
-                },
-            ));
-            if speedup > best_speedup.0 {
-                *best_speedup = (speedup, format!("{}/{name}", p.system.name()));
-            }
-        }
-        let scale = lab.scale();
-        for p in &points {
-            if vm_capable(p.workload) {
-                let (w, t) = (p.workload, p.threads);
-                compare(
-                    p,
-                    w.name(),
-                    || Workload::with_scale(w, t, scale),
-                    profile,
-                    &mut rows,
-                    &mut best_speedup,
-                );
-            }
-        }
-        // The VM-native flow-reassembly kernel is not a ladder workload
-        // (the ladder's intruder uses host-side tmlib containers); it
-        // joins the battery here with both backends reported.
-        let pf = Point {
-            system: SystemKind::LockillerTm,
-            workload: WorkloadKind::Intruder, // settings only; prog below
-            threads: THREADS,
-            cfg: ConfigPoint::Typical,
-        };
-        compare(
-            &pf,
-            "intruder-flow",
-            || stamp::vm::IntruderFlow::new(scale, THREADS),
-            profile,
-            &mut rows,
-            &mut best_speedup,
-        );
-    }
-    eprintln!(
-        "[engine best vm-vs-host-Rust host speedup: {:.2}x on {}]",
-        best_speedup.0, best_speedup.1
-    );
+    // The flow-reassembly kernel is not a ladder workload (the ladder's
+    // intruder uses host-side tmlib containers); it runs at the ladder's
+    // LockillerTM settings.
+    let pf = Point {
+        system: SystemKind::LockillerTm,
+        workload: WorkloadKind::Intruder, // settings only; prog below
+        threads: THREADS,
+        cfg: ConfigPoint::Typical,
+    };
+    let mut flow = stamp::vm::IntruderFlow::new(scale, THREADS);
+    run_row(&pf, "intruder-flow", &mut flow, profile, &mut rows);
 
     // Determinism self-check: an identically-seeded re-run of the first
     // point must reproduce the latency histograms byte for byte. The
@@ -400,7 +247,8 @@ pub fn run(
     // default) this is also the zero-cost check: attaching the scope
     // profiler must not move a single simulated bit.
     let (p0, s0) = (&points[0], &direct[0]);
-    let (again, _) = run_point(p0, lab.scale(), Backend::Threads, false);
+    let mut prog = Workload::with_scale(p0.workload, p0.threads, scale);
+    let (again, _, _) = run_point(p0, &mut prog, false);
     assert_eq!(
         s0.latency.to_json(),
         again.latency.to_json(),
@@ -428,8 +276,8 @@ pub fn run(
     // `tmtrace perf-diff` refuses to compare across schema versions, so
     // bumping this forces a deliberate re-bless of ci/engine-baseline.json.
     // `profiled` is a string so the diff flattener treats it as identity
-    // metadata, like `host.backend` — a profiled run gated against an
-    // unprofiled baseline must differ only in (report-only) host leaves.
+    // metadata — a profiled run gated against an unprofiled baseline must
+    // differ only in (report-only) host leaves.
     let mut f = std::fs::File::create(path)?;
     writeln!(
         f,
@@ -448,6 +296,7 @@ pub fn run(
 mod tests {
     use super::*;
     use sim_core::json::{self, Json};
+    use stamp::Scale;
 
     #[test]
     fn quick_battery_writes_gateable_json() {
@@ -456,7 +305,7 @@ mod tests {
         let path = dir.join("BENCH_engine.json");
         // Tiny scale keeps the test cheap; the binary uses Small/Full.
         let mut lab = Lab::new(Scale::Tiny);
-        run(&mut lab, true, Backend::Threads, true, &path).unwrap();
+        run(&mut lab, true, true, &path).unwrap();
         let doc = std::fs::read_to_string(&path).unwrap();
         let v = json::parse(&doc).expect("BENCH_engine.json parses");
         assert_eq!(
@@ -465,26 +314,12 @@ mod tests {
             "host.phases rows are a schema-2 artifact"
         );
         let pts = v.get("points").and_then(Json::as_arr).unwrap();
-        // 3 suite points + kmeans vm twin + intruder-flow on both backends.
-        assert_eq!(pts.len(), 6, "quick suite is 6 points");
-        let mut vm_rows = 0;
-        for p in pts {
-            let host = p.get("host").unwrap();
-            let backend = host
-                .get("backend")
-                .and_then(Json::as_str)
-                .expect("host.backend present");
-            if backend == "vm" {
-                vm_rows += 1;
-                assert!(
-                    host.get("speedup_vs_threads")
-                        .and_then(Json::as_f64)
-                        .is_some(),
-                    "vm rows carry speedup_vs_threads"
-                );
-            }
-        }
-        assert_eq!(vm_rows, 2, "kmeans twin + intruder-flow vm rows");
+        // 3 suite points + the intruder-flow row.
+        assert_eq!(pts.len(), 4, "quick suite is 4 points");
+        assert_eq!(
+            pts[3].get("workload").and_then(Json::as_str),
+            Some("intruder-flow")
+        );
         for p in pts {
             let det = p.get("deterministic").unwrap();
             assert!(det.get("cycles").and_then(Json::as_f64).unwrap() > 0.0);
@@ -519,30 +354,22 @@ mod tests {
         }
         // The batch cross-check routed the suite through the lab.
         assert_eq!(lab.report().simulated, 3);
-        // Same battery on the VM backend *without* profiling:
-        // deterministic leaves must move for neither the backend swap
-        // (the CI guestvm-smoke gate runs this same comparison via
-        // `tmtrace perf-diff` at 0% tolerance) nor the profiler opt-out
-        // (the engine-perf-smoke gate's zero-cost check) — the profiled
-        // and unprofiled batteries may differ only in host leaves.
-        let vm_path = dir.join("BENCH_engine_vm.json");
-        run(
-            &mut Lab::new(Scale::Tiny),
-            true,
-            Backend::Vm,
-            false,
-            &vm_path,
-        )
-        .unwrap();
-        let vm_doc = std::fs::read_to_string(&vm_path).unwrap();
-        let deltas = tmobs::diff_docs(&doc, &vm_doc, 0.0).unwrap();
+        // Same battery *without* profiling: deterministic leaves must not
+        // move for the profiler opt-out (the engine-perf-smoke gate's
+        // zero-cost check runs this comparison via `tmtrace perf-diff` at
+        // 0% tolerance) — the profiled and unprofiled batteries may
+        // differ only in host leaves.
+        let plain_path = dir.join("BENCH_engine_plain.json");
+        run(&mut Lab::new(Scale::Tiny), true, false, &plain_path).unwrap();
+        let plain_doc = std::fs::read_to_string(&plain_path).unwrap();
+        let deltas = tmobs::diff_docs(&doc, &plain_doc, 0.0).unwrap();
         let det: Vec<_> = deltas
             .iter()
             .filter(|d| !d.path.contains(".host."))
             .collect();
         assert!(
             det.is_empty(),
-            "VM-backend battery moved deterministic leaves: {det:?}"
+            "unprofiled battery moved deterministic leaves: {det:?}"
         );
         // The gate's own invariant: a document perf-diffed against
         // itself has no deterministic deltas.

@@ -9,8 +9,8 @@
 //!
 //! Each row also records `pruned_schedules` / `pruned_digest`: the
 //! result of a second exploration with the `tmstatic` independence
-//! table installed (on either backend the table comes from the bytecode
-//! abstract interpreter over the explorer's own compiled kernels) —
+//! table installed (the table comes from the bytecode abstract
+//! interpreter over the explorer's own compiled kernels) —
 //! equal to the baseline when the premises don't hold. The battery
 //! asserts:
 //!
@@ -20,8 +20,8 @@
 //!   is pure) leaves the exploration **byte-identical** (digest
 //!   equality), the no-behavior-change half of the pruning contract;
 //! - rows differing only in backend (`ring-3c3l-tm` vs its `-vm` twin)
-//!   produce identical digests — the backends execute the same ops, so
-//!   the explored spaces must match run-for-run.
+//!   produce identical digests — both backends run the spec's compiled
+//!   kernel, so the explored spaces must match run-for-run.
 
 use lockiller::{Backend, SystemKind};
 use std::collections::HashMap;
@@ -148,7 +148,7 @@ pub fn run(quick: bool, jobs: usize, path: &Path) -> std::io::Result<()> {
         }
 
         // Re-explore with the independence table of the explorer's own
-        // kernels, which both backends execute op for op.
+        // kernels, which every explored run executes.
         let table = tmstatic::VmAnalysis::new(e.system, ex.config(), &ex.kernels()).independence();
         let prunable = table
             .as_ref()

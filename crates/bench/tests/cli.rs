@@ -63,7 +63,6 @@ fn experiments_rejects_unknown_flags_and_missing_values() {
         (&["--csv", "--quick", "table1"], "--csv takes a value"),
         (&["table2", "--bench-json"], "--bench-json takes a value"),
         (&["table2", "--jobs"], "--jobs takes a value"),
-        (&["table2", "--backend"], "--backend takes a value"),
     ] {
         let out = experiments(args);
         let err = String::from_utf8_lossy(&out.stderr);

@@ -6,7 +6,7 @@
 //! sections become [`GuestCtx::critical`] closures, so the hand-written
 //! runtime supplies the whole retry protocol. The differential tests pin
 //! this interpreter and the kernel compilers against hand-written
-//! bodies.
+//! oracle bodies kept in the tests.
 
 use crate::ir::{Instr, Kernel, Reg};
 use lockiller::guest::{GuestCtx, GuestOp};

@@ -13,17 +13,19 @@
 //!   `GuestCtx::critical`, the one implementation of the paper's
 //!   elided-lock retry protocol (Listings 1–2);
 //! - [`spec`] — the `ProgSpec` corpus DSL (shared with `tmverify` /
-//!   `tmstatic`), whose [`spec::SpecProgram`] runs a hand-written loop on
-//!   the host backend and its compiled kernel on the VM backend.
+//!   `tmstatic`), whose [`spec::SpecProgram`] runs the kernel a spec
+//!   compiles to.
 //!
-//! Programs that compile to kernels return a
-//! [`lockiller::GuestExec::from_body`] guest over `run_on_ctx` from
-//! `Program::guest_exec` ([`lockiller::Backend::Vm`]). The design
-//! contract is **bit-identity**: a kernel that issues the op stream of a
-//! program's hand-written body produces byte-equal run statistics,
-//! traces, memory images, and state fingerprints. The differential tests
-//! in this crate and the CI `guestvm-smoke` job enforce it, which pins
-//! the compiler and the interpreter.
+//! A kernel program's compiled kernel is its one body: its
+//! `Program::run` is `run_on_ctx` over the thread's kernel, and its
+//! `Program::guest_exec` returns that same body, so both
+//! [`lockiller::Backend`]s run the kernel. The hand-written bodies the
+//! compilers were written from live on in tests as independent oracles
+//! (the spec loop in `tests/differential.rs`, kmeans in the `stamp`
+//! crate's `kmeans` tests). The contract is **bit-identity**: a kernel
+//! issues its oracle's op stream, so the two produce byte-equal run
+//! statistics, traces, memory images, and state fingerprints, which
+//! pins the compiler and the interpreter.
 
 pub mod interp;
 pub mod ir;

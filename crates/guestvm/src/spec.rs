@@ -30,14 +30,14 @@
 //! `(tid, op index)`, never from wall clock or host randomness), which
 //! is what makes witnesses replayable.
 //!
-//! [`SpecProgram`] runs a spec on **either** guest backend: the thread
-//! backend executes the hand-written loop in [`Program::run`], while
-//! [`Program::guest_exec`] compiles the same spec to `guestvm` bytecode
-//! ([`SpecProgram::compile`]) and interprets it ([`run_on_ctx`]). The two
-//! programs are independent — one walks the spec directly over
-//! `GuestCtx`, the other goes through the IR, the compiler and the
-//! interpreter — so the differential suite's byte-equality checks across
-//! backends validate that whole kernel stack, not just one encoder.
+//! [`SpecProgram`] runs a spec as its compiled `guestvm` kernel
+//! ([`SpecProgram::compile`], interpreted by [`run_on_ctx`]) on every
+//! path: the runs `tmverify` explores are the bytecode `tmstatic`
+//! analyses. The differential suite (`tests/differential.rs`) keeps a
+//! hand-written loop that walks the spec directly over `GuestCtx` as the
+//! compiler's independent oracle, so its byte-equality checks validate
+//! the whole kernel stack (IR, compiler and interpreter), not just one
+//! encoder.
 
 use crate::interp::run_on_ctx;
 use crate::ir::{Kernel, KernelBuilder};
@@ -321,8 +321,8 @@ impl ProgSpec {
 
 /// [`Program`] executing a [`ProgSpec`]: the arena is `lines` disjoint
 /// cache lines; store values encode `(tid, op index)` so the trace
-/// identifies which op wrote what. Runs on both guest backends (see the
-/// module docs).
+/// identifies which op wrote what. Its one body is the compiled kernel
+/// (see the module docs).
 pub struct SpecProgram {
     spec: ProgSpec,
     bases: Vec<Addr>,
@@ -355,10 +355,12 @@ impl SpecProgram {
         }
     }
 
-    /// Compile thread `tid`'s op sequence to a straight-line kernel.
-    /// Every op and every store value matches [`Program::run`]'s
-    /// hand-written loop exactly — including the shared op counter that
-    /// numbers ops across segments.
+    /// Compile thread `tid`'s op sequence to a straight-line kernel, the
+    /// body every run of the spec executes: each op in spec order, each
+    /// critical segment bracketed, and each store writing
+    /// `(tid << 32) | k` with one op counter `k` shared across segments.
+    /// The differential suite's hand-written oracle issues the same
+    /// stream.
     pub fn compile(&self, tid: usize) -> Kernel {
         assert!(
             !self.bases.is_empty(),
@@ -400,9 +402,9 @@ impl SpecProgram {
     /// the runner allocates the fallback lock's 8-word block first
     /// ([`SpecProgram::LOCK_LINE`]), then [`SpecProgram::setup`] places
     /// spec line `i` on [`SpecProgram::data_line`]`(i)`. The returned
-    /// kernels are byte-identical to what `--backend vm` executes, which
-    /// is what lets static analyses (`tmstatic::vmabs`) and `tmlint
-    /// kernel` reason about physical line addresses offline.
+    /// kernels are byte-identical to what every run of the spec
+    /// executes, which is what lets static analyses (`tmstatic::vmabs`)
+    /// and `tmlint kernel` reason about physical line addresses offline.
     pub fn compile_all(spec: &ProgSpec) -> Vec<Kernel> {
         let threads = spec.num_threads();
         let mut p = SpecProgram::new(spec.clone());
@@ -429,52 +431,11 @@ impl Program for SpecProgram {
     }
 
     fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
-        Box::pin(async move {
-            let segs = &self.spec.threads[ctx.tid];
-            let tid = ctx.tid as u64;
-            let mut op_no: u64 = 0;
-            for seg in segs {
-                if seg.critical {
-                    ctx.critical(async |tx| {
-                        for (k, op) in (op_no..).zip(seg.ops.iter()) {
-                            match *op {
-                                Op::Load(l) => {
-                                    tx.load(self.bases[l as usize]).await?;
-                                }
-                                Op::Store(l) => {
-                                    tx.store(self.bases[l as usize], (tid << 32) | k).await?;
-                                }
-                                Op::Compute(n) => tx.compute(n).await?,
-                            }
-                        }
-                        Ok(())
-                    })
-                    .await;
-                } else {
-                    for op in &seg.ops {
-                        match *op {
-                            Op::Load(l) => {
-                                ctx.load(self.bases[l as usize]).await;
-                            }
-                            Op::Store(l) => {
-                                ctx.store(self.bases[l as usize], (tid << 32) | op_no).await;
-                            }
-                            Op::Compute(n) => ctx.compute(n).await,
-                        }
-                        op_no += 1;
-                    }
-                    continue;
-                }
-                op_no += seg.ops.len() as u64;
-            }
-        })
+        Box::pin(async move { run_on_ctx(&self.compile(ctx.tid), ctx).await })
     }
 
     fn guest_exec(&self, env: GuestEnv) -> Option<GuestExec<'_>> {
-        let kernel = self.compile(env.tid);
-        Some(GuestExec::from_body(env, async move |ctx| {
-            run_on_ctx(&kernel, ctx).await;
-        }))
+        Some(GuestExec::from_body(env, async |ctx| self.run(ctx).await))
     }
 }
 

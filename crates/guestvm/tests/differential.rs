@@ -1,26 +1,26 @@
-//! The backend differential harness: every program here runs once on
-//! its hand-written host-Rust body (`Backend::Threads`) and once on its
-//! compiled `guestvm` kernel (`Backend::Vm`), and the two runs must be
+//! The compiler differential harness: every spec here runs once on
+//! `SpecOracle`, a hand-written host-Rust loop that walks the spec over
+//! `GuestCtx`, and once as the shipped `SpecProgram`, whose one body is
+//! the compiled `guestvm` kernel. The two runs must be
 //! **byte-identical** — same `RunStats` (including every latency
 //! histogram), same structured event trace, same final memory image,
 //! same termination.
 //!
 //! Both runs go through the one retry protocol, `GuestCtx::critical`,
-//! so what these tests pin is the compiler and the interpreter: each
-//! point compares two independent programs (`SpecProgram`'s spec loop
-//! or kmeans's body against the kernel it compiles to), and any
-//! mistranslated op, store value, or register rollback shows as a
-//! diverging run. IntruderFlow has no hand-written body, so its case is
-//! a self-comparison. The exact-leaf goldens (`explore_corpus.jsonl`,
-//! `ci/engine-baseline.json`, tmbench's `golden.json`) pin the protocol
-//! itself. The corpus spans the litmus kernels, the `ProgSpec`
-//! exploration corpus (including random specs), every system family,
-//! and the tmverify explorer (decision digests over whole schedule
-//! spaces).
+//! so what these tests pin is the compiler and the interpreter: the
+//! oracle is an independent program, and any mistranslated op, store
+//! value, or register rollback shows as a diverging run. (kmeans keeps
+//! its oracle in the `stamp` crate's `kmeans` tests, which can read the
+//! program's private layout.) The exact-leaf goldens
+//! (`explore_corpus.jsonl`, `ci/engine-baseline.json`, tmbench's
+//! `golden.json`) pin the protocol itself. The corpus spans the litmus
+//! kernels, the `ProgSpec` exploration corpus (including random specs),
+//! and every system family.
 
-use guestvm::spec::{ProgSpec, SpecProgram};
-use lockiller::{Backend, Runner, SystemKind};
+use guestvm::spec::{Op, ProgSpec, SpecProgram};
+use lockiller::{Backend, GuestCtx, GuestFuture, Program, RunOutput, Runner, SetupCtx, SystemKind};
 use sim_core::config::SystemConfig;
+use sim_core::types::Addr;
 use tmverify::Explorer;
 
 /// The systems exercised: one per code-path family (CGL spin lock,
@@ -34,22 +34,79 @@ const SYSTEMS: [SystemKind; 5] = [
     SystemKind::LockillerTm,
 ];
 
-/// Run `spec` on `kind` under both backends and assert byte-identity.
-fn assert_spec_identical(kind: SystemKind, spec: &ProgSpec, retries: Option<u32>) {
-    let threads = spec.num_threads();
-    let mut runner = Runner::new(kind)
-        .threads(threads)
-        .config(SystemConfig::testing(threads.max(2)))
-        .tracing();
-    if let Some(r) = retries {
-        runner = runner.retries(r);
-    }
-    let mut pt = SpecProgram::new(spec.clone());
-    let a = runner.clone().backend(Backend::Threads).run(&mut pt);
-    let mut pv = SpecProgram::new(spec.clone());
-    let b = runner.backend(Backend::Vm).run(&mut pv);
+/// The compiler's independent oracle: a spec walked by hand over
+/// `GuestCtx`, on `SpecProgram`'s arena layout (one line-sized block per
+/// spec line, allocated in order after the runner's lock block). A
+/// store writes `(tid << 32) | k`, where one counter `k` numbers the
+/// thread's ops across segments.
+struct SpecOracle {
+    spec: ProgSpec,
+    bases: Vec<Addr>,
+}
 
-    let label = format!("{} on {}", spec.render(), kind.name());
+impl SpecOracle {
+    fn new(spec: ProgSpec) -> SpecOracle {
+        SpecOracle {
+            spec,
+            bases: Vec::new(),
+        }
+    }
+}
+
+impl Program for SpecOracle {
+    fn name(&self) -> &str {
+        "spec-oracle"
+    }
+
+    fn setup(&mut self, s: &mut SetupCtx, threads: usize) {
+        assert_eq!(threads, self.spec.num_threads());
+        self.bases = (0..self.spec.lines).map(|_| s.alloc(8)).collect();
+    }
+
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            let segs = &self.spec.threads[ctx.tid];
+            let tid = ctx.tid as u64;
+            let mut op_no: u64 = 0;
+            for seg in segs {
+                if seg.critical {
+                    ctx.critical(async |tx| {
+                        for (k, op) in (op_no..).zip(seg.ops.iter()) {
+                            match *op {
+                                Op::Load(l) => {
+                                    tx.load(self.bases[l as usize]).await?;
+                                }
+                                Op::Store(l) => {
+                                    tx.store(self.bases[l as usize], (tid << 32) | k).await?;
+                                }
+                                Op::Compute(n) => tx.compute(n).await?,
+                            }
+                        }
+                        Ok(())
+                    })
+                    .await;
+                    op_no += seg.ops.len() as u64;
+                } else {
+                    for op in &seg.ops {
+                        match *op {
+                            Op::Load(l) => {
+                                ctx.load(self.bases[l as usize]).await;
+                            }
+                            Op::Store(l) => {
+                                ctx.store(self.bases[l as usize], (tid << 32) | op_no).await;
+                            }
+                            Op::Compute(n) => ctx.compute(n).await,
+                        }
+                        op_no += 1;
+                    }
+                }
+            }
+        })
+    }
+}
+
+/// Assert two runs are byte-identical: stats, memory image, trace.
+fn assert_runs_identical(a: &RunOutput, b: &RunOutput, label: &str) {
     assert_eq!(a.stats, b.stats, "RunStats diverge: {label}");
     assert_eq!(
         a.mem.digest(),
@@ -61,6 +118,23 @@ fn assert_spec_identical(kind: SystemKind, spec: &ProgSpec, retries: Option<u32>
         b.trace_events(),
         "event traces diverge: {label}"
     );
+}
+
+/// Run `spec` on `kind` as the oracle and as the compiled kernel and
+/// assert byte-identity.
+fn assert_spec_identical(kind: SystemKind, spec: &ProgSpec, retries: Option<u32>) {
+    let threads = spec.num_threads();
+    let mut runner = Runner::new(kind)
+        .threads(threads)
+        .config(SystemConfig::testing(threads.max(2)))
+        .tracing();
+    if let Some(r) = retries {
+        runner = runner.retries(r);
+    }
+    let a = runner.clone().run(&mut SpecOracle::new(spec.clone()));
+    let b = runner.run(&mut SpecProgram::new(spec.clone()));
+    let label = format!("{} on {}", spec.render(), kind.name());
+    assert_runs_identical(&a, &b, &label);
 }
 
 #[test]
@@ -111,11 +185,14 @@ fn random_spec_corpus_bit_identical_across_backends() {
 
 #[test]
 fn explorer_digest_identical_across_backends() {
-    // Whole schedule spaces: the explorer's order-sensitive digest
-    // hashes every merged run's decision vector, termination, trace
-    // length, and violation count — equal digests mean the compiled
-    // kernels reproduced every explored schedule bit-for-bit, including
-    // the state fingerprints steering DPOR.
+    // `Explorer::backend` picks how each explored thread is started (the
+    // program's `run` body or its `guest_exec`); for `SpecProgram` both
+    // run the compiled kernel, so whole schedule spaces must agree. The
+    // explorer's order-sensitive digest hashes every merged run's
+    // decision vector, termination, trace length, and violation count,
+    // including the state fingerprints steering DPOR. That the kernel
+    // explores the spaces the hand-written loop explored is pinned by
+    // tmverify's `explore_corpus.jsonl` golden.
     for (system, spec) in [
         (SystemKind::LockillerRwi, "2/c:L0,S1/c:L1,S0"),
         (SystemKind::Baseline, "2/c:S0,C1/c:S0"),
@@ -139,98 +216,38 @@ fn explorer_digest_identical_across_backends() {
     }
 }
 
-#[test]
-fn stamp_points_bit_identical_across_backends() {
-    // One real STAMP ladder point per VM-ported workload. kmeans runs
-    // the compiled mirror of its hand-written body; intruder-flow has
-    // only its kernel, so both backends run it through `run_on_ctx` and
-    // the case is a self-comparison.
-    use lockiller::Program;
-    use stamp::Scale;
-
-    fn assert_prog_identical<P: Program>(
-        kind: SystemKind,
-        threads: usize,
-        mut mk: impl FnMut() -> P,
-    ) {
-        let runner = Runner::new(kind)
-            .threads(threads)
-            .config(SystemConfig::testing(threads))
-            .tracing();
-        let mut pt = mk();
-        let a = runner.clone().backend(Backend::Threads).run(&mut pt);
-        let mut pv = mk();
-        let b = runner.backend(Backend::Vm).run(&mut pv);
-        assert_eq!(a.stats, b.stats, "RunStats diverge: {}", pt.name());
-        assert_eq!(
-            a.mem.digest(),
-            b.mem.digest(),
-            "memory diverges: {}",
-            pt.name()
-        );
-        assert_eq!(
-            a.trace_events(),
-            b.trace_events(),
-            "traces diverge: {}",
-            pt.name()
-        );
-    }
-
-    assert_prog_identical(SystemKind::LockillerRwil, 4, || {
-        stamp::kmeans::Kmeans::new(Scale::Small, 4, true)
-    });
-    assert_prog_identical(SystemKind::Baseline, 4, || {
-        stamp::vm::IntruderFlow::new(Scale::Small, 4)
-    });
-}
-
 /// Attaching the `tmprof` host profiler must be invisible to the
-/// differential harness: on either backend a profiled run is
-/// byte-identical to an unprofiled one, and the two profiled backends
-/// still agree with each other — the profiler reads the host clock and
-/// nothing else.
+/// differential harness: for the oracle and for the kernel a profiled
+/// run is byte-identical to an unprofiled one, and the two profiled
+/// programs still agree with each other — the profiler reads the host
+/// clock and nothing else.
 #[test]
 fn profiler_is_invisible_to_the_differential_harness() {
     let spec = ProgSpec::parse("4/c:L0,S1;p:L2/c:S0,C5").expect("spec");
     let threads = spec.num_threads();
     for kind in SYSTEMS {
-        let run = |backend: Backend, profile: bool| {
+        let run = |kernel: bool, profile: bool| {
             let mut r = Runner::new(kind)
                 .threads(threads)
                 .config(SystemConfig::testing(threads.max(2)))
-                .tracing()
-                .backend(backend);
+                .tracing();
             if profile {
                 r = r.profile();
             }
-            let mut p = SpecProgram::new(spec.clone());
-            r.run(&mut p)
+            if kernel {
+                r.run(&mut SpecProgram::new(spec.clone()))
+            } else {
+                r.run(&mut SpecOracle::new(spec.clone()))
+            }
         };
-        for backend in [Backend::Threads, Backend::Vm] {
-            let plain = run(backend, false);
-            let profiled = run(backend, true);
-            let label = format!("{} on {:?}", kind.name(), backend);
+        for kernel in [false, true] {
+            let plain = run(kernel, false);
+            let profiled = run(kernel, true);
+            let label = format!("{} (kernel: {kernel})", kind.name());
             assert!(profiled.host_prof.is_some(), "no report: {label}");
-            assert_eq!(plain.stats, profiled.stats, "stats diverge: {label}");
-            assert_eq!(
-                plain.mem.digest(),
-                profiled.mem.digest(),
-                "memory images diverge: {label}"
-            );
-            assert_eq!(
-                plain.trace_events(),
-                profiled.trace_events(),
-                "event traces diverge: {label}"
-            );
+            assert_runs_identical(&plain, &profiled, &label);
         }
-        let at = run(Backend::Threads, true);
-        let bv = run(Backend::Vm, true);
-        assert_eq!(
-            at.stats,
-            bv.stats,
-            "profiled backends diverge: {}",
-            kind.name()
-        );
-        assert_eq!(at.trace_events(), bv.trace_events());
+        let label = format!("profiled oracle vs kernel on {}", kind.name());
+        assert_runs_identical(&run(false, true), &run(true, true), &label);
     }
 }

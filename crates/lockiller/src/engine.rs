@@ -228,8 +228,8 @@ pub struct Engine<'g> {
     /// The per-response `resp_hash` fold in `respond` cannot be lazy: it
     /// is history that any later pick point may read, so it runs on every
     /// scheduled run and is skipped on plain runs — the `tmprof` stamp
-    /// phase showed the hash as the fold's only cost on the VM backend,
-    /// where responses dominate.
+    /// phase showed the hash as the fold's only cost on compiled
+    /// kernels, where responses dominate.
     fingerprinting: bool,
 }
 

@@ -5,16 +5,16 @@
 //! engine hands it the response to its previous operation and gets the
 //! next operation back ([`GuestExec::resume`]), at exactly the points
 //! where that operation completes. [`GuestExec::from_body`] builds every
-//! guest, so both [`Backend`]s share one mailbox protocol and one
-//! best-effort retry protocol ([`GuestCtx::critical`]):
+//! guest, so every body shares one mailbox protocol and one best-effort
+//! retry protocol ([`GuestCtx::critical`]).
 //!
-//! - [`Backend::Threads`] runs the program's [`Program::run`] body;
-//! - [`Backend::Vm`] runs the guest [`Program::guest_exec`] returns —
-//!   for kernel programs, a body that interprets the program's compiled
-//!   `guestvm` bytecode (`guestvm::run_on_ctx`).
-//!
-//! Event order, state fingerprints and every `RunStats` digest therefore
-//! depend only on the op stream a body issues, never on the backend.
+//! A [`Backend`] names which constructor a runner starts each thread
+//! with: the program's [`Program::run`] body, or the guest
+//! [`Program::guest_exec`] returns. A program has one body: a kernel
+//! program's `run` interprets its compiled `guestvm` bytecode
+//! (`guestvm::run_on_ctx`) and its `guest_exec` returns that same body,
+//! so both backends run the kernel. Event order, state fingerprints and
+//! every `RunStats` digest depend only on the op stream a body issues.
 
 use crate::guest::{GuestCtx, GuestOp, GuestResp};
 use crate::program::{GuestFuture, Program};
@@ -25,45 +25,36 @@ use std::future::poll_fn;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-/// Which body a [`crate::Runner`] runs on each simulated thread.
+/// Which constructor a [`crate::Runner`] starts each simulated thread
+/// with. Both run the program's one body (see the module docs); the
+/// axis stays because the benchmark harness records which constructor
+/// a point used.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// The program's host-Rust [`Program::run`] body: every
-    /// [`crate::Program`] runs here. The name predates the coroutines
-    /// (guests used to run on OS threads) and is kept because CLIs, CI
-    /// jobs, and benchmark records use it.
+    /// The program's [`Program::run`] body: every [`crate::Program`]
+    /// runs here. The name predates the coroutines (guests used to run
+    /// on OS threads).
     #[default]
     Threads,
-    /// The program's compiled kernel: requires the program to provide a
-    /// guest via [`Program::guest_exec`]. Bit-identical to
-    /// [`Backend::Threads`] whenever the kernel issues the op stream of
-    /// the `run` body.
+    /// The guest [`Program::guest_exec`] returns: only kernel programs
+    /// provide one, and it runs the same kernel as [`Backend::Threads`].
     Vm,
 }
 
 impl Backend {
-    /// Stable lowercase name (used in `BENCH_engine.json` and CLI flags).
+    /// Stable lowercase name (benchmark records use it).
     pub fn name(self) -> &'static str {
         match self {
             Backend::Threads => "threads",
             Backend::Vm => "vm",
         }
     }
-
-    /// Parse a CLI/JSON backend name.
-    pub fn from_name(s: &str) -> Option<Backend> {
-        match s.to_ascii_lowercase().as_str() {
-            "threads" | "thread" | "rendezvous" => Some(Backend::Threads),
-            "vm" | "guestvm" => Some(Backend::Vm),
-            _ => None,
-        }
-    }
 }
 
 /// Everything a guest needs to construct its execution state for one
 /// simulated thread: the runner builds one per thread and hands it to
-/// [`GuestExec::from_body`] (through [`Program::guest_exec`] on the VM
-/// backend), which turns it into the body's [`GuestCtx`].
+/// [`GuestExec::from_body`] (directly, or through [`Program::guest_exec`]
+/// on [`Backend::Vm`]), which turns it into the body's [`GuestCtx`].
 #[derive(Clone, Debug)]
 pub struct GuestEnv {
     /// Simulated thread id (== core id).

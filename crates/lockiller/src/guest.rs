@@ -9,7 +9,7 @@
 //! the mailbox, and on the next poll leaves the [`GuestResp`] there for
 //! the suspended operation to pick up — so each operation completes only
 //! when the engine delivers its response at the correct simulated cycle.
-//! This holds on both backends: a compiled `guestvm` kernel runs through
+//! This holds for every body: a compiled `guestvm` kernel runs through
 //! the same calls (`guestvm::run_on_ctx`), so [`GuestCtx::critical`] is
 //! the only implementation of
 //! `lock_acquire_elided`/`lock_release_elided`:

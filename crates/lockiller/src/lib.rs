@@ -20,12 +20,12 @@
 //!
 //! Every simulated thread is an [`exec::GuestExec`]: an `async` body
 //! over a [`guest::GuestCtx`], resumed as a coroutine by the
-//! single-threaded discrete-event engine on its own thread. The body is
-//! either the program's host-Rust `run` ([`exec::Backend::Threads`]) or
-//! an interpreter over the program's compiled `guestvm` kernel
-//! ([`exec::Backend::Vm`]); both reach the engine through the one
-//! retry protocol in [`guest::GuestCtx::critical`], and every simulation
-//! is bit-deterministic either way.
+//! single-threaded discrete-event engine on its own thread. A program
+//! has one body: host-Rust for most STAMP ports, an interpreter over the
+//! compiled `guestvm` kernel for kernel programs (whichever
+//! [`exec::Backend`] starts it). Every body reaches the engine through
+//! the one retry protocol in [`guest::GuestCtx::critical`], and every
+//! simulation is bit-deterministic.
 
 pub mod engine;
 pub mod exec;

@@ -30,13 +30,13 @@ pub trait Program {
     /// as `Box::pin(async move { ... })`, awaiting every `ctx` operation.
     fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a>;
 
-    /// Construct the guest one simulated thread runs on the VM backend
-    /// ([`crate::Backend::Vm`]). Returning `None` (the default) means the
-    /// program only supports the host backend; programs whose kernels
-    /// compile to `guestvm` bytecode return a [`GuestExec::from_body`]
-    /// guest that interprets the thread's kernel (`guestvm::run_on_ctx`)
-    /// and become runnable on either backend with bit-identical results.
-    /// Called after [`Program::setup`], once per thread.
+    /// Construct the guest one simulated thread runs on
+    /// [`crate::Backend::Vm`]. Returning `None` (the default) marks a
+    /// program without a compiled kernel; kernel programs, whose `run`
+    /// interprets their `guestvm` bytecode (`guestvm::run_on_ctx`),
+    /// return their `run` body through [`GuestExec::from_body`], so both
+    /// backends run the one kernel. Called after [`Program::setup`],
+    /// once per thread.
     fn guest_exec(&self, env: GuestEnv) -> Option<GuestExec<'_>> {
         let _ = env;
         None

@@ -5,10 +5,10 @@
 //! statistics, the final memory image, and — when recording was
 //! requested via [`Runner::tracing`], [`Runner::spans`] or checked mode —
 //! the run's [`Trace`].
-//! [`Runner::backend`] selects each thread's body: the program's
-//! host-Rust `run` (default, works for every [`Program`]) or its compiled
-//! kernel ([`crate::Backend::Vm`], for programs that provide a guest
-//! through [`Program::guest_exec`]). Either way every guest is a
+//! [`Runner::backend`] names how each thread's guest is started: from
+//! the program's `run` (default, works for every [`Program`]) or from
+//! [`Program::guest_exec`] ([`crate::Backend::Vm`], kernel programs
+//! only); both run the program's one body. Every guest is a
 //! [`GuestExec`] coroutine polled on the caller's thread: a run spawns no
 //! threads, and a panic in a guest body unwinds out of [`Runner::run`]
 //! unchanged.
@@ -107,10 +107,11 @@ impl Runner {
         }
     }
 
-    /// Select each thread's body (see [`crate::exec`]). The default
-    /// [`Backend::Threads`] runs any [`Program`]'s host-Rust `run`;
+    /// Select how each thread's guest is started (see [`crate::exec`]).
+    /// The default [`Backend::Threads`] starts any [`Program`]'s `run`;
     /// [`Backend::Vm`] requires the program to provide a guest via
-    /// [`Program::guest_exec`] and panics otherwise.
+    /// [`Program::guest_exec`] and panics otherwise. Both run the
+    /// program's one body, so results are identical.
     pub fn backend(mut self, b: Backend) -> Runner {
         self.backend = b;
         self
@@ -313,9 +314,9 @@ impl Runner {
         }
     }
 
-    /// Register one guest per simulated thread and run the engine. The
-    /// host backend starts each thread's [`Program::run`] body in a
-    /// [`GuestExec`]; the VM backend takes the program's
+    /// Register one guest per simulated thread and run the engine.
+    /// [`Backend::Threads`] starts each thread's [`Program::run`] body in
+    /// a [`GuestExec`]; [`Backend::Vm`] takes the program's
     /// [`Program::guest_exec`]. A run that ends early drops its guests
     /// mid-body with the engine.
     fn drive<'g, P: Program>(

@@ -44,7 +44,7 @@ pub enum ProfPhase {
     /// including any state fingerprint the scheduler asks for.
     SchedPick,
     /// Guest `resume`: handing a response to the guest execution core
-    /// and receiving its next op (both backends).
+    /// and receiving its next op.
     GuestResume,
     /// Dispatch of a `Recv` rendezvous event.
     EvRecv,

@@ -1,9 +1,8 @@
 //! VM-native STAMP ports: programs whose thread bodies are `guestvm`
-//! kernels, with no hand-written body beside them. Both execution
-//! backends run the one bytecode image through [`guestvm::run_on_ctx`]
-//! ([`Program::run`] for [`lockiller::Backend::Threads`],
-//! [`Program::guest_exec`] for [`lockiller::Backend::Vm`]), so the two
-//! runs are the same program and bit-identical by construction.
+//! kernels, written against the bytecode from the start. Like every
+//! kernel program, [`IntruderFlow`] runs its one bytecode image through
+//! [`guestvm::run_on_ctx`] whichever [`lockiller::Backend`] a runner
+//! names ([`Program::guest_exec`] returns the [`Program::run`] body).
 //!
 //! [`IntruderFlow`] here is the flow-reassembly skeleton of STAMP
 //! `intruder` (the full port in [`crate::intruder`] leans on host-side
@@ -266,10 +265,7 @@ impl Program for IntruderFlow {
     }
 
     fn guest_exec(&self, env: GuestEnv) -> Option<GuestExec<'_>> {
-        let kernel = self.kernel.as_ref().expect("setup first");
-        Some(GuestExec::from_body(env, async |ctx| {
-            run_on_ctx(kernel, ctx).await;
-        }))
+        Some(GuestExec::from_body(env, async |ctx| self.run(ctx).await))
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {
@@ -349,21 +345,15 @@ mod tests {
 
     #[test]
     fn kmeans_guest_exec_bit_identical_to_thread_body() {
-        // The compiled kernel must mirror the hand-written Kmeans::run
-        // op-for-op: identical stats, trace, and memory image.
-        let run = |backend| {
-            let mut w = crate::kmeans::Kmeans::new(Scale::Tiny, 2, true);
-            Runner::new(SystemKind::LockillerTm)
-                .threads(2)
-                .config(SystemConfig::testing(2))
-                .tracing()
-                .backend(backend)
-                .run(&mut w)
-        };
-        let a = run(Backend::Threads);
-        let b = run(Backend::Vm);
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.mem.digest(), b.mem.digest());
-        assert_eq!(a.trace_events(), b.trace_events());
+        // The kernel `Program::guest_exec` runs must mirror the
+        // hand-written oracle body op-for-op: identical stats, trace,
+        // and memory image.
+        let runner = Runner::new(SystemKind::LockillerTm)
+            .threads(2)
+            .config(SystemConfig::testing(2))
+            .backend(Backend::Vm);
+        crate::kmeans::tests::assert_kernel_matches_oracle(runner, || {
+            crate::kmeans::Kmeans::new(Scale::Tiny, 2, true)
+        });
     }
 }

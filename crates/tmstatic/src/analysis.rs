@@ -188,8 +188,8 @@ impl VmAnalysis {
     }
 
     /// The analysis of `spec` compiled under the standard runner arena
-    /// layout ([`SpecProgram::compile_all`]) — the kernels `--backend
-    /// vm` executes and whose ops the thread backend issues one for one.
+    /// layout ([`SpecProgram::compile_all`]) — the kernels every run of
+    /// the spec executes, `tmverify`'s explored runs included.
     pub fn of_spec(system: SystemKind, spec: &ProgSpec, cfg: SystemConfig) -> VmAnalysis {
         VmAnalysis::new(system, cfg, &SpecProgram::compile_all(spec))
     }

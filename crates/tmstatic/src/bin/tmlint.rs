@@ -13,9 +13,10 @@
 //! interpreted (`tmstatic::vmabs`) and projected onto the system
 //! (`tmstatic::VmAnalysis`), and one rule set (`tmstatic::vmlint`)
 //! reports on it. `--prog` compiles the spec under the standard runner
-//! arena layout — exactly what `tmverify --backend vm` executes;
-//! `--stamp` (kernel mode only) takes a STAMP VM workload by name
-//! (`kmeans`, `kmeans-low`, `intruder-flow`). The modes differ only in
+//! arena layout — exactly what `tmverify` explores;
+//! `--stamp` (kernel mode only) takes a STAMP kernel program by the name
+//! every other binary uses (`kmeans+`, `kmeans`, `intruder-flow`); any
+//! other name is bad usage. The modes differ only in
 //! how diagnostics name positions: the default spec mode reports
 //! (thread, segment, op) indices of the spec and spec line indices
 //! (`tmstatic::lint`); kernel mode reports (thread, critical-region
@@ -246,20 +247,24 @@ fn main() {
     std::process::exit(code);
 }
 
-/// The bytecode of a STAMP VM workload at `Scale::Tiny`.
+/// The bytecode of a STAMP kernel program at `Scale::Tiny`: a ladder
+/// workload named as [`stamp::WorkloadKind::name`] names it (kmeans+ is
+/// the high-contention kmeans), or `intruder-flow`.
 fn stamp_kernels(name: &str, threads: usize) -> Vec<guestvm::Kernel> {
-    match name {
-        "kmeans" => {
-            stamp::kmeans::Kmeans::new(stamp::Scale::Tiny, threads, true).compile_standalone()
+    use stamp::kmeans::Kmeans;
+    use stamp::{Scale, WorkloadKind};
+    match WorkloadKind::from_name(name) {
+        Some(WorkloadKind::KmeansHigh) => {
+            Kmeans::new(Scale::Tiny, threads, true).compile_standalone()
         }
-        "kmeans-low" => {
-            stamp::kmeans::Kmeans::new(stamp::Scale::Tiny, threads, false).compile_standalone()
+        Some(WorkloadKind::KmeansLow) => {
+            Kmeans::new(Scale::Tiny, threads, false).compile_standalone()
         }
-        "intruder-flow" => {
-            stamp::vm::IntruderFlow::new(stamp::Scale::Tiny, threads).compile_standalone()
+        _ if name.eq_ignore_ascii_case("intruder-flow") => {
+            stamp::vm::IntruderFlow::new(Scale::Tiny, threads).compile_standalone()
         }
-        other => {
-            eprintln!("tmlint: unknown stamp workload {other:?}");
+        _ => {
+            eprintln!("tmlint: {name:?} is not a kernel program (kmeans+, kmeans, intruder-flow)");
             usage();
         }
     }

@@ -28,7 +28,7 @@
 //! - **DPOR pruning** ([`VmAnalysis::independence`]): a
 //!   [`StaticIndependence`](lockiller::StaticIndependence) table
 //!   refining the dynamic conflict relation used by `tmverify`'s
-//!   sleep-set DPOR on either backend, so statically-independent step
+//!   sleep-set DPOR over the same kernels, so statically-independent step
 //!   pairs never generate backtrack points. The table is only
 //!   constructed when its soundness premises are proven for the whole
 //!   program (precise footprints, no possible capacity overflow, no

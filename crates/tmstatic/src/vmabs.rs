@@ -3,8 +3,8 @@
 //! Every footprint the whole-program analysis
 //! ([`VmAnalysis`](crate::VmAnalysis)) reasons about comes from here:
 //! the per-thread line sets are recovered from the [`Kernel`] bytecode
-//! itself — the artifact `--backend vm` actually executes, and what a
-//! `ProgSpec` compiles to — so indexed addressing and data-dependent
+//! itself — the artifact every run of a kernel program executes, and
+//! what a `ProgSpec` compiles to — so indexed addressing and data-dependent
 //! loops are expressible. The analysis is a classic worklist abstract
 //! interpretation:
 //!
@@ -30,7 +30,7 @@
 //!
 //! Everything footprint-shaped is a sound *over-approximation* of any
 //! execution (`tests/vm_soundness.rs` checks dynamically traced line
-//! accesses and conflict edges against it, on both backends); loop
+//! accesses and conflict edges against it); loop
 //! *bound* classification is diagnostic only, except that
 //! [`LoopBound::Unbounded`] is itself a proof (no abstract state can
 //! take any exit, hence no concrete one can). Where precision is lost

@@ -16,7 +16,7 @@ fn explorer(system: SystemKind, prog: &str) -> Explorer {
 }
 
 /// The independence table for `ex`'s own kernels and geometry — the
-/// one table both backends prune with.
+/// kernels every explored run executes.
 fn table(ex: &Explorer) -> Option<lockiller::StaticIndependence> {
     VmAnalysis::new(ex.system, ex.config(), &ex.kernels()).independence()
 }
@@ -135,10 +135,12 @@ fn corpus_witnesses_unaffected_by_analysis_premises() {
 }
 
 // ---------------------------------------------------------------------
-// VM-backend pruning: the same table must satisfy the same contract on
-// the bytecode backend — strict schedule reduction where purity is
-// proven, bit-identical exploration where the table is vacuous, and no
-// divergence between backends with or without a table installed.
+// `Backend::Vm` pruning (the tmbench `dpor` setting): the same table
+// must satisfy the same contract when the explorer starts its guests
+// through `Program::guest_exec` — strict schedule reduction where purity
+// is proven, bit-identical exploration where the table is vacuous, and
+// no divergence between the two backends, which run the same kernel,
+// with or without a table installed.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -179,9 +181,9 @@ fn vacuous_bytecode_table_keeps_vm_exploration_bit_identical() {
 
 #[test]
 fn backends_agree_on_digests_with_and_without_pruning() {
-    // The guestvm contract: both backends run the same ops, so the
-    // exploration digests must agree backend-to-backend — pruned and
-    // unpruned alike, with one table installed on both.
+    // Both backends run the spec's compiled kernel, so the exploration
+    // digests must agree backend-to-backend — pruned and unpruned alike,
+    // with one table installed on both.
     for prog in ["3/c:L0,S0/c:L1,S1/c:L2,S2", "2/c:L0,S1/c:L1,S0"] {
         let threads_ex = explorer(SystemKind::LockillerTm, prog);
         let mut vm_ex = threads_ex.clone();

@@ -5,7 +5,7 @@
 //! must be predicted by [`VmAnalysis::may_conflict`] over the kernels
 //! the spec compiles to. A miss is a bug in `tmstatic`, never in the
 //! simulator. (`vm_soundness.rs` checks the same property, plus every
-//! traced access, on both guest backends and on computed-address
+//! traced access, on STAMP kernel programs and on computed-address
 //! kernels.)
 //!
 //! This doubles as the layout cross-check: if

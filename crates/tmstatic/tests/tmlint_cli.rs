@@ -82,4 +82,31 @@ fn exit_codes_follow_the_contract() {
         assert_eq!(code, 2, "{args:?}: {stderr}");
         assert!(stderr.contains("--threads takes 1..=32"), "{stderr}");
     }
+    // `--stamp` names kernel programs as every other binary names
+    // workloads: kmeans+ is the high-contention kmeans, whose
+    // accumulator races are error diagnostics; a name no binary uses is
+    // bad usage.
+    let stamp = |name: &str| {
+        tmlint(&[
+            "kernel",
+            "--stamp",
+            name,
+            "--threads",
+            "2",
+            "--system",
+            "LockillerTM",
+            "--json",
+        ])
+    };
+    let (code, stdout, stderr) = stamp("kmeans+");
+    assert_eq!(code, 1, "{stderr}");
+    assert!(
+        stdout.contains(r#""rule": "mixed-access-race""#),
+        "{stdout}"
+    );
+    for name in ["kmeans-low", "genome"] {
+        let (code, stdout, stderr) = stamp(name);
+        assert_eq!(code, 2, "{name}: {stderr}");
+        assert!(stdout.is_empty(), "{name}: {stdout}");
+    }
 }

@@ -1,11 +1,11 @@
 //! Soundness property for the bytecode abstract interpreter: every
 //! dynamically observed line access and every recorded conflict edge
 //! must be inside the abstract footprint [`VmAnalysis`] computed from
-//! the kernels alone — on **both** execution backends, which the
-//! `guestvm` contract requires to be op-identical.
+//! the kernels alone — whichever `Backend` starts the guests (both run
+//! the kernel, so the checks must hold on each).
 //!
 //! Covered corpora: the injected-bug witness specs (compiled to
-//! bytecode), the STAMP VM workloads (kmeans both contention modes,
+//! bytecode), the STAMP kernel programs (kmeans both contention modes,
 //! IntruderFlow with its data-dependent loops — the Top-degradation
 //! stress case), and batches of deterministically generated random
 //! kernels exercising computed addresses and counted loops that no

@@ -6,7 +6,7 @@
 //!          [--inject FAULT]... [--no-safety-net] [--tiny-l1]
 //!          [--retries N] [--depth-bound N] [--max-schedules N]
 //!          [--max-cycles N] [--jobs N] [--no-state-dedup]
-//!          [--backend threads|vm] [--random-prog SEED]
+//!          [--random-prog SEED]
 //!          [--out FILE] [--bench-json FILE] [--profile] [-v]
 //! tmverify replay WITNESS.json
 //! ```
@@ -41,7 +41,7 @@ fn usage() -> ! {
          \x20               [--inject FAULT]... [--no-safety-net] [--tiny-l1]\n\
          \x20               [--retries N] [--depth-bound N] [--max-schedules N]\n\
          \x20               [--max-cycles N] [--jobs N] [--no-state-dedup]\n\
-         \x20               [--backend threads|vm] [--random-prog SEED]\n\
+         \x20               [--random-prog SEED]\n\
          \x20               [--out FILE] [--bench-json FILE] [--profile] [-v]\n\
          \x20      tmverify replay WITNESS.json\n\
          injections: {}",
@@ -114,14 +114,6 @@ fn parse_args(mut it: std::env::Args) -> Args {
             "--max-cycles" => ex.max_cycles = val().parse().unwrap_or_else(|_| usage()),
             "--jobs" | "-j" => ex.jobs = val().parse().unwrap_or_else(|_| usage()),
             "--no-state-dedup" => ex.state_dedup = false,
-            "--backend" => {
-                let v = val();
-                let Some(b) = lockiller::Backend::from_name(&v) else {
-                    eprintln!("unknown backend {v:?} (threads|vm)");
-                    usage();
-                };
-                ex.backend = b;
-            }
             "--out" | "-o" => out = val().into(),
             "--bench-json" => bench_json = Some(val().into()),
             "--profile" => ex.profile = true,
@@ -213,15 +205,13 @@ fn main() {
     let args = parse_args(raw);
     let ex = &args.explorer;
     eprintln!(
-        "tmverify: exploring {} on {} (inject: [{}], safety net {}, dedup {}, jobs {}, \
-         backend {})",
+        "tmverify: exploring {} on {} (inject: [{}], safety net {}, dedup {}, jobs {})",
         ex.spec.render(),
         ex.system.name(),
         tmverify::dpor::inject_names(&ex.inject).join(", "),
         if ex.no_safety_net { "off" } else { "on" },
         if ex.state_dedup { "on" } else { "off" },
         ex.jobs.max(1),
-        ex.backend.name(),
     );
     let rep = ex.explore();
     print!("{}", rep.render());

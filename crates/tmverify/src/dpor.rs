@@ -141,11 +141,11 @@ pub struct Explorer {
     /// fault injection is active — injected faults break the analysis
     /// premises (see [`StaticIndependence`] docs).
     pub prune: Option<StaticIndependence>,
-    /// Guest execution core for every explored run. Both backends are
-    /// bit-identical (same decisions, fingerprints, and report digest —
-    /// asserted by the differential tests); both run in-process on the
-    /// engine's thread, so the choice only selects which implementation
-    /// of the guest program executes.
+    /// How every explored run starts its guests (see
+    /// [`lockiller::Backend`]). Both variants run the spec's one body,
+    /// its compiled kernel, so they are bit-identical (same decisions,
+    /// fingerprints, and report digest — asserted by the differential
+    /// tests); the field stays because the benchmark harness sets it.
     pub backend: Backend,
     /// Enable host-side self-profiling (`tmprof`) on every explored run
     /// and merge the per-run phase trees into
@@ -201,8 +201,8 @@ impl Explorer {
         cfg
     }
 
-    /// The per-thread guest kernels the vm backend executes, compiled
-    /// under the standard runner arena layout. Public for the same
+    /// The per-thread guest kernels every explored run executes,
+    /// compiled under the standard runner arena layout. Public for the same
     /// reason as [`Explorer::config`]: bytecode-level static analyses
     /// must see exactly the code and addresses the exploration runs.
     pub fn kernels(&self) -> Vec<guestvm::Kernel> {

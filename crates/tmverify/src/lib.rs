@@ -25,7 +25,7 @@ pub mod dpor;
 pub mod shrink;
 
 /// The guest-program corpus (`ProgSpec` DSL + `SpecProgram`): moved to
-/// the `guestvm` crate so kernels compile to the VM backend, re-exported
+/// the `guestvm` crate so specs compile to bytecode kernels, re-exported
 /// under its historical path for `tmstatic`/`tmlab` and the CLI.
 pub use guestvm::spec as progs;
 
