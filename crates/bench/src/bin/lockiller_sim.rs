@@ -7,12 +7,16 @@
 //!               [--retries N] [--seed N] [--timeline]
 //! ```
 //!
+//! `--seed` is decimal, or hexadecimal with a `0x` prefix, as in
+//! `tmtrace` and `tmcheck`.
+//!
 //! `--threads` takes 1..=32, the core count of every hardware preset.
 
 use lockiller::runner::Runner;
 use lockiller::system::SystemKind;
 use lockiller::trace::render_timeline;
 use sim_core::config::MAX_CORES;
+use sim_core::rng::parse_seed;
 use sim_core::stats::{AbortCause, Phase};
 use stamp::{Scale, Workload, WorkloadKind};
 
@@ -21,6 +25,7 @@ fn usage() -> ! {
         "usage: lockiller_sim --system <name> --workload <name> [--threads N]\n\
          \x20                  [--scale tiny|small|full] [--cache typical|small|large]\n\
          \x20                  [--retries N] [--seed N] [--timeline]\n\
+         --seed N:  decimal, or hex with a 0x prefix\n\
          systems:   {}\n\
          workloads: {}",
         SystemKind::ALL.map(lockiller::SystemKind::name).join(" "),
@@ -72,7 +77,7 @@ fn main() {
             }
             "--cache" => cache = take(&mut i),
             "--retries" => retries = Some(take(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--seed" => seed = take(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--seed" => seed = parse_seed(&take(&mut i)).unwrap_or_else(|| usage()),
             "--timeline" => timeline = true,
             "--help" | "-h" => usage(),
             other => {

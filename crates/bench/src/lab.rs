@@ -125,10 +125,9 @@ impl Lab {
             (p, stats, wall_ms)
         });
         for (p, stats, wall_ms) in done {
-            self.report.points.push(PointReport {
-                label: p.label(),
-                wall_ms,
-            });
+            self.report
+                .points
+                .push(PointReport::new(p.label(), wall_ms, &stats));
             self.report.busy_ms += wall_ms;
             self.memo.insert(p, stats);
         }
@@ -361,6 +360,26 @@ mod tests {
         assert!(doc.get("parallel_efficiency").is_some());
         let rows = doc.get("points").and_then(Json::as_arr).expect("points");
         assert_eq!(rows.len(), points.len());
+        // Each row carries the point's exact leaves, and they match the
+        // stats the lab returns for it.
+        let stats = lab.run_many(&points);
+        for (row, s) in rows.iter().zip(&stats) {
+            for (key, want) in [
+                ("cycles", s.cycles),
+                ("commits", s.commits),
+                ("aborts", s.total_aborts()),
+                ("events_processed", s.events_processed),
+                ("event_queue_peak", s.event_queue_peak),
+            ] {
+                assert_eq!(
+                    row.get(key).and_then(Json::as_f64),
+                    Some(want as f64),
+                    "{key}"
+                );
+            }
+            let digest = row.get("stats_digest").and_then(Json::as_str);
+            assert_eq!(digest.map(str::len), Some(16), "{row:?}");
+        }
         // Nothing is cached across invocations, so no key may claim so.
         for obj in rows.iter().chain([&doc]) {
             let Json::Obj(fields) = obj else {

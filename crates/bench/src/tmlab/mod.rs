@@ -10,8 +10,8 @@
 //!   submission order, so any `--jobs` value produces byte-identical
 //!   batch output;
 //! - [`BatchReport`] — the host-side accounting of every batch
-//!   (per-point wall-clock, busy time, parallel efficiency), written as
-//!   `BENCH_lab.json`.
+//!   (per-point wall-clock, busy time, parallel efficiency) plus each
+//!   point's exact leaves, written as `BENCH_lab.json`.
 //!
 //! `crate::lab::Lab::run_many` drives the pool and fills the report;
 //! nothing is kept across invocations, so every number a figure prints
@@ -21,8 +21,11 @@ pub mod pool;
 
 use crate::lab::ConfigPoint;
 use lockiller::system::SystemKind;
+use sim_core::fxhash::FxHasher;
 use sim_core::json;
+use sim_core::stats::RunStats;
 use stamp::WorkloadKind;
+use std::hash::Hasher;
 
 /// One simulation point, as the experiment harness names it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -45,11 +48,40 @@ impl Point {
     }
 }
 
-/// One simulated point's accounting in a [`BatchReport`].
+/// One simulated point's accounting in a [`BatchReport`]: its host wall
+/// time, and its exact leaves (every field but `wall_ms` is a pure
+/// function of the point and the model, so `ci/battery-leaves.jsonl`
+/// gates them at 0%).
 #[derive(Clone, Debug)]
 pub struct PointReport {
     pub label: String,
     pub wall_ms: f64,
+    pub cycles: u64,
+    pub commits: u64,
+    pub aborts: u64,
+    pub events_processed: u64,
+    pub event_queue_peak: u64,
+    /// FxHash of the point's `RunStats::to_json()`: every other stats
+    /// field, exactly.
+    pub stats_digest: u64,
+}
+
+impl PointReport {
+    /// The accounting of one simulated point.
+    pub fn new(label: String, wall_ms: f64, stats: &RunStats) -> PointReport {
+        let mut h = FxHasher::default();
+        h.write(stats.to_json().as_bytes());
+        PointReport {
+            label,
+            wall_ms,
+            cycles: stats.cycles,
+            commits: stats.commits,
+            aborts: stats.total_aborts(),
+            events_processed: stats.events_processed,
+            event_queue_peak: stats.event_queue_peak,
+            stats_digest: h.finish(),
+        }
+    }
 }
 
 /// Host-side accounting for one or more batches (the harness accumulates
@@ -98,9 +130,17 @@ impl BatchReport {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"label\":\"{}\",\"wall_ms\":{:.3}}}",
+                "{{\"label\":\"{}\",\"wall_ms\":{:.3},\"cycles\":{},\"commits\":{},\
+                 \"aborts\":{},\"events_processed\":{},\"event_queue_peak\":{},\
+                 \"stats_digest\":\"{:016x}\"}}",
                 json::escape(&p.label),
-                p.wall_ms
+                p.wall_ms,
+                p.cycles,
+                p.commits,
+                p.aborts,
+                p.events_processed,
+                p.event_queue_peak,
+                p.stats_digest,
             ));
         }
         out.push_str("]}");

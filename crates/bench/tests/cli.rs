@@ -1,6 +1,7 @@
 //! Command-line behaviour: a `lockiller_sim` thread count outside the
 //! modelled cores is a usage error (exit 2), never a panic, while one
-//! thread still runs. `experiments` treats an unknown flag, a value flag
+//! thread still runs; `--seed` reads decimal or `0x` hex, and anything
+//! else is a usage error. `experiments` treats an unknown flag, a value flag
 //! without its value and a job count that is not a number as usage
 //! errors too, never as a silently different run.
 
@@ -30,6 +31,33 @@ fn one_thread_runs() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{err}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("cycles"));
+}
+
+#[test]
+fn seed_is_decimal_or_prefixed_hex() {
+    let run = |seed: &str| {
+        lockiller_sim(&[
+            "--workload",
+            "intruder",
+            "--system",
+            "Baseline",
+            "--scale",
+            "tiny",
+            "--threads",
+            "2",
+            "--seed",
+            seed,
+        ])
+    };
+    let (dec, hex) = (run("16"), run("0x10"));
+    assert_eq!(dec.status.code(), Some(0), "{dec:?}");
+    assert_eq!(dec.stdout, hex.stdout, "--seed 16 and --seed 0x10 differ");
+    for bad in ["c0ffee", "0x", "ten"] {
+        let out = run(bad);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--seed {bad}: {err}");
+        assert!(err.contains("usage: lockiller_sim"), "{err}");
+    }
 }
 
 fn experiments(args: &[&str]) -> Output {

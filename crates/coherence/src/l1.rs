@@ -136,6 +136,19 @@ impl L1 {
         }
     }
 
+    /// `n` LRU touches of `line` at once: the clock and stamp `n` calls
+    /// to [`L1::touch`] would leave.
+    pub fn touch_n(&mut self, line: LineAddr, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.clock += n;
+        let clock = self.clock;
+        if let Some(l) = self.lookup_mut(line) {
+            l.lru = clock;
+        }
+    }
+
     /// Set the transactional read/write bits on a resident line.
     /// Setting `w` requires the line to be Modified (speculative data
     /// lives in M; enforced by the protocol before any tx store).
@@ -405,6 +418,22 @@ mod tests {
         c.mark_tx(LineAddr(1), true, false);
         let marked: Vec<LineAddr> = c.tx_lines().map(|l| l.line).collect();
         assert_eq!(marked, vec![LineAddr(1)]);
+    }
+
+    #[test]
+    fn touch_n_equals_n_touches() {
+        let mut a = small();
+        a.install(LineAddr(0), Mesi::Shared, false, false);
+        a.install(LineAddr(4), Mesi::Shared, false, false);
+        let mut b = a.clone();
+        for _ in 0..5 {
+            a.touch(LineAddr(0));
+        }
+        b.touch_n(LineAddr(0), 5);
+        b.touch_n(LineAddr(0), 0);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        // The LRU victim agrees too: line 4 is older than the touched 0.
+        assert_eq!(a.victim_for(LineAddr(8)), b.victim_for(LineAddr(8)));
     }
 
     #[test]

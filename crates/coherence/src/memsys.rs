@@ -1588,6 +1588,25 @@ impl MemSystem {
         self.notice(now, CoreNotice::AccessDone { core });
     }
 
+    /// Whether `core`'s L1 holds `line`, so a load of it would hit.
+    pub fn l1_holds(&self, core: CoreId, line: LineAddr) -> bool {
+        self.l1s[core].lookup(line).is_some()
+    }
+
+    /// Apply `n` non-transactional load hits of `line` by `core` at
+    /// once: a hit's only effect is its L1 LRU touch ([`MemSystem::access`]
+    /// outside a transaction), so this leaves the state the `n` hits
+    /// would have.
+    pub fn l1_load_hits(&mut self, core: CoreId, line: LineAddr, n: u64) {
+        debug_assert!(!self.meta[core].mode.is_tx() && self.l1_holds(core, line));
+        self.l1s[core].touch_n(line, n);
+    }
+
+    /// `core`'s L1 presence/MESI change count ([`L1::mutations`]).
+    pub fn l1_mutations(&self, core: CoreId) -> u64 {
+        self.l1s[core].mutations()
+    }
+
     /// Fold the behaviourally relevant memory-system state into `h`
     /// (for the schedule explorer's state fingerprint; see
     /// `lockiller::sched`), structurally and in a fixed order: every L1

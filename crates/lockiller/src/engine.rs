@@ -5,7 +5,8 @@
 //! ## Event kinds
 //!
 //! - `Recv(core)` — rendezvous point: resume the core's guest for its
-//!   next operation (the guest computes in zero simulated time);
+//!   next operation (the guest computes in zero simulated time), or, in a
+//!   spin wait, issue the next op of the wait's loop without resuming it;
 //! - `Respond(core, resp)` — deliver a response scheduled earlier (e.g.,
 //!   the end of a `Compute`, a commit penalty, an abort penalty);
 //! - `Net(msg)` — a NoC message arrives at the memory subsystem;
@@ -13,6 +14,15 @@
 //!   protocol abort, wake-up, HLA result);
 //! - `Retry(core, seq)` / `ParkTimeout(core, seq)` — recovery-mechanism
 //!   requester-side actions (RetryLater pause, wake-up safety net).
+//!
+//! ## The spin lane
+//!
+//! Outside a scheduler, checked mode, a cycle budget and span-level
+//! sampling, a spinner whose lock line stays in its L1 leaves the queue:
+//! its repeating load/pause events run on [`crate::lane`], merged with
+//! the queue in `(cycle, seq)` order, and go back into the queue at their
+//! exact place before any event that names the core is dispatched
+//! (DESIGN §7.1).
 //!
 //! ## Execution-time accounting
 //!
@@ -24,11 +34,12 @@
 use crate::exec::GuestExec;
 use crate::flatmem::{FlatMem, WriteBuffer};
 use crate::guest::{GuestOp, GuestResp, TTest};
+use crate::lane::{Lane, LaneEvent, LaneStep, LANE_RING};
 use crate::sched::{EvClass, EvDesc, RunEnd, Scheduler};
 use crate::trace::{Trace, TraceKind};
 use coherence::memsys::{AccessKind, AccessResult, CoreNotice, MemSystem};
 use coherence::msg::{NetMsg, TxMode};
-use sim_core::config::{PriorityKind, RejectAction, SystemConfig};
+use sim_core::config::{CheckCfg, PriorityKind, RejectAction, SystemConfig};
 use sim_core::event::EventQueue;
 use sim_core::fxhash::{FxHashSet, FxHasher};
 use sim_core::latency::{TxnClass, TxnLifecycle};
@@ -42,6 +53,10 @@ use std::hash::{Hash, Hasher};
 /// inverted priorities stay positive and below the lock-priority
 /// sentinel for any realistic transaction length.
 const PRIO_DECAY_BASE: u64 = 1 << 20;
+
+/// Pause between two reads of a held fallback lock (`SpinWait`), in
+/// instructions.
+const SPIN_PAUSE: u64 = 16;
 
 /// Metric registrations owned by the engine: core-occupancy gauges and
 /// the cumulative outcome counters sampled every observability tick.
@@ -86,6 +101,32 @@ enum Ev {
     Notice(CoreNotice),
     Retry(CoreId, u64),
     ParkTimeout(CoreId, u64),
+}
+
+/// The op a spin wait ([`GuestOp::SpinWait`]) issued last.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum SpinOp {
+    /// The `SpinWait` op itself (the wait began).
+    Begin,
+    /// A load of the lock word.
+    Load,
+    /// The acquiring CAS 0 → 1.
+    Cas,
+    /// The `Compute(SPIN_PAUSE)` after a non-zero read.
+    Pause,
+    /// The closing `SpinWait` (the wait is over).
+    End,
+}
+
+/// An engine-run spin wait in progress. The guest is not resumed until
+/// it ends: each `Recv` derives the loop's next op from the response just
+/// delivered ([`Engine::spin_next`]). Like a guest's position, it is a
+/// function of the core's response history, so the state fingerprint
+/// covers it through `resp_hash`.
+#[derive(Clone, Copy, Debug)]
+struct Spin {
+    acquire: bool,
+    last: SpinOp,
 }
 
 /// Per-core controller state.
@@ -148,6 +189,8 @@ struct Ctl<'g> {
     resolve: Option<Phase>,
     /// Switch to this phase after the next response delivery.
     phase_after: Option<Phase>,
+    /// The spin wait this core is in, if any.
+    spin: Option<Spin>,
     finished: bool,
 }
 
@@ -179,6 +222,7 @@ impl Ctl<'_> {
             tl_pending: false,
             resolve: None,
             phase_after: None,
+            spin: None,
             finished: false,
         }
     }
@@ -192,6 +236,8 @@ impl Ctl<'_> {
 pub struct Engine<'g> {
     cfg: SystemConfig,
     ms: MemSystem,
+    /// The fallback lock word every `SpinWait` spins on.
+    lock_addr: Addr,
     q: EventQueue<Ev>,
     pub mem: FlatMem,
     bufs: Vec<WriteBuffer>,
@@ -231,6 +277,13 @@ pub struct Engine<'g> {
     /// phase showed the hash as the fold's only cost on compiled
     /// kernels, where responses dominate.
     fingerprinting: bool,
+    /// Spinners whose L1-hit iterations run off the event queue (see
+    /// [`crate::lane`] and [`Engine::lane_can_take`]).
+    lane: Lane,
+    /// Whether this run may put spinners on the lane: only where nothing
+    /// observes a run event by event — no scheduler, no checked mode or
+    /// injected fault, no cycle budget, no span-level sampling.
+    lane_on: bool,
 }
 
 impl<'g> Engine<'g> {
@@ -247,6 +300,7 @@ impl<'g> Engine<'g> {
         let touched_pages = mapped_pages;
         Engine {
             ms,
+            lock_addr: mutex_addr,
             q: EventQueue::new(),
             mem,
             bufs: (0..threads).map(|_| WriteBuffer::default()).collect(),
@@ -265,6 +319,8 @@ impl<'g> Engine<'g> {
             prof: None,
             max_cycles: None,
             fingerprinting: false,
+            lane: Lane::new(threads),
+            lane_on: false,
             cfg,
         }
     }
@@ -469,6 +525,11 @@ impl<'g> Engine<'g> {
     /// they were; dropping the engine drops them.
     pub fn run_with(&mut self, mut sched: Option<&mut dyn Scheduler>) -> RunEnd {
         self.fingerprinting = sched.is_some();
+        self.lane_on = sched.is_none()
+            && self.cfg.check == CheckCfg::default()
+            && self.max_cycles.is_none()
+            && self.trace.sample_every().is_none()
+            && self.cfg.mem.l1_hit.max(SPIN_PAUSE) < LANE_RING as Cycle;
         for c in 0..self.threads {
             self.q.schedule_at(0, Ev::Recv(c));
         }
@@ -476,7 +537,7 @@ impl<'g> Engine<'g> {
             self.prof_enter(ProfPhase::Dequeue);
             let popped = match sched.as_deref_mut() {
                 Some(s) => self.pick_next(s),
-                None => self.q.pop(),
+                None => self.pop_merged(),
             };
             self.prof_exit();
             let Some((t, ev)) = popped else {
@@ -487,15 +548,9 @@ impl<'g> Engine<'g> {
                 return RunEnd::Deadlock { stuck };
             };
             // Simulator self-metrics: dispatched-event count and queue
-            // high-water (the popped event itself counts toward depth).
-            self.stats.events_processed += 1;
-            let depth = self.q.len() as u64 + 1;
-            if depth > self.stats.event_queue_peak {
-                self.stats.event_queue_peak = depth;
-            }
-            if let Some(p) = self.prof.as_mut() {
-                p.note_event(depth);
-            }
+            // high-water (the popped event itself counts toward depth, and
+            // each spinner on the lane holds one event).
+            self.count_event(self.q.len() + self.lane.len() + 1);
             if let Some(every) = self.trace.sample_every() {
                 if t >= self.next_sample {
                     self.prof_enter(ProfPhase::ObsSample);
@@ -522,6 +577,9 @@ impl<'g> Engine<'g> {
                     self.stats.swmr_violation = Some(format!("at cycle {t}: {e}"));
                 }
             }
+            if self.lane.mask() != 0 {
+                self.lane_wake(&ev);
+            }
             self.prof_enter(Self::phase_of(&ev));
             self.dispatch(t, ev);
             self.prof_exit();
@@ -531,6 +589,165 @@ impl<'g> Engine<'g> {
             self.record_samples(self.end_time);
         }
         RunEnd::Done
+    }
+
+    /// Count one dispatched event, real or lane, that found `depth`
+    /// events pending (itself included).
+    #[inline]
+    fn count_event(&mut self, depth: usize) {
+        let depth = depth as u64;
+        self.stats.events_processed += 1;
+        if depth > self.stats.event_queue_peak {
+            self.stats.event_queue_peak = depth;
+        }
+        if let Some(p) = self.prof.as_mut() {
+            p.note_event(depth);
+        }
+    }
+
+    // ---------------- the spin lane ----------------
+
+    /// Pop the next queue event, first running every lane event that
+    /// precedes it in `(cycle, seq)` order. Lane events schedule nothing
+    /// in the queue, so its head key holds across them.
+    fn pop_merged(&mut self) -> Option<(Cycle, Ev)> {
+        if self.lane.mask() != 0 {
+            let real = self.q.peek_key();
+            while let Some((at, seq, c)) = self.lane.peek() {
+                if real.is_some_and(|k| k < (at, seq)) {
+                    break;
+                }
+                self.lane_step(c);
+            }
+        }
+        let popped = self.q.pop();
+        if let Some((t, _)) = popped {
+            self.lane.advance(t);
+        }
+        popped
+    }
+
+    /// Whether `core`, completing a load of the lock word that read
+    /// `word`, may put its spin on the lane: it is spinning and read the
+    /// lock held, and its L1 holds the lock line, so its next load hits.
+    fn lane_can_take(&self, core: CoreId, word: u64) -> bool {
+        self.lane_on
+            && word != 0
+            && self.ctl[core].spin.is_some_and(|s| s.last == SpinOp::Load)
+            && self.ms.l1_holds(core, self.lock_addr.line())
+    }
+
+    /// Put `core`'s spin on the lane, its next event the `Respond` of the
+    /// load just completed, at `at`. The controller's clock, pending
+    /// response and spin position stay as they are until
+    /// [`Engine::lane_leave`] writes the lane's back.
+    fn lane_enter(&mut self, core: CoreId, at: Cycle, word: u64) {
+        let c = &self.ctl[core];
+        debug_assert!(
+            !c.in_tx && !c.spec && c.resolve.is_none() && c.phase_after.is_none(),
+            "core {core}: a spinner has no transaction to settle"
+        );
+        debug_assert!(c.cur_op.is_none() && c.parked.is_none());
+        debug_assert_eq!(self.mem.read(self.lock_addr), word);
+        let ev = LaneEvent {
+            at,
+            seq: self.q.reserve_seq(),
+            step: LaneStep::LoadRespond,
+            word,
+            hits: 0,
+            attr_to: c.last_attr,
+            mutations: self.ms.l1_mutations(core),
+        };
+        self.lane.push(core, ev);
+    }
+
+    /// Dispatch lane core `c`'s pending event, which stands for one real
+    /// event of its loop: count it as that event, and schedule the next
+    /// step on the lane under the `seq` its real successor would take.
+    fn lane_step(&mut self, c: CoreId) {
+        self.count_event(self.q.len() + self.lane.len());
+        let mut ev = self.lane.remove(c);
+        self.lane.advance(ev.at);
+        let (step, delay) = match ev.step {
+            LaneStep::LoadRespond => {
+                ev.attr_to = ev.at;
+                (LaneStep::PauseRecv, 0)
+            }
+            LaneStep::PauseRecv => (LaneStep::PauseRespond, SPIN_PAUSE),
+            LaneStep::PauseRespond => {
+                ev.attr_to = ev.at;
+                (LaneStep::LoadRecv, 0)
+            }
+            LaneStep::LoadRecv => {
+                debug_assert_eq!(
+                    self.ms.l1_mutations(c),
+                    ev.mutations,
+                    "core {c}: L1 changed while on the spin lane"
+                );
+                debug_assert_eq!(self.mem.read(self.lock_addr), ev.word);
+                ev.hits += 1;
+                (LaneStep::LoadRespond, self.cfg.mem.l1_hit)
+            }
+        };
+        ev.at += delay;
+        ev.step = step;
+        ev.seq = self.q.reserve_seq();
+        self.lane.push(c, ev);
+    }
+
+    /// Before `ev` is dispatched, take every lane core it names off the
+    /// lane: a NoC message to or from it, or a notice for it. Nothing
+    /// else reads or writes a spinner's controller or L1.
+    fn lane_wake(&mut self, ev: &Ev) {
+        let named = match ev {
+            Ev::Net(m) => self.describe_net(m).cores,
+            Ev::Notice(
+                CoreNotice::AccessDone { core }
+                | CoreNotice::AccessRejected { core, .. }
+                | CoreNotice::TxAborted { core, .. }
+                | CoreNotice::Wakeup { core }
+                | CoreNotice::HlaResult { core, .. },
+            ) => 1 << core,
+            // A lane core's own `Recv`/`Respond` is its lane event.
+            Ev::Recv(c) | Ev::Respond(c, _) => {
+                debug_assert_eq!(self.lane.mask() & (1 << c), 0, "core {c} is on the lane");
+                0
+            }
+            // A stale retry or timeout finds a lane core unparked: a no-op.
+            Ev::Retry(..) | Ev::ParkTimeout(..) => 0,
+        };
+        let mut hit = named & self.lane.mask();
+        while hit != 0 {
+            let c = hit.trailing_zeros() as usize;
+            hit &= hit - 1;
+            self.lane_leave(c);
+        }
+    }
+
+    /// Take `c` off the lane: apply its deferred phase time and L1 hits,
+    /// restore the controller to where its last lane step left it, and
+    /// put its pending event into the queue at its exact `(cycle, seq)`.
+    fn lane_leave(&mut self, c: CoreId) {
+        let ev = self.lane.remove(c);
+        debug_assert_eq!(
+            self.ms.l1_mutations(c),
+            ev.mutations,
+            "core {c}: L1 changed while on the spin lane"
+        );
+        self.ms.l1_load_hits(c, self.lock_addr.line(), ev.hits);
+        self.attr(c, ev.attr_to);
+        let word = GuestResp::Value(ev.word);
+        let (real, pending, last) = match ev.step {
+            LaneStep::LoadRespond => (Ev::Respond(c, word), None, SpinOp::Load),
+            LaneStep::PauseRecv => (Ev::Recv(c), Some(word), SpinOp::Load),
+            LaneStep::PauseRespond => (Ev::Respond(c, GuestResp::Done), None, SpinOp::Pause),
+            LaneStep::LoadRecv => (Ev::Recv(c), Some(GuestResp::Done), SpinOp::Pause),
+        };
+        let ctl = &mut self.ctl[c];
+        ctl.respond_scheduled = matches!(real, Ev::Respond(..));
+        ctl.pending_resp = pending;
+        ctl.spin = ctl.spin.map(|s| Spin { last, ..s });
+        self.q.schedule_at_seq(ev.at, ev.seq, real);
     }
 
     /// Dispatch one popped event (the body of the hot loop, split out so
@@ -587,13 +804,53 @@ impl<'g> Engine<'g> {
     /// Resume `core`'s guest with its pending response (a synthetic
     /// `Done` kick on the very first rendezvous — see [`GuestExec`]) and
     /// take its next op. The guest computes in zero simulated time, on
-    /// the engine's own thread.
+    /// the engine's own thread. A core in a spin wait is not resumed: the
+    /// wait's loop supplies the op.
     fn recv_op(&mut self, _t: Cycle, c: CoreId) -> GuestOp {
+        if let Some(spin) = self.ctl[c].spin {
+            return self.spin_next(c, spin);
+        }
         self.prof_enter(ProfPhase::GuestResume);
         let ctl = &mut self.ctl[c];
         let resp = ctl.pending_resp.take().unwrap_or(GuestResp::Done);
         let op = ctl.exec.as_mut().expect("core not registered").resume(resp);
         self.prof_exit();
+        op
+    }
+
+    /// The next op of `c`'s spin wait, from the response just delivered
+    /// to the op it issued last: the test-and-test-and-set loop
+    ///
+    /// ```text
+    /// loop { if load(lock) == 0 && (!acquire || cas(lock, 0, 1) == 0) { break }
+    ///        compute(SPIN_PAUSE) }
+    /// ```
+    ///
+    /// The closing op is the `SpinWait` again ([`Engine::handle_op`]
+    /// ends the wait there), so a scheduler sees the same `Recv` stream a
+    /// guest-side loop between two phase annotations would give it.
+    fn spin_next(&mut self, c: CoreId, spin: Spin) -> GuestOp {
+        let resp = self.ctl[c].pending_resp.take();
+        let lock = self.lock_addr;
+        let (op, last) = match (spin.last, resp) {
+            (SpinOp::Begin | SpinOp::Pause, Some(GuestResp::Done)) => {
+                (GuestOp::Load(lock), SpinOp::Load)
+            }
+            (SpinOp::Load, Some(GuestResp::Value(0))) if spin.acquire => {
+                (GuestOp::Cas(lock, 0, 1), SpinOp::Cas)
+            }
+            (SpinOp::Load | SpinOp::Cas, Some(GuestResp::Value(0))) => (
+                GuestOp::SpinWait {
+                    acquire: spin.acquire,
+                },
+                SpinOp::End,
+            ),
+            (SpinOp::Load | SpinOp::Cas, Some(GuestResp::Value(_))) => {
+                (GuestOp::Compute(SPIN_PAUSE), SpinOp::Pause)
+            }
+            (last, resp) => panic!("core {c}: spin wait got {resp:?} after {last:?}"),
+        };
+        self.ctl[c].spin = Some(Spin { last, ..spin });
         op
     }
 
@@ -672,8 +929,12 @@ impl<'g> Engine<'g> {
                         d.line = Some(a.line());
                         d.bank = Some(bank_of(a.line()));
                     }
-                    Some(GuestOp::Compute(_) | GuestOp::TTest | GuestOp::TxBegin)
-                    | Some(GuestOp::SpinBegin | GuestOp::SpinEnd) => {}
+                    Some(
+                        GuestOp::Compute(_)
+                        | GuestOp::TTest
+                        | GuestOp::TxBegin
+                        | GuestOp::SpinWait { .. },
+                    ) => {}
                     // Commit/abort/lock transitions fan wake-ups and HLA
                     // traffic out to arbitrary cores — global, but the
                     // shared state is pure sync machinery, so a static
@@ -884,6 +1145,14 @@ impl<'g> Engine<'g> {
         h.finish()
     }
 
+    /// The memory system's fingerprint alone (test builds).
+    #[cfg(test)]
+    pub(crate) fn ms_fingerprint(&self) -> u64 {
+        let mut h = FxHasher::default();
+        self.ms.fingerprint(&mut h);
+        h.finish()
+    }
+
     /// Consume the engine, producing run statistics.
     pub fn into_stats(mut self) -> (RunStats, FlatMem) {
         self.stats.cycles = self.end_time;
@@ -1052,10 +1321,29 @@ impl<'g> Engine<'g> {
                 self.ctl[core].cur_txn = 0;
                 self.schedule_respond(core, t + 2, GuestResp::Done);
             }
+            GuestOp::SpinWait { acquire } => {
+                // The guest's op begins the wait; the loop's closing op
+                // (`spin_next`) ends it.
+                let (phase, spin) = match self.ctl[core].spin {
+                    None => {
+                        let last = SpinOp::Begin;
+                        (Phase::WaitLock, Some(Spin { acquire, last }))
+                    }
+                    Some(s) => {
+                        debug_assert_eq!(s.last, SpinOp::End);
+                        (Phase::NonTran, None)
+                    }
+                };
+                self.ctl[core].spin = spin;
+                self.set_phase(core, t, phase);
+                self.schedule_respond(core, t, GuestResp::Done);
+            }
+            #[cfg(test)]
             GuestOp::SpinBegin => {
                 self.set_phase(core, t, Phase::WaitLock);
                 self.schedule_respond(core, t, GuestResp::Done);
             }
+            #[cfg(test)]
             GuestOp::SpinEnd => {
                 self.set_phase(core, t, Phase::NonTran);
                 self.schedule_respond(core, t, GuestResp::Done);
@@ -1266,6 +1554,12 @@ impl<'g> Engine<'g> {
             }
             other => unreachable!("complete_access on {other:?}"),
         };
+        if let GuestResp::Value(word) = resp {
+            if self.lane_can_take(core, word) {
+                self.lane_enter(core, t, word);
+                return;
+            }
+        }
         self.schedule_respond(core, t, resp);
     }
 

@@ -30,6 +30,12 @@
 //! memory operations return `Result<_, Abort>`: an abort unwinds the body
 //! via `?` and the retry loop re-executes it, exactly like hardware
 //! rolling back to the xbegin.
+//!
+//! Waiting on the fallback lock (the CGL and fallback acquires, and
+//! Baseline's wait after finding its subscribed lock held) is one
+//! [`GuestOp::SpinWait`]: the engine runs the test-and-test-and-set loop
+//! itself, issuing the same loads, CAS and pauses a guest-side loop
+//! would, without resuming the guest between them.
 
 use crate::exec::{GuestEnv, Mailbox};
 use sim_core::rng::SimRng;
@@ -77,15 +83,31 @@ pub enum GuestOp {
     HlBegin,
     /// `hlend` — leave TL/STL mode.
     HlEnd,
+    /// Wait on the fallback lock word, test-and-test-and-set style
+    /// (Listing 1's spin). The engine runs the whole loop: it loads the
+    /// word until it reads 0, pausing `Compute(16)` after each non-zero
+    /// read; with `acquire` it then CASes the word 0 → 1 and resumes
+    /// spinning if the CAS lost. Each load, CAS and pause is an ordinary
+    /// op with its own events, exactly as if the guest had issued it.
+    /// Responds `Done` once the lock was seen free (with `acquire`: once
+    /// this core took it); the wait is the core's `waitlock` phase.
+    SpinWait {
+        acquire: bool,
+    },
     /// Phase annotations for the execution-time breakdown.
-    SpinBegin,
-    SpinEnd,
     FallbackBegin,
     FallbackEnd,
     /// First-touch notification from the allocator (demand paging).
     PageTouch(u64),
     Barrier,
     Exit,
+    /// Test builds only: the phase annotations the guest-side spin loop
+    /// sat between before `SpinWait` replaced it. That loop is kept as
+    /// the oracle `SpinWait` is checked against (`tests::guest_spin`).
+    #[cfg(test)]
+    SpinBegin,
+    #[cfg(test)]
+    SpinEnd,
 }
 
 /// Engine responses.
@@ -125,6 +147,10 @@ pub struct GuestCtx {
     lock_addr: Addr,
     mailbox: Mailbox,
     in_critical: bool,
+    /// Test builds only: spin with the guest-side oracle loop instead of
+    /// [`GuestOp::SpinWait`].
+    #[cfg(test)]
+    pub(crate) guest_spin: bool,
 }
 
 impl GuestCtx {
@@ -137,6 +163,8 @@ impl GuestCtx {
             lock_addr: env.lock_addr,
             mailbox,
             in_critical: false,
+            #[cfg(test)]
+            guest_spin: false,
         }
     }
 
@@ -189,23 +217,23 @@ impl GuestCtx {
 
     // ---------------- spin lock (test-and-test-and-set) ----------------
 
+    /// Take the fallback lock: one [`GuestOp::SpinWait`], whose loop the
+    /// engine runs.
     async fn spin_acquire(&self) {
-        self.op_infallible(GuestOp::SpinBegin).await;
-        loop {
-            if self.load(self.lock_addr).await == 0 && self.cas(self.lock_addr, 0, 1).await == 0 {
-                break;
-            }
-            self.compute(16).await;
-        }
-        self.op_infallible(GuestOp::SpinEnd).await;
+        self.spin_wait(true).await;
     }
 
+    /// Wait until the fallback lock is free, without taking it.
     async fn spin_until_free(&self) {
-        self.op_infallible(GuestOp::SpinBegin).await;
-        while self.load(self.lock_addr).await != 0 {
-            self.compute(16).await;
+        self.spin_wait(false).await;
+    }
+
+    async fn spin_wait(&self, acquire: bool) {
+        #[cfg(test)]
+        if self.guest_spin {
+            return tests::guest_spin(self, acquire).await;
         }
-        self.op_infallible(GuestOp::SpinEnd).await;
+        self.op_infallible(GuestOp::SpinWait { acquire }).await;
     }
 
     async fn release_lock(&self) {
@@ -397,5 +425,159 @@ impl TxCtx<'_> {
     /// Thread id of the owning guest (handy for per-thread structures).
     pub fn tid(&self) -> usize {
         self.g.tid
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::flatmem::SetupCtx;
+    use crate::program::{GuestFuture, Program};
+    use crate::runner::{RunOutput, Runner};
+    use crate::system::SystemKind;
+    use sim_core::config::SystemConfig;
+    use sim_core::stats::Phase;
+
+    /// The guest-side test-and-test-and-set loop [`GuestOp::SpinWait`]
+    /// replaced, op for op: the oracle the engine-run loop must match.
+    pub(super) async fn guest_spin(g: &GuestCtx, acquire: bool) {
+        g.op_infallible(GuestOp::SpinBegin).await;
+        if acquire {
+            loop {
+                if g.load(g.lock_addr).await == 0 && g.cas(g.lock_addr, 0, 1).await == 0 {
+                    break;
+                }
+                g.compute(16).await;
+            }
+        } else {
+            while g.load(g.lock_addr).await != 0 {
+                g.compute(16).await;
+            }
+        }
+        g.op_infallible(GuestOp::SpinEnd).await;
+    }
+
+    /// Contended critical sections on one shared counter. Every fourth
+    /// one first touches a page no one has touched yet: a demand-paging
+    /// fault, which a speculative attempt cannot survive, so it goes
+    /// straight to the fallback lock. Lock waits of every kind follow:
+    /// CGL acquires, fallback acquires, and Baseline's wait after finding
+    /// its subscribed lock held.
+    struct Contended {
+        rounds: u64,
+        counter: Addr,
+        guest_spin: bool,
+    }
+
+    impl Program for Contended {
+        fn name(&self) -> &str {
+            "contended"
+        }
+
+        fn setup(&mut self, s: &mut SetupCtx, _threads: usize) {
+            self.counter = s.alloc(8);
+        }
+
+        fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+            Box::pin(async move {
+                ctx.guest_spin = self.guest_spin;
+                let counter = self.counter;
+                for round in 0..self.rounds {
+                    let fresh_page = (round % 4 == ctx.tid as u64 % 4)
+                        .then_some(1 << 20 | (ctx.tid as u64) << 8 | round);
+                    ctx.critical(async |tx| {
+                        if let Some(page) = fresh_page {
+                            tx.page_touch(page).await?;
+                        }
+                        let v = tx.load(counter).await?;
+                        tx.compute(40).await?;
+                        tx.store(counter, v + 1).await?;
+                        Ok(())
+                    })
+                    .await;
+                    ctx.compute(20 + 7 * ctx.tid as u64).await;
+                }
+            })
+        }
+    }
+
+    fn contended(guest_spin: bool) -> Contended {
+        Contended {
+            rounds: 12,
+            counter: Addr::NULL,
+            guest_spin,
+        }
+    }
+
+    fn runner(kind: SystemKind) -> Runner {
+        Runner::new(kind)
+            .threads(8)
+            .config(SystemConfig::testing(8))
+            .retries(2)
+    }
+
+    fn run(kind: SystemKind, guest_spin: bool) -> RunOutput {
+        let mut prog = contended(guest_spin);
+        let out = runner(kind).tracing().run(&mut prog);
+        assert_eq!(out.mem.read(prog.counter), 8 * 12, "{kind:?}");
+        out
+    }
+
+    /// Always the earliest-scheduled front event: the queue's own order,
+    /// with every event dispatched through the queue.
+    struct Fifo;
+
+    impl crate::sched::Scheduler for Fifo {
+        fn pick(
+            &mut self,
+            _at: sim_core::types::Cycle,
+            _options: &[crate::sched::EvDesc],
+            _state_fp: &dyn Fn() -> u64,
+        ) -> usize {
+            0
+        }
+    }
+
+    /// `SpinWait` against the guest-side loop it replaced: the same run
+    /// statistics, trace and final memory on CGL, Baseline and
+    /// LockillerTM. Unscheduled and unchecked, so the engine-run loop
+    /// also puts its L1-hit iterations on the spin lane.
+    #[test]
+    fn spin_wait_matches_the_guest_side_loop() {
+        for kind in [
+            SystemKind::Cgl,
+            SystemKind::Baseline,
+            SystemKind::LockillerTm,
+        ] {
+            let (engine, guest) = (run(kind, false), run(kind, true));
+            assert!(
+                engine.stats.phase(Phase::WaitLock) > 0 && engine.stats.fallbacks > 0,
+                "{kind:?}: the run must wait on the lock"
+            );
+            assert_eq!(engine.stats.to_json(), guest.stats.to_json(), "{kind:?}");
+            assert_eq!(engine.trace_events(), guest.trace_events(), "{kind:?}");
+            assert_eq!(engine.mem.digest(), guest.mem.digest(), "{kind:?}");
+        }
+    }
+
+    /// The spin lane leaves the memory system exactly as all-real events
+    /// do: the spinners' deferred L1 hits land, so every LRU stamp and
+    /// L1 clock matches a FIFO-scheduled run (which never uses the lane).
+    /// Statistics and memory cannot show those hits: a spin only ends
+    /// after a miss, once the lock holder's release invalidated the line
+    /// the hits touched.
+    #[test]
+    fn spin_lane_leaves_the_l1s_as_real_events_do() {
+        for kind in [
+            SystemKind::Cgl,
+            SystemKind::Baseline,
+            SystemKind::LockillerTm,
+        ] {
+            let lane = runner(kind).run(&mut contended(false));
+            let real = runner(kind).run_scheduled(&mut contended(false), &mut Fifo);
+            assert_eq!(lane.stats.to_json(), real.stats.to_json(), "{kind:?}");
+            assert_eq!(lane.mem.digest(), real.mem.digest(), "{kind:?}");
+            assert_eq!(lane.ms_fingerprint, real.ms_fingerprint, "{kind:?}");
+        }
     }
 }

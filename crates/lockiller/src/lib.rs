@@ -31,6 +31,7 @@ pub mod engine;
 pub mod exec;
 pub mod flatmem;
 pub mod guest;
+mod lane;
 pub mod program;
 pub mod runner;
 pub mod sched;

@@ -55,6 +55,11 @@ pub struct RunOutput {
     /// requested. Pure host observation — enabling it cannot change
     /// `stats`, `trace`, or `mem` (tests assert byte-identity).
     pub host_prof: Option<ProfReport>,
+    /// Test builds only: the final memory-system fingerprint (every L1's
+    /// lines, LRU stamps and clock; the banks; the mesh), which no public
+    /// output exposes.
+    #[cfg(test)]
+    pub(crate) ms_fingerprint: u64,
 }
 
 impl RunOutput {
@@ -304,6 +309,8 @@ impl Runner {
 
         let trace = traced.then(|| engine.take_trace());
         let host_prof = engine.take_prof();
+        #[cfg(test)]
+        let ms_fingerprint = engine.ms_fingerprint();
         let (stats, mem) = engine.into_stats();
         RunOutput {
             stats,
@@ -311,6 +318,8 @@ impl Runner {
             mem,
             end,
             host_prof,
+            #[cfg(test)]
+            ms_fingerprint,
         }
     }
 

@@ -8,10 +8,10 @@
 //! The queue is a calendar queue that keeps that order by construction:
 //!
 //! - **Ring.** 512 one-cycle slots cover `[now, now + 512)`; cycle `c`
-//!   lives in slot `c % 512`. Each slot is a FIFO linked through one
-//!   shared node slab (a `Vec` with a free list), and an occupancy bitmap
-//!   finds the next non-empty slot. Appending to a slot *is* schedule
-//!   order, so ring events carry no sequence number.
+//!   lives in slot `c % 512`. Each slot is a list in `seq` order, linked
+//!   through one shared node slab (a `Vec` with a free list), and an
+//!   occupancy bitmap finds the next non-empty slot. A direct schedule
+//!   takes the next `seq`, so it appends at its slot's tail.
 //! - **Far heap.** Events 512 or more cycles ahead wait in a `(cycle, seq)`
 //!   binary heap. In the engine these are the wake-up timeouts; every
 //!   other delay is under 512 (DESIGN §4.1 has the histogram).
@@ -19,9 +19,16 @@
 //!   now fall inside the window move into their slots in heap order. A
 //!   direct schedule reaches only cycles below `now + 512`, so a far event
 //!   enters its slot before any direct schedule for its cycle can, and
-//!   behind only earlier far events: every slot stays in `seq` order.
+//!   behind only earlier far events: it too appends at the tail.
+//! - **Reserved sequence numbers.** [`EventQueue::reserve_seq`] takes a
+//!   `seq` without scheduling, and [`EventQueue::schedule_at_seq`] later
+//!   inserts an event under it, in `seq` order within its slot: the
+//!   event fires exactly where it would have had it been scheduled when
+//!   the number was reserved. The engine's spin lane (DESIGN §7.1) runs
+//!   events off the queue this way and hands one back when it must.
 //!
-//! Scheduling into the ring and [`EventQueue::len`] are O(1); popping and
+//! Scheduling into the ring and [`EventQueue::len`] are O(1) (a reserved
+//! insert walks its slot); popping, [`EventQueue::peek_key`] and
 //! [`EventQueue::front_len`] add a scan of the eight bitmap words (and
 //! one heap pop per migrated event); [`EventQueue::front_snapshot`] and
 //! [`EventQueue::pop_nth_front`] are O(front). Only a front that exists
@@ -64,10 +71,12 @@ impl<E> Ord for Entry<E> {
 }
 
 /// A slab node: `Some` payload while linked into a slot, `None` while
-/// on the free list.
+/// on the free list. `seq` orders a reserved insert against the slot's
+/// other events and is the second half of [`EventQueue::peek_key`].
 #[derive(Debug)]
 struct Node<E> {
     payload: Option<E>,
+    seq: u64,
     next: u32,
 }
 
@@ -128,16 +137,34 @@ impl<E> EventQueue<E> {
     ///
     /// Scheduling in the past is a simulator bug; panics in that case.
     pub fn schedule_at(&mut self, at: Cycle, payload: E) {
+        let seq = self.reserve_seq();
+        self.schedule_at_seq(at, seq, payload);
+    }
+
+    /// Take the next sequence number without scheduling anything: the
+    /// number an event scheduled now would get.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `payload` at cycle `at` under `seq`, a number taken
+    /// earlier by [`EventQueue::reserve_seq`] and not used since: among
+    /// `at`'s events it fires in `seq` order, exactly where it would have
+    /// fired had it been scheduled when `seq` was reserved.
+    ///
+    /// Scheduling in the past is a simulator bug; panics in that case.
+    pub fn schedule_at_seq(&mut self, at: Cycle, seq: u64, payload: E) {
         assert!(
             at >= self.now,
             "event scheduled in the past ({at} < {})",
             self.now
         );
+        debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
         if at - self.now < RING as Cycle {
-            self.push_slot(at, payload);
+            self.push_slot(at, seq, payload);
         } else {
-            let seq = self.next_seq;
-            self.next_seq += 1;
             self.far.push(Entry { at, seq, payload });
         }
     }
@@ -153,6 +180,19 @@ impl<E> EventQueue<E> {
             Some(s) => Some(self.cycle_of(s)),
             // Far events all lie beyond every ring event.
             None => self.far.peek().map(|e| e.at),
+        }
+    }
+
+    /// `(cycle, seq)` of the next event [`EventQueue::pop`] would return:
+    /// the key that orders it against events kept outside the queue under
+    /// reserved sequence numbers.
+    pub fn peek_key(&self) -> Option<(Cycle, u64)> {
+        match self.first_slot() {
+            Some(s) => Some((
+                self.cycle_of(s),
+                self.nodes[self.slots[s].head as usize].seq,
+            )),
+            None => self.far.peek().map(|e| (e.at, e.seq)),
         }
     }
 
@@ -202,7 +242,7 @@ impl<E> EventQueue<E> {
         // (including the whole front, if it was only in the far heap).
         while self.far.peek().is_some_and(|e| e.at - at < RING as Cycle) {
             let e = self.far.pop().expect("peeked entry");
-            self.push_slot(e.at, e.payload);
+            self.push_slot(e.at, e.seq, e.payload);
         }
         Some((at, self.unlink(at as usize % RING, n)))
     }
@@ -228,11 +268,13 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Append `payload` to the FIFO of `at`'s slot (`at` is inside the
-    /// window).
-    fn push_slot(&mut self, at: Cycle, payload: E) {
+    /// Link `payload` into `at`'s slot (`at` is inside the window) in
+    /// `seq` order: at the tail unless `seq` was reserved before one of
+    /// the slot's events was scheduled.
+    fn push_slot(&mut self, at: Cycle, seq: u64, payload: E) {
         let node = Node {
             payload: Some(payload),
+            seq,
             next: NIL,
         };
         let i = if self.free == NIL {
@@ -249,11 +291,27 @@ impl<E> EventQueue<E> {
         let slot = &mut self.slots[s];
         if slot.len == 0 {
             slot.head = i;
+            slot.tail = i;
             self.occupied[s / 64] |= 1 << (s % 64);
-        } else {
+        } else if self.nodes[slot.tail as usize].seq < seq {
             self.nodes[slot.tail as usize].next = i;
+            slot.tail = i;
+        } else {
+            // Walk to the last node that precedes `seq`.
+            let mut prev = NIL;
+            let mut j = slot.head;
+            while self.nodes[j as usize].seq < seq {
+                prev = j;
+                j = self.nodes[j as usize].next;
+            }
+            debug_assert_ne!(self.nodes[j as usize].seq, seq, "seq {seq} used twice");
+            self.nodes[i as usize].next = j;
+            if prev == NIL {
+                slot.head = i;
+            } else {
+                self.nodes[prev as usize].next = i;
+            }
         }
-        slot.tail = i;
         slot.len += 1;
         self.ring_len += 1;
     }
@@ -488,6 +546,67 @@ mod tests {
         assert_eq!(q.pop(), Some((600, "direct")));
     }
 
+    /// A far event keeps its `seq` when it migrates into the ring: an
+    /// event inserted later under an older reserved number still fires
+    /// before it, and one under a newer number after it.
+    #[test]
+    fn seq_survives_far_heap_migration() {
+        let mut q = EventQueue::new();
+        let older = q.reserve_seq();
+        q.schedule_at(600, "far");
+        let newer = q.reserve_seq();
+        q.schedule_at(100, "near");
+        assert_eq!(q.pop(), Some((100, "near")));
+        assert!(q.far.is_empty(), "cycle 600 entered the window");
+        q.schedule_at(600, "direct");
+        q.schedule_at_seq(600, newer, "newer");
+        q.schedule_at_seq(600, older, "older");
+        assert_eq!(q.peek_key(), Some((600, older)));
+        assert_eq!(q.front_snapshot(), vec!["older", "far", "newer", "direct"]);
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.1).collect();
+        assert_eq!(popped, vec!["older", "far", "newer", "direct"]);
+    }
+
+    /// A reserved insert lands between the slot's events by `seq`: at the
+    /// head, in the middle, or at the tail.
+    #[test]
+    fn reserved_seq_inserts_in_order_into_a_nonempty_slot() {
+        let mut q = EventQueue::new();
+        let head = q.reserve_seq();
+        q.schedule_at(5, "a");
+        let middle = q.reserve_seq();
+        q.schedule_at(5, "b");
+        q.schedule_at(9, "later");
+        let tail = q.reserve_seq();
+        q.schedule_at_seq(5, middle, "m");
+        q.schedule_at_seq(5, tail, "t");
+        q.schedule_at_seq(5, head, "h");
+        assert_eq!(q.front_len(), 5);
+        assert_eq!(q.front_snapshot(), vec!["h", "a", "m", "b", "t"]);
+        assert_eq!(q.len(), 6);
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.1).collect();
+        assert_eq!(popped, vec!["h", "a", "m", "b", "t", "later"]);
+    }
+
+    /// `peek_key` names the event `pop` returns next, in the ring and
+    /// when the front lives only in the far heap.
+    #[test]
+    fn peek_key_is_the_next_pop() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_key(), None);
+        q.schedule_at(200_000, "timeout");
+        assert_eq!(q.peek_key(), Some((200_000, 0)));
+        q.schedule_at(3, "x");
+        q.schedule_at(3, "y");
+        assert_eq!(q.peek_key(), Some((3, 1)));
+        assert_eq!(q.pop(), Some((3, "x")));
+        assert_eq!(q.peek_key(), Some((3, 2)));
+        assert_eq!(q.pop(), Some((3, "y")));
+        assert_eq!(q.peek_key(), Some((200_000, 0)));
+        assert_eq!(q.pop(), Some((200_000, "timeout")));
+        assert_eq!(q.peek_key(), None);
+    }
+
     /// Reference model: every pending event as `(cycle, seq, payload)`,
     /// kept sorted, so the front is a prefix in schedule order.
     #[derive(Default)]
@@ -499,9 +618,14 @@ mod tests {
 
     impl Model {
         fn schedule_at(&mut self, at: Cycle, payload: u32) {
-            let i = self.events.partition_point(|e| e.0 <= at);
-            self.events.insert(i, (at, self.next_seq, payload));
+            let seq = self.next_seq;
             self.next_seq += 1;
+            self.schedule_at_seq(at, seq, payload);
+        }
+
+        fn schedule_at_seq(&mut self, at: Cycle, seq: u64, payload: u32) {
+            let i = self.events.partition_point(|e| (e.0, e.1) <= (at, seq));
+            self.events.insert(i, (at, seq, payload));
         }
 
         fn front(&self) -> &[(Cycle, u64, u32)] {
@@ -524,15 +648,34 @@ mod tests {
 
     /// Differential test against the sorted-`Vec` model over mixed
     /// schedules and pops, with delays on both sides of the ring width
-    /// and the 200,000-cycle timeout.
+    /// and the 200,000-cycle timeout, and events held under reserved
+    /// sequence numbers (up to 16 cycles ahead, as the engine's spin lane
+    /// holds them) then inserted late.
     #[test]
     fn matches_sorted_vec_model() {
         let mut rng = SimRng::new(0xCA1E_0DA2);
         let mut q = EventQueue::new();
         let mut m = Model::default();
+        let mut held: Vec<(Cycle, u64, u32)> = Vec::new();
         let (mut far_only_fronts, mut wide_fronts, mut migrated) = (0, 0, 0);
+        let mut reserved_inserts = 0;
         for payload in 0..20_000u32 {
-            match rng.below(10) {
+            match rng.below(12) {
+                10 => {
+                    let seq = q.reserve_seq();
+                    assert_eq!(seq, m.next_seq);
+                    m.next_seq += 1;
+                    held.push((q.now() + rng.below(17), seq, payload));
+                }
+                11 => {
+                    // Insert the held events not yet overtaken by time.
+                    held.retain(|&(at, ..)| at >= q.now());
+                    for (at, seq, p) in held.drain(..) {
+                        q.schedule_at_seq(at, seq, p);
+                        m.schedule_at_seq(at, seq, p);
+                        reserved_inserts += 1;
+                    }
+                }
                 0..=4 => {
                     let delay = match rng.below(8) {
                         0 => 0,
@@ -558,6 +701,7 @@ mod tests {
             assert_eq!(q.len(), m.events.len());
             assert_eq!(q.is_empty(), m.events.is_empty());
             assert_eq!(q.peek_time(), m.events.first().map(|e| e.0));
+            assert_eq!(q.peek_key(), m.events.first().map(|e| (e.0, e.1)));
             let front: Vec<u32> = m.front().iter().map(|e| e.2).collect();
             assert_eq!(q.front_len(), front.len());
             assert_eq!(q.front_snapshot(), front);
@@ -568,6 +712,10 @@ mod tests {
             far_only_fronts += usize::from(q.ring_len == 0 && !q.far.is_empty());
             wide_fronts += usize::from(front.len() > 1);
         }
+        assert!(
+            reserved_inserts > 0,
+            "no event was inserted under a reserved seq"
+        );
         assert!(far_only_fronts > 0, "no front lived only in the far heap");
         assert!(wide_fronts > 0, "no front was wider than one event");
         assert!(migrated > 0, "no far event migrated on a pop_nth_front");

@@ -90,9 +90,29 @@ impl SimRng {
     }
 }
 
+/// Parse a run seed as every CLI takes it: decimal, or hexadecimal with
+/// a `0x` prefix (`16` and `0x10` are the same seed). `None` on anything
+/// else, including bare hex digits such as `c0ffee`.
+pub fn parse_seed(s: &str) -> Option<u64> {
+    match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seeds_parse_as_decimal_or_prefixed_hex() {
+        assert_eq!(parse_seed("16"), Some(16));
+        assert_eq!(parse_seed("0x10"), Some(16));
+        assert_eq!(parse_seed("0xc0ffee"), Some(0xC0FFEE));
+        for bad in ["c0ffee", "0x", "", "-1", "0xg", "1.5", "+0x10"] {
+            assert_eq!(parse_seed(bad), None, "{bad:?}");
+        }
+    }
 
     #[test]
     fn deterministic_for_seed() {

@@ -4,15 +4,18 @@
 //!
 //! ```text
 //! tmcheck [--workload NAME|all] [--system NAME|all] [--threads N]
-//!         [--scale tiny|small|full] [--seed HEX] [-v]
+//!         [--scale tiny|small|full] [--seed N] [-v]
 //! ```
 //!
 //! Defaults: all workloads, the four-system ladder Baseline /
 //! LockillerRWI / LockillerRWIL / LockillerTM, 4 threads, tiny scale.
 //! `--threads` takes 1..=32, the core count of every hardware preset.
+//! `--seed` is decimal, or hexadecimal with a `0x` prefix, as in
+//! `lockiller_sim` and `tmtrace`.
 
 use lockiller::system::SystemKind;
 use sim_core::config::{SystemConfig, MAX_CORES};
+use sim_core::rng::parse_seed;
 use stamp::{Scale, Workload, WorkloadKind};
 use tmcheck::harness::{checked_config, run_checked};
 
@@ -38,7 +41,8 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: tmcheck [--workload NAME|all] [--system NAME|all] [--threads N]\n\
-         \x20              [--scale tiny|small|full] [--seed HEX] [-v]"
+         \x20              [--scale tiny|small|full] [--seed N] [-v]\n\
+         --seed N: decimal, or hex with a 0x prefix"
     );
     std::process::exit(2);
 }
@@ -93,11 +97,7 @@ fn parse_args() -> Args {
                     _ => usage(),
                 };
             }
-            "--seed" => {
-                let v = val();
-                let v = v.trim_start_matches("0x");
-                args.seed = u64::from_str_radix(v, 16).unwrap_or_else(|_| usage());
-            }
+            "--seed" => args.seed = parse_seed(&val()).unwrap_or_else(|| usage()),
             "-v" | "--verbose" => args.verbose = true,
             "-h" | "--help" => usage(),
             other => {

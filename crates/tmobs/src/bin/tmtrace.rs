@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! tmtrace [run]  [--workload NAME] [--system NAME] [--threads N]
-//!                [--scale tiny|small|full] [--seed HEX] [--sample CYCLES]
+//!                [--scale tiny|small|full] [--seed N] [--sample CYCLES]
 //!                [--out DIR] [--timeline] [--validate] [-v]
 //! tmtrace blame  [same options] [--top N]
 //! tmtrace flame  [same options]
@@ -37,6 +37,8 @@
 //! session's phase table on every run.
 //!
 //! `--threads` takes 1..=32, the core count of every hardware preset.
+//! `--seed` is decimal, or hexadecimal with a `0x` prefix, as in
+//! `lockiller_sim` and `tmcheck`.
 //!
 //! `perf-diff` refuses (exit 2) to compare documents whose top-level
 //! `"schema"` tags differ — the error names the path and both
@@ -50,6 +52,7 @@
 
 use lockiller::system::SystemKind;
 use sim_core::config::MAX_CORES;
+use sim_core::rng::parse_seed;
 use stamp::{Scale, WorkloadKind};
 use tmobs::{diff_docs, run_trace, validate_chrome, TraceConfig};
 
@@ -72,14 +75,15 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: tmtrace [run]  [--workload NAME] [--system NAME] [--threads N]\n\
-         \x20              [--scale tiny|small|full] [--seed HEX] [--sample CYCLES]\n\
+         \x20              [--scale tiny|small|full] [--seed N] [--sample CYCLES]\n\
          \x20              [--out DIR] [--timeline] [--validate] [-v]\n\
          \x20      tmtrace blame [same options] [--top N]\n\
          \x20      tmtrace flame [same options]\n\
          \x20      tmtrace diff  A.json B.json [--threshold PCT]\n\
          \x20      tmtrace perf-diff BASELINE.json CURRENT.json [--tolerance PCT]\n\
          \x20              [--host-tolerance PCT] [--top-phases K]\n\
-         \x20      tmtrace witness FILE.json [...]"
+         \x20      tmtrace witness FILE.json [...]\n\
+         --seed N: decimal, or hex with a 0x prefix"
     );
     std::process::exit(2);
 }
@@ -135,11 +139,7 @@ fn parse_args(mut it: std::env::Args) -> Args {
                     _ => usage(),
                 };
             }
-            "--seed" => {
-                let v = val();
-                let v = v.trim_start_matches("0x");
-                args.cfg.seed = u64::from_str_radix(v, 16).unwrap_or_else(|_| usage());
-            }
+            "--seed" => args.cfg.seed = parse_seed(&val()).unwrap_or_else(|| usage()),
             "--sample" => {
                 args.cfg.sample_every = val().parse().unwrap_or_else(|_| usage());
             }
