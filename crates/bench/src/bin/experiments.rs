@@ -22,11 +22,13 @@
 //! efficiency) as JSON; default `BENCH_lab.json`.
 //!
 //! Any other `--` flag, a value flag without its value, and a `--jobs`
-//! value that is not a count are usage errors (exit 2).
+//! value outside 1..=256 (`tmverify::dpor::MAX_JOBS`) are usage errors
+//! (exit 2).
 
 use lockiller_bench::experiments as ex;
 use lockiller_bench::lab::Lab;
 use stamp::Scale;
+use tmverify::dpor::MAX_JOBS;
 
 const USAGE: &str = "usage: experiments [--quick] [--verbose] [--jobs N] [--csv FILE] \
                      [--bench-json FILE] [--no-profile] [EXPERIMENT...]";
@@ -59,9 +61,12 @@ fn main() {
             "--bench-json" => bench_json = value(),
             "--jobs" => {
                 let v = value();
-                jobs = v
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| usage(&format!("--jobs takes a job count, got {v:?}")));
+                jobs = match v.parse::<usize>() {
+                    Ok(j) if (1..=MAX_JOBS).contains(&j) => j,
+                    _ => usage(&format!(
+                        "--jobs takes a job count, got {v:?} (1..={MAX_JOBS})"
+                    )),
+                };
             }
             flag if flag.starts_with("--") => usage(&format!("unknown option {flag}")),
             _ => what.push(arg),

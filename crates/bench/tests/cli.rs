@@ -91,6 +91,9 @@ fn experiments_rejects_unknown_flags_and_missing_values() {
         (&["--csv", "--quick", "table1"], "--csv takes a value"),
         (&["table2", "--bench-json"], "--bench-json takes a value"),
         (&["table2", "--jobs"], "--jobs takes a value"),
+        (&["--jobs", "0", "table2"], "got \"0\" (1..=256)"),
+        (&["--jobs", "257", "table2"], "got \"257\" (1..=256)"),
+        (&["--jobs", "18446744073709551615", "table2"], "(1..=256)"),
     ] {
         let out = experiments(args);
         let err = String::from_utf8_lossy(&out.stderr);

@@ -74,8 +74,7 @@ pub struct Pending {
     pub rejected: CoreSet,
     /// Cores that invalidated their copies in response to our probes.
     pub invalidated: CoreSet,
-    /// Cores that answered a FwdGetS with a downgrade (kept an S copy
-    /// and, in the direct topology, sent the data to the requester).
+    /// Cores that answered a FwdGetS with a downgrade (kept an S copy).
     pub downgraded: CoreSet,
     /// At least one probe response reported that it aborted a transaction.
     pub any_abort: bool,
@@ -91,10 +90,6 @@ pub struct DirEntry {
     /// A grant is in flight: the entry stays blocked until the requester's
     /// unblock message confirms receipt (the paper's Fig. 3 flow).
     pub unblock_wait: Option<CoreId>,
-    /// Direct-response race: the requester's unblock arrived before the
-    /// owner's acknowledgement finished the pending exchange; consumed
-    /// when the entry would start waiting for that unblock.
-    pub early_unblock: Option<CoreId>,
     /// Requests serialized behind the pending one.
     pub queue: VecDeque<ReqInfo>,
 }
@@ -104,7 +99,6 @@ impl DirEntry {
         self.state.is_none()
             && self.pending.is_none()
             && self.unblock_wait.is_none()
-            && self.early_unblock.is_none()
             && self.queue.is_empty()
     }
 
@@ -242,7 +236,6 @@ impl Bank {
             state: None,
             pending: None,
             unblock_wait: None,
-            early_unblock: None,
             queue: VecDeque::new(),
         })
     }

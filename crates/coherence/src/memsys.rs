@@ -26,7 +26,7 @@ use crate::msg::{
     PRIO_LOCK,
 };
 use noc::Mesh;
-use sim_core::config::{RejectAction, SystemConfig, MAX_CORES};
+use sim_core::config::{RejectAction, SystemConfig, MAX_CORES, SIGNATURE_HASHES};
 use sim_core::obs::{ConflictEdge, ConflictResolution, Metric, MetricSpec, RecoveryAction};
 use sim_core::stats::AbortCause;
 use sim_core::types::{CoreId, Cycle, LineAddr};
@@ -221,8 +221,8 @@ impl MemSystem {
                 .collect(),
             banks: (0..n).map(|_| Bank::new(cfg.mem.llc_bank, n)).collect(),
             mesh,
-            sig_rd: Signature::new(cfg.mem.signature_bits, cfg.mem.signature_hashes),
-            sig_wr: Signature::new(cfg.mem.signature_bits, cfg.mem.signature_hashes),
+            sig_rd: Signature::new(cfg.mem.signature_bits, SIGNATURE_HASHES),
+            sig_wr: Signature::new(cfg.mem.signature_bits, SIGNATURE_HASHES),
             sig_waiters: Vec::new(),
             arbiter: {
                 let mut a = HlaArbiter::new();
@@ -514,10 +514,16 @@ impl MemSystem {
 
     /// Complete an STL switch attempt: unblock and replay deferred probes.
     /// On grant the caller must also `enter_lock(core, true)` *before*
-    /// calling this, so replayed probes see lock-mode priority.
+    /// calling this, so replayed probes see lock-mode priority. A grant
+    /// for a core that is not in lock mode (its transaction aborted while
+    /// the request was in flight) is released at once.
     pub fn finish_hla(&mut self, now: Cycle, core: CoreId, granted: bool) {
         if granted {
-            self.meta[core].hla_held = true;
+            if self.meta[core].mode.is_lock() {
+                self.meta[core].hla_held = true;
+            } else {
+                self.send(now, core, 0, NetMsg::HlaRel { core });
+            }
         }
         self.meta[core].applying_hla = false;
         let blocked = std::mem::take(&mut self.meta[core].blocked_probes);
@@ -725,14 +731,6 @@ impl MemSystem {
             } => {
                 self.l1_grant(now, to, line, state, with_data, attempt);
             }
-            NetMsg::DirectData {
-                to,
-                line,
-                state,
-                attempt,
-            } => {
-                self.l1_grant(now, to, line, state, true, attempt);
-            }
             NetMsg::RspReject {
                 to,
                 line,
@@ -794,25 +792,6 @@ impl MemSystem {
     // Directory (home bank) side
     // ------------------------------------------------------------------
 
-    /// Block the entry until `core`'s unblock arrives — consuming an
-    /// unblock that raced ahead of the probe acknowledgement (possible in
-    /// the direct-response topology, where the requester may be served
-    /// before the home finishes the exchange).
-    fn expect_unblock(&mut self, at: Cycle, b: usize, line: LineAddr, core: CoreId) {
-        let entry = self.banks[b].entry(line);
-        if entry.early_unblock.take() == Some(core) {
-            // Already confirmed: the exchange is complete; serve the
-            // next queued request right away.
-            if let Some(next) = self.banks[b].entry(line).queue.pop_front() {
-                self.bank_serve(at, b, next);
-            } else {
-                self.banks[b].gc_entry(line);
-            }
-            return;
-        }
-        self.banks[b].entry(line).unblock_wait = Some(core);
-    }
-
     /// Send a grant and block the entry until the requester's unblock.
     fn send_grant(
         &mut self,
@@ -823,7 +802,7 @@ impl MemSystem {
         with_data: bool,
     ) {
         let line = req.line;
-        self.expect_unblock(at, b, line, req.core);
+        self.banks[b].entry(line).unblock_wait = Some(req.core);
         self.send(
             at,
             b,
@@ -1091,16 +1070,11 @@ impl MemSystem {
     fn bank_unblock(&mut self, now: Cycle, core: CoreId, line: LineAddr) {
         let b = self.home_bank(line);
         let entry = self.banks[b].entry(line);
-        if entry.unblock_wait != Some(core) {
-            // Direct-response race: the requester confirmed before the
-            // owner's ack reached us. Remember it for expect_unblock.
-            debug_assert!(
-                self.cfg.mem.direct_rsp && entry.pending.is_some(),
-                "unexpected unblock from {core} for {line:?}"
-            );
-            entry.early_unblock = Some(core);
-            return;
-        }
+        debug_assert_eq!(
+            entry.unblock_wait,
+            Some(core),
+            "unexpected unblock from {core} for {line:?}"
+        );
         entry.unblock_wait = None;
         if let Some(next) = self.banks[b].entry(line).queue.pop_front() {
             self.bank_serve(now, b, next);
@@ -1171,19 +1145,17 @@ impl MemSystem {
             };
             self.banks[b].entry(line).state = restored;
             self.stats.rejects += 1;
-            if !self.cfg.mem.direct_rsp {
-                self.send(
-                    now,
-                    b,
-                    req.core,
-                    NetMsg::RspReject {
-                        to: req.core,
-                        line,
-                        by_sig: false,
-                        attempt: req.attempt,
-                    },
-                );
-            }
+            self.send(
+                now,
+                b,
+                req.core,
+                NetMsg::RspReject {
+                    to: req.core,
+                    line,
+                    by_sig: false,
+                    attempt: req.attempt,
+                },
+            );
         } else {
             match req.kind {
                 ReqKind::GetS => {
@@ -1206,13 +1178,7 @@ impl MemSystem {
                         s.insert(prior_owner.unwrap());
                         s.insert(req.core);
                         self.banks[b].entry(line).state = Some(DirState::Shared(s));
-                        if self.cfg.mem.direct_rsp {
-                            // The owner already sent the data directly;
-                            // just wait for the requester's unblock.
-                            self.expect_unblock(now, b, line, req.core);
-                        } else {
-                            self.send_grant(now, b, &req, GrantState::Shared, true);
-                        }
+                        self.send_grant(now, b, &req, GrantState::Shared, true);
                     } else {
                         self.banks[b].entry(line).state = Some(DirState::Owned(req.core));
                         self.send_grant(now, b, &req, GrantState::Exclusive, true);
@@ -1332,21 +1298,6 @@ impl MemSystem {
                 // sharing a line is not a conflict).
                 let was_m = state == Mesi::Modified;
                 self.l1s[core].set_state(line, Mesi::Shared);
-                if self.cfg.mem.direct_rsp {
-                    // Direct topology: push the data straight to the
-                    // requester; the home gets a control ack in parallel.
-                    self.send(
-                        now,
-                        core,
-                        req.core,
-                        NetMsg::DirectData {
-                            to: req.core,
-                            line,
-                            state: GrantState::Shared,
-                            attempt: req.attempt,
-                        },
-                    );
-                }
                 self.send(
                     now,
                     core,
@@ -1416,22 +1367,6 @@ impl MemSystem {
                         action,
                     },
                 );
-                if self.cfg.mem.direct_rsp {
-                    // §III-A: the reject travels straight to the
-                    // requester; the home still learns via the probe
-                    // response so it can restore the directory state.
-                    self.send(
-                        now,
-                        core,
-                        req.core,
-                        NetMsg::RspReject {
-                            to: req.core,
-                            line,
-                            by_sig: false,
-                            attempt: req.attempt,
-                        },
-                    );
-                }
                 self.send(
                     now,
                     core,

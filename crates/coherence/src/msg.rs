@@ -146,16 +146,6 @@ pub enum NetMsg {
         attempt: u64,
     },
 
-    /// Owner -> requester (direct-response topologies only): the data
-    /// response travels L1-to-L1 while the owner acknowledges the home
-    /// bank in parallel. Functions as a `Grant` at the requester.
-    DirectData {
-        to: CoreId,
-        line: LineAddr,
-        state: GrantState,
-        attempt: u64,
-    },
-
     /// Requester -> home bank: grant received; the directory may move to
     /// the stable state and serve the next queued request (Fig. 3).
     Unblock { core: CoreId, line: LineAddr },
@@ -184,7 +174,6 @@ impl NetMsg {
                     with_data: true,
                     ..
                 }
-                | NetMsg::DirectData { .. }
                 | NetMsg::ProbeRsp {
                     rsp: L1Rsp::DowngradeAck { dirty: true },
                     ..

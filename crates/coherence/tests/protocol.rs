@@ -593,20 +593,11 @@ fn deterministic_replay() {
     assert_eq!(run(), run());
 }
 
-// ---------------------------------------------------------------------
-// Direct L1-to-L1 response topology (§III-A's "L1 nodes can communicate
-// directly" variant).
-// ---------------------------------------------------------------------
-
-fn direct(policy: PolicyConfig) -> SystemConfig {
-    let mut c = cfg(policy);
-    c.mem.direct_rsp = true;
-    c
-}
-
 #[test]
 fn direct_downgrade_serves_requester_from_owner() {
-    let mut p = Pump::new(direct(PolicyConfig::default()));
+    // A modified owner's downgrade supplies the reader's data from its own
+    // copy; the home bank relays it and records both cores as sharers.
+    let mut p = Pump::new(base());
     p.access(0, 100, AccessKind::Store); // owner M
     let n = p.access(1, 100, AccessKind::Load);
     assert!(n.contains(&CoreNotice::AccessDone { core: 1 }));
@@ -617,12 +608,9 @@ fn direct_downgrade_serves_requester_from_owner() {
 
 #[test]
 fn direct_reject_reaches_requester() {
-    let mut p = Pump::new(direct(PolicyConfig {
-        recovery: true,
-        priority: PriorityKind::InstsBased,
-        reject_action: RejectAction::WaitWakeup,
-        ..PolicyConfig::default()
-    }));
+    // The owner's reject travels back to the requester through the home
+    // bank, which keeps the victim's line intact.
+    let mut p = Pump::new(recovery());
     p.ms.begin_htm(0, 0);
     p.ms.set_prio(0, 100);
     p.access(0, 100, AccessKind::Store);
@@ -651,31 +639,10 @@ fn direct_reject_reaches_requester() {
 }
 
 #[test]
-fn direct_mode_is_deterministic_and_faster_on_sharing() {
-    // Owner-to-reader transfers save one LLC hop: the read-after-write
-    // handoff must not be slower than the via-home flow.
-    let run = |direct_rsp: bool| {
-        let mut c = cfg(PolicyConfig::default());
-        c.mem.direct_rsp = direct_rsp;
-        let mut p = Pump::new(c);
-        p.access(0, 100, AccessKind::Store);
-        p.access(1, 100, AccessKind::Load);
-        p.now()
-    };
-    let via_home = run(false);
-    let direct = run(true);
-    assert!(
-        direct <= via_home,
-        "direct responses must not add latency ({direct} vs {via_home})"
-    );
-}
-
-#[test]
-fn direct_mode_queue_drains_after_early_unblock() {
-    // Three readers pile onto an owned line; the direct data transfer can
-    // let the requester unblock before the owner's ack lands at the home.
-    // Every queued request must still be served.
-    let mut p = Pump::new(direct(PolicyConfig::default()));
+fn queued_readers_of_owned_line_all_served() {
+    // Three readers pile onto an owned line: two queue at the home bank
+    // behind the first, and each is served after the previous unblock.
+    let mut p = Pump::new(base());
     p.access(0, 100, AccessKind::Store);
     let t = p.now();
     p.ms.access(t, 1, LineAddr(100), AccessKind::Load);
@@ -732,6 +699,28 @@ fn aborted_owner_rerequests_own_line() {
     let n = p.access(0, 100, AccessKind::Load);
     assert_eq!(n, vec![CoreNotice::AccessDone { core: 0 }]);
     p.ms.check_swmr().unwrap();
+}
+
+#[test]
+fn stale_owner_answer_grants_exclusive() {
+    // The directory still lists core 0 as the owner of a line its abort
+    // dropped. Its probe answer is an InvAck without the line, not a
+    // downgrade, so the reader must get the line Exclusive rather than
+    // share it with a core that holds no copy.
+    let mut p = Pump::new(base());
+    p.ms.begin_htm(0, 0);
+    p.access(0, 100, AccessKind::Store);
+    let t = p.now();
+    p.ms.abort_locally(t, 0);
+    p.settle();
+    let n = p.access(1, 100, AccessKind::Load);
+    assert_eq!(n, vec![CoreNotice::AccessDone { core: 1 }]);
+    // Exclusive: the store upgrades E -> M silently, without a request.
+    let t = p.now();
+    assert!(matches!(
+        p.ms.access(t, 1, LineAddr(100), AccessKind::Store),
+        AccessResult::Done { .. }
+    ));
 }
 
 #[test]

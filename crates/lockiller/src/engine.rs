@@ -58,6 +58,20 @@ const PRIO_DECAY_BASE: u64 = 1 << 20;
 /// instructions.
 const SPIN_PAUSE: u64 = 16;
 
+/// Cycles charged for processing an abort (register restore etc.).
+const ABORT_PENALTY: Cycle = 30;
+
+/// Cycles charged for a commit.
+const COMMIT_PENALTY: Cycle = 6;
+
+/// Cycles charged to service a demand-paging fault outside a transaction
+/// (inside an HTM transaction a fault aborts instead).
+const FAULT_SERVICE: Cycle = 300;
+
+/// Pause, in cycles, before re-issuing a rejected request under
+/// [`RejectAction::RetryLater`].
+const RETRY_PAUSE: Cycle = 64;
+
 /// Metric registrations owned by the engine: core-occupancy gauges and
 /// the cumulative outcome counters sampled every observability tick.
 pub fn obs_metric_specs() -> Vec<MetricSpec> {
@@ -182,6 +196,8 @@ struct Ctl<'g> {
     /// fingerprint makes engine-state equality imply guest-state
     /// equality (see `state_fingerprint`).
     resp_hash: u64,
+    /// An STL switch request awaits the arbiter's answer; a protocol
+    /// abort that lands meanwhile is held in `doomed` until it arrives.
     switch_pending: bool,
     tl_pending: bool,
     /// Resolve the pending speculative bucket into this phase at the next
@@ -1052,9 +1068,7 @@ impl<'g> Engine<'g> {
                 d.cores = (1 << from) | (1 << req.core);
                 d.line = Some(req.line);
             }
-            NetMsg::Grant { to, line, .. }
-            | NetMsg::RspReject { to, line, .. }
-            | NetMsg::DirectData { to, line, .. } => {
+            NetMsg::Grant { to, line, .. } | NetMsg::RspReject { to, line, .. } => {
                 d.cores = 1 << to;
                 d.line = Some(*line);
             }
@@ -1266,7 +1280,7 @@ impl<'g> Engine<'g> {
                 self.ctl[core].cur_txn = 0;
                 self.ctl[core].resolve = Some(Phase::Htm);
                 self.ctl[core].phase_after = Some(Phase::NonTran);
-                self.schedule_respond(core, t + self.cfg.commit_penalty, GuestResp::Done);
+                self.schedule_respond(core, t + COMMIT_PENALTY, GuestResp::Done);
             }
             GuestOp::TxAbortUser => {
                 // _xabort: lock observed taken at subscription time.
@@ -1378,7 +1392,7 @@ impl<'g> Engine<'g> {
                     if self.ms.core_mode(core) == TxMode::Htm {
                         self.do_abort(t, core, AbortCause::Fault);
                     } else {
-                        self.schedule_respond(core, t + self.cfg.fault_service, GuestResp::Done);
+                        self.schedule_respond(core, t + FAULT_SERVICE, GuestResp::Done);
                     }
                 }
             }
@@ -1590,7 +1604,10 @@ impl<'g> Engine<'g> {
         c.in_tx = false;
         c.is_stl = false;
         c.cur_txn = 0;
-        debug_assert!(!c.switch_pending, "abort cannot race an applyingHLA switch");
+        debug_assert!(
+            !c.switch_pending,
+            "an abort waits for its switch request's answer"
+        );
         c.cur_op = None;
         c.deferred_op = None;
         c.parked = None;
@@ -1600,7 +1617,7 @@ impl<'g> Engine<'g> {
         c.phase_after = Some(Phase::NonTran);
         self.ms.cancel_pending(core);
         self.trace.record(t, core, TraceKind::Abort(cause));
-        self.schedule_respond(core, t + self.cfg.abort_penalty, GuestResp::Aborted(cause));
+        self.schedule_respond(core, t + ABORT_PENALTY, GuestResp::Aborted(cause));
     }
 
     // ---------------- notices ----------------
@@ -1619,9 +1636,12 @@ impl<'g> Engine<'g> {
             CoreNotice::TxAborted { core, cause } => {
                 // Protocol-side abort (probe loss / back-invalidation).
                 self.stats.record_abort(cause);
-                if self.ctl[core].respond_scheduled {
+                if self.ctl[core].respond_scheduled || self.ctl[core].switch_pending {
                     // Mid-compute or similar: convert the scheduled
-                    // response into an abort when it fires.
+                    // response into an abort when it fires. A
+                    // back-invalidation can also land while a switch
+                    // request is in flight (it is never blocked): the
+                    // abort then waits for the arbiter's answer.
                     self.bufs[core].discard();
                     self.ctl[core].doomed = Some(cause);
                 } else if self.ctl[core].cur_op.is_some() || self.ctl[core].deferred_op.is_some() {
@@ -1667,7 +1687,8 @@ impl<'g> Engine<'g> {
                     self.schedule_respond(core, t + 2, GuestResp::Done);
                 } else if self.ctl[core].switch_pending {
                     self.ctl[core].switch_pending = false;
-                    if granted {
+                    let doomed = self.ctl[core].doomed.take();
+                    if granted && doomed.is_none() {
                         // Successful proactive switch: speculative state
                         // becomes permanent, priority becomes lock-level,
                         // and the blocked access retries in STL mode.
@@ -1681,11 +1702,21 @@ impl<'g> Engine<'g> {
                         self.stats.switches_granted += 1;
                         self.reissue(t, core);
                     } else {
-                        self.ms.finish_hla(t, core, false);
+                        // Denied, or the transaction died while the request
+                        // was in flight (the memory system then hands a
+                        // grant straight back).
+                        self.ms.finish_hla(t, core, granted);
                         self.drain_ms();
                         self.trace.record(t, core, TraceKind::SwitchDenied);
                         self.stats.switches_denied += 1;
-                        self.do_abort(t, core, AbortCause::Of);
+                        if let Some(cause) = doomed {
+                            self.deliver_abort(t, core, cause);
+                        } else if self.ms.core_mode(core).is_tx() {
+                            self.do_abort(t, core, AbortCause::Of);
+                        }
+                        // Otherwise a probe that `finish_hla` replayed
+                        // aborted the transaction, and its queued
+                        // `TxAborted` notice delivers that abort.
                     }
                 }
             }
@@ -1704,8 +1735,7 @@ impl<'g> Engine<'g> {
                 self.ctl[core].parked = Some(seq);
                 self.life[core].park(t);
                 self.trace.record(t, core, TraceKind::Parked);
-                self.q
-                    .schedule_at(t + self.cfg.policy.retry_pause, Ev::Retry(core, seq));
+                self.q.schedule_at(t + RETRY_PAUSE, Ev::Retry(core, seq));
             }
             _ => {
                 // WaitWakeup (and non-tx/sig rejects under SelfAbort,

@@ -64,10 +64,106 @@ impl Program for Counter {
     }
 }
 
+/// A shared counter whose critical sections, in every fourth round of a
+/// thread, first store to `stores` words `stride` words apart: lines of
+/// one L1 set, enough to overflow it, so LockillerTM requests a proactive
+/// switch while other cores' probes and the LLC's back-invalidations
+/// race the request.
+struct SetOverflow {
+    stride: u64,
+    spacing: u64,
+    stores: u64,
+    threads: usize,
+    counter: Addr,
+    base: Addr,
+}
+
+const OVERFLOW_ROUNDS: u64 = 12;
+
+impl Program for SetOverflow {
+    fn name(&self) -> &str {
+        "set-overflow"
+    }
+
+    fn setup(&mut self, s: &mut SetupCtx, threads: usize) {
+        self.threads = threads;
+        self.counter = s.alloc(8);
+        self.base = s.alloc(self.stride * self.stores + self.spacing * threads as u64 + 8);
+    }
+
+    fn run<'a>(&'a self, ctx: &'a mut GuestCtx) -> GuestFuture<'a> {
+        Box::pin(async move {
+            let t = ctx.tid as u64;
+            let mine = self.base.add(self.spacing * t);
+            for r in 0..OVERFLOW_ROUNDS {
+                let spill = r % 4 == t % 4;
+                ctx.critical(async |tx| {
+                    if spill {
+                        for k in 0..self.stores {
+                            tx.store(mine.add(k * self.stride), r).await?;
+                        }
+                    }
+                    let v = tx.load(self.counter).await?;
+                    tx.compute(40).await?;
+                    tx.store(self.counter, v + 1).await?;
+                    Ok(())
+                })
+                .await;
+                ctx.compute(20 + 7 * t).await;
+            }
+        })
+    }
+
+    fn validate(&self, mem: &FlatMem) -> Result<(), String> {
+        let got = mem.read(self.counter);
+        let want = OVERFLOW_ROUNDS * self.threads as u64;
+        if got == want {
+            Ok(())
+        } else {
+            Err(format!("counter {got} != {want}"))
+        }
+    }
+}
+
 fn runner(kind: SystemKind, threads: usize) -> Runner {
     Runner::new(kind)
         .threads(threads)
         .config(SystemConfig::testing(threads.max(2)))
+}
+
+/// An abort that races a switchingMode request is delivered once. At
+/// these points a probe replayed after a denied switch, or a
+/// back-invalidation while the request is in flight, aborts the
+/// transaction before the arbiter's answer is handled; every attempt must
+/// still end in exactly one commit or one abort.
+#[test]
+fn abort_racing_a_switch_request_is_delivered_once() {
+    // (stride, spacing, stores, retries)
+    for (stride, spacing, stores, retries) in [
+        (128, 128, 9, 1),
+        (1024, 1024, 5, 8),
+        (1024, 1024, 6, 2),
+        (1024, 1024, 6, 8),
+    ] {
+        let mut prog = SetOverflow {
+            stride,
+            spacing,
+            stores,
+            threads: 0,
+            counter: Addr::NULL,
+            base: Addr::NULL,
+        };
+        let s = runner(SystemKind::LockillerTm, 8)
+            .retries(retries)
+            .run(&mut prog)
+            .stats;
+        assert_eq!(
+            s.tx_starts,
+            s.commits + s.total_aborts(),
+            "stride {stride}, {stores} stores, {retries} retries: an attempt was aborted twice"
+        );
+        assert!(s.switches_granted + s.switches_denied > 0);
+    }
 }
 
 /// A zero retry budget sends every critical section straight down the

@@ -281,32 +281,3 @@ fn transactions_never_tear() {
             .run(&mut prog);
     }
 }
-
-/// The same litmus set under the direct-response topology.
-#[test]
-fn litmus_hold_under_direct_topology() {
-    let mut cfg = SystemConfig::testing(4);
-    cfg.mem.direct_rsp = true;
-    let mut prog = AtomicPair {
-        a: Addr::NULL,
-        b: Addr::NULL,
-        bad: Addr::NULL,
-    };
-    let _ = Runner::new(SystemKind::LockillerTm)
-        .threads(4)
-        .config(cfg.clone())
-        .run(&mut prog);
-    let mut mp = MessagePassing {
-        data: Addr::NULL,
-        flag: Addr::NULL,
-        result: Addr::NULL,
-    };
-    let mut cfg2 = cfg;
-    cfg2.num_cores = 2;
-    cfg2.noc.width = 2;
-    cfg2.noc.height = 2;
-    let _ = Runner::new(SystemKind::Baseline)
-        .threads(2)
-        .config(cfg2)
-        .run(&mut mp);
-}

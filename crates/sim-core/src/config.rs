@@ -12,12 +12,20 @@
 //! [`CacheGeometry::from_capacity`], the signature by
 //! `coherence::bloom::Signature::new`, and the core count and mesh size
 //! by `coherence::MemSystem::new`.
+//!
+//! A value is a field only while some figure, ablation, command line,
+//! exploration or test sets a second value (DESIGN.md §4.4 names who).
+//! Values with one setting are constants: [`SIGNATURE_HASHES`] here, and
+//! the commit, abort, fault-service and retry-pause delays in the engine.
 
 use crate::types::{Cycle, LineAddr};
 
 /// Most cores a system can model: the directory's sharer set
 /// (`coherence::bank::CoreSet`) is a 32-bit bitmap, one bit per core.
 pub const MAX_CORES: usize = 32;
+
+/// Hash functions per overflow signature (OfRdSig / OfWrSig).
+pub const SIGNATURE_HASHES: usize = 3;
 
 /// Geometry of one set-associative cache (sizes are per instance: one L1,
 /// or one LLC bank).
@@ -71,15 +79,6 @@ pub struct MemConfig {
     pub mem_latency: Cycle,
     /// Bits per overflow signature (OfRdSig / OfWrSig); Bloom filter size.
     pub signature_bits: usize,
-    /// Hash functions per signature.
-    pub signature_hashes: usize,
-    /// Direct L1-to-L1 responses (§III-A: "assuming L1 nodes can
-    /// communicate directly, the response containing reject information
-    /// can be sent directly to the requester"): a probed owner answers
-    /// the requester in one hop (data or reject) while acknowledging the
-    /// directory in parallel. `false` = every response flows through the
-    /// home bank (the paper's subordinate-only topology, Fig. 2 ④⑤⑥).
-    pub direct_rsp: bool,
 }
 
 /// Network-on-chip parameters (Table I: 4x8 mesh, X-Y routing, 16 B flits).
@@ -151,9 +150,6 @@ pub struct PolicyConfig {
     /// Go to the fallback path immediately on capacity/fault aborts
     /// instead of burning the remaining retries.
     pub fallback_on_capacity: bool,
-    /// Pause, in cycles, before re-issuing a rejected request under
-    /// [`RejectAction::RetryLater`].
-    pub retry_pause: Cycle,
     /// Safety-net timeout for parked (WaitWakeup) requests. A correctly
     /// functioning wake-up path never hits this; a stats counter records
     /// if it ever fires so tests can assert it stayed at zero.
@@ -171,7 +167,6 @@ impl Default for PolicyConfig {
             switching_mode: false,
             max_retries: 8,
             fallback_on_capacity: true,
-            retry_pause: 64,
             wakeup_timeout: 200_000,
         }
     }
@@ -258,13 +253,6 @@ pub struct SystemConfig {
     pub policy: PolicyConfig,
     /// Checked-mode switches (tracing, live invariants, fault injection).
     pub check: CheckCfg,
-    /// Cycles charged for processing an abort (register restore etc.).
-    pub abort_penalty: Cycle,
-    /// Cycles charged for a commit.
-    pub commit_penalty: Cycle,
-    /// Cycles charged to service a demand-paging fault outside a
-    /// transaction (inside an HTM transaction a fault aborts instead).
-    pub fault_service: Cycle,
 }
 
 impl SystemConfig {
@@ -284,8 +272,6 @@ impl SystemConfig {
                 llc_hit: 12,
                 mem_latency: 100,
                 signature_bits: 1024,
-                signature_hashes: 3,
-                direct_rsp: false,
             },
             noc: NocConfig {
                 width: 4,
@@ -296,9 +282,6 @@ impl SystemConfig {
             },
             policy: PolicyConfig::default(),
             check: CheckCfg::default(),
-            abort_penalty: 30,
-            commit_penalty: 6,
-            fault_service: 300,
         }
     }
 
@@ -378,7 +361,7 @@ impl SystemConfig {
     /// switchingMode spill tracking stays precise. Footprints beyond this
     /// budget make signature aliasing (spurious conflicts) plausible.
     pub fn signature_line_budget(&self) -> usize {
-        (self.mem.signature_bits / (8 * self.mem.signature_hashes)).max(1)
+        (self.mem.signature_bits / (8 * SIGNATURE_HASHES)).max(1)
     }
 }
 
@@ -488,7 +471,6 @@ mod tests {
         // Degenerate geometries still give a usable (>= 1) budget.
         let mut tiny = SystemConfig::table1();
         tiny.mem.signature_bits = 8;
-        tiny.mem.signature_hashes = 4;
         assert_eq!(tiny.signature_line_budget(), 1);
     }
 }

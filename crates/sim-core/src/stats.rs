@@ -204,7 +204,8 @@ pub struct RunStats {
     pub wakeup_timeouts: u64,
     /// Successful proactive switches to STL mode.
     pub switches_granted: u64,
-    /// Denied proactive switch attempts.
+    /// Proactive switch attempts that did not switch: denied, or
+    /// answered after the transaction had aborted.
     pub switches_denied: u64,
     /// Transactions that fell back to the lock path.
     pub fallbacks: u64,

@@ -196,7 +196,6 @@ impl Program for Genome {
             let whi = ((ctx.tid + 1) * per_w).min(n);
             for &w in &self.windows[wlo..whi] {
                 ctx.critical(async |tx| {
-                    debug_assert!(unique.contains(tx, w).await?, "window lost in phase 1");
                     starts.insert(tx, &alloc, prefix(w), w).await?;
                     Ok(())
                 })
@@ -240,13 +239,17 @@ impl Program for Genome {
         if snap.contains_key(self.windows.last().unwrap()) {
             return Err("unexpected link after the last window".into());
         }
-        let unique = self.unique.unwrap();
-        let got = unique.snapshot(mem).len();
-        if got != self.windows.len() {
+        let segs = self.unique.unwrap().snapshot(mem);
+        if segs.len() != self.windows.len() {
             return Err(format!(
-                "dedup produced {got} segments, expected {}",
+                "dedup produced {} segments, expected {}",
+                segs.len(),
                 self.windows.len()
             ));
+        }
+        let unique: std::collections::HashSet<u64> = segs.into_iter().map(|(seg, _)| seg).collect();
+        if let Some(i) = self.windows.iter().position(|w| !unique.contains(w)) {
+            return Err(format!("window {i} lost in phase 1"));
         }
         Ok(())
     }

@@ -18,7 +18,8 @@
 //! `--random-prog SEED` generates a deterministic random kernel instead.
 //! Injections: ignore-conflicts, drop-nack, drop-wakeups, double-grant,
 //! prio-decay. `--cores` takes 1..=32 (the modelled core limit) and
-//! `--lines` 1..=65536 (`progs::MAX_LINES`, the bound `--prog` specs obey).
+//! `--lines` 1..=65536 (`progs::MAX_LINES`, the bound `--prog` specs obey),
+//! `--jobs` 1..=256 (`dpor::MAX_JOBS`).
 //! `--profile` profiles every explored run on the host clock and prints
 //! the merged phase tree, heaviest self time first, after the report.
 //! Stdout carries only the report (and `-v`'s JSON); the header line and
@@ -32,7 +33,7 @@
 
 use lockiller::SystemKind;
 use sim_core::config::MAX_CORES;
-use tmverify::dpor::{inject_by_name, Explorer, INJECT_NAMES};
+use tmverify::dpor::{inject_by_name, Explorer, INJECT_NAMES, MAX_JOBS};
 use tmverify::progs::{ProgSpec, MAX_LINES};
 
 fn usage() -> ! {
@@ -112,7 +113,13 @@ fn parse_args(mut it: std::env::Args) -> Args {
             "--depth-bound" => ex.depth_bound = val().parse().unwrap_or_else(|_| usage()),
             "--max-schedules" => ex.max_schedules = val().parse().unwrap_or_else(|_| usage()),
             "--max-cycles" => ex.max_cycles = val().parse().unwrap_or_else(|_| usage()),
-            "--jobs" | "-j" => ex.jobs = val().parse().unwrap_or_else(|_| usage()),
+            "--jobs" | "-j" => {
+                ex.jobs = val().parse().unwrap_or_else(|_| usage());
+                if !(1..=MAX_JOBS).contains(&ex.jobs) {
+                    eprintln!("--jobs takes 1..={MAX_JOBS}");
+                    usage();
+                }
+            }
             "--no-state-dedup" => ex.state_dedup = false,
             "--out" | "-o" => out = val().into(),
             "--bench-json" => bench_json = Some(val().into()),

@@ -104,6 +104,10 @@ pub fn inject_names(fault: &FaultInject) -> Vec<String> {
         .collect()
 }
 
+/// Most host threads a command line may ask for (`--jobs`): every batch
+/// spawns up to this many scoped threads.
+pub const MAX_JOBS: usize = 256;
+
 /// Explorer configuration + entry point.
 #[derive(Clone)]
 pub struct Explorer {

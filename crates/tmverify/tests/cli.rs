@@ -46,6 +46,9 @@ fn oversized_specs_are_usage_errors() {
         ),
         (vec!["--lines", "65537"], "--lines takes 1..=65536"),
         (vec!["--lines", "18446744073709551615"], "--lines takes"),
+        (vec!["--jobs", "0"], "--jobs takes 1..=256"),
+        (vec!["-j", "257"], "--jobs takes 1..=256"),
+        (vec!["--jobs", "18446744073709551615"], "--jobs takes"),
     ] {
         let out = tmverify(&args);
         let err = String::from_utf8_lossy(&out.stderr);

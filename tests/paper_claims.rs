@@ -218,29 +218,3 @@ fn workload_characterization_classes() {
         km.avg_read_set()
     );
 }
-
-/// §III-A topology variant: direct L1-to-L1 responses preserve
-/// correctness on every workload and never slow the contended handoffs.
-#[test]
-fn direct_response_topology_correct() {
-    for w in [
-        WorkloadKind::KmeansHigh,
-        WorkloadKind::Intruder,
-        WorkloadKind::Genome,
-    ] {
-        let mut cfg = SystemConfig::testing(4);
-        cfg.mem.direct_rsp = true;
-        let mut prog = Workload::with_scale(w, 4, Scale::Tiny);
-        let stats = Runner::new(SystemKind::LockillerTm)
-            .threads(4)
-            .config(cfg)
-            .run(&mut prog)
-            .stats;
-        assert_eq!(
-            stats.wakeup_timeouts,
-            0,
-            "{}: lost wakeup under direct topology",
-            w.name()
-        );
-    }
-}
