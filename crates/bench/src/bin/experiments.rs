@@ -2,18 +2,14 @@
 //!
 //! ```text
 //! experiments [--quick] [--verbose] [--jobs N] [--csv FILE]
-//!             [--bench-json FILE] [--no-profile]
-//!             [table1|table2|fig1|fig7..fig13|headline|ablation|characterize|forensics|verify|engine|all]
+//!             [--bench-json FILE] [EXPERIMENT...]
+//! EXPERIMENT: table1 table2 fig1 fig7..fig13 headline ablation
+//!             characterize plots forensics verify all (the default)
 //! ```
 //!
 //! `--quick` runs the reduced thread sweep {2, 8, 32} at Small workload
 //! scale; the default runs {2,4,8,16,32} at Full scale (the numbers
 //! recorded in EXPERIMENTS.md).
-//!
-//! `--no-profile` drops the `tmprof` engine scope profiler from the
-//! `engine` battery: points lose their `host.phases` attribution block
-//! but simulate identically — another leaves-must-not-move axis the CI
-//! `engine-perf-smoke` gate checks at 0% tolerance.
 //!
 //! `--jobs N` fans simulation points across N host threads; results are
 //! byte-identical for every N. Every point is simulated by this
@@ -21,27 +17,50 @@
 //! writes the host-side accounting (per-point wall-clock, parallel
 //! efficiency) as JSON; default `BENCH_lab.json`.
 //!
-//! Any other `--` flag, a value flag without its value, and a `--jobs`
-//! value outside 1..=256 (`tmverify::dpor::MAX_JOBS`) are usage errors
-//! (exit 2).
+//! Any other `--` flag, a value flag without its value, a `--jobs`
+//! value outside 1..=256 (`tmverify::dpor::MAX_JOBS`) and an unknown
+//! experiment name are usage errors (exit 2), found before anything
+//! runs.
 
 use lockiller_bench::experiments as ex;
 use lockiller_bench::lab::Lab;
 use stamp::Scale;
 use tmverify::dpor::MAX_JOBS;
 
-const USAGE: &str = "usage: experiments [--quick] [--verbose] [--jobs N] [--csv FILE] \
-                     [--bench-json FILE] [--no-profile] [EXPERIMENT...]";
+/// Every experiment name; `all` runs each one but `ablation`,
+/// `characterize` and `plots`.
+const EXPERIMENTS: [&str; 17] = [
+    "table1",
+    "table2",
+    "fig1",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "headline",
+    "ablation",
+    "characterize",
+    "plots",
+    "forensics",
+    "verify",
+    "all",
+];
 
 fn usage(msg: &str) -> ! {
-    eprintln!("{msg}\n{USAGE}");
+    eprintln!(
+        "{msg}\nusage: experiments [--quick] [--verbose] [--jobs N] [--csv FILE] \
+         [--bench-json FILE] [EXPERIMENT...]\nEXPERIMENT: {}",
+        EXPERIMENTS.join(" ")
+    );
     std::process::exit(2);
 }
 
 fn main() {
     let mut quick = false;
     let mut verbose = false;
-    let mut profile = true;
     let mut jobs = 1;
     let mut csv_path = None;
     let mut bench_json = "BENCH_lab.json".to_string();
@@ -56,7 +75,6 @@ fn main() {
         match arg.as_str() {
             "--quick" => quick = true,
             "--verbose" => verbose = true,
-            "--no-profile" => profile = false,
             "--csv" => csv_path = Some(value()),
             "--bench-json" => bench_json = value(),
             "--jobs" => {
@@ -74,6 +92,9 @@ fn main() {
     }
     if what.is_empty() {
         what.push("all".into());
+    }
+    if let Some(name) = what.iter().find(|w| !EXPERIMENTS.contains(&w.as_str())) {
+        usage(&format!("unknown experiment {name}"));
     }
 
     let scale = if quick { Scale::Small } else { Scale::Full };
@@ -137,15 +158,6 @@ fn main() {
                 )
                 .expect("write verify json");
             }
-            "engine" => {
-                lockiller_bench::engine::run(
-                    &mut lab,
-                    quick,
-                    profile,
-                    std::path::Path::new("BENCH_engine.json"),
-                )
-                .expect("write engine json");
-            }
             "all" => {
                 ex::table1();
                 ex::table2();
@@ -166,18 +178,8 @@ fn main() {
                     std::path::Path::new("BENCH_verify.json"),
                 )
                 .expect("write verify json");
-                lockiller_bench::engine::run(
-                    &mut lab,
-                    quick,
-                    profile,
-                    std::path::Path::new("BENCH_engine.json"),
-                )
-                .expect("write engine json");
             }
-            other => {
-                eprintln!("unknown experiment: {other}");
-                std::process::exit(2);
-            }
+            _ => unreachable!("experiment names are checked before any runs"),
         }
     }
     if let Some(path) = csv_path {

@@ -67,14 +67,7 @@ fn main() {
                     usage();
                 }
             }
-            "--scale" => {
-                scale = match take(&mut i).as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    _ => usage(),
-                }
-            }
+            "--scale" => scale = Scale::from_name(&take(&mut i)).unwrap_or_else(|| usage()),
             "--cache" => cache = take(&mut i),
             "--retries" => retries = Some(take(&mut i).parse().unwrap_or_else(|_| usage())),
             "--seed" => seed = parse_seed(&take(&mut i)).unwrap_or_else(|| usage()),

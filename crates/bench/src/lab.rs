@@ -72,10 +72,6 @@ impl Lab {
         }
     }
 
-    pub fn scale(&self) -> Scale {
-        self.scale
-    }
-
     /// Host worker threads used for batched points (default 1, i.e. the
     /// sequential reference behaviour).
     pub fn jobs(&mut self, n: usize) -> &mut Lab {

@@ -6,7 +6,6 @@
 //! plots.
 
 pub mod ablation;
-pub mod engine;
 pub mod experiments;
 pub mod lab;
 pub mod svgplot;

@@ -2,8 +2,9 @@
 //! modelled cores is a usage error (exit 2), never a panic, while one
 //! thread still runs; `--seed` reads decimal or `0x` hex, and anything
 //! else is a usage error. `experiments` treats an unknown flag, a value flag
-//! without its value and a job count that is not a number as usage
-//! errors too, never as a silently different run.
+//! without its value, a job count that is not a number and an unknown
+//! experiment name as usage errors too, found before any experiment runs,
+//! never as a silently different run.
 
 use std::process::{Command, Output};
 
@@ -94,12 +95,17 @@ fn experiments_rejects_unknown_flags_and_missing_values() {
         (&["--jobs", "0", "table2"], "got \"0\" (1..=256)"),
         (&["--jobs", "257", "table2"], "got \"257\" (1..=256)"),
         (&["--jobs", "18446744073709551615", "table2"], "(1..=256)"),
+        (&["table2", "bogus"], "unknown experiment bogus"),
+        (&["engine"], "unknown experiment engine"),
+        (&["--no-profile", "table2"], "unknown option --no-profile"),
     ] {
         let out = experiments(args);
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
         assert!(err.contains(want), "{args:?}: {err}");
         assert!(err.contains("usage: experiments"), "{args:?}: {err}");
+        // The usage lists every experiment name, `plots` included.
+        assert!(err.contains(" plots "), "{args:?}: {err}");
         assert!(out.stdout.is_empty(), "{args:?} ran an experiment");
     }
 }

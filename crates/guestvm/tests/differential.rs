@@ -12,10 +12,11 @@
 //! value, or register rollback shows as a diverging run. (kmeans keeps
 //! its oracle in the `stamp` crate's `kmeans` tests, which can read the
 //! program's private layout.) The exact-leaf goldens
-//! (`explore_corpus.jsonl`, `ci/engine-baseline.json`, tmbench's
-//! `golden.json`) pin the protocol itself. The corpus spans the litmus
-//! kernels, the `ProgSpec` exploration corpus (including random specs),
-//! and every system family.
+//! (`explore_corpus.jsonl`, `ci/battery-leaves.jsonl`, the `stamp`
+//! crate's `exact_leaves` test, tmbench's `golden.json`) pin the
+//! protocol itself. The corpus spans the litmus kernels, the `ProgSpec`
+//! exploration corpus (including random specs), and every system
+//! family.
 
 use guestvm::spec::{Op, ProgSpec, SpecProgram};
 use lockiller::{Backend, GuestCtx, GuestFuture, Program, RunOutput, Runner, SetupCtx, SystemKind};

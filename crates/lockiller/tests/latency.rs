@@ -1,7 +1,7 @@
 //! Per-transaction latency accounting: exact cycle assertions against
 //! the engine's independently-recorded event trace, the class-count
 //! invariants the histograms must satisfy on contended runs, and the
-//! bit-determinism the perf gate depends on.
+//! bit-determinism the exact-leaf checks depend on.
 
 use lockiller::flatmem::{FlatMem, SetupCtx};
 use lockiller::guest::GuestCtx;

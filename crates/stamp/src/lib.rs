@@ -88,13 +88,21 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Stable lowercase tag; tmbench stores it with each golden record.
+    /// All scales, smallest first.
+    pub const ALL: [Scale; 3] = [Scale::Tiny, Scale::Small, Scale::Full];
+
+    /// Stable lowercase tag; tmbench stores it with each golden record,
+    /// and the CLIs' `--scale` takes it.
     pub fn name(self) -> &'static str {
         match self {
             Scale::Tiny => "tiny",
             Scale::Small => "small",
             Scale::Full => "full",
         }
+    }
+
+    pub fn from_name(name: &str) -> Option<Scale> {
+        Scale::ALL.iter().copied().find(|s| s.name() == name)
     }
 }
 
@@ -173,6 +181,10 @@ mod tests {
             Some(WorkloadKind::KmeansHigh)
         );
         assert_eq!(WorkloadKind::from_name("bogus"), None);
+        for s in Scale::ALL {
+            assert_eq!(Scale::from_name(s.name()), Some(s));
+        }
+        assert_eq!(Scale::from_name("medium"), None);
     }
 
     #[test]

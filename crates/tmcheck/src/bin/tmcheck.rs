@@ -89,14 +89,7 @@ fn parse_args() -> Args {
                     usage();
                 }
             }
-            "--scale" => {
-                args.scale = match val().as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    _ => usage(),
-                };
-            }
+            "--scale" => args.scale = Scale::from_name(&val()).unwrap_or_else(|| usage()),
             "--seed" => args.seed = parse_seed(&val()).unwrap_or_else(|| usage()),
             "-v" | "--verbose" => args.verbose = true,
             "-h" | "--help" => usage(),

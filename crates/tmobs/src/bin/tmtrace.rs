@@ -8,8 +8,6 @@
 //! tmtrace blame  [same options] [--top N]
 //! tmtrace flame  [same options]
 //! tmtrace diff   A.json B.json [--threshold PCT]
-//! tmtrace perf-diff BASELINE.json CURRENT.json [--tolerance PCT]
-//!                [--host-tolerance PCT] [--top-phases K]
 //! tmtrace witness FILE.json [...]
 //! ```
 //!
@@ -39,12 +37,6 @@
 //! `--threads` takes 1..=32, the core count of every hardware preset.
 //! `--seed` is decimal, or hexadecimal with a `0x` prefix, as in
 //! `lockiller_sim` and `tmcheck`.
-//!
-//! `perf-diff` refuses (exit 2) to compare documents whose top-level
-//! `"schema"` tags differ — the error names the path and both
-//! versions — and, when host metrics moved, prints the top-K phase
-//! shares that moved most (`--top-phases`, default 5): the phase
-//! attribution of a host regression.
 //!
 //! `witness` renders `tmverify` schedule-witness files (see
 //! `tmobs::witness`) without re-executing them; use `tmverify replay`
@@ -80,8 +72,6 @@ fn usage() -> ! {
          \x20      tmtrace blame [same options] [--top N]\n\
          \x20      tmtrace flame [same options]\n\
          \x20      tmtrace diff  A.json B.json [--threshold PCT]\n\
-         \x20      tmtrace perf-diff BASELINE.json CURRENT.json [--tolerance PCT]\n\
-         \x20              [--host-tolerance PCT] [--top-phases K]\n\
          \x20      tmtrace witness FILE.json [...]\n\
          --seed N: decimal, or hex with a 0x prefix"
     );
@@ -131,14 +121,7 @@ fn parse_args(mut it: std::env::Args) -> Args {
                 }
                 args.cfg.threads = threads;
             }
-            "--scale" => {
-                args.cfg.scale = match val().as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    _ => usage(),
-                };
-            }
+            "--scale" => args.cfg.scale = Scale::from_name(&val()).unwrap_or_else(|| usage()),
             "--seed" => args.cfg.seed = parse_seed(&val()).unwrap_or_else(|| usage()),
             "--sample" => {
                 args.cfg.sample_every = val().parse().unwrap_or_else(|_| usage());
@@ -217,133 +200,6 @@ fn cmd_diff(mut it: std::env::Args) -> ! {
     }
 }
 
-/// `tmtrace perf-diff BASELINE.json CURRENT.json`: the CI perf gate.
-/// Numeric leaves are split into two classes by path: anything under a
-/// `host` object (wall-clock, cycles/sec, ns/cycle) is machine-dependent
-/// and only gated when `--host-tolerance` is given — otherwise it is
-/// reported but never fails the gate. Everything else is deterministic
-/// simulator output (simulated cycles, commit counts, latency
-/// percentiles) and is gated at `--tolerance` (default 0%: any change
-/// fails). Exit 0 on pass, 1 on regression, 2 on usage/parse errors.
-fn cmd_perf_diff(mut it: std::env::Args) -> ! {
-    let mut files: Vec<String> = Vec::new();
-    let mut tolerance = 0.0f64;
-    let mut host_tolerance: Option<f64> = None;
-    let mut top_phases = 5usize;
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--host-tolerance" => {
-                host_tolerance = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--top-phases" => {
-                top_phases = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "-h" | "--help" => usage(),
-            other if other.starts_with('-') => {
-                eprintln!("unknown argument {other:?}");
-                usage();
-            }
-            path => files.push(path.to_string()),
-        }
-    }
-    if files.len() != 2 {
-        eprintln!("perf-diff needs exactly two JSON files (baseline, current)");
-        usage();
-    }
-    let read = |p: &str| -> String {
-        std::fs::read_to_string(p).unwrap_or_else(|e| {
-            eprintln!("cannot read {p}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let (a, b) = (read(&files[0]), read(&files[1]));
-    // Refuse to gate across schema versions: the error names the
-    // offending path and both versions so the fix is self-evident.
-    let parse = |name: &str, text: &str| {
-        sim_core::json::parse(text).unwrap_or_else(|e| {
-            eprintln!("perf-diff FAILED: {name}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let (va, vb) = (parse(&files[0], &a), parse(&files[1], &b));
-    if let Err(e) = tmobs::check_schema_match(&va, &vb, &files[0], &files[1]) {
-        eprintln!("perf-diff FAILED: {e}");
-        std::process::exit(2);
-    }
-    // Collect every changed leaf, then apply per-class tolerances.
-    let deltas = tmobs::diff_values(&va, &vb, 0.0);
-    let is_host = |path: &str| {
-        path.split('.').any(|seg| {
-            seg == "host"
-                || seg
-                    .strip_suffix(']')
-                    .is_some_and(|s| s.starts_with("host["))
-        })
-    };
-    let (host, det): (Vec<_>, Vec<_>) = deltas.into_iter().partition(|d| is_host(&d.path));
-    let det_fail: Vec<_> = det.iter().filter(|d| d.rel_pct() > tolerance).collect();
-    let host_fail: Vec<_> = match host_tolerance {
-        Some(t) => host.iter().filter(|d| d.rel_pct() > t).collect(),
-        None => Vec::new(),
-    };
-    println!(
-        "perf-diff {} vs {}: {} deterministic delta(s), {} host delta(s)",
-        files[0],
-        files[1],
-        det.len(),
-        host.len()
-    );
-    if !host.is_empty() {
-        match host_tolerance {
-            Some(t) => println!("host metrics (gated at {t}%):"),
-            None => println!("host metrics (report-only; pass --host-tolerance to gate):"),
-        }
-        for d in &host {
-            println!("  {}", d.render());
-        }
-        // Attribution: which engine phases account for the host movement.
-        let movers = tmobs::top_phase_movers(&host, top_phases);
-        if !movers.is_empty() {
-            println!(
-                "top {} phase mover(s) (by absolute share change):",
-                movers.len()
-            );
-            for d in movers {
-                println!("  {}", d.render());
-            }
-        }
-    }
-    if !det_fail.is_empty() {
-        println!("deterministic metrics beyond {tolerance}%:");
-        for d in &det_fail {
-            println!("  {}", d.render());
-        }
-    }
-    if det_fail.is_empty() && host_fail.is_empty() {
-        println!("perf gate PASSED");
-        std::process::exit(0);
-    }
-    eprintln!(
-        "perf gate FAILED: {} deterministic + {} host regression(s)",
-        det_fail.len(),
-        host_fail.len()
-    );
-    std::process::exit(1);
-}
-
 /// `tmtrace witness FILE.json [...]`: render witness files. Exit 0 when
 /// every file parses, 2 otherwise.
 fn cmd_witness(it: std::env::Args) -> ! {
@@ -378,18 +234,13 @@ fn cmd_witness(it: std::env::Args) -> ! {
 
 fn main() {
     let mut it = std::env::args();
-    it.next(); // argv[0]
-               // `diff`, `perf-diff`, and `witness` have their own grammars
-               // (positional files); dispatch before the flag parser sees
-               // them.
+    // Skip argv[0]. `diff` and `witness` have their own grammars
+    // (positional files); dispatch before the flag parser sees them.
+    it.next();
     let args = match std::env::args().nth(1).as_deref() {
         Some("diff") => {
             it.next();
             cmd_diff(it)
-        }
-        Some("perf-diff") => {
-            it.next();
-            cmd_perf_diff(it)
         }
         Some("witness") => {
             it.next();

@@ -46,7 +46,7 @@ fn span_event(s: &Span, threads: usize) -> String {
 
 /// Serialize a recording as a Chrome trace-event JSON document. The
 /// run's latency histograms ride along in `otherData` (Perfetto ignores
-/// unknown keys there; `tmtrace perf-diff` and scripts can read them).
+/// unknown keys there; `tmtrace diff` and scripts can read them).
 pub fn export_chrome(rec: &Recorder, meta: &TraceMeta, stats: &RunStats) -> String {
     let mut events: Vec<String> = Vec::new();
     events.push(format!(

@@ -1,12 +1,12 @@
 //! Run-to-run regression detection: compare two JSON documents (RunStats
-//! dumps, blame reports, bench artifacts — any numeric-leaved JSON) and
-//! flag metric deltas beyond a relative threshold.
+//! dumps, blame reports — any numeric-leaved JSON) and flag metric
+//! deltas beyond a relative threshold.
 //!
 //! The comparison is schema-agnostic: both documents are flattened to
 //! dotted numeric leaf paths (`phases[1]`, `ledger.saved_fraction`, ...)
 //! and joined on path. A key present on only one side is always flagged.
-//! `tmtrace diff` fronts this; the bench crate and CI reuse it as a
-//! self-contained regression gate.
+//! `tmtrace diff` fronts this; CI's `tmtrace-smoke` job runs it on two
+//! passes of one point.
 
 use sim_core::json::{self, Json};
 
@@ -78,14 +78,16 @@ fn flatten(prefix: &str, v: &Json, out: &mut Vec<(String, f64)>) {
     }
 }
 
-/// Compare two parsed documents; return the deltas at or beyond
+/// Parse and compare two JSON documents; return the deltas at or beyond
 /// `threshold_pct` (0.0 flags any change), in document order of A with
 /// B-only keys appended.
-pub fn diff_values(a: &Json, b: &Json, threshold_pct: f64) -> Vec<MetricDelta> {
+pub fn diff_docs(a: &str, b: &str, threshold_pct: f64) -> Result<Vec<MetricDelta>, String> {
+    let doc_a = json::parse(a).map_err(|e| format!("document A: {e}"))?;
+    let doc_b = json::parse(b).map_err(|e| format!("document B: {e}"))?;
     let mut fa = Vec::new();
     let mut fb = Vec::new();
-    flatten("", a, &mut fa);
-    flatten("", b, &mut fb);
+    flatten("", &doc_a, &mut fa);
+    flatten("", &doc_b, &mut fb);
     let mut out = Vec::new();
     for (path, va) in &fa {
         match fb.iter().find(|(p, _)| p == path) {
@@ -115,55 +117,7 @@ pub fn diff_values(a: &Json, b: &Json, threshold_pct: f64) -> Vec<MetricDelta> {
             });
         }
     }
-    out
-}
-
-/// Parse and compare two JSON documents.
-pub fn diff_docs(a: &str, b: &str, threshold_pct: f64) -> Result<Vec<MetricDelta>, String> {
-    let va = json::parse(a).map_err(|e| format!("document A: {e}"))?;
-    let vb = json::parse(b).map_err(|e| format!("document B: {e}"))?;
-    Ok(diff_values(&va, &vb, threshold_pct))
-}
-
-/// Check that two gateable documents carry the same top-level `"schema"`
-/// tag. On mismatch the error names the offending JSON path (`$.schema`)
-/// and **both** versions, so the fix (re-bless the baseline, or check
-/// out the matching tool) is obvious from the message alone.
-pub fn check_schema_match(a: &Json, b: &Json, a_name: &str, b_name: &str) -> Result<(), String> {
-    let tag = |v: &Json| v.get("schema").and_then(Json::as_f64);
-    let render = |v: Option<f64>| v.map_or_else(|| "absent".to_string(), |s| format!("{s}"));
-    let (sa, sb) = (tag(a), tag(b));
-    if sa == sb {
-        Ok(())
-    } else {
-        Err(format!(
-            "schema mismatch at $.schema: {a_name} has schema {}, {b_name} has schema {} \
-             (re-bless the baseline with the current tool, or diff artifacts written by the \
-             same schema version)",
-            render(sa),
-            render(sb)
-        ))
-    }
-}
-
-/// The `k` largest host-phase movements among `deltas`: leaves under a
-/// `phases` object (the `host.phases.<scope-path>` shares written by
-/// `experiments engine`), ranked by absolute change. This is the
-/// attribution step of a host perf regression — the phases that moved
-/// most are where the regression lives.
-pub fn top_phase_movers(deltas: &[MetricDelta], k: usize) -> Vec<&MetricDelta> {
-    let mut movers: Vec<&MetricDelta> = deltas
-        .iter()
-        .filter(|d| d.path.split('.').any(|seg| seg == "phases"))
-        .collect();
-    movers.sort_by(|x, y| {
-        let abs = |d: &MetricDelta| (d.b.unwrap_or(0.0) - d.a.unwrap_or(0.0)).abs();
-        abs(y)
-            .partial_cmp(&abs(x))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    movers.truncate(k);
-    movers
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -212,44 +166,5 @@ mod tests {
         let a = r#"{"system":"LockillerTM","v":1}"#;
         let b = r#"{"system":"Baseline","v":1}"#;
         assert!(diff_docs(a, b, 0.0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn schema_mismatch_error_names_path_and_both_versions() {
-        let a = json::parse(r#"{"schema":1,"x":1}"#).unwrap();
-        let b = json::parse(r#"{"schema":2,"x":1}"#).unwrap();
-        let e = check_schema_match(&a, &b, "baseline.json", "current.json").unwrap_err();
-        assert!(e.contains("$.schema"), "no JSON path in: {e}");
-        assert!(
-            e.contains("baseline.json has schema 1"),
-            "missing A version: {e}"
-        );
-        assert!(
-            e.contains("current.json has schema 2"),
-            "missing B version: {e}"
-        );
-        // Matching (or equally absent) schemas pass.
-        assert!(check_schema_match(&a, &a, "a", "a").is_ok());
-        let none = json::parse(r#"{"x":1}"#).unwrap();
-        assert!(check_schema_match(&none, &none, "a", "b").is_ok());
-        let e = check_schema_match(&a, &none, "a.json", "b.json").unwrap_err();
-        assert!(
-            e.contains("b.json has schema absent"),
-            "missing absent note: {e}"
-        );
-    }
-
-    #[test]
-    fn top_phase_movers_ranks_by_absolute_change() {
-        let a = r#"{"points":[{"host":{"phases":{"run;ev_recv":0.50,"run;dequeue":0.10,"run;ev_net":0.40},"wall_s":1.0}}]}"#;
-        let b = r#"{"points":[{"host":{"phases":{"run;ev_recv":0.30,"run;dequeue":0.12,"run;ev_net":0.58},"wall_s":2.0}}]}"#;
-        let deltas = diff_docs(a, b, 0.0).unwrap();
-        let movers = top_phase_movers(&deltas, 2);
-        assert_eq!(movers.len(), 2);
-        // ev_recv moved 0.20, ev_net 0.18, dequeue 0.02; wall_s is not a
-        // phase and must never appear.
-        assert!(movers[0].path.ends_with("run;ev_recv"));
-        assert!(movers[1].path.ends_with("run;ev_net"));
-        assert!(movers.iter().all(|d| !d.path.contains("wall_s")));
     }
 }

@@ -20,7 +20,7 @@
 //!   attacker/victim matrix with wasted-cycle weights, the per-line
 //!   hotspot table, and the recovery-outcome ledger (`tmtrace blame`);
 //! - [`diff`] — schema-agnostic numeric JSON diff used as a run-to-run
-//!   regression detector (`tmtrace diff`, bench, CI);
+//!   regression detector (`tmtrace diff`, CI);
 //! - [`latency`] — percentile tables of the deterministic log-bucketed
 //!   histograms (`sim_core::latency::LatencyHist`): the per-transaction-
 //!   class table and the same rows for any named histogram;
@@ -33,8 +33,8 @@
 //!   `sim_core::prof::HostProf` scopes (`<stem>.selfprof.json`);
 //! - [`tmprof`] — exporters for the scope-based host profile
 //!   (`sim_core::prof`): collapsed-stack flamegraph, Chrome-trace
-//!   nesting, the schema-v2 `selfprof.json` `"prof"` block, and the
-//!   per-phase shares `experiments engine` records (`tmtrace flame`);
+//!   nesting, the schema-v2 `selfprof.json` `"prof"` block and a
+//!   terminal table (`tmtrace flame`);
 //! - [`batch::BatchProgress`] — thread-safe completion counter + stderr
 //!   progress lines for batch runs (the bench crate's `Lab::run_many`);
 //! - the `tmtrace` CLI binary, which writes the artifacts to disk.
@@ -58,7 +58,7 @@ pub mod witness;
 
 pub use batch::BatchProgress;
 pub use chrome::{export_chrome, validate_chrome, ChromeSummary, TraceMeta};
-pub use diff::{check_schema_match, diff_docs, diff_values, top_phase_movers, MetricDelta};
+pub use diff::{diff_docs, MetricDelta};
 pub use forensics::{analyze, ConflictMatrix, ForensicsReport, LineHotspot, RecoveryLedger};
 pub use jsonl::export_jsonl;
 pub use latency::render_latency_table;
@@ -66,5 +66,5 @@ pub use recorder::{ConflictEvent, Recorder, SampleRow, Span, SpanEnd, SpanKind, 
 pub use registry::MetricsRegistry;
 pub use session::{run_trace, TraceArtifacts, TraceConfig};
 pub use summary::render_summary;
-pub use tmprof::{chrome_prof, flame, flame_total_us, phase_shares, prof_json, render_prof};
+pub use tmprof::{chrome_prof, flame, flame_total_us, prof_json, render_prof};
 pub use witness::{Witness, WITNESS_VERSION};

@@ -11,9 +11,7 @@
 //!   as nested slices (aggregate durations laid out depth-first, not a
 //!   timeline — the profile is a tree of totals);
 //! - [`prof_json`] — the stable JSON block merged into
-//!   `<stem>.selfprof.json` (schema v2) and `BENCH_engine.json`;
-//! - [`phase_shares`] — per-phase self-time shares (they sum to 1.0
-//!   exactly: self times partition the root total);
+//!   `<stem>.selfprof.json` (schema v2);
 //! - [`render_prof`] — a terminal table, biggest self-time first.
 //!
 //! Reconciliation guarantee (asserted by tests and the CI gate): the sum
@@ -126,17 +124,6 @@ pub fn prof_json(report: &ProfReport) -> String {
     out
 }
 
-/// Per-phase share of total host time (self-time basis), keyed by full
-/// scope path, in depth-first report order. Shares sum to 1.0 exactly
-/// when any time was recorded — self times partition the root total.
-pub fn phase_shares(report: &ProfReport) -> Vec<(String, f64)> {
-    report
-        .self_shares()
-        .into_iter()
-        .map(|(p, s)| (p.to_string(), s))
-        .collect()
-}
-
 /// Terminal table: phases by self-time, descending.
 pub fn render_prof(report: &ProfReport) -> String {
     let total = (report.total_ns as f64).max(1.0);
@@ -234,8 +221,7 @@ mod tests {
             .sum();
         // Emitted at 3 decimals; the sum matches total within rounding.
         assert!((self_sum - total).abs() < 0.01 * nodes.len() as f64);
-        let shares = phase_shares(&r);
-        let s: f64 = shares.iter().map(|(_, v)| v).sum();
+        let s: f64 = r.self_shares().iter().map(|(_, v)| v).sum();
         assert!((s - 1.0).abs() < 1e-9);
     }
 

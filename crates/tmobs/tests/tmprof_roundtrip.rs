@@ -29,7 +29,7 @@ fn escape_handles_quotes_backslashes_and_controls() {
 /// Golden test for the collapsed-stack export: a fixed scope sequence
 /// must produce exactly these stack lines, in exactly this (depth-first,
 /// first-entered) order. Values are host timings and vary; the *paths*
-/// are the contract that flamegraph tooling and `perf-diff` key on.
+/// are the contract that flamegraph tooling and CI's stack greps key on.
 #[test]
 fn flame_export_matches_golden_stack_structure() {
     let mut p = HostProf::start();
