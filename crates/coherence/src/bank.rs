@@ -90,8 +90,9 @@ pub struct DirEntry {
     /// A grant is in flight: the entry stays blocked until the requester's
     /// unblock message confirms receipt (the paper's Fig. 3 flow).
     pub unblock_wait: Option<CoreId>,
-    /// Requests serialized behind the pending one.
-    pub queue: VecDeque<ReqInfo>,
+    /// Requests serialized behind the pending one; [`Bank::enqueue`] and
+    /// [`Bank::dequeue`] keep the bank's running count of them.
+    queue: VecDeque<ReqInfo>,
 }
 
 impl DirEntry {
@@ -124,6 +125,9 @@ pub struct Bank {
     pub queued: u64,
     /// High-water mark of [`Bank::queue_depth`].
     pub queue_peak: u64,
+    /// Requests queued now, over every entry: the sum of the entries'
+    /// queue lengths, which the fingerprint already hashes.
+    queue_depth: usize,
 }
 
 #[derive(Clone, Copy, Debug, Hash)]
@@ -149,6 +153,7 @@ impl Bank {
             misses: 0,
             queued: 0,
             queue_peak: 0,
+            queue_depth: 0,
         }
     }
 
@@ -157,13 +162,20 @@ impl Bank {
     pub fn enqueue(&mut self, line: LineAddr, req: ReqInfo) {
         self.entry(line).queue.push_back(req);
         self.queued += 1;
-        let depth = self.queue_depth() as u64;
-        self.queue_peak = self.queue_peak.max(depth);
+        self.queue_depth += 1;
+        self.queue_peak = self.queue_peak.max(self.queue_depth as u64);
+    }
+
+    /// Take the oldest request queued behind `line`'s entry, if any.
+    pub fn dequeue(&mut self, line: LineAddr) -> Option<ReqInfo> {
+        let next = self.entry(line).queue.pop_front();
+        self.queue_depth -= usize::from(next.is_some());
+        next
     }
 
     /// Requests currently queued behind busy directory entries.
     pub fn queue_depth(&self) -> usize {
-        self.dir.values().map(|e| e.queue.len()).sum()
+        self.queue_depth
     }
 
     /// Directory entries with a request in flight (probes or unblock
@@ -174,14 +186,9 @@ impl Bank {
 
     /// Access the tag array for `line`: returns `(hit, evicted)` where
     /// `evicted` is a line that had to leave the LLC to make room
-    /// (triggering back-invalidation by the caller). Lines for which
-    /// `evictable` returns false (e.g., directory-pending lines) are
-    /// never chosen.
-    pub fn tag_access(
-        &mut self,
-        line: LineAddr,
-        evictable: impl Fn(LineAddr) -> bool,
-    ) -> (bool, Option<LineAddr>) {
+    /// (triggering back-invalidation by the caller). A line whose
+    /// directory entry is busy (a request in flight) is never chosen.
+    pub fn tag_access(&mut self, line: LineAddr) -> (bool, Option<LineAddr>) {
         self.clock += 1;
         let clock = self.clock;
         let set_idx = self.set_of(line);
@@ -198,6 +205,8 @@ impl Bank {
         }
         // Evict LRU among evictable lines; if none qualifies, bypass
         // allocation (the line is served straight from memory this time).
+        let dir = &self.dir;
+        let evictable = |l: LineAddr| !dir.get(&l).is_some_and(DirEntry::busy);
         let victim_way = set
             .iter()
             .enumerate()
@@ -257,7 +266,7 @@ impl Bank {
     /// geometry and stride, `(set, way, tag)` for each occupied way (LRU
     /// stamp included) and an end marker, the LRU clock, the directory
     /// entries in the map's own iteration order, and the hit, miss and
-    /// queue counters.
+    /// queue counters (the running depth is the entries' queue lengths).
     pub fn fingerprint(&self, h: &mut impl Hasher) {
         (self.geom, self.stride).hash(h);
         crate::fingerprint_ways(&self.sets, h);
@@ -295,9 +304,9 @@ mod tests {
     #[test]
     fn tag_hit_after_allocate() {
         let mut b = bank();
-        let (hit, ev) = b.tag_access(LineAddr(4), |_| true);
+        let (hit, ev) = b.tag_access(LineAddr(4));
         assert!(!hit && ev.is_none());
-        let (hit, _) = b.tag_access(LineAddr(4), |_| true);
+        let (hit, _) = b.tag_access(LineAddr(4));
         assert!(hit);
         assert_eq!(b.hits, 1);
         assert_eq!(b.misses, 1);
@@ -307,10 +316,10 @@ mod tests {
     fn full_set_evicts_lru() {
         let mut b = bank();
         // Lines 0, 2, 4 all map to set 0 (2 sets).
-        b.tag_access(LineAddr(0), |_| true);
-        b.tag_access(LineAddr(2), |_| true);
-        b.tag_access(LineAddr(0), |_| true); // 2 is now LRU
-        let (hit, ev) = b.tag_access(LineAddr(4), |_| true);
+        b.tag_access(LineAddr(0));
+        b.tag_access(LineAddr(2));
+        b.tag_access(LineAddr(0)); // 2 is now LRU
+        let (hit, ev) = b.tag_access(LineAddr(4));
         assert!(!hit);
         assert_eq!(ev, Some(LineAddr(2)));
     }
@@ -318,15 +327,22 @@ mod tests {
     #[test]
     fn unevictable_lines_are_skipped() {
         let mut b = bank();
-        b.tag_access(LineAddr(0), |_| true);
-        b.tag_access(LineAddr(2), |_| true);
-        // Only line 0 is evictable.
-        let (_, ev) = b.tag_access(LineAddr(4), |l| l == LineAddr(0));
-        assert_eq!(ev, Some(LineAddr(0)));
+        b.tag_access(LineAddr(0));
+        b.tag_access(LineAddr(2));
+        // Line 0 is LRU but busy: line 2 is the only evictable one.
+        b.entry(LineAddr(0)).unblock_wait = Some(1);
+        let (_, ev) = b.tag_access(LineAddr(4));
+        assert_eq!(ev, Some(LineAddr(2)));
         // Nothing evictable: bypass (no eviction, not resident).
-        let (_, ev) = b.tag_access(LineAddr(6), |_| false);
+        b.entry(LineAddr(4)).unblock_wait = Some(1);
+        let (_, ev) = b.tag_access(LineAddr(6));
         assert_eq!(ev, None);
         assert!(!b.tag_present(LineAddr(6)));
+        // An entry that is not busy (here: only queued requests) does
+        // not protect its line.
+        b.entry(LineAddr(4)).unblock_wait = None;
+        let (_, ev) = b.tag_access(LineAddr(6));
+        assert_eq!(ev, Some(LineAddr(4)));
     }
 
     #[test]
@@ -380,15 +396,23 @@ mod tests {
             mode: ReqMode::NonTx,
             attempt: 0,
         };
+        let summed = |b: &Bank| b.dir.values().map(|e| e.queue.len()).sum::<usize>();
         assert_eq!(b.queue_depth(), 0);
         b.enqueue(LineAddr(5), req(1));
         b.enqueue(LineAddr(5), req(2));
-        assert_eq!(b.queue_depth(), 2);
-        assert_eq!(b.queued, 2);
-        assert_eq!(b.queue_peak, 2);
-        b.entry(LineAddr(5)).queue.pop_front();
+        b.enqueue(LineAddr(7), req(3));
+        assert_eq!(b.queue_depth(), 3);
+        assert_eq!(b.queued, 3);
+        assert_eq!(b.queue_peak, 3);
+        assert_eq!(b.dequeue(LineAddr(5)).map(|r| r.core), Some(1));
+        assert_eq!(b.dequeue(LineAddr(7)).map(|r| r.core), Some(3));
+        assert!(
+            b.dequeue(LineAddr(7)).is_none(),
+            "an empty queue leaves the count"
+        );
         assert_eq!(b.queue_depth(), 1);
-        assert_eq!(b.queue_peak, 2, "peak is a high-water mark");
+        assert_eq!(b.queue_depth(), summed(&b));
+        assert_eq!(b.queue_peak, 3, "peak is a high-water mark");
         assert_eq!(b.busy_entries(), 0);
         b.entry(LineAddr(5)).unblock_wait = Some(2);
         assert_eq!(b.busy_entries(), 1);
@@ -397,7 +421,7 @@ mod tests {
     #[test]
     fn tag_drop_is_idempotent() {
         let mut b = bank();
-        b.tag_access(LineAddr(4), |_| true);
+        b.tag_access(LineAddr(4));
         assert!(b.tag_present(LineAddr(4)));
         b.tag_drop(LineAddr(4));
         assert!(!b.tag_present(LineAddr(4)));

@@ -835,7 +835,7 @@ impl MemSystem {
             if self.bank_req_active(now, b, req) {
                 return; // probes outstanding; finalize_pending continues
             }
-            next = self.banks[b].entry(req.line).queue.pop_front();
+            next = self.banks[b].dequeue(req.line);
             if next.is_none() {
                 self.banks[b].gc_entry(req.line);
             }
@@ -899,14 +899,7 @@ impl MemSystem {
         }
 
         // LLC tag access: capacity + inclusivity model.
-        let dir_snapshot: Vec<LineAddr> = self.banks[b]
-            .dir
-            .iter()
-            .filter(|(_, e)| e.busy())
-            .map(|(l, _)| *l)
-            .collect();
-        let (hit, evicted) =
-            self.banks[b].tag_access(line, |l| !dir_snapshot.contains(&l) && l != line);
+        let (hit, evicted) = self.banks[b].tag_access(line);
         if let Some(ev) = evicted {
             self.back_invalidate(now, b, ev);
         }
@@ -1076,7 +1069,7 @@ impl MemSystem {
             "unexpected unblock from {core} for {line:?}"
         );
         entry.unblock_wait = None;
-        if let Some(next) = self.banks[b].entry(line).queue.pop_front() {
+        if let Some(next) = self.banks[b].dequeue(line) {
             self.bank_serve(now, b, next);
         } else {
             self.banks[b].gc_entry(line);
@@ -1199,7 +1192,7 @@ impl MemSystem {
         }
 
         // Rejected: no grant in flight; serve the next queued request.
-        if let Some(next) = self.banks[b].entry(line).queue.pop_front() {
+        if let Some(next) = self.banks[b].dequeue(line) {
             self.bank_serve(now, b, next);
         } else {
             self.banks[b].gc_entry(line);

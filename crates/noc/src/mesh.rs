@@ -7,7 +7,7 @@
 //! crossing the link. Local (src == dst) delivery costs one router
 //! traversal cycle.
 
-use crate::route::{route_path, NodeId};
+use crate::route::NodeId;
 use sim_core::obs::{Metric, MetricSpec};
 use sim_core::types::Cycle;
 
@@ -19,21 +19,6 @@ enum Dir {
     West,
     North,
     South,
-}
-
-fn dir_between(a: NodeId, b: NodeId, width: usize) -> Dir {
-    let (ax, ay) = (a % width, a / width);
-    let (bx, by) = (b % width, b / width);
-    if bx == ax + 1 {
-        Dir::East
-    } else if ax == bx + 1 {
-        Dir::West
-    } else if by == ay + 1 {
-        Dir::South
-    } else {
-        debug_assert!(ay == by + 1);
-        Dir::North
-    }
 }
 
 fn link_index(node: NodeId, dir: Dir) -> usize {
@@ -133,20 +118,44 @@ impl Mesh {
             // Local loopback through the router: one cycle.
             return now + 1;
         }
-        let path = route_path(src, dst, self.width);
+        // X-Y route: walk X, then Y, charging each link as it is left.
+        let w = self.width;
+        let (mut x, mut y) = (src % w, src / w);
+        let (dx, dy) = (dst % w, dst / w);
         let mut t = now;
-        for w in path.windows(2) {
-            let link = link_index(w[0], dir_between(w[0], w[1], self.width));
-            let free = self.busy_until[link];
-            let start = t.max(free);
-            self.stats.queue_cycles += start - t;
-            self.busy_until[link] = start + flits as Cycle;
-            t = start + self.link_latency + flits as Cycle;
-            self.stats.hops += 1;
-            self.stats.flit_hops += flits as u64;
-            self.stats.link_busy[link] += flits as u64;
+        while x != dx {
+            let (dir, next) = if dx > x {
+                (Dir::East, x + 1)
+            } else {
+                (Dir::West, x - 1)
+            };
+            t = self.cross(t, link_index(y * w + x, dir), flits);
+            x = next;
+        }
+        while y != dy {
+            let (dir, next) = if dy > y {
+                (Dir::South, y + 1)
+            } else {
+                (Dir::North, y - 1)
+            };
+            t = self.cross(t, link_index(y * w + x, dir), flits);
+            y = next;
         }
         t
+    }
+
+    /// Carry a `flits`-flit message that reaches `link` at cycle `t`:
+    /// it waits for the link to drain, occupies it for `flits` cycles,
+    /// and arrives at the far router `link_latency + flits` cycles after
+    /// it starts crossing. Returns that arrival cycle.
+    fn cross(&mut self, t: Cycle, link: usize, flits: u32) -> Cycle {
+        let start = t.max(self.busy_until[link]);
+        self.stats.queue_cycles += start - t;
+        self.busy_until[link] = start + flits as Cycle;
+        self.stats.hops += 1;
+        self.stats.flit_hops += flits as u64;
+        self.stats.link_busy[link] += flits as u64;
+        start + self.link_latency + flits as Cycle
     }
 
     /// Uncontended delivery latency for a message (used by tests and by
@@ -177,6 +186,7 @@ impl Mesh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::route::route_path;
 
     fn mesh() -> Mesh {
         Mesh::new(4, 8, 1)
@@ -281,6 +291,58 @@ mod tests {
         assert_eq!(specs.len(), 2 + 16);
         assert!(specs.iter().any(|s| s.name == "noc.messages"));
         assert_eq!(specs[2].name, Metric::LinkBusy(0).name());
+    }
+
+    /// The link `route_path` says the hop `a -> b` crosses.
+    fn oracle_link(a: NodeId, b: NodeId, width: usize) -> usize {
+        let (ax, ay) = (a % width, a / width);
+        let (bx, by) = (b % width, b / width);
+        let dir = if bx == ax + 1 {
+            Dir::East
+        } else if ax == bx + 1 {
+            Dir::West
+        } else if by == ay + 1 {
+            Dir::South
+        } else {
+            assert_eq!(ay, by + 1, "{a} -> {b} is not one hop");
+            Dir::North
+        };
+        link_index(a, dir)
+    }
+
+    /// `send` charges exactly the links of `route_path`, in its order:
+    /// for every (src, dst) pair of the 4x8 mesh, on a mesh already
+    /// carrying traffic, the returned cycle, `busy_until` and
+    /// `link_busy` equal a hop-by-hop replay of the oracle route.
+    #[test]
+    fn send_charges_the_links_route_path_lists() {
+        let mut m = mesh();
+        let mut want = mesh();
+        let mut now = 0;
+        for src in 0..32 {
+            for dst in 0..32 {
+                let flits = if (src + dst) % 3 == 0 { 5 } else { 1 };
+                let got = m.send(now, src, dst, flits);
+                want.stats.messages += 1;
+                let arrive = if src == dst {
+                    now + 1
+                } else {
+                    let path = route_path(src, dst, 4);
+                    path.windows(2)
+                        .fold(now, |t, h| want.cross(t, oracle_link(h[0], h[1], 4), flits))
+                };
+                assert_eq!(got, arrive, "{src} -> {dst}");
+                assert_eq!(m.busy_until, want.busy_until, "{src} -> {dst}");
+                assert_eq!(m.stats.link_busy, want.stats.link_busy, "{src} -> {dst}");
+                now += (src * 7 + dst) as Cycle % 4;
+            }
+        }
+        assert_eq!(m.stats.queue_cycles, want.stats.queue_cycles);
+        assert!(m.stats.queue_cycles > 0, "no message queued behind another");
+        assert_eq!(
+            (m.stats.messages, m.stats.hops, m.stats.flit_hops),
+            (want.stats.messages, want.stats.hops, want.stats.flit_hops)
+        );
     }
 
     #[test]

@@ -33,9 +33,11 @@ pub fn route_hops(src: NodeId, dst: NodeId, width: usize) -> usize {
     a.x.abs_diff(b.x) + a.y.abs_diff(b.y)
 }
 
-/// Iterator over the node sequence of the X-Y route from `src` to `dst`,
-/// inclusive of both endpoints.
-pub fn route_path(src: NodeId, dst: NodeId, width: usize) -> Vec<NodeId> {
+/// The node sequence of the X-Y route from `src` to `dst`, inclusive of
+/// both endpoints. The test oracle for [`crate::Mesh::send`], which walks
+/// the same route without building it.
+#[cfg(test)]
+pub(crate) fn route_path(src: NodeId, dst: NodeId, width: usize) -> Vec<NodeId> {
     let s = Position::of(src, width);
     let d = Position::of(dst, width);
     let mut path = Vec::with_capacity(route_hops(src, dst, width) + 1);

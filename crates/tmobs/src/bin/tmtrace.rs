@@ -46,6 +46,7 @@ use lockiller::system::SystemKind;
 use sim_core::config::MAX_CORES;
 use sim_core::rng::parse_seed;
 use stamp::{Scale, WorkloadKind};
+use std::io::Write;
 use tmobs::{diff_docs, run_trace, validate_chrome, TraceConfig};
 
 enum Cmd {
@@ -173,63 +174,89 @@ fn cmd_diff(mut it: std::env::Args) -> ! {
         })
     };
     let (a, b) = (read(&files[0]), read(&files[1]));
-    match diff_docs(&a, &b, threshold) {
-        Ok(deltas) if deltas.is_empty() => {
-            println!(
+    let deltas = diff_docs(&a, &b, threshold).unwrap_or_else(|e| {
+        eprintln!("diff FAILED: {e}");
+        std::process::exit(2);
+    });
+    let status = i32::from(!deltas.is_empty());
+    report(status, |out| {
+        if deltas.is_empty() {
+            return writeln!(
+                out,
                 "no deltas beyond {threshold}% between {} and {}",
                 files[0], files[1]
             );
-            std::process::exit(0);
         }
-        Ok(deltas) => {
-            println!(
-                "{} delta(s) beyond {threshold}% between {} and {}:",
-                deltas.len(),
-                files[0],
-                files[1]
-            );
-            for d in &deltas {
-                println!("  {}", d.render());
-            }
-            std::process::exit(1);
+        writeln!(
+            out,
+            "{} delta(s) beyond {threshold}% between {} and {}:",
+            deltas.len(),
+            files[0],
+            files[1]
+        )?;
+        for d in &deltas {
+            writeln!(out, "  {}", d.render())?;
         }
-        Err(e) => {
-            eprintln!("diff FAILED: {e}");
-            std::process::exit(2);
-        }
-    }
+        Ok(())
+    })
 }
 
 /// `tmtrace witness FILE.json [...]`: render witness files. Exit 0 when
-/// every file parses, 2 otherwise.
+/// every file parses, 2 otherwise; the files before the first bad one
+/// are rendered.
 fn cmd_witness(it: std::env::Args) -> ! {
-    let mut any = false;
-    for path in it {
-        match path.as_str() {
-            "-h" | "--help" => usage(),
-            _ => {}
-        }
-        any = true;
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        match tmobs::Witness::parse(&text) {
-            Ok(w) => {
-                println!("{path}:");
-                print!("{}", w.render());
-            }
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                std::process::exit(2);
-            }
-        }
+    let paths: Vec<String> = it.collect();
+    if paths.iter().any(|p| p == "-h" || p == "--help") {
+        usage();
     }
-    if !any {
+    if paths.is_empty() {
         eprintln!("witness needs at least one file");
         usage();
     }
-    std::process::exit(0);
+    let witnesses: Vec<Result<tmobs::Witness, String>> = paths
+        .iter()
+        .map(|path| {
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            tmobs::Witness::parse(&text).map_err(|e| format!("{path}: {e}"))
+        })
+        .collect();
+    let status = if witnesses.iter().all(Result::is_ok) {
+        0
+    } else {
+        2
+    };
+    report(status, |out| {
+        for (path, w) in paths.iter().zip(&witnesses) {
+            match w {
+                Ok(w) => write!(out, "{path}:\n{}", w.render())?,
+                Err(e) => {
+                    out.flush()?;
+                    eprintln!("{e}");
+                    break;
+                }
+            }
+        }
+        Ok(())
+    })
+}
+
+/// Write a command's report through one stdout lock, then exit with
+/// `status`. A reader that stops early (`tmtrace diff … | head`) closes
+/// the pipe: the report ends there and the command exits with the same
+/// status, without a panic.
+fn report(status: i32, body: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) -> ! {
+    let written = {
+        let mut out = std::io::stdout().lock();
+        body(&mut out).and_then(|()| out.flush())
+    };
+    match written {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            eprintln!("tmtrace: cannot write the report: {e}");
+            std::process::exit(2);
+        }
+        _ => std::process::exit(status),
+    }
 }
 
 fn main() {

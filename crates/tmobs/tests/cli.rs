@@ -1,8 +1,10 @@
 //! `tmtrace` command-line behaviour: a thread count outside the modelled
 //! cores is a usage error (exit 2), never a panic; `--seed` reads
-//! decimal or `0x` hex, and anything else is a usage error.
+//! decimal or `0x` hex, and anything else is a usage error; a report
+//! whose reader closes early ends quietly with the command's status.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Output, Stdio};
 
 fn tmtrace(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tmtrace"))
@@ -52,4 +54,38 @@ fn thread_counts_outside_the_cores_are_usage_errors() {
         assert!(err.contains("--threads takes 1..=32"), "{err}");
         assert!(err.contains("usage: tmtrace"), "{err}");
     }
+}
+
+#[test]
+fn diff_ends_quietly_when_its_reader_closes() {
+    let dir = std::env::temp_dir().join(format!("tmtrace-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    // 2,000 leaves that all differ: about 180 KiB of report, more than a
+    // pipe holds, so the writer meets the closed pipe mid-report.
+    let doc = |base: u64| {
+        let leaves: Vec<String> = (0..2000)
+            .map(|i| format!("\"leaf{i}\":{}", base + i))
+            .collect();
+        format!("{{{}}}", leaves.join(","))
+    };
+    let (a, b) = (dir.join("a.json"), dir.join("b.json"));
+    std::fs::write(&a, doc(0)).expect("write a.json");
+    std::fs::write(&b, doc(1)).expect("write b.json");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tmtrace"))
+        .args(["diff", a.to_str().unwrap(), b.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("tmtrace runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    // The reader is dropped: the rest of the report meets a closed pipe.
+    let out = child.wait_with_output().expect("tmtrace exits");
+    std::fs::remove_dir_all(&dir).ok();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(first.starts_with("2000 delta(s)"), "{first}");
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
 }
