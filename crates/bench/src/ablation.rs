@@ -69,7 +69,6 @@ pub fn ablation_retries(scale: Scale) -> String {
             &rows
         )
     );
-    println!("{out}");
     out
 }
 
@@ -100,7 +99,6 @@ pub fn ablation_priority(scale: Scale) -> String {
         "ABLATION: priority metric (cycles @8 threads; lower is better)\n{}",
         render(&["policy", "kmeans+", "intruder", "vacation+"], &rows)
     );
-    println!("{out}");
     out
 }
 
@@ -125,7 +123,6 @@ pub fn ablation_reject_action(scale: Scale) -> String {
         "ABLATION: reject action (cycles + commit rate @8 threads)\n{}",
         render(&["action", "kmeans+", "vacation+"], &rows)
     );
-    println!("{out}");
     out
 }
 
@@ -156,7 +153,6 @@ pub fn ablation_signature(scale: Scale) -> String {
             &rows
         )
     );
-    println!("{out}");
     out
 }
 

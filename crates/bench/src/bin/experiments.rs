@@ -4,7 +4,7 @@
 //! experiments [--quick] [--verbose] [--jobs N] [--csv FILE]
 //!             [--bench-json FILE] [EXPERIMENT...]
 //! EXPERIMENT: table1 table2 fig1 fig7..fig13 headline ablation
-//!             characterize plots forensics verify all (the default)
+//!             characterize plots forensics all (the default)
 //! ```
 //!
 //! `--quick` runs the reduced thread sweep {2, 8, 32} at Small workload
@@ -21,15 +21,26 @@
 //! value outside 1..=256 (`tmverify::dpor::MAX_JOBS`) and an unknown
 //! experiment name are usage errors (exit 2), found before anything
 //! runs.
+//!
+//! Each experiment's text goes to stdout as soon as it is done. A reader
+//! that closes early ends the run quietly, with status 0; an output file
+//! that cannot be written (`--csv`, `--bench-json`, `figures/`,
+//! `BENCH_forensics.json`) prints `experiments: cannot write PATH: ERR`
+//! and exits 2.
 
 use lockiller_bench::experiments as ex;
 use lockiller_bench::lab::Lab;
+use sim_core::cli::{cannot_write, report, write_file};
 use stamp::Scale;
+use std::io::Write;
+use std::path::Path;
 use tmverify::dpor::MAX_JOBS;
 
-/// Every experiment name; `all` runs each one but `ablation`,
-/// `characterize` and `plots`.
-const EXPERIMENTS: [&str; 17] = [
+const BIN: &str = "experiments";
+
+/// Every experiment name; `all` runs each one but [`NOT_IN_ALL`], in
+/// this order.
+const EXPERIMENTS: [&str; 16] = [
     "table1",
     "table2",
     "fig1",
@@ -45,9 +56,10 @@ const EXPERIMENTS: [&str; 17] = [
     "characterize",
     "plots",
     "forensics",
-    "verify",
     "all",
 ];
+
+const NOT_IN_ALL: [&str; 4] = ["ablation", "characterize", "plots", "all"];
 
 fn usage(msg: &str) -> ! {
     eprintln!(
@@ -102,98 +114,59 @@ fn main() {
     lab.verbose = verbose;
     lab.jobs(jobs);
 
-    for w in &what {
-        match w.as_str() {
-            "table1" => {
-                ex::table1();
-            }
-            "table2" => {
-                ex::table2();
-            }
-            "fig1" => {
-                ex::fig1(&mut lab);
-            }
-            "fig7" => {
-                ex::fig7(&mut lab, quick);
-            }
-            "fig8" => {
-                ex::fig8(&mut lab, quick);
-            }
-            "fig9" => {
-                ex::fig9(&mut lab, quick);
-            }
-            "fig10" => {
-                ex::fig10(&mut lab);
-            }
-            "fig11" => {
-                ex::fig11(&mut lab);
-            }
-            "fig12" => {
-                ex::fig12(&mut lab, quick);
-            }
-            "fig13" => {
-                ex::fig13(&mut lab, quick);
-            }
-            "headline" => {
-                ex::headline(&mut lab, quick);
-            }
-            "ablation" => {
-                lockiller_bench::ablation::run_all(scale);
-            }
-            "characterize" => {
-                ex::characterize(&mut lab);
-            }
-            "plots" => {
-                ex::plots(&mut lab, quick, std::path::Path::new("figures")).expect("write plots");
-            }
-            "forensics" => {
-                ex::forensics(quick, std::path::Path::new("BENCH_forensics.json"))
-                    .expect("write forensics json");
-            }
-            "verify" => {
-                lockiller_bench::verify::run(
-                    quick,
-                    jobs,
-                    std::path::Path::new("BENCH_verify.json"),
-                )
-                .expect("write verify json");
-            }
-            "all" => {
-                ex::table1();
-                ex::table2();
-                ex::fig1(&mut lab);
-                ex::fig7(&mut lab, quick);
-                ex::fig8(&mut lab, quick);
-                ex::fig9(&mut lab, quick);
-                ex::fig10(&mut lab);
-                ex::fig11(&mut lab);
-                ex::fig12(&mut lab, quick);
-                ex::fig13(&mut lab, quick);
-                ex::headline(&mut lab, quick);
-                ex::forensics(quick, std::path::Path::new("BENCH_forensics.json"))
-                    .expect("write forensics json");
-                lockiller_bench::verify::run(
-                    quick,
-                    jobs,
-                    std::path::Path::new("BENCH_verify.json"),
-                )
-                .expect("write verify json");
-            }
-            _ => unreachable!("experiment names are checked before any runs"),
+    report(BIN, |out| {
+        let names = what.iter().flat_map(|w| match w.as_str() {
+            "all" => EXPERIMENTS
+                .into_iter()
+                .filter(|n| !NOT_IN_ALL.contains(n))
+                .collect(),
+            name => vec![name],
+        });
+        for name in names {
+            // Each experiment's text is written as soon as it is done.
+            let text = match name {
+                "table1" => ex::table1(),
+                "table2" => ex::table2(),
+                "fig1" => ex::fig1(&mut lab),
+                "fig7" => ex::fig7(&mut lab, quick),
+                "fig8" => ex::fig8(&mut lab, quick),
+                "fig9" => ex::fig9(&mut lab, quick),
+                "fig10" => ex::fig10(&mut lab),
+                "fig11" => ex::fig11(&mut lab),
+                "fig12" => ex::fig12(&mut lab, quick),
+                "fig13" => ex::fig13(&mut lab, quick),
+                "headline" => ex::headline(&mut lab, quick),
+                "ablation" => lockiller_bench::ablation::run_all(scale),
+                "characterize" => ex::characterize(&mut lab),
+                "plots" => {
+                    let dir = Path::new("figures");
+                    let written = ex::plots(&mut lab, quick, dir)
+                        .unwrap_or_else(|e| cannot_write(BIN, dir, &e));
+                    let lines: Vec<String> = written.iter().map(|p| format!("wrote {p}")).collect();
+                    lines.join("\n")
+                }
+                "forensics" => {
+                    let path = Path::new("BENCH_forensics.json");
+                    ex::forensics(quick, path).unwrap_or_else(|e| cannot_write(BIN, path, &e))
+                }
+                _ => unreachable!("experiment names are checked before any runs"),
+            };
+            writeln!(out, "{text}")?;
         }
-    }
-    if let Some(path) = csv_path {
-        std::fs::write(&path, lab.dump_csv()).expect("write csv");
-        eprintln!("[csv written to {path}]");
-    }
-    let report = lab.report();
-    std::fs::write(&bench_json, report.to_json()).expect("write bench json");
-    eprintln!(
-        "[{} simulation points run in {:.1}s with {} jobs; parallel efficiency {:.0}%; \
-         report in {bench_json}]",
-        report.simulated,
-        report.wall_ms / 1e3,
-        report.jobs,
-        report.parallel_efficiency() * 100.0,
-    );
+        if let Some(path) = &csv_path {
+            write_file(BIN, Path::new(path), lab.dump_csv());
+            eprintln!("[csv written to {path}]");
+        }
+        let batch = lab.report();
+        write_file(BIN, Path::new(&bench_json), batch.to_json());
+        eprintln!(
+            "[{} simulation points run in {:.1}s with {} jobs; parallel efficiency {:.0}%; \
+             report in {bench_json}]",
+            batch.simulated,
+            batch.wall_ms / 1e3,
+            batch.jobs,
+            batch.parallel_efficiency() * 100.0,
+        );
+        Ok(())
+    })
 }

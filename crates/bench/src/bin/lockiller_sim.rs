@@ -11,14 +11,17 @@
 //! `tmtrace` and `tmcheck`.
 //!
 //! `--threads` takes 1..=32, the core count of every hardware preset.
+//! A reader that closes stdout early ends the report quietly (exit 0).
 
 use lockiller::runner::Runner;
 use lockiller::system::SystemKind;
 use lockiller::trace::render_timeline;
+use sim_core::cli::report;
 use sim_core::config::MAX_CORES;
 use sim_core::rng::parse_seed;
 use sim_core::stats::{AbortCause, Phase};
 use stamp::{Scale, Workload, WorkloadKind};
+use std::io::Write;
 
 fn usage() -> ! {
     eprintln!(
@@ -94,63 +97,76 @@ fn main() {
         runner = runner.retries(r);
     }
 
-    println!(
-        "{} / {} / {threads} threads / {cache} cache / scale {scale:?}\n",
-        system.name(),
-        workload.name(),
-    );
-    let (stats, trace) = if timeline {
-        let mut out = runner.tracing().run(&mut prog);
-        let trace = out.take_trace_events();
-        (out.stats, trace)
-    } else {
-        (runner.run(&mut prog).stats, Vec::new())
-    };
+    report("lockiller_sim", |out| {
+        writeln!(
+            out,
+            "{} / {} / {threads} threads / {cache} cache / scale {scale:?}\n",
+            system.name(),
+            workload.name(),
+        )?;
+        let (stats, trace) = if timeline {
+            let mut run = runner.tracing().run(&mut prog);
+            let trace = run.take_trace_events();
+            (run.stats, trace)
+        } else {
+            (runner.run(&mut prog).stats, Vec::new())
+        };
 
-    println!("cycles                {}", stats.cycles);
-    println!(
-        "speculative commits   {} ({} after STL switch)",
-        stats.commits, stats.stl_commits
-    );
-    println!("lock-path sections    {}", stats.lock_commits);
-    println!("commit rate           {:.1}%", stats.commit_rate() * 100.0);
-    println!("aborts                {}", stats.total_aborts());
-    for c in AbortCause::ALL {
-        if stats.abort_count(c) > 0 {
-            println!("  {:<10} {}", c.name(), stats.abort_count(c));
-        }
-    }
-    println!(
-        "recovery rejects      {} (+{} by signature)",
-        stats.rejects, stats.sig_rejects
-    );
-    println!("wake-ups              {}", stats.wakeups);
-    println!("fallbacks             {}", stats.fallbacks);
-    println!(
-        "switches              {} granted / {} denied",
-        stats.switches_granted, stats.switches_denied
-    );
-    println!(
-        "NoC                   {} messages, {} hops",
-        stats.messages, stats.hops
-    );
-    println!(
-        "avg committed tx      {:.0} cycles, {:.1} read lines, {:.1} written lines",
-        stats.avg_tx_len(),
-        stats.avg_read_set(),
-        stats.avg_write_set()
-    );
-    let total: u64 = Phase::ALL.iter().map(|p| stats.phase(*p)).sum();
-    if total > 0 {
-        println!("time breakdown:");
-        for p in Phase::ALL {
-            let frac = stats.phase(p) as f64 / total as f64;
-            if frac > 0.0005 {
-                println!("  {:<10} {:>5.1}%", p.name(), frac * 100.0);
+        writeln!(out, "cycles                {}", stats.cycles)?;
+        writeln!(
+            out,
+            "speculative commits   {} ({} after STL switch)",
+            stats.commits, stats.stl_commits
+        )?;
+        writeln!(out, "lock-path sections    {}", stats.lock_commits)?;
+        writeln!(
+            out,
+            "commit rate           {:.1}%",
+            stats.commit_rate() * 100.0
+        )?;
+        writeln!(out, "aborts                {}", stats.total_aborts())?;
+        for c in AbortCause::ALL {
+            if stats.abort_count(c) > 0 {
+                writeln!(out, "  {:<10} {}", c.name(), stats.abort_count(c))?;
             }
         }
-    }
-    if timeline {
-        println!("\n{}", render_timeline(&trace, threads, 110));
-    }
+        writeln!(
+            out,
+            "recovery rejects      {} (+{} by signature)",
+            stats.rejects, stats.sig_rejects
+        )?;
+        writeln!(out, "wake-ups              {}", stats.wakeups)?;
+        writeln!(out, "fallbacks             {}", stats.fallbacks)?;
+        writeln!(
+            out,
+            "switches              {} granted / {} denied",
+            stats.switches_granted, stats.switches_denied
+        )?;
+        writeln!(
+            out,
+            "NoC                   {} messages, {} hops",
+            stats.messages, stats.hops
+        )?;
+        writeln!(
+            out,
+            "avg committed tx      {:.0} cycles, {:.1} read lines, {:.1} written lines",
+            stats.avg_tx_len(),
+            stats.avg_read_set(),
+            stats.avg_write_set()
+        )?;
+        let total: u64 = Phase::ALL.iter().map(|p| stats.phase(*p)).sum();
+        if total > 0 {
+            writeln!(out, "time breakdown:")?;
+            for p in Phase::ALL {
+                let frac = stats.phase(p) as f64 / total as f64;
+                if frac > 0.0005 {
+                    writeln!(out, "  {:<10} {:>5.1}%", p.name(), frac * 100.0)?;
+                }
+            }
+        }
+        if timeline {
+            writeln!(out, "\n{}", render_timeline(&trace, threads, 110))?;
+        }
+        Ok(())
+    })
 }

@@ -1,7 +1,8 @@
 //! One function per table/figure of the paper's evaluation (§IV).
 //!
-//! Each returns the rendered text it prints, so integration tests can
-//! assert on the series' *shape* (who wins, where) without re-parsing.
+//! Each returns its rendered text, which the `experiments` binary
+//! prints, so integration tests can assert on the series' *shape* (who
+//! wins, where) without re-parsing.
 
 use crate::lab::{ConfigPoint, Lab, Point};
 use crate::table::{pct, ratio, render};
@@ -103,7 +104,6 @@ pub fn table1() -> String {
         "TABLE I. System Model Parameters\n{}",
         render(&["Component", "Value"], &rows)
     );
-    println!("{out}");
     out
 }
 
@@ -138,7 +138,6 @@ pub fn table2() -> String {
         "TABLE II. Evaluated Systems\n{}",
         render(&["System", "Mechanisms"], &rows)
     );
-    println!("{out}");
     out
 }
 
@@ -161,7 +160,6 @@ pub fn fig1(lab: &mut Lab) -> String {
         "FIG 1. Speedup of requester-win best-effort HTM vs CGL (2 threads)\n{}",
         render(&["workload", "speedup"], &rows)
     );
-    println!("{out}");
     out
 }
 
@@ -192,7 +190,6 @@ pub fn fig7(lab: &mut Lab, quick: bool) -> String {
         header.extend(systems.iter().map(|s| s.name()));
         out.push_str(&format!("\n[{}]\n{}", w.name(), render(&header, &rows)));
     }
-    println!("{out}");
     out
 }
 
@@ -222,7 +219,6 @@ pub fn fig8(lab: &mut Lab, quick: bool) -> String {
         "FIG 8. Average transaction commit rate (recovery variants)\n{}",
         render(&header, &rows)
     );
-    println!("{out}");
     out
 }
 
@@ -257,7 +253,6 @@ fn breakdown_figure(lab: &mut Lab, title: &str, systems: &[SystemKind], threads:
         header.push("commit rate");
         out.push_str(&format!("\n[{}]\n{}", w.name(), render(&header, &rows)));
     }
-    println!("{out}");
     out
 }
 
@@ -306,7 +301,6 @@ pub fn fig10(lab: &mut Lab) -> String {
         header.push("aborts");
         out.push_str(&format!("\n[{}]\n{}", w.name(), render(&header, &rows)));
     }
-    println!("{out}");
     out
 }
 
@@ -351,7 +345,6 @@ pub fn fig12(lab: &mut Lab, quick: bool) -> String {
         "FIG 12. Average speedup vs CGL (geometric mean over workloads)\n{}",
         render(&header, &rows)
     );
-    println!("{out}");
     out
 }
 
@@ -387,12 +380,12 @@ pub fn fig13(lab: &mut Lab, quick: bool) -> String {
         header.extend(systems.iter().map(|s| s.name()));
         out.push_str(&format!("\n[{}]\n{}", cfg.name(), render(&header, &rows)));
     }
-    println!("{out}");
     out
 }
 
 /// Write SVG renderings of the headline figures (Fig 1 bars, Fig 12
-/// speedup lines, Fig 8 commit-rate lines) into `dir`.
+/// speedup lines, Fig 8 commit-rate lines) into `dir`; returns the paths
+/// written.
 pub fn plots(lab: &mut Lab, quick: bool, dir: &std::path::Path) -> std::io::Result<Vec<String>> {
     use crate::svgplot::{grouped_bars, line_chart, system_color, BarGroup, Series};
     std::fs::create_dir_all(dir)?;
@@ -504,9 +497,6 @@ pub fn plots(lab: &mut Lab, quick: bool, dir: &std::path::Path) -> std::io::Resu
     std::fs::write(&path, svg)?;
     written.push(path.display().to_string());
 
-    for p in &written {
-        println!("wrote {p}");
-    }
     Ok(written)
 }
 
@@ -552,7 +542,6 @@ pub fn characterize(lab: &mut Lab) -> String {
             &rows
         )
     );
-    println!("{out}");
     out
 }
 
@@ -639,7 +628,6 @@ pub fn headline(lab: &mut Lab, quick: bool) -> String {
         ratio(max_base),
         ratio(max_losa),
     );
-    println!("{out}");
     out
 }
 
@@ -724,6 +712,5 @@ pub fn forensics(quick: bool, json_out: &std::path::Path) -> std::io::Result<Str
             blobs.join(",")
         ),
     )?;
-    println!("{out}");
     Ok(out)
 }

@@ -18,8 +18,8 @@ use sim_core::config::SystemConfig;
 use sim_core::stats::RunStats;
 use stamp::{Scale, Workload, WorkloadKind};
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-use tmobs::BatchProgress;
 
 /// Hardware configuration points used by the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -101,12 +101,13 @@ impl Lab {
     }
 
     /// Simulate `points` (distinct, none memoized) on the pool and
-    /// account each into the report.
+    /// account each into the report. With `verbose`, each finished point
+    /// prints a `[tmlab N/M]` line on stderr.
     fn simulate(&mut self, points: Vec<Point>) {
         let t_batch = Instant::now();
         let n = points.len();
-        let progress = BatchProgress::new(n, self.verbose);
-        let (scale, seed) = (self.scale, self.seed);
+        let finished = AtomicUsize::new(0);
+        let (scale, seed, verbose) = (self.scale, self.seed, self.verbose);
         let done = pool::run_ordered(self.jobs, points, |_, p| {
             let t0 = Instant::now();
             let mut prog = Workload::with_scale(p.workload, p.threads, scale);
@@ -117,7 +118,14 @@ impl Lab {
                 .run(&mut prog)
                 .stats;
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            progress.tick(&p.label(), wall_ms);
+            if verbose {
+                let k = finished.fetch_add(1, Ordering::Relaxed) + 1;
+                eprintln!(
+                    "  [tmlab {k:>4}/{n}] {} ({wall_ms:.1} ms, {:.1}s elapsed)",
+                    p.label(),
+                    t_batch.elapsed().as_secs_f64()
+                );
+            }
             (p, stats, wall_ms)
         });
         for (p, stats, wall_ms) in done {

@@ -11,7 +11,6 @@ pub mod lab;
 pub mod svgplot;
 pub mod table;
 pub mod tmlab;
-pub mod verify;
 
 pub use experiments::*;
 pub use lab::{ConfigPoint, Lab, Point};

@@ -1,5 +1,5 @@
-//! A scoped work-stealing thread pool for fanning simulation points out
-//! across host cores.
+//! A scoped thread pool for fanning simulation points out across host
+//! cores.
 //!
 //! Each simulation is itself bit-deterministic (one single-threaded
 //! engine resumes every guest in lockstep), so distinct points
@@ -8,12 +8,11 @@
 //! by submission order, which makes the whole batch deterministic
 //! regardless of the worker count — the property `tmlab`'s tests pin.
 //!
-//! Implementation: one `Mutex<VecDeque>`-backed deque per worker, seeded
-//! round-robin. A worker pops from the *front* of its own deque and, when
-//! empty, steals from the *back* of a victim's, which keeps stolen work
-//! coarse and the common path contention-free. Only `std` is used.
+//! Implementation: the workers share one atomic cursor over the items.
+//! Each claims the next index, runs that item and stores its result at
+//! the same index, so a slow point holds up only its own worker while
+//! the others drain the rest. Only `std` is used.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -39,52 +38,33 @@ where
             .collect();
     }
 
-    let deques: Vec<Mutex<VecDeque<(usize, T)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        deques[i % workers].lock().unwrap().push_back((i, item));
-    }
-    let remaining = AtomicUsize::new(n);
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
+    // Index `i` is claimed by exactly one worker, which takes `items[i]`
+    // and fills `results[i]`: the locks are never contended, and `f` runs
+    // outside them, so none is poisoned. The cursor hands out indices
+    // only (items and results pass through the locks and the scope's
+    // join), hence `Relaxed`.
+    let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        for w in 0..workers {
-            let deques = &deques;
-            let remaining = &remaining;
-            let slots = &slots;
-            let f = &f;
-            s.spawn(move || loop {
-                // Own deque first (front), then steal (back), nearest victim
-                // first so the tail of the batch drains evenly. The own-pop
-                // is a standalone statement so its lock guard drops before
-                // any victim lock is taken — holding both would deadlock.
-                let own = deques[w].lock().unwrap().pop_front();
-                let job = own.or_else(|| {
-                    (1..workers)
-                        .map(|d| (w + d) % workers)
-                        .find_map(|v| deques[v].lock().unwrap().pop_back())
-                });
-                match job {
-                    Some((i, item)) => {
-                        *slots[i].lock().unwrap() = Some(f(i, item));
-                        remaining.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    None => {
-                        if remaining.load(Ordering::Relaxed) == 0 {
-                            return;
-                        }
-                        // All deques momentarily empty but work is still in
-                        // flight elsewhere; yield rather than spin hot.
-                        std::thread::yield_now();
-                    }
-                }
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { return };
+                let item = item.lock().expect("unpoisoned").take();
+                let r = f(i, item.expect("each index is claimed once"));
+                *results[i].lock().expect("unpoisoned") = Some(r);
             });
         }
     });
 
-    slots
+    results
         .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("pool lost a result"))
+        .map(|r| {
+            r.into_inner()
+                .expect("unpoisoned")
+                .expect("every index was claimed")
+        })
         .collect()
 }
 
@@ -117,7 +97,7 @@ mod tests {
     fn uneven_work_is_stolen() {
         // One huge item up front; with 4 workers the rest must finish on
         // other threads (indirectly verified: total is right and nothing
-        // deadlocks even though deque 0 holds the slow job).
+        // deadlocks while one worker holds the slow job).
         let items: Vec<u64> = (0..32).collect();
         let out = run_ordered(4, items, |_, x| {
             if x == 0 {

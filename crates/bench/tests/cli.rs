@@ -4,9 +4,33 @@
 //! else is a usage error. `experiments` treats an unknown flag, a value flag
 //! without its value, a job count that is not a number and an unknown
 //! experiment name as usage errors too, found before any experiment runs,
-//! never as a silently different run.
+//! never as a silently different run. Neither binary panics when its
+//! reader has closed, and an output file `experiments` cannot write is
+//! a plain error (exit 2).
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+
+/// Run `bin` in a fresh temporary directory with its stdout a pipe whose
+/// read end is already closed, so its first write meets a closed reader.
+fn with_closed_stdout(bin: &str, args: &[&str]) -> Output {
+    let name = std::path::Path::new(bin)
+        .file_name()
+        .unwrap()
+        .to_string_lossy();
+    let dir = std::env::temp_dir().join(format!("{name}-closed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(bin)
+        .args(args)
+        .current_dir(&dir)
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("the binary runs");
+    std::fs::remove_dir_all(&dir).ok();
+    out
+}
 
 fn lockiller_sim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_lockiller_sim"))
@@ -97,6 +121,7 @@ fn experiments_rejects_unknown_flags_and_missing_values() {
         (&["--jobs", "18446744073709551615", "table2"], "(1..=256)"),
         (&["table2", "bogus"], "unknown experiment bogus"),
         (&["engine"], "unknown experiment engine"),
+        (&["verify"], "unknown experiment verify"),
         (&["--no-profile", "table2"], "unknown option --no-profile"),
     ] {
         let out = experiments(args);
@@ -108,4 +133,38 @@ fn experiments_rejects_unknown_flags_and_missing_values() {
         assert!(err.contains(" plots "), "{args:?}: {err}");
         assert!(out.stdout.is_empty(), "{args:?} ran an experiment");
     }
+}
+
+#[test]
+fn reports_end_quietly_when_their_reader_closes() {
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_experiments"), &["table1", "table2"][..]),
+        (
+            env!("CARGO_BIN_EXE_lockiller_sim"),
+            &["--workload", "kmeans", "--scale", "tiny", "--threads", "2"],
+        ),
+    ] {
+        let out = with_closed_stdout(bin, args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{bin}: {err}");
+        // Nothing failed but the report: the status of the work so far.
+        assert_eq!(out.status.code(), Some(0), "{bin}: {err}");
+    }
+}
+
+#[test]
+fn an_unwritable_bench_json_is_a_plain_error() {
+    let path = std::env::temp_dir()
+        .join(format!("experiments-missing-{}", std::process::id()))
+        .join("lab.json");
+    let out = experiments(&["--bench-json", path.to_str().unwrap(), "table2"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains(&format!("experiments: cannot write {}", path.display())),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+    // The experiment ran and printed before the write failed.
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("TABLE II."));
 }

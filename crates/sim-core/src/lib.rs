@@ -6,6 +6,7 @@
 //! Nothing in this crate knows about caches, transactions, or workloads; it
 //! is the substrate the CMP simulator is assembled from.
 
+pub mod cli;
 pub mod config;
 pub mod event;
 pub mod fxhash;

@@ -1,6 +1,8 @@
 //! Checked-mode CLI: run STAMP workloads under the trace checkers and
 //! report violations. Exit status is non-zero if any run is not clean,
-//! so CI can gate on it.
+//! so CI can gate on it. Each run's line is printed as it finishes; a
+//! reader that closes stdout early stops the checks, and the command
+//! exits with the status of the runs checked so far.
 //!
 //! ```text
 //! tmcheck [--workload NAME|all] [--system NAME|all] [--threads N]
@@ -14,9 +16,11 @@
 //! `lockiller_sim` and `tmtrace`.
 
 use lockiller::system::SystemKind;
+use sim_core::cli::report;
 use sim_core::config::{SystemConfig, MAX_CORES};
 use sim_core::rng::parse_seed;
 use stamp::{Scale, Workload, WorkloadKind};
+use std::io::Write;
 use tmcheck::harness::{checked_config, run_checked};
 
 /// The representative system ladder checked by default: no recovery,
@@ -113,40 +117,42 @@ fn main() {
         }
     };
 
-    let mut failures = 0usize;
-    let mut runs = 0usize;
-    for &wk in &args.workloads {
-        for &sys in &args.systems {
-            runs += 1;
-            let mut prog = Workload::with_scale(wk, args.threads, args.scale);
-            let run = run_checked(sys, args.threads, cfg.clone(), args.seed, &mut prog);
-            let tag = format!("{:<10} {:<14}", wk.name(), sys.name());
-            if run.is_clean() {
-                println!(
-                    "ok   {tag} {:>8} events {:>6} txns {:>6} commits",
-                    run.report.events, run.report.committed_txns, run.stats.commits
-                );
-            } else {
-                failures += 1;
-                println!("FAIL {tag}");
-                print!("{}", run.report.render());
-                if let Err(e) = &run.validation {
-                    println!("  [validation] {e}");
+    report("tmcheck", |out| {
+        let mut failures = 0usize;
+        let mut runs = 0usize;
+        for &wk in &args.workloads {
+            for &sys in &args.systems {
+                runs += 1;
+                let mut prog = Workload::with_scale(wk, args.threads, args.scale);
+                let run = run_checked(sys, args.threads, cfg.clone(), args.seed, &mut prog);
+                let tag = format!("{:<10} {:<14}", wk.name(), sys.name());
+                if run.is_clean() {
+                    writeln!(
+                        out,
+                        "ok   {tag} {:>8} events {:>6} txns {:>6} commits",
+                        run.report.events, run.report.committed_txns, run.stats.commits
+                    )?;
+                } else {
+                    failures += 1;
+                    out.status = 1;
+                    writeln!(out, "FAIL {tag}")?;
+                    write!(out, "{}", run.report.render())?;
+                    if let Err(e) = &run.validation {
+                        writeln!(out, "  [validation] {e}")?;
+                    }
+                }
+                if args.verbose {
+                    writeln!(
+                        out,
+                        "     aborts={:?} rejects={} wakeups={} timeouts={}",
+                        run.stats.aborts,
+                        run.stats.rejects,
+                        run.stats.wakeups,
+                        run.stats.wakeup_timeouts
+                    )?;
                 }
             }
-            if args.verbose {
-                println!(
-                    "     aborts={:?} rejects={} wakeups={} timeouts={}",
-                    run.stats.aborts,
-                    run.stats.rejects,
-                    run.stats.wakeups,
-                    run.stats.wakeup_timeouts
-                );
-            }
         }
-    }
-    println!("{runs} runs, {failures} failure(s)");
-    if failures > 0 {
-        std::process::exit(1);
-    }
+        writeln!(out, "{runs} runs, {failures} failure(s)")
+    })
 }

@@ -1,8 +1,9 @@
 //! `tmcheck` command-line behaviour: a thread count outside the modelled
 //! cores is a usage error (exit 2), never a panic; `--seed` reads
-//! decimal or `0x` hex, and anything else is a usage error.
+//! decimal or `0x` hex, and anything else is a usage error; a reader
+//! that closes early ends the checks quietly, never with a panic.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn tmcheck(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tmcheck"))
@@ -45,4 +46,21 @@ fn thread_counts_outside_the_cores_are_usage_errors() {
         assert!(err.contains("--threads takes 1..=32"), "{err}");
         assert!(err.contains("usage: tmcheck"), "{err}");
     }
+}
+
+#[test]
+fn checks_end_quietly_when_their_reader_closes() {
+    // The read end is closed before the first run's line is written.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_tmcheck"))
+        .args(["--workload", "ssca2", "--threads", "2"])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("tmcheck runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    // The one run checked so far is clean.
+    assert_eq!(out.status.code(), Some(0), "{err}");
 }

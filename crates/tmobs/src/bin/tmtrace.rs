@@ -41,13 +41,22 @@
 //! `witness` renders `tmverify` schedule-witness files (see
 //! `tmobs::witness`) without re-executing them; use `tmverify replay`
 //! to re-run one.
+//!
+//! A reader that closes stdout early ends the report quietly: the
+//! command exits with the status of the work done so far (`diff` and
+//! `witness` with the status they settled before writing). An `--out`
+//! directory or artifact that cannot be written prints
+//! `tmtrace: cannot write PATH: ERR` and exits 2.
 
 use lockiller::system::SystemKind;
+use sim_core::cli::{cannot_write, report, write_file};
 use sim_core::config::MAX_CORES;
 use sim_core::rng::parse_seed;
 use stamp::{Scale, WorkloadKind};
 use std::io::Write;
 use tmobs::{diff_docs, run_trace, validate_chrome, TraceConfig};
+
+const BIN: &str = "tmtrace";
 
 enum Cmd {
     Run,
@@ -178,8 +187,8 @@ fn cmd_diff(mut it: std::env::Args) -> ! {
         eprintln!("diff FAILED: {e}");
         std::process::exit(2);
     });
-    let status = i32::from(!deltas.is_empty());
-    report(status, |out| {
+    report(BIN, |out| {
+        out.status = i32::from(!deltas.is_empty());
         if deltas.is_empty() {
             return writeln!(
                 out,
@@ -221,12 +230,12 @@ fn cmd_witness(it: std::env::Args) -> ! {
             tmobs::Witness::parse(&text).map_err(|e| format!("{path}: {e}"))
         })
         .collect();
-    let status = if witnesses.iter().all(Result::is_ok) {
-        0
-    } else {
-        2
-    };
-    report(status, |out| {
+    report(BIN, |out| {
+        out.status = if witnesses.iter().all(Result::is_ok) {
+            0
+        } else {
+            2
+        };
         for (path, w) in paths.iter().zip(&witnesses) {
             match w {
                 Ok(w) => write!(out, "{path}:\n{}", w.render())?,
@@ -239,24 +248,6 @@ fn cmd_witness(it: std::env::Args) -> ! {
         }
         Ok(())
     })
-}
-
-/// Write a command's report through one stdout lock, then exit with
-/// `status`. A reader that stops early (`tmtrace diff … | head`) closes
-/// the pipe: the report ends there and the command exits with the same
-/// status, without a panic.
-fn report(status: i32, body: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) -> ! {
-    let written = {
-        let mut out = std::io::stdout().lock();
-        body(&mut out).and_then(|()| out.flush())
-    };
-    match written {
-        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
-            eprintln!("tmtrace: cannot write the report: {e}");
-            std::process::exit(2);
-        }
-        _ => std::process::exit(status),
-    }
 }
 
 fn main() {
@@ -283,7 +274,7 @@ fn main() {
         std::process::exit(1);
     }
 
-    std::fs::create_dir_all(&args.out).expect("create output directory");
+    std::fs::create_dir_all(&args.out).unwrap_or_else(|e| cannot_write(BIN, &args.out, &e));
     let stem = format!(
         "{}-{}",
         args.cfg.workload.name(),
@@ -294,89 +285,102 @@ fn main() {
     let summary_path = args.out.join(format!("{stem}.summary.txt"));
     let stats_path = args.out.join(format!("{stem}.stats.json"));
     let selfprof_path = args.out.join(format!("{stem}.selfprof.json"));
-    std::fs::write(&trace_path, &art.chrome_json).expect("write trace");
-    std::fs::write(&jsonl_path, &art.metrics_jsonl).expect("write metrics");
-    std::fs::write(&summary_path, &art.summary).expect("write summary");
-    std::fs::write(&stats_path, art.stats.to_json()).expect("write stats");
-    std::fs::write(&selfprof_path, &art.selfprof_json).expect("write selfprof");
+    write_file(BIN, &trace_path, &art.chrome_json);
+    write_file(BIN, &jsonl_path, &art.metrics_jsonl);
+    write_file(BIN, &summary_path, &art.summary);
+    write_file(BIN, &stats_path, art.stats.to_json());
+    write_file(BIN, &selfprof_path, &art.selfprof_json);
 
-    if matches!(args.cmd, Cmd::Flame) {
-        let report = art.host_prof.as_ref().expect("flame runs with profiling");
-        let flame_text = tmobs::flame(report);
-        let flame_path = args.out.join(format!("{stem}.flame.txt"));
-        let prof_trace_path = args.out.join(format!("{stem}.prof.trace.json"));
-        std::fs::write(&flame_path, &flame_text).expect("write flamegraph");
-        std::fs::write(&prof_trace_path, tmobs::chrome_prof(report)).expect("write prof trace");
-        print!("{}", tmobs::render_prof(report));
-        // The acceptance bar: collapsed-stack totals reconcile with the
-        // archived selfprof.json to the millisecond.
-        let flame_ms = tmobs::flame_total_us(&flame_text).expect("well-formed flame") as f64 / 1e3;
-        let prof_ms = report.total_ns as f64 / 1e6;
-        if (flame_ms - prof_ms).abs() >= 1.0 {
-            eprintln!(
-                "flame reconciliation FAILED: flame {flame_ms:.3} ms vs profile {prof_ms:.3} ms"
-            );
-            std::process::exit(1);
+    report(BIN, |out| {
+        if matches!(args.cmd, Cmd::Flame) {
+            let prof = art.host_prof.as_ref().expect("flame runs with profiling");
+            let flame_text = tmobs::flame(prof);
+            let flame_path = args.out.join(format!("{stem}.flame.txt"));
+            let prof_trace_path = args.out.join(format!("{stem}.prof.trace.json"));
+            write_file(BIN, &flame_path, &flame_text);
+            write_file(BIN, &prof_trace_path, tmobs::chrome_prof(prof));
+            write!(out, "{}", tmobs::render_prof(prof))?;
+            // The acceptance bar: collapsed-stack totals reconcile with the
+            // archived selfprof.json to the millisecond.
+            let flame_ms =
+                tmobs::flame_total_us(&flame_text).expect("well-formed flame") as f64 / 1e3;
+            let prof_ms = prof.total_ns as f64 / 1e6;
+            if (flame_ms - prof_ms).abs() >= 1.0 {
+                eprintln!(
+                    "flame reconciliation FAILED: flame {flame_ms:.3} ms vs profile {prof_ms:.3} ms"
+                );
+                out.status = 1;
+                return Ok(());
+            }
+            writeln!(
+                out,
+                "reconciled: flame {flame_ms:.3} ms == profile {prof_ms:.3} ms (< 1 ms apart)"
+            )?;
+            writeln!(out, "wrote {}", flame_path.display())?;
+            writeln!(out, "wrote {}", prof_trace_path.display())?;
         }
-        println!("reconciled: flame {flame_ms:.3} ms == profile {prof_ms:.3} ms (< 1 ms apart)");
-        println!("wrote {}", flame_path.display());
-        println!("wrote {}", prof_trace_path.display());
-    }
 
-    if matches!(args.cmd, Cmd::Blame) {
-        let blame_path = args.out.join(format!("{stem}.blame.json"));
-        let doc = art.forensics.to_json(args.top);
-        if let Err(e) = sim_core::json::parse(&doc) {
-            eprintln!("blame JSON validation FAILED: {e}");
-            std::process::exit(1);
+        if matches!(args.cmd, Cmd::Blame) {
+            let blame_path = args.out.join(format!("{stem}.blame.json"));
+            let doc = art.forensics.to_json(args.top);
+            if let Err(e) = sim_core::json::parse(&doc) {
+                eprintln!("blame JSON validation FAILED: {e}");
+                out.status = 1;
+                return Ok(());
+            }
+            write_file(BIN, &blame_path, &doc);
+            write!(out, "{}", art.forensics.render(args.top))?;
+            match art.forensics.reconcile(&art.stats) {
+                Ok(()) => writeln!(
+                    out,
+                    "\nreconciled: matrix wasted cycles == RunStats aborted cycles ({})",
+                    art.stats.aborted_cycles()
+                )?,
+                Err(e) => {
+                    eprintln!("\nblame reconciliation FAILED: {e}");
+                    out.status = 1;
+                    return Ok(());
+                }
+            }
+            writeln!(out, "wrote {}", blame_path.display())?;
+        } else {
+            write!(out, "{}", art.summary)?;
         }
-        std::fs::write(&blame_path, &doc).expect("write blame");
-        print!("{}", art.forensics.render(args.top));
-        match art.forensics.reconcile(&art.stats) {
-            Ok(()) => println!(
-                "\nreconciled: matrix wasted cycles == RunStats aborted cycles ({})",
-                art.stats.aborted_cycles()
-            ),
-            Err(e) => {
-                eprintln!("\nblame reconciliation FAILED: {e}");
-                std::process::exit(1);
+        if args.timeline {
+            write!(out, "{}", art.timeline)?;
+        }
+        // `flame` printed the same table above.
+        if args.verbose && !matches!(args.cmd, Cmd::Flame) {
+            write!(out, "{}", art.profile)?;
+        }
+        writeln!(
+            out,
+            "wrote {} ({} spans, {} sample rows, {} conflict edges)",
+            trace_path.display(),
+            art.recorder.spans().len(),
+            art.recorder.samples().len(),
+            art.recorder.conflicts().len()
+        )?;
+        writeln!(out, "wrote {}", jsonl_path.display())?;
+        writeln!(out, "wrote {}", summary_path.display())?;
+        writeln!(out, "wrote {}", stats_path.display())?;
+        writeln!(out, "wrote {}", selfprof_path.display())?;
+        writeln!(out, "open the trace at https://ui.perfetto.dev")?;
+
+        if args.validate {
+            let written = std::fs::read_to_string(&trace_path).expect("re-read trace");
+            match validate_chrome(&written) {
+                Ok(s) => writeln!(
+                    out,
+                    "validated: {} spans on {} tracks, {} counter samples in {} series, {} instants",
+                    s.spans, s.tracks, s.counters, s.counter_series, s.instants
+                )?,
+                Err(e) => {
+                    eprintln!("trace validation FAILED: {e}");
+                    out.status = 1;
+                }
             }
         }
-        println!("wrote {}", blame_path.display());
-    } else {
-        print!("{}", art.summary);
-    }
-    if args.timeline {
-        print!("{}", art.timeline);
-    }
-    // `flame` printed the same table above.
-    if args.verbose && !matches!(args.cmd, Cmd::Flame) {
-        print!("{}", art.profile);
-    }
-    println!(
-        "wrote {} ({} spans, {} sample rows, {} conflict edges)",
-        trace_path.display(),
-        art.recorder.spans().len(),
-        art.recorder.samples().len(),
-        art.recorder.conflicts().len()
-    );
-    println!("wrote {}", jsonl_path.display());
-    println!("wrote {}", summary_path.display());
-    println!("wrote {}", stats_path.display());
-    println!("wrote {}", selfprof_path.display());
-    println!("open the trace at https://ui.perfetto.dev");
-
-    if args.validate {
-        let written = std::fs::read_to_string(&trace_path).expect("re-read trace");
-        match validate_chrome(&written) {
-            Ok(s) => println!(
-                "validated: {} spans on {} tracks, {} counter samples in {} series, {} instants",
-                s.spans, s.tracks, s.counters, s.counter_series, s.instants
-            ),
-            Err(e) => {
-                eprintln!("trace validation FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+        Ok(())
+    })
 }

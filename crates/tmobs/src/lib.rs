@@ -35,15 +35,12 @@
 //!   (`sim_core::prof`): collapsed-stack flamegraph, Chrome-trace
 //!   nesting, the schema-v2 `selfprof.json` `"prof"` block and a
 //!   terminal table (`tmtrace flame`);
-//! - [`batch::BatchProgress`] — thread-safe completion counter + stderr
-//!   progress lines for batch runs (the bench crate's `Lab::run_many`);
 //! - the `tmtrace` CLI binary, which writes the artifacts to disk.
 //!
 //! The engine records each event once, into its trace; everything here
 //! is derived from a finished run. Recording never changes a
 //! simulation's outcome: it is write-only (see `sim_core::obs`).
 
-pub mod batch;
 pub mod chrome;
 pub mod diff;
 pub mod forensics;
@@ -56,7 +53,6 @@ pub mod summary;
 pub mod tmprof;
 pub mod witness;
 
-pub use batch::BatchProgress;
 pub use chrome::{export_chrome, validate_chrome, ChromeSummary, TraceMeta};
 pub use diff::{diff_docs, MetricDelta};
 pub use forensics::{analyze, ConflictMatrix, ForensicsReport, LineHotspot, RecoveryLedger};

@@ -1,7 +1,8 @@
 //! `tmtrace` command-line behaviour: a thread count outside the modelled
 //! cores is a usage error (exit 2), never a panic; `--seed` reads
 //! decimal or `0x` hex, and anything else is a usage error; a report
-//! whose reader closes early ends quietly with the command's status.
+//! whose reader closes early ends quietly with the command's status; an
+//! `--out` directory that cannot be created is a plain error (exit 2).
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Output, Stdio};
@@ -87,5 +88,21 @@ fn diff_ends_quietly_when_its_reader_closes() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(first.starts_with("2000 delta(s)"), "{first}");
     assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn an_unwritable_out_directory_is_a_plain_error() {
+    // A regular file where the artifact directory should go.
+    let file = std::env::temp_dir().join(format!("tmtrace-out-file-{}", std::process::id()));
+    std::fs::write(&file, "").expect("temp file");
+    let out = tmtrace(&["--threads", "2", "--out", file.to_str().unwrap()]);
+    std::fs::remove_file(&file).ok();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains(&format!("tmtrace: cannot write {}", file.display())),
+        "{err}"
+    );
     assert!(!err.contains("panicked"), "{err}");
 }

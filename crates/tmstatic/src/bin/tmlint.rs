@@ -36,7 +36,9 @@
 //! (new) error, 2 bad usage or unreadable input.
 
 use lockiller::SystemKind;
+use sim_core::cli::{report, Report};
 use sim_core::config::MAX_CORES;
+use std::io::{self, Write};
 use tmstatic::{lint, lint_kernels, Diag, Severity, VmAnalysis};
 use tmverify::progs::ProgSpec;
 use tmverify::Explorer;
@@ -119,9 +121,10 @@ fn parse_args() -> Opts {
     o
 }
 
-/// Report diagnostics against the optional baseline; returns the exit
-/// code.
-fn report(diags: &[Diag], o: &Opts, subject: &str) -> i32 {
+/// Print the diagnostics, tagging those the optional baseline already
+/// holds. The status, settled before the first line, is 1 iff a new
+/// diagnostic is an error.
+fn print_diags(out: &mut Report, diags: &[Diag], o: &Opts, subject: &str) -> io::Result<()> {
     let known: Vec<String> = match &o.baseline {
         Some(path) => match std::fs::read_to_string(path) {
             Ok(text) => text.lines().map(str::to_string).collect(),
@@ -132,26 +135,23 @@ fn report(diags: &[Diag], o: &Opts, subject: &str) -> i32 {
         },
         None => Vec::new(),
     };
-    let mut new_errors = 0usize;
-    let mut new_any = 0usize;
+    let is_new = |d: &Diag| !known.contains(&d.to_json());
+    let new_any = diags.iter().filter(|d| is_new(d)).count();
+    out.status = i32::from(
+        diags
+            .iter()
+            .any(|d| is_new(d) && d.severity == Severity::Error),
+    );
     for d in diags {
-        let row = d.to_json();
-        let is_new = !known.contains(&row);
-        if is_new {
-            new_any += 1;
-            if d.severity == Severity::Error {
-                new_errors += 1;
-            }
-        }
         if o.json {
-            println!("{row}");
+            writeln!(out, "{}", d.to_json())?;
         } else {
-            let tag = if o.baseline.is_some() && !is_new {
+            let tag = if o.baseline.is_some() && !is_new(d) {
                 " (baseline)"
             } else {
                 ""
             };
-            println!("{}{tag}", d.render());
+            writeln!(out, "{}{tag}", d.render())?;
         }
     }
     if !o.json {
@@ -167,7 +167,7 @@ fn report(diags: &[Diag], o: &Opts, subject: &str) -> i32 {
             o.system.name(),
         );
     }
-    i32::from(new_errors > 0)
+    Ok(())
 }
 
 fn print_table(t: Option<lockiller::StaticIndependence>) {
@@ -240,11 +240,13 @@ fn main() {
             (a, diags, subject)
         }
     };
-    let code = report(&diags, &o, &subject);
-    if o.table {
-        print_table(a.independence());
-    }
-    std::process::exit(code);
+    report("tmlint", |out| {
+        print_diags(out, &diags, &o, &subject)?;
+        if o.table {
+            print_table(a.independence());
+        }
+        Ok(())
+    })
 }
 
 /// The bytecode of a STAMP kernel program at `Scale::Tiny`: a ladder

@@ -183,8 +183,13 @@ fn vacuous_bytecode_table_keeps_vm_exploration_bit_identical() {
 fn backends_agree_on_digests_with_and_without_pruning() {
     // Both backends run the spec's compiled kernel, so the exploration
     // digests must agree backend-to-backend — pruned and unpruned alike,
-    // with one table installed on both.
-    for prog in ["3/c:L0,S0/c:L1,S1/c:L2,S2", "2/c:L0,S1/c:L1,S0"] {
+    // with one table installed on both. The ring tables are vacuous, so
+    // their pruned explorations also equal the unpruned one.
+    for (prog, prunable) in [
+        ("3/c:L0,S0/c:L1,S1/c:L2,S2", true),
+        ("2/c:L0,S1/c:L1,S0", false),
+        ("3/c:L0,S1/c:L1,S2/c:L2,S0", false),
+    ] {
         let threads_ex = explorer(SystemKind::LockillerTm, prog);
         let mut vm_ex = threads_ex.clone();
         vm_ex.backend = lockiller::Backend::Vm;
@@ -193,12 +198,17 @@ fn backends_agree_on_digests_with_and_without_pruning() {
         assert_eq!(t.schedules, v.schedules);
 
         let table = table(&vm_ex).expect("premises hold for these kernels");
+        assert_eq!(table.can_refine_any(), prunable, "{prog}");
         let mut tp = threads_ex.clone();
         tp.prune = Some(table.clone());
         let mut vp = vm_ex.clone();
         vp.prune = Some(table);
-        let (t, v) = (tp.explore(), vp.explore());
-        assert_eq!(t.digest, v.digest, "{prog}: pruned backends diverge");
-        assert_eq!(t.schedules, v.schedules);
+        let (tp, vp) = (tp.explore(), vp.explore());
+        assert_eq!(tp.digest, vp.digest, "{prog}: pruned backends diverge");
+        assert_eq!(tp.schedules, vp.schedules);
+        if !prunable {
+            assert_eq!(tp.digest, t.digest, "{prog}: vacuous table changed the run");
+            assert_eq!(tp.schedules, t.schedules);
+        }
     }
 }

@@ -23,7 +23,10 @@
 //! `--profile` profiles every explored run on the host clock and prints
 //! the merged phase tree, heaviest self time first, after the report.
 //! Stdout carries only the report (and `-v`'s JSON); the header line and
-//! the `wrote …` / `witness written to …` notices go to stderr.
+//! the `wrote …` / `witness written to …` notices go to stderr, and the
+//! files are written before the report, so a reader that closes stdout
+//! early loses only the rest of the report: the command still exits
+//! with its verdict's status. An unwritable `--bench-json` path exits 2.
 //!
 //! Exit codes — `explore`: 0 clean and complete, 1 violation found
 //! (witness written to `--out`, default `tmverify-witness.json`),
@@ -32,7 +35,9 @@
 //! 2 unreadable witness.
 
 use lockiller::SystemKind;
+use sim_core::cli::{report, write_file};
 use sim_core::config::MAX_CORES;
+use std::io::Write;
 use tmverify::dpor::{inject_by_name, Explorer, INJECT_NAMES, MAX_JOBS};
 use tmverify::progs::{ProgSpec, MAX_LINES};
 
@@ -167,7 +172,6 @@ fn cmd_replay(mut it: std::env::Args) -> ! {
             std::process::exit(2);
         }
     };
-    print!("{}", w.render());
     let ex = match Explorer::from_witness(&w) {
         Ok(ex) => ex,
         Err(e) => {
@@ -179,27 +183,31 @@ fn cmd_replay(mut it: std::env::Args) -> ! {
     let reproduced = violations
         .iter()
         .any(|v| v.check.name() == w.violation_kind);
-    if reproduced {
-        println!(
-            "reproduced: {} violation under the recorded schedule",
-            w.violation_kind
-        );
-        std::process::exit(0);
-    }
-    if violations.is_empty() {
-        println!("NOT reproduced: schedule ran clean");
-    } else {
-        println!(
-            "NOT reproduced: expected {}, observed {}",
-            w.violation_kind,
-            violations
-                .iter()
-                .map(|v| v.check.name())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-    }
-    std::process::exit(1);
+    report("tmverify", |out| {
+        write!(out, "{}", w.render())?;
+        if reproduced {
+            return writeln!(
+                out,
+                "reproduced: {} violation under the recorded schedule",
+                w.violation_kind
+            );
+        }
+        out.status = 1;
+        if violations.is_empty() {
+            writeln!(out, "NOT reproduced: schedule ran clean")
+        } else {
+            writeln!(
+                out,
+                "NOT reproduced: expected {}, observed {}",
+                w.violation_kind,
+                violations
+                    .iter()
+                    .map(|v| v.check.name())
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            )
+        }
+    })
 }
 
 fn main() {
@@ -221,18 +229,8 @@ fn main() {
         ex.jobs.max(1),
     );
     let rep = ex.explore();
-    print!("{}", rep.render());
-    if let Some(prof) = &rep.profile {
-        print!("{}", tmobs::tmprof::render_prof(prof));
-    }
-    if args.verbose {
-        println!("{}", rep.to_json());
-    }
     if let Some(path) = &args.bench_json {
-        if let Err(e) = std::fs::write(path, rep.to_json() + "\n") {
-            eprintln!("tmverify: cannot write {}: {e}", path.display());
-            std::process::exit(2);
-        }
+        write_file("tmverify", path, rep.to_json() + "\n");
         eprintln!("wrote {}", path.display());
     }
     if let Some(w) = &rep.witness {
@@ -241,5 +239,15 @@ fn main() {
             Err(e) => eprintln!("tmverify: cannot write {}: {e}", args.out.display()),
         }
     }
-    std::process::exit(rep.exit_code());
+    report("tmverify", |out| {
+        out.status = rep.exit_code();
+        write!(out, "{}", rep.render())?;
+        if let Some(prof) = &rep.profile {
+            write!(out, "{}", tmobs::tmprof::render_prof(prof))?;
+        }
+        if args.verbose {
+            writeln!(out, "{}", rep.to_json())?;
+        }
+        Ok(())
+    })
 }

@@ -736,7 +736,8 @@ impl ExploreReport {
         out
     }
 
-    /// Machine-readable stats (the `BENCH_verify.json` rows).
+    /// Machine-readable stats: the `--bench-json` file, the `-v` line,
+    /// and each report line of `tests/golden/explore_corpus.jsonl`.
     pub fn to_json(&self) -> String {
         let per_kind: Vec<String> = self
             .space

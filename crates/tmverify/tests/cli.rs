@@ -1,9 +1,10 @@
 //! `tmverify` command-line behaviour: out-of-range sizes and malformed
 //! witness files are usage errors (exit 2), never panics,
 //! `--profile` prints the merged host profile after an unchanged report,
-//! and stdout does not depend on the job count or the output paths.
+//! stdout does not depend on the job count or the output paths, and a
+//! reader that closes early changes neither the status nor the files.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn tmverify(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tmverify"))
@@ -163,4 +164,30 @@ fn stdout_is_identical_across_job_counts_and_output_paths() {
     assert!(a.contains("schedule(s) explored"), "{a}");
     // The header and the file notice still reach the user, on stderr.
     assert!(err.contains("jobs 4") && err.contains("wrote "), "{err}");
+}
+
+#[test]
+fn a_closed_reader_keeps_the_verdict_and_the_witness() {
+    let dir = std::env::temp_dir().join(format!("tmverify-cli-closed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let witness = dir.join("w.json");
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_tmverify"))
+        .args([
+            "--inject",
+            "drop-wakeups",
+            "--out",
+            witness.to_str().unwrap(),
+        ])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("tmverify runs");
+    let written = witness.exists();
+    std::fs::remove_dir_all(&dir).ok();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert_eq!(out.status.code(), Some(1), "the violation's status: {err}");
+    assert!(written, "the witness is written before the report");
 }

@@ -10,7 +10,9 @@
 //! witness here. The corpus covers the tmbench `dpor` cases (at a
 //! reduced budget), the conflict rings on all five system families, the
 //! tiny-L1, retry-budget and no-dedup variants, every fault-injection
-//! detector and a spread of fixed-seed random specs.
+//! detector, a spread of fixed-seed random specs, and three spaces
+//! explored to completion on LockillerTM: the 3-core conflict ring, and
+//! the 3-core disjoint kernel without and with its pruning table.
 //!
 //! To bless a deliberate change, regenerate with:
 //!
@@ -43,14 +45,20 @@ fn explorer(system: SystemKind, prog: &str) -> Explorer {
     ex
 }
 
+/// Install the independence table of `ex`'s own kernels.
+fn prune(mut ex: Explorer) -> Explorer {
+    ex.prune = tmstatic::VmAnalysis::new(ex.system, ex.config(), &ex.kernels()).independence();
+    assert!(ex.prune.is_some(), "the disjoint kernel is prunable");
+    ex
+}
+
 /// The tmbench `dpor` cases: VM backend, one job, no safety net.
 fn dpor_case(system: SystemKind, prog: &str, max: u64, pruned: bool) -> Explorer {
     let mut ex = explorer(system, prog);
     ex.backend = Backend::Vm;
     ex.max_schedules = max;
     if pruned {
-        ex.prune = tmstatic::VmAnalysis::new(system, ex.config(), &ex.kernels()).independence();
-        assert!(ex.prune.is_some(), "the disjoint kernel is prunable");
+        ex = prune(ex);
     }
     ex
 }
@@ -59,6 +67,7 @@ fn corpus() -> Vec<(String, Explorer)> {
     let mut cases = Vec::new();
     let mut add = |name: String, ex: Explorer| cases.push((name, ex));
     let ring2 = "2/c:L0,S1/c:L1,S0";
+    let ring3 = "3/c:L0,S1/c:L1,S2/c:L2,S0";
     let ring4 = "2/c:L0,S1/c:L1,S0/c:L0,S1/c:L1,S0";
     let overflow = "6/c:L0,L1,L2,S0/c:L3,L4,L5,S3";
     let disjoint = "3/c:L0,S0/c:L1,S1/c:L2,S2";
@@ -94,7 +103,7 @@ fn corpus() -> Vec<(String, Explorer)> {
         add(format!("tiny-l1/{}", system.name()), ex);
     }
     for retries in [None, Some(0), Some(1)] {
-        let mut ex = explorer(SystemKind::LockillerTm, "3/c:L0,S1/c:L1,S2/c:L2,S0");
+        let mut ex = explorer(SystemKind::LockillerTm, ring3);
         ex.retries = retries;
         ex.max_schedules = 80;
         add(format!("retries-{retries:?}/LockillerTM"), ex);
@@ -135,6 +144,20 @@ fn corpus() -> Vec<(String, Explorer)> {
         }
         add(format!("random-{i}/{}", system.name()), ex);
     }
+    // Whole spaces, drained under the default budget: the table strictly
+    // reduces the disjoint kernel's.
+    add(
+        "complete/ring-3c3l-tm".into(),
+        explorer(SystemKind::LockillerTm, ring3),
+    );
+    add(
+        "complete/disjoint-3c3l-tm".into(),
+        explorer(SystemKind::LockillerTm, disjoint),
+    );
+    add(
+        "complete/disjoint-3c3l-tm-pruned".into(),
+        prune(explorer(SystemKind::LockillerTm, disjoint)),
+    );
     cases
 }
 
