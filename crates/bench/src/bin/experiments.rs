@@ -18,7 +18,7 @@
 //! efficiency) as JSON; default `BENCH_lab.json`.
 //!
 //! Any other `--` flag, a value flag without its value, a `--jobs`
-//! value outside 1..=256 (`tmverify::dpor::MAX_JOBS`) and an unknown
+//! value outside 1..=256 (`sim_core::cli::MAX_JOBS`) and an unknown
 //! experiment name are usage errors (exit 2), found before anything
 //! runs.
 //!
@@ -30,11 +30,10 @@
 
 use lockiller_bench::experiments as ex;
 use lockiller_bench::lab::Lab;
-use sim_core::cli::{cannot_write, report, write_file};
+use sim_core::cli::{cannot_write, report, write_file, MAX_JOBS};
 use stamp::Scale;
 use std::io::Write;
 use std::path::Path;
-use tmverify::dpor::MAX_JOBS;
 
 const BIN: &str = "experiments";
 

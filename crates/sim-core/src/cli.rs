@@ -5,6 +5,10 @@
 use std::io::{self, Write};
 use std::path::Path;
 
+/// Most host threads a command line may ask for (`--jobs`): a command
+/// runs up to this many worker threads at once.
+pub const MAX_JOBS: usize = 256;
+
 /// A command's stdout, held through one lock, and the status it exits
 /// with.
 pub struct Report {

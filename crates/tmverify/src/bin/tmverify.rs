@@ -19,26 +19,28 @@
 //! Injections: ignore-conflicts, drop-nack, drop-wakeups, double-grant,
 //! prio-decay. `--cores` takes 1..=32 (the modelled core limit) and
 //! `--lines` 1..=65536 (`progs::MAX_LINES`, the bound `--prog` specs obey),
-//! `--jobs` 1..=256 (`dpor::MAX_JOBS`).
+//! `--jobs` 1..=256 (`sim_core::cli::MAX_JOBS`).
 //! `--profile` profiles every explored run on the host clock and prints
 //! the merged phase tree, heaviest self time first, after the report.
 //! Stdout carries only the report (and `-v`'s JSON); the header line and
 //! the `wrote …` / `witness written to …` notices go to stderr, and the
 //! files are written before the report, so a reader that closes stdout
 //! early loses only the rest of the report: the command still exits
-//! with its verdict's status. An unwritable `--bench-json` path exits 2.
+//! with its verdict's status.
 //!
 //! Exit codes — `explore`: 0 clean and complete, 1 violation found
 //! (witness written to `--out`, default `tmverify-witness.json`),
-//! 2 budget exhausted before the space was covered (or bad usage).
+//! 2 budget exhausted before the space was covered, bad usage, or an
+//! unwritable `--bench-json` or `--out` path (`tmverify: cannot write
+//! PATH: ERR`, before the report).
 //! `replay`: 0 witness reproduces its violation, 1 it does not,
 //! 2 unreadable witness.
 
 use lockiller::SystemKind;
-use sim_core::cli::{report, write_file};
+use sim_core::cli::{report, write_file, MAX_JOBS};
 use sim_core::config::MAX_CORES;
 use std::io::Write;
-use tmverify::dpor::{inject_by_name, Explorer, INJECT_NAMES, MAX_JOBS};
+use tmverify::dpor::{inject_by_name, Explorer, INJECT_NAMES};
 use tmverify::progs::{ProgSpec, MAX_LINES};
 
 fn usage() -> ! {
@@ -234,10 +236,8 @@ fn main() {
         eprintln!("wrote {}", path.display());
     }
     if let Some(w) = &rep.witness {
-        match std::fs::write(&args.out, w.to_json() + "\n") {
-            Ok(()) => eprintln!("witness written to {}", args.out.display()),
-            Err(e) => eprintln!("tmverify: cannot write {}: {e}", args.out.display()),
-        }
+        write_file("tmverify", &args.out, w.to_json() + "\n");
+        eprintln!("witness written to {}", args.out.display());
     }
     report("tmverify", |out| {
         out.status = rep.exit_code();

@@ -42,9 +42,13 @@
 //!   properties (the serializability check runs over the whole trace)
 //!   it can merge prefixes with different histories, so runs where a
 //!   history distinction matters can disable it (`--no-state-dedup`).
-//!   Fronts in the forced prefix, past the depth bound or after a run
-//!   turns redundant record no choice and are never hashed; a run
-//!   without dedup hashes nothing.
+//!   Fronts in the forced prefix, past the depth bound, after a run
+//!   turns redundant or after the first choice its batch's view already
+//!   covers record no choice and are never hashed; a run without dedup
+//!   hashes nothing. Each batch's runs read the seen-state table as it
+//!   stood before the batch: it only grows, so the merge stops at that
+//!   covered choice or an earlier one and never reads what the run
+//!   skipped.
 //!
 //! Coverage is exact when the report says so ([`ExploreReport::complete`]):
 //! no budget exhaustion, no depth clipping, no cycle-limited runs.
@@ -103,10 +107,6 @@ pub fn inject_names(fault: &FaultInject) -> Vec<String> {
         .map(|(n, _)| (*n).to_string())
         .collect()
 }
-
-/// Most host threads a command line may ask for (`--jobs`): every batch
-/// spawns up to this many scoped threads.
-pub const MAX_JOBS: usize = 256;
 
 /// Explorer configuration + entry point.
 #[derive(Clone)]
@@ -260,12 +260,13 @@ impl Explorer {
         violations
     }
 
-    /// Execute one work item (pure function of `self` + `item`).
-    fn execute(&self, item: &WorkItem) -> RunRecord {
+    /// Execute one work item (pure function of `self`, `item` and the
+    /// frozen `seen` table).
+    fn execute(&self, item: &WorkItem, seen: &Seen) -> RunRecord {
         let mut sched = RecordingScheduler::new(
             item,
             self.depth_bound,
-            self.state_dedup,
+            self.state_dedup.then_some(seen),
             self.active_prune().cloned(),
         );
         let mut prog = SpecProgram::new(self.spec.clone());
@@ -306,8 +307,7 @@ impl Explorer {
             forced: Vec::new(),
             entry_sleep: Vec::new(),
         });
-        // fp -> sleep sets (as sorted id vectors) already explored there.
-        let mut seen: FxHashMap<u64, Vec<Vec<u64>>> = FxHashMap::default();
+        let mut seen = Seen::default();
         let mut rep = ExploreReport::default();
         let prune = self.active_prune();
         rep.static_prune = prune.is_some();
@@ -324,13 +324,15 @@ impl Explorer {
                 let n = frontier.len().min(jobs);
                 frontier.drain(..n).collect()
             };
+            // Every run of the batch reads `seen` as it stands now; the
+            // merge below only adds to it.
             let records: Vec<RunRecord> = if batch.len() == 1 {
-                vec![self.execute(&batch[0])]
+                vec![self.execute(&batch[0], &seen)]
             } else {
                 std::thread::scope(|s| {
                     let handles: Vec<_> = batch
                         .iter()
-                        .map(|item| s.spawn(|| self.execute(item)))
+                        .map(|item| s.spawn(|| self.execute(item, &seen)))
                         .collect();
                     handles.into_iter().map(|h| h.join().unwrap()).collect()
                 })
@@ -370,22 +372,16 @@ impl Explorer {
                     }
                 }
                 // Child generation (sleep-set siblings + state dedup).
-                for ch in &rec.choices {
+                for ch in rec.choices {
                     // A fingerprint is recorded exactly when dedup is on.
                     if let Some(fp) = ch.fp {
-                        let mut ids: Vec<u64> = ch.sleep_before.iter().map(|d| d.id).collect();
-                        ids.sort_unstable();
-                        ids.dedup();
-                        let sets = seen.entry(fp).or_default();
-                        if sets.iter().any(|s| is_subset(s, &ids)) {
-                            // Covered: a previous visit to this state had
-                            // an equal-or-smaller sleep set, so both this
-                            // node's siblings and every deeper choice of
-                            // this run are explored elsewhere.
+                        if covers(&seen, fp, &ch.ids) {
+                            // Both this node's siblings and every deeper
+                            // choice of this run are explored elsewhere.
                             rep.pruned_dedup += 1;
                             break;
                         }
-                        sets.push(ids);
+                        seen.entry(fp).or_default().push(ch.ids);
                     }
                     let mut explored: Vec<EvDesc> = vec![ch.options[ch.chosen].clone()];
                     for (i, opt) in ch.options.iter().enumerate() {
@@ -476,6 +472,18 @@ impl Explorer {
     }
 }
 
+/// State fingerprint -> the sleep sets (sorted, deduped ids) explored
+/// there.
+type Seen = FxHashMap<u64, Vec<Vec<u64>>>;
+
+/// Whether `seen` covers state `fp` reached with the sleep set `ids`
+/// (sorted, deduped): an earlier visit there had an equal-or-smaller
+/// sleep set. The merge and the runs' early stop share this one test.
+fn covers(seen: &Seen, fp: u64, ids: &[u64]) -> bool {
+    seen.get(&fp)
+        .is_some_and(|sets| sets.iter().any(|s| is_subset(s, ids)))
+}
+
 /// `a` subset-of `b`, both sorted+deduped.
 fn is_subset(a: &[u64], b: &[u64]) -> bool {
     let mut it = b.iter();
@@ -499,13 +507,18 @@ struct WorkItem {
     entry_sleep: Vec<EvDesc>,
 }
 
-/// A recorded free-choice point.
+/// A recorded free-choice point. A run's last one may be a choice its
+/// batch's view of the seen-state table already covers, which the merge
+/// reads only up to its fingerprint.
 struct Choice {
     /// Index among the run's multi-candidate fronts.
     depth: usize,
     /// State fingerprint at the front (before dispatch); `None` when
     /// state deduplication is off, since nothing reads it then.
     fp: Option<u64>,
+    /// The ids of `sleep_before`, sorted and deduped: the key [`covers`]
+    /// tests with `fp` (empty when `fp` is `None`).
+    ids: Vec<u64>,
     options: Vec<EvDesc>,
     chosen: usize,
     /// Live sleep set just before dispatch.
@@ -527,8 +540,9 @@ struct RunRecord {
 }
 
 /// Replays a forced prefix, then picks the first non-sleeping candidate
-/// at every later front, recording choice points for child generation.
-struct RecordingScheduler {
+/// at every later front, recording choice points for child generation
+/// up to the first one its view of the seen-state table covers.
+struct RecordingScheduler<'a> {
     forced: Vec<usize>,
     entry_sleep: Vec<EvDesc>,
     depth_bound: usize,
@@ -541,25 +555,31 @@ struct RecordingScheduler {
     /// covered by other schedules, so no further choices are recorded.
     redundant_from: Option<usize>,
     depth_clipped: bool,
-    /// Fingerprint each recorded choice ([`Explorer::state_dedup`]).
-    state_dedup: bool,
+    /// The seen-state table as it stood before this run's batch, against
+    /// which each recorded choice is fingerprinted
+    /// ([`Explorer::state_dedup`] only; `None` takes no fingerprint).
+    seen: Option<&'a Seen>,
+    /// The last recorded choice is covered by `seen`: the merge stops
+    /// there or earlier, so nothing more is recorded (or hashed).
+    covered: bool,
     /// Static refinement of the wake-up relation: a sleeping event stays
     /// asleep past dispatches proven independent of it.
     prune: Option<StaticIndependence>,
 }
 
-impl RecordingScheduler {
+impl<'a> RecordingScheduler<'a> {
     fn new(
         item: &WorkItem,
         depth_bound: usize,
-        state_dedup: bool,
+        seen: Option<&'a Seen>,
         prune: Option<StaticIndependence>,
-    ) -> RecordingScheduler {
+    ) -> RecordingScheduler<'a> {
         RecordingScheduler {
             forced: item.forced.clone(),
             entry_sleep: item.entry_sleep.clone(),
             depth_bound,
-            state_dedup,
+            seen,
+            covered: false,
             prune,
             depth: 0,
             sleep: if item.forced.is_empty() {
@@ -580,7 +600,7 @@ impl RecordingScheduler {
     }
 }
 
-impl Scheduler for RecordingScheduler {
+impl Scheduler for RecordingScheduler<'_> {
     fn pick(&mut self, _at: Cycle, options: &[EvDesc], state_fp: &dyn Fn() -> u64) -> usize {
         let d = self.depth;
         self.depth += 1;
@@ -596,12 +616,24 @@ impl Scheduler for RecordingScheduler {
             self.depth_clipped = true;
             0
         } else if let Some(i) = (0..options.len()).find(|&i| !self.asleep(&options[i])) {
-            if self.redundant_from.is_none() {
-                // The only fingerprint this run reads: taken here, for a
-                // recorded choice, and only when dedup will look it up.
+            if self.redundant_from.is_none() && !self.covered {
+                // The only fingerprints this run reads: taken here, for a
+                // recorded choice, and only when dedup will look them up.
+                let (fp, ids) = match self.seen {
+                    Some(seen) => {
+                        let fp = state_fp();
+                        let mut ids: Vec<u64> = self.sleep.iter().map(|s| s.id).collect();
+                        ids.sort_unstable();
+                        ids.dedup();
+                        self.covered = covers(seen, fp, &ids);
+                        (Some(fp), ids)
+                    }
+                    None => (None, Vec::new()),
+                };
                 self.choices.push(Choice {
                     depth: d,
-                    fp: self.state_dedup.then(state_fp),
+                    fp,
+                    ids,
                     options: options.to_vec(),
                     chosen: i,
                     sleep_before: self.sleep.clone(),
@@ -866,7 +898,8 @@ mod tests {
 
     #[test]
     fn fingerprint_is_taken_only_for_recorded_choices() {
-        let mut s = RecordingScheduler::new(&item(), 6, true, None);
+        let empty = Seen::default();
+        let mut s = RecordingScheduler::new(&item(), 6, Some(&empty), None);
         let calls = drive(&mut s);
         assert_eq!(s.decisions, vec![1, 0, 0, 1, 0, 0, 0, 0]);
         assert_eq!(s.redundant_from, Some(4), "the all-asleep front");
@@ -879,7 +912,7 @@ mod tests {
 
     #[test]
     fn no_fingerprint_without_dedup_or_on_replay() {
-        let mut s = RecordingScheduler::new(&item(), 6, false, None);
+        let mut s = RecordingScheduler::new(&item(), 6, None, None);
         assert_eq!(drive(&mut s), 0, "dedup off: nothing reads a hash");
         assert_eq!(s.choices.len(), 2, "choices are still recorded");
         assert!(s.choices.iter().all(|c| c.fp.is_none()));
@@ -888,6 +921,29 @@ mod tests {
             depth: 0,
         };
         assert_eq!(drive(&mut r), 0, "replay never reads a hash");
+    }
+
+    #[test]
+    fn recording_stops_at_the_first_choice_the_view_covers() {
+        let empty = Seen::default();
+        let mut base = RecordingScheduler::new(&item(), 6, Some(&empty), None);
+        drive(&mut base);
+        // The sleep set at both free picks is {z} = [3]; [] is a subset.
+        let covering: Seen = [(0xf00d, vec![vec![]])].into_iter().collect();
+        let mut s = RecordingScheduler::new(&item(), 6, Some(&covering), None);
+        assert_eq!(drive(&mut s), 1, "no hash after the covered choice");
+        let depths: Vec<usize> = s.choices.iter().map(|c| c.depth).collect();
+        assert_eq!(depths, vec![2], "the covered choice is the last recorded");
+        assert_eq!(s.choices[0].fp, Some(0xf00d));
+        assert_eq!(s.choices[0].ids, vec![3], "the merge's key, sorted");
+        assert_eq!(s.decisions, base.decisions, "picks do not change");
+        assert_eq!(s.redundant_from, base.redundant_from);
+        assert_eq!(s.depth_clipped, base.depth_clipped);
+        // [99] is no subset of [3]: nothing is covered.
+        let other: Seen = [(0xf00d, vec![vec![99]])].into_iter().collect();
+        let mut s = RecordingScheduler::new(&item(), 6, Some(&other), None);
+        assert_eq!(drive(&mut s), 2);
+        assert_eq!(s.choices.len(), 2, "both free picks record");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! `tmverify` command-line behaviour: out-of-range sizes and malformed
 //! witness files are usage errors (exit 2), never panics,
 //! `--profile` prints the merged host profile after an unchanged report,
-//! stdout does not depend on the job count or the output paths, and a
-//! reader that closes early changes neither the status nor the files.
+//! stdout does not depend on the job count or the output paths, a
+//! reader that closes early changes neither the status nor the files,
+//! and a witness path that cannot be written exits 2, not 1.
 
 use std::process::{Command, Output, Stdio};
 
@@ -190,4 +191,20 @@ fn a_closed_reader_keeps_the_verdict_and_the_witness() {
     assert!(!err.contains("panicked"), "{err}");
     assert_eq!(out.status.code(), Some(1), "the violation's status: {err}");
     assert!(written, "the witness is written before the report");
+}
+
+#[test]
+fn an_unwritable_witness_path_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("tmverify-cli-nodir-{}", std::process::id()));
+    let witness = dir.join("missing").join("w.json");
+    let out = tmverify(&[
+        "--inject",
+        "drop-wakeups",
+        "--out",
+        witness.to_str().unwrap(),
+    ]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "not the violation's 1: {err}");
+    assert!(err.contains("cannot write"), "{err}");
+    assert!(!witness.exists());
 }

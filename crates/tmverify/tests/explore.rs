@@ -6,7 +6,7 @@ use lockiller::SystemKind;
 use sim_core::config::FaultInject;
 use tmcheck::CheckKind;
 use tmverify::progs::ProgSpec;
-use tmverify::Explorer;
+use tmverify::{ExploreReport, Explorer};
 
 fn ring(system: SystemKind, cores: usize, lines: u64) -> Explorer {
     let mut ex = Explorer::new(system, ProgSpec::conflict_ring(cores, lines));
@@ -48,6 +48,36 @@ fn exploration_is_deterministic_across_jobs_and_reruns() {
         assert_eq!(a.max_depth, rep.max_depth, "{label}");
     }
     assert!(a.complete() && a.is_clean(), "{}", a.render());
+}
+
+/// Runs of one batch test their fingerprints against the seen-state
+/// table as it stood before the batch, so at 2 and 3 jobs a view is
+/// stale by up to two runs. Every report field but the frontier's
+/// high-water mark must still equal the one-job exploration's, whose
+/// digests and dedup counts are those the explorer produced before runs
+/// stopped at covered states.
+#[test]
+fn a_stale_batch_view_changes_no_report_field_but_frontier_peak() {
+    let complete = ring(SystemKind::LockillerRwi, 4, 4);
+    let mut budgeted = ring(SystemKind::LockillerTm, 4, 4);
+    budgeted.max_schedules = 300;
+    for (mut ex, exhausted, dedup_hits, digest) in [
+        (complete, false, 221, 0xc8d6_c402_a849_3ed5),
+        (budgeted, true, 190, 0xb130_c557_2d20_37b0),
+    ] {
+        let explore = |ex: &Explorer| ExploreReport {
+            frontier_peak: 0,
+            ..ex.explore()
+        };
+        let one = explore(&ex);
+        let got = (one.budget_exhausted, one.pruned_dedup, one.digest);
+        assert_eq!(got, (exhausted, dedup_hits, digest), "{}", one.render());
+        for jobs in [2, 3] {
+            ex.jobs = jobs;
+            let rep = explore(&ex);
+            assert_eq!(format!("{rep:?}"), format!("{one:?}"), "jobs={jobs}");
+        }
+    }
 }
 
 #[test]
