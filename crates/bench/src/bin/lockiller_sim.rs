@@ -11,20 +11,32 @@
 //! `tmtrace` and `tmcheck`.
 //!
 //! `--threads` takes 1..=32, the core count of every hardware preset.
-//! A reader that closes stdout early ends the report quietly (exit 0).
+//! A malformed command line prints `lockiller_sim: MSG` and the usage
+//! text and exits 2. A reader that closes stdout early ends the report
+//! quietly (exit 0).
 
 use lockiller::runner::Runner;
 use lockiller::system::SystemKind;
 use lockiller::trace::render_timeline;
-use sim_core::cli::report;
+use lockiller_bench::lab::ConfigPoint;
+use sim_core::cli::{report, usage_error, Args, Usage};
 use sim_core::config::MAX_CORES;
 use sim_core::rng::parse_seed;
 use sim_core::stats::{AbortCause, Phase};
 use stamp::{Scale, Workload, WorkloadKind};
 use std::io::Write;
 
-fn usage() -> ! {
-    eprintln!(
+const BIN: &str = "lockiller_sim";
+
+/// `--cache` names and the presets they stand for.
+const CACHES: [(&str, ConfigPoint); 3] = [
+    ("typical", ConfigPoint::Typical),
+    ("small", ConfigPoint::SmallCache),
+    ("large", ConfigPoint::LargeCache),
+];
+
+fn usage() -> String {
+    format!(
         "usage: lockiller_sim --system <name> --workload <name> [--threads N]\n\
          \x20                  [--scale tiny|small|full] [--cache typical|small|large]\n\
          \x20                  [--retries N] [--seed N] [--timeline]\n\
@@ -33,78 +45,72 @@ fn usage() -> ! {
          workloads: {}",
         SystemKind::ALL.map(lockiller::SystemKind::name).join(" "),
         WorkloadKind::ALL.map(stamp::WorkloadKind::name).join(" ")
-    );
-    std::process::exit(2);
+    )
+}
+
+struct Opts {
+    system: SystemKind,
+    workload: WorkloadKind,
+    threads: usize,
+    scale: Scale,
+    cache: (&'static str, ConfigPoint),
+    retries: Option<u32>,
+    seed: u64,
+    timeline: bool,
+}
+
+fn parse_args(mut args: Args) -> Result<Opts, Usage> {
+    let mut o = Opts {
+        system: SystemKind::LockillerTm,
+        workload: WorkloadKind::VacationHigh,
+        threads: 4,
+        scale: Scale::Small,
+        cache: CACHES[0],
+        retries: None,
+        seed: 0xC0FFEE,
+        timeline: false,
+    };
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--system" => o.system = args.read("--system", SystemKind::from_name)?,
+            "--workload" => o.workload = args.read("--workload", WorkloadKind::from_name)?,
+            "--threads" => o.threads = args.number("--threads", 1..=MAX_CORES)?,
+            "--scale" => o.scale = args.read("--scale", Scale::from_name)?,
+            "--cache" => {
+                o.cache = args.read("--cache", |v| CACHES.into_iter().find(|c| c.0 == v))?;
+            }
+            "--retries" => o.retries = Some(args.parse("--retries")?),
+            "--seed" => o.seed = args.read("--seed", parse_seed)?,
+            "--timeline" => o.timeline = true,
+            other => return Err(Usage::unknown(other)),
+        }
+    }
+    Ok(o)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut system = SystemKind::LockillerTm;
-    let mut workload = WorkloadKind::VacationHigh;
-    let mut threads = 4usize;
-    let mut scale = Scale::Small;
-    let mut cache = "typical".to_string();
-    let mut retries: Option<u32> = None;
-    let mut seed = 0xC0FFEEu64;
-    let mut timeline = false;
+    let o = parse_args(Args::from_env()).unwrap_or_else(|e| usage_error(BIN, &usage(), &e));
 
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match args[i].as_str() {
-            "--system" => {
-                let v = take(&mut i);
-                system = SystemKind::from_name(&v).unwrap_or_else(|| usage());
-            }
-            "--workload" => {
-                let v = take(&mut i);
-                workload = WorkloadKind::from_name(&v).unwrap_or_else(|| usage());
-            }
-            "--threads" => {
-                threads = take(&mut i).parse().unwrap_or_else(|_| usage());
-                if !(1..=MAX_CORES).contains(&threads) {
-                    eprintln!("--threads takes 1..={MAX_CORES}");
-                    usage();
-                }
-            }
-            "--scale" => scale = Scale::from_name(&take(&mut i)).unwrap_or_else(|| usage()),
-            "--cache" => cache = take(&mut i),
-            "--retries" => retries = Some(take(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--seed" => seed = parse_seed(&take(&mut i)).unwrap_or_else(|| usage()),
-            "--timeline" => timeline = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage();
-            }
-        }
-        i += 1;
-    }
-
-    let cfg = match cache.as_str() {
-        "typical" => sim_core::config::SystemConfig::table1(),
-        "small" => sim_core::config::SystemConfig::small_cache(),
-        "large" => sim_core::config::SystemConfig::large_cache(),
-        _ => usage(),
-    };
-
-    let mut prog = Workload::with_scale(workload, threads, scale);
-    let mut runner = Runner::new(system).threads(threads).config(cfg).seed(seed);
-    if let Some(r) = retries {
+    let mut prog = Workload::with_scale(o.workload, o.threads, o.scale);
+    let mut runner = Runner::new(o.system)
+        .threads(o.threads)
+        .config(o.cache.1.config())
+        .seed(o.seed);
+    if let Some(r) = o.retries {
         runner = runner.retries(r);
     }
 
-    report("lockiller_sim", |out| {
+    report(BIN, |out| {
         writeln!(
             out,
-            "{} / {} / {threads} threads / {cache} cache / scale {scale:?}\n",
-            system.name(),
-            workload.name(),
+            "{} / {} / {} threads / {} cache / scale {:?}\n",
+            o.system.name(),
+            o.workload.name(),
+            o.threads,
+            o.cache.0,
+            o.scale,
         )?;
-        let (stats, trace) = if timeline {
+        let (stats, trace) = if o.timeline {
             let mut run = runner.tracing().run(&mut prog);
             let trace = run.take_trace_events();
             (run.stats, trace)
@@ -164,9 +170,90 @@ fn main() {
                 }
             }
         }
-        if timeline {
-            writeln!(out, "\n{}", render_timeline(&trace, threads, 110))?;
+        if o.timeline {
+            writeln!(out, "\n{}", render_timeline(&trace, o.threads, 110))?;
         }
         Ok(())
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sim_core::rng::SimRng;
+
+    #[test]
+    fn every_flag_reaches_its_field() {
+        let o = parse_args(Args::new([
+            "--system",
+            "baseline",
+            "--workload",
+            "kmeans+",
+            "--threads",
+            "32",
+            "--scale",
+            "full",
+            "--cache",
+            "large",
+            "--retries",
+            "7",
+            "--seed",
+            "0x10",
+            "--timeline",
+        ]))
+        .unwrap();
+        assert_eq!(o.system, SystemKind::Baseline);
+        assert_eq!(o.workload, WorkloadKind::KmeansHigh);
+        assert_eq!((o.threads, o.scale), (32, Scale::Full));
+        assert_eq!(o.cache, ("large", ConfigPoint::LargeCache));
+        assert_eq!((o.retries, o.seed, o.timeline), (Some(7), 16, true));
+    }
+
+    /// About 10,000 argvs of up to six of the binary's own tokens: the
+    /// parser returns for each, and refuses with a message unless the
+    /// argv asked for help.
+    #[test]
+    fn no_argv_panics_the_parser() {
+        let flags = [
+            "--system",
+            "--workload",
+            "--threads",
+            "--scale",
+            "--cache",
+            "--retries",
+            "--seed",
+            "--timeline",
+            "typical",
+            "small",
+            "large",
+        ];
+        let values = [
+            "0",
+            "33",
+            "257",
+            "-1",
+            "0x10",
+            "18446744073709551616",
+            "",
+            "all",
+        ];
+        let names = [
+            SystemKind::ALL.map(SystemKind::name).to_vec(),
+            WorkloadKind::ALL.map(WorkloadKind::name).to_vec(),
+            Scale::ALL.map(Scale::name).to_vec(),
+        ]
+        .concat();
+        let tokens = [&flags[..], &values, &names, &["--junk", "-h", "--help"]].concat();
+        let mut rng = SimRng::new(34);
+        for _ in 0..10_000 {
+            let argv: Vec<&str> = (0..rng.below(7))
+                .map(|_| tokens[rng.below(tokens.len() as u64) as usize])
+                .collect();
+            match parse_args(Args::new(argv.clone())) {
+                Err(Usage::Help) => assert!(argv.iter().any(|a| ["-h", "--help"].contains(a))),
+                Err(Usage::Error(msg)) => assert!(!msg.is_empty(), "{argv:?}"),
+                Ok(_) => {}
+            }
+        }
+    }
 }

@@ -4,9 +4,9 @@
 //! else is a usage error. `experiments` treats an unknown flag, a value flag
 //! without its value, a job count that is not a number and an unknown
 //! experiment name as usage errors too, found before any experiment runs,
-//! never as a silently different run. Neither binary panics when its
-//! reader has closed, and an output file `experiments` cannot write is
-//! a plain error (exit 2).
+//! never as a silently different run. `-h` and `--help` print the usage
+//! text alone. Neither binary panics when its reader has closed, and an
+//! output file `experiments` cannot write is a plain error (exit 2).
 
 use std::process::{Command, Output, Stdio};
 
@@ -97,10 +97,7 @@ fn experiments_rejects_a_job_count_that_is_not_a_number() {
     let out = experiments(&["--jobs", "abc", "table2"]);
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{err}");
-    assert!(
-        err.contains("--jobs takes a job count, got \"abc\""),
-        "{err}"
-    );
+    assert!(err.contains("--jobs takes 1..=256, got \"abc\""), "{err}");
 }
 
 #[test]
@@ -116,9 +113,18 @@ fn experiments_rejects_unknown_flags_and_missing_values() {
         (&["--csv", "--quick", "table1"], "--csv takes a value"),
         (&["table2", "--bench-json"], "--bench-json takes a value"),
         (&["table2", "--jobs"], "--jobs takes a value"),
-        (&["--jobs", "0", "table2"], "got \"0\" (1..=256)"),
-        (&["--jobs", "257", "table2"], "got \"257\" (1..=256)"),
-        (&["--jobs", "18446744073709551615", "table2"], "(1..=256)"),
+        (
+            &["--jobs", "0", "table2"],
+            "--jobs takes 1..=256, got \"0\"",
+        ),
+        (
+            &["--jobs", "257", "table2"],
+            "--jobs takes 1..=256, got \"257\"",
+        ),
+        (
+            &["--jobs", "18446744073709551615", "table2"],
+            "--jobs takes 1..=256, got \"18446744073709551615\"",
+        ),
         (&["table2", "bogus"], "unknown experiment bogus"),
         (&["engine"], "unknown experiment engine"),
         (&["verify"], "unknown experiment verify"),
@@ -132,6 +138,25 @@ fn experiments_rejects_unknown_flags_and_missing_values() {
         // The usage lists every experiment name, `plots` included.
         assert!(err.contains(" plots "), "{args:?}: {err}");
         assert!(out.stdout.is_empty(), "{args:?} ran an experiment");
+    }
+}
+
+#[test]
+fn help_prints_the_usage_text_alone() {
+    for bin in [
+        env!("CARGO_BIN_EXE_experiments"),
+        env!("CARGO_BIN_EXE_lockiller_sim"),
+    ] {
+        for flag in ["-h", "--help"] {
+            let out = Command::new(bin)
+                .arg(flag)
+                .output()
+                .expect("the binary runs");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{bin} {flag}: {err}");
+            assert!(err.starts_with("usage: "), "{bin} {flag}: {err}");
+            assert!(out.stdout.is_empty(), "{bin} {flag} ran");
+        }
     }
 }
 

@@ -42,14 +42,15 @@
 //! `tmobs::witness`) without re-executing them; use `tmverify replay`
 //! to re-run one.
 //!
-//! A reader that closes stdout early ends the report quietly: the
-//! command exits with the status of the work done so far (`diff` and
-//! `witness` with the status they settled before writing). An `--out`
-//! directory or artifact that cannot be written prints
+//! A malformed command line prints `tmtrace: MSG` and the usage text
+//! and exits 2. A reader that closes stdout early ends the report
+//! quietly: the command exits with the status of the work done so far
+//! (`diff` and `witness` with the status they settled before writing).
+//! An `--out` directory or artifact that cannot be written prints
 //! `tmtrace: cannot write PATH: ERR` and exits 2.
 
 use lockiller::system::SystemKind;
-use sim_core::cli::{cannot_write, report, write_file};
+use sim_core::cli::{cannot_write, report, usage_error, write_file, Args, Usage};
 use sim_core::config::MAX_CORES;
 use sim_core::rng::parse_seed;
 use stamp::{Scale, WorkloadKind};
@@ -58,13 +59,23 @@ use tmobs::{diff_docs, run_trace, validate_chrome, TraceConfig};
 
 const BIN: &str = "tmtrace";
 
+const USAGE: &str = "usage: tmtrace [run]  [--workload NAME] [--system NAME] [--threads N]\n\
+     \x20              [--scale tiny|small|full] [--seed N] [--sample CYCLES]\n\
+     \x20              [--out DIR] [--timeline] [--validate] [-v]\n\
+     \x20      tmtrace blame [same options] [--top N]\n\
+     \x20      tmtrace flame [same options]\n\
+     \x20      tmtrace diff  A.json B.json [--threshold PCT]\n\
+     \x20      tmtrace witness FILE.json [...]\n\
+     --seed N: decimal, or hex with a 0x prefix";
+
 enum Cmd {
     Run,
     Blame,
     Flame,
 }
 
-struct Args {
+/// One traced point: `run`, `blame` or `flame`.
+struct Point {
     cmd: Cmd,
     cfg: TraceConfig,
     out: std::path::PathBuf,
@@ -74,22 +85,46 @@ struct Args {
     top: usize,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: tmtrace [run]  [--workload NAME] [--system NAME] [--threads N]\n\
-         \x20              [--scale tiny|small|full] [--seed N] [--sample CYCLES]\n\
-         \x20              [--out DIR] [--timeline] [--validate] [-v]\n\
-         \x20      tmtrace blame [same options] [--top N]\n\
-         \x20      tmtrace flame [same options]\n\
-         \x20      tmtrace diff  A.json B.json [--threshold PCT]\n\
-         \x20      tmtrace witness FILE.json [...]\n\
-         --seed N: decimal, or hex with a 0x prefix"
-    );
-    std::process::exit(2);
+/// What a command line asks for.
+enum Opts {
+    Point(Point),
+    Diff { files: Vec<String>, threshold: f64 },
+    Witness(Vec<String>),
 }
 
-fn parse_args(mut it: std::env::Args) -> Args {
-    let mut args = Args {
+fn parse_args(mut args: Args) -> Result<Opts, Usage> {
+    // `diff` and `witness` take positional files, and only as the first
+    // argument.
+    match args.peek() {
+        Some("diff") => {
+            args.next();
+            let (mut files, mut threshold) = (Vec::new(), 0.0);
+            while let Some(a) = args.next() {
+                match a.as_str() {
+                    "--threshold" => threshold = args.parse("--threshold")?,
+                    flag if flag.starts_with('-') => return Err(Usage::unknown(flag)),
+                    _ => files.push(a),
+                }
+            }
+            if files.len() != 2 {
+                return Err(Usage::Error("diff needs exactly two JSON files".into()));
+            }
+            return Ok(Opts::Diff { files, threshold });
+        }
+        Some("witness") => {
+            args.next();
+            let paths: Vec<String> = args.collect();
+            if paths.iter().any(|p| p == "-h" || p == "--help") {
+                return Err(Usage::Help);
+            }
+            if paths.is_empty() {
+                return Err(Usage::Error("witness needs at least one file".into()));
+            }
+            return Ok(Opts::Witness(paths));
+        }
+        _ => {}
+    }
+    let mut p = Point {
         cmd: Cmd::Run,
         cfg: TraceConfig::new(WorkloadKind::Intruder, SystemKind::LockillerTm),
         out: std::path::PathBuf::from("tmtrace-out"),
@@ -98,84 +133,36 @@ fn parse_args(mut it: std::env::Args) -> Args {
         verbose: false,
         top: 10,
     };
-    while let Some(a) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| usage());
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "run" => args.cmd = Cmd::Run,
-            "blame" => args.cmd = Cmd::Blame,
+            "run" => p.cmd = Cmd::Run,
+            "blame" => p.cmd = Cmd::Blame,
             "flame" => {
-                args.cmd = Cmd::Flame;
-                args.cfg.profile = true;
+                p.cmd = Cmd::Flame;
+                p.cfg.profile = true;
             }
             "--workload" | "-w" => {
-                let v = val();
-                let Some(k) = WorkloadKind::from_name(&v) else {
-                    eprintln!("unknown workload {v:?}");
-                    usage();
-                };
-                args.cfg.workload = k;
+                p.cfg.workload = args.read("--workload", WorkloadKind::from_name)?;
             }
-            "--system" | "-s" => {
-                let v = val();
-                let Some(k) = SystemKind::from_name(&v) else {
-                    eprintln!("unknown system {v:?}");
-                    usage();
-                };
-                args.cfg.system = k;
-            }
-            "--threads" | "-t" => {
-                let threads = val().parse().unwrap_or_else(|_| usage());
-                if !(1..=MAX_CORES).contains(&threads) {
-                    eprintln!("--threads takes 1..={MAX_CORES}");
-                    usage();
-                }
-                args.cfg.threads = threads;
-            }
-            "--scale" => args.cfg.scale = Scale::from_name(&val()).unwrap_or_else(|| usage()),
-            "--seed" => args.cfg.seed = parse_seed(&val()).unwrap_or_else(|| usage()),
-            "--sample" => {
-                args.cfg.sample_every = val().parse().unwrap_or_else(|_| usage());
-            }
-            "--top" => args.top = val().parse().unwrap_or_else(|_| usage()),
-            "--out" | "-o" => args.out = val().into(),
-            "--timeline" => args.timeline = true,
-            "--validate" => args.validate = true,
-            "-v" | "--verbose" => args.verbose = true,
-            "-h" | "--help" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage();
-            }
+            "--system" | "-s" => p.cfg.system = args.read("--system", SystemKind::from_name)?,
+            "--threads" | "-t" => p.cfg.threads = args.number("--threads", 1..=MAX_CORES)?,
+            "--scale" => p.cfg.scale = args.read("--scale", Scale::from_name)?,
+            "--seed" => p.cfg.seed = args.read("--seed", parse_seed)?,
+            "--sample" => p.cfg.sample_every = args.parse("--sample")?,
+            "--top" => p.top = args.parse("--top")?,
+            "--out" | "-o" => p.out = args.value("--out")?.into(),
+            "--timeline" => p.timeline = true,
+            "--validate" => p.validate = true,
+            "-v" | "--verbose" => p.verbose = true,
+            other => return Err(Usage::unknown(other)),
         }
     }
-    args
+    Ok(Opts::Point(p))
 }
 
 /// `tmtrace diff A.json B.json [--threshold PCT]`: exit 0 when every
 /// numeric leaf agrees within the threshold, 1 when any delta is flagged.
-fn cmd_diff(mut it: std::env::Args) -> ! {
-    let mut files: Vec<String> = Vec::new();
-    let mut threshold = 0.0f64;
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--threshold" => {
-                threshold = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "-h" | "--help" => usage(),
-            other if other.starts_with('-') => {
-                eprintln!("unknown argument {other:?}");
-                usage();
-            }
-            path => files.push(path.to_string()),
-        }
-    }
-    if files.len() != 2 {
-        eprintln!("diff needs exactly two JSON files");
-        usage();
-    }
+fn cmd_diff(files: &[String], threshold: f64) -> ! {
     let read = |p: &str| -> String {
         std::fs::read_to_string(p).unwrap_or_else(|e| {
             eprintln!("cannot read {p}: {e}");
@@ -213,15 +200,7 @@ fn cmd_diff(mut it: std::env::Args) -> ! {
 /// `tmtrace witness FILE.json [...]`: render witness files. Exit 0 when
 /// every file parses, 2 otherwise; the files before the first bad one
 /// are rendered.
-fn cmd_witness(it: std::env::Args) -> ! {
-    let paths: Vec<String> = it.collect();
-    if paths.iter().any(|p| p == "-h" || p == "--help") {
-        usage();
-    }
-    if paths.is_empty() {
-        eprintln!("witness needs at least one file");
-        usage();
-    }
+fn cmd_witness(paths: &[String]) -> ! {
     let witnesses: Vec<Result<tmobs::Witness, String>> = paths
         .iter()
         .map(|path| {
@@ -251,40 +230,33 @@ fn cmd_witness(it: std::env::Args) -> ! {
 }
 
 fn main() {
-    let mut it = std::env::args();
-    // Skip argv[0]. `diff` and `witness` have their own grammars
-    // (positional files); dispatch before the flag parser sees them.
-    it.next();
-    let args = match std::env::args().nth(1).as_deref() {
-        Some("diff") => {
-            it.next();
-            cmd_diff(it)
-        }
-        Some("witness") => {
-            it.next();
-            cmd_witness(it)
-        }
-        _ => parse_args(it),
-    };
+    match parse_args(Args::from_env()).unwrap_or_else(|e| usage_error(BIN, USAGE, &e)) {
+        Opts::Point(p) => trace(&p),
+        Opts::Diff { files, threshold } => cmd_diff(&files, threshold),
+        Opts::Witness(paths) => cmd_witness(&paths),
+    }
+}
 
-    let art = run_trace(&args.cfg);
+/// `tmtrace [run|blame|flame]`: trace one point and write its artifacts.
+fn trace(point: &Point) -> ! {
+    let art = run_trace(&point.cfg);
 
     if let Err(e) = &art.validation {
         eprintln!("workload validation FAILED: {e}");
         std::process::exit(1);
     }
 
-    std::fs::create_dir_all(&args.out).unwrap_or_else(|e| cannot_write(BIN, &args.out, &e));
+    std::fs::create_dir_all(&point.out).unwrap_or_else(|e| cannot_write(BIN, &point.out, &e));
     let stem = format!(
         "{}-{}",
-        args.cfg.workload.name(),
-        args.cfg.system.name().to_lowercase()
+        point.cfg.workload.name(),
+        point.cfg.system.name().to_lowercase()
     );
-    let trace_path = args.out.join(format!("{stem}.trace.json"));
-    let jsonl_path = args.out.join(format!("{stem}.metrics.jsonl"));
-    let summary_path = args.out.join(format!("{stem}.summary.txt"));
-    let stats_path = args.out.join(format!("{stem}.stats.json"));
-    let selfprof_path = args.out.join(format!("{stem}.selfprof.json"));
+    let trace_path = point.out.join(format!("{stem}.trace.json"));
+    let jsonl_path = point.out.join(format!("{stem}.metrics.jsonl"));
+    let summary_path = point.out.join(format!("{stem}.summary.txt"));
+    let stats_path = point.out.join(format!("{stem}.stats.json"));
+    let selfprof_path = point.out.join(format!("{stem}.selfprof.json"));
     write_file(BIN, &trace_path, &art.chrome_json);
     write_file(BIN, &jsonl_path, &art.metrics_jsonl);
     write_file(BIN, &summary_path, &art.summary);
@@ -292,11 +264,11 @@ fn main() {
     write_file(BIN, &selfprof_path, &art.selfprof_json);
 
     report(BIN, |out| {
-        if matches!(args.cmd, Cmd::Flame) {
+        if matches!(point.cmd, Cmd::Flame) {
             let prof = art.host_prof.as_ref().expect("flame runs with profiling");
             let flame_text = tmobs::flame(prof);
-            let flame_path = args.out.join(format!("{stem}.flame.txt"));
-            let prof_trace_path = args.out.join(format!("{stem}.prof.trace.json"));
+            let flame_path = point.out.join(format!("{stem}.flame.txt"));
+            let prof_trace_path = point.out.join(format!("{stem}.prof.trace.json"));
             write_file(BIN, &flame_path, &flame_text);
             write_file(BIN, &prof_trace_path, tmobs::chrome_prof(prof));
             write!(out, "{}", tmobs::render_prof(prof))?;
@@ -320,16 +292,16 @@ fn main() {
             writeln!(out, "wrote {}", prof_trace_path.display())?;
         }
 
-        if matches!(args.cmd, Cmd::Blame) {
-            let blame_path = args.out.join(format!("{stem}.blame.json"));
-            let doc = art.forensics.to_json(args.top);
+        if matches!(point.cmd, Cmd::Blame) {
+            let blame_path = point.out.join(format!("{stem}.blame.json"));
+            let doc = art.forensics.to_json(point.top);
             if let Err(e) = sim_core::json::parse(&doc) {
                 eprintln!("blame JSON validation FAILED: {e}");
                 out.status = 1;
                 return Ok(());
             }
             write_file(BIN, &blame_path, &doc);
-            write!(out, "{}", art.forensics.render(args.top))?;
+            write!(out, "{}", art.forensics.render(point.top))?;
             match art.forensics.reconcile(&art.stats) {
                 Ok(()) => writeln!(
                     out,
@@ -346,11 +318,11 @@ fn main() {
         } else {
             write!(out, "{}", art.summary)?;
         }
-        if args.timeline {
+        if point.timeline {
             write!(out, "{}", art.timeline)?;
         }
         // `flame` printed the same table above.
-        if args.verbose && !matches!(args.cmd, Cmd::Flame) {
+        if point.verbose && !matches!(point.cmd, Cmd::Flame) {
             write!(out, "{}", art.profile)?;
         }
         writeln!(
@@ -367,7 +339,7 @@ fn main() {
         writeln!(out, "wrote {}", selfprof_path.display())?;
         writeln!(out, "open the trace at https://ui.perfetto.dev")?;
 
-        if args.validate {
+        if point.validate {
             let written = std::fs::read_to_string(&trace_path).expect("re-read trace");
             match validate_chrome(&written) {
                 Ok(s) => writeln!(
@@ -383,4 +355,120 @@ fn main() {
         }
         Ok(())
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sim_core::rng::SimRng;
+
+    #[test]
+    fn every_flag_reaches_its_field() {
+        let Ok(Opts::Point(p)) = parse_args(Args::new([
+            "flame",
+            "-w",
+            "kmeans",
+            "-s",
+            "baseline",
+            "-t",
+            "8",
+            "--scale",
+            "small",
+            "--seed",
+            "0x10",
+            "--sample",
+            "500",
+            "--top",
+            "3",
+            "-o",
+            "dir",
+            "--timeline",
+            "--validate",
+            "-v",
+        ])) else {
+            panic!("a point")
+        };
+        assert!(matches!(p.cmd, Cmd::Flame) && p.cfg.profile);
+        assert_eq!(p.cfg.workload, WorkloadKind::KmeansLow);
+        assert_eq!(p.cfg.system, SystemKind::Baseline);
+        assert_eq!(
+            (p.cfg.threads, p.cfg.scale, p.cfg.seed),
+            (8, Scale::Small, 16)
+        );
+        assert_eq!((p.cfg.sample_every, p.top), (500, 3));
+        assert_eq!(p.out, std::path::Path::new("dir"));
+        assert!(p.timeline && p.validate && p.verbose);
+        let Ok(Opts::Diff { files, threshold }) =
+            parse_args(Args::new(["diff", "a.json", "--threshold", "5", "b.json"]))
+        else {
+            panic!("a diff")
+        };
+        assert_eq!(
+            (files, threshold),
+            (vec!["a.json".into(), "b.json".into()], 5.0)
+        );
+        let Ok(Opts::Witness(paths)) = parse_args(Args::new(["witness", "w.json"])) else {
+            panic!("a witness")
+        };
+        assert_eq!(paths, ["w.json"]);
+    }
+
+    /// About 10,000 argvs of up to six of the binary's own tokens: the
+    /// parser returns for each, and refuses with a message unless the
+    /// argv asked for help.
+    #[test]
+    fn no_argv_panics_the_parser() {
+        let flags = [
+            "run",
+            "blame",
+            "flame",
+            "diff",
+            "witness",
+            "--workload",
+            "-w",
+            "--system",
+            "-s",
+            "--threads",
+            "-t",
+            "--scale",
+            "--seed",
+            "--sample",
+            "--top",
+            "--out",
+            "-o",
+            "--timeline",
+            "--validate",
+            "-v",
+            "--verbose",
+            "--threshold",
+        ];
+        let values = [
+            "0",
+            "33",
+            "257",
+            "-1",
+            "0x10",
+            "18446744073709551616",
+            "",
+            "all",
+        ];
+        let names = [
+            SystemKind::ALL.map(SystemKind::name).to_vec(),
+            WorkloadKind::ALL.map(WorkloadKind::name).to_vec(),
+            Scale::ALL.map(Scale::name).to_vec(),
+        ]
+        .concat();
+        let tokens = [&flags[..], &values, &names, &["--junk", "-h", "--help"]].concat();
+        let mut rng = SimRng::new(34);
+        for _ in 0..10_000 {
+            let argv: Vec<&str> = (0..rng.below(7))
+                .map(|_| tokens[rng.below(tokens.len() as u64) as usize])
+                .collect();
+            match parse_args(Args::new(argv.clone())) {
+                Err(Usage::Help) => assert!(argv.iter().any(|a| ["-h", "--help"].contains(a))),
+                Err(Usage::Error(msg)) => assert!(!msg.is_empty(), "{argv:?}"),
+                Ok(_) => {}
+            }
+        }
+    }
 }

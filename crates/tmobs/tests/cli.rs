@@ -1,8 +1,9 @@
 //! `tmtrace` command-line behaviour: a thread count outside the modelled
 //! cores is a usage error (exit 2), never a panic; `--seed` reads
-//! decimal or `0x` hex, and anything else is a usage error; a report
-//! whose reader closes early ends quietly with the command's status; an
-//! `--out` directory that cannot be created is a plain error (exit 2).
+//! decimal or `0x` hex, and anything else is a usage error; a value flag
+//! never takes the option after it as its value; a report whose reader
+//! closes early ends quietly with the command's status; an `--out`
+//! directory that cannot be created is a plain error (exit 2).
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Output, Stdio};
@@ -105,4 +106,25 @@ fn an_unwritable_out_directory_is_a_plain_error() {
         "{err}"
     );
     assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn a_value_flag_never_takes_the_next_option() {
+    let dir = std::env::temp_dir().join(format!("tmtrace-swallow-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_tmtrace"))
+        .args(["--threads", "2", "--out", "--validate"])
+        .current_dir(&dir)
+        .output()
+        .expect("tmtrace runs");
+    let swallowed = dir.join("--validate").exists();
+    std::fs::remove_dir_all(&dir).ok();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("tmtrace: --out takes a value"), "{err}");
+    assert!(err.contains("usage: tmtrace"), "{err}");
+    assert!(
+        !swallowed,
+        "the artifacts went to a directory named --validate"
+    );
 }

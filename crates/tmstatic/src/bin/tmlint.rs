@@ -3,7 +3,7 @@
 //! ```text
 //! tmlint --prog SPEC [--system NAME] [--tiny-l1] [--json]
 //!        [--baseline FILE] [--table]
-//! tmlint kernel (--prog SPEC | --stamp NAME) [--threads N]
+//! tmlint kernel (--prog SPEC | --stamp kmeans+|kmeans|intruder-flow) [--threads N]
 //!        [--system NAME] [--tiny-l1] [--json] [--baseline FILE] [--table]
 //! ```
 //!
@@ -33,31 +33,38 @@
 //! re-litigating known ones.
 //!
 //! Exit codes: 0 no (new) error-severity diagnostics, 1 at least one
-//! (new) error, 2 bad usage or unreadable input.
+//! (new) error, 2 bad usage or unreadable input. A malformed command
+//! line, a `--prog` spec that does not parse included, prints
+//! `tmlint: MSG` and the usage text and exits 2.
 
 use lockiller::SystemKind;
-use sim_core::cli::{report, Report};
+use sim_core::cli::{report, usage_error, Args, Report, Usage};
 use sim_core::config::MAX_CORES;
 use std::io::{self, Write};
 use tmstatic::{lint, lint_kernels, Diag, Severity, VmAnalysis};
 use tmverify::progs::ProgSpec;
 use tmverify::Explorer;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: tmlint --prog SPEC [--system NAME] [--tiny-l1] [--json]\n\
-         \x20             [--baseline FILE] [--table]\n\
-         \x20      tmlint kernel (--prog SPEC | --stamp NAME) [--threads N]\n\
-         \x20             [--system NAME] [--tiny-l1] [--json] [--baseline FILE] [--table]"
-    );
-    std::process::exit(2);
+const BIN: &str = "tmlint";
+
+const USAGE: &str = "usage: tmlint --prog SPEC [--system NAME] [--tiny-l1] [--json]\n\
+     \x20             [--baseline FILE] [--table]\n\
+     \x20      tmlint kernel (--prog SPEC | --stamp kmeans+|kmeans|intruder-flow) [--threads N]\n\
+     \x20             [--system NAME] [--tiny-l1] [--json] [--baseline FILE] [--table]";
+
+/// The bytecode of a STAMP kernel program for N threads.
+type StampKernels = fn(usize) -> Vec<guestvm::Kernel>;
+
+/// What to lint: a `--prog` spec (in kernel mode, the kernels it
+/// compiles to), or a `--stamp` program by name at `--threads`.
+enum Subject {
+    Prog(ProgSpec),
+    Stamp(String, StampKernels, usize),
 }
 
 struct Opts {
     kernel_mode: bool,
-    prog: Option<String>,
-    stamp: Option<String>,
-    threads: usize,
+    subject: Subject,
     system: SystemKind,
     tiny_l1: bool,
     json: bool,
@@ -65,60 +72,50 @@ struct Opts {
     baseline: Option<std::path::PathBuf>,
 }
 
-fn parse_args() -> Opts {
-    let mut it = std::env::args().skip(1).peekable();
-    let kernel_mode = it.peek().is_some_and(|a| a == "kernel");
+fn parse_args(mut args: Args) -> Result<Opts, Usage> {
+    let kernel_mode = args.peek() == Some("kernel");
     if kernel_mode {
-        it.next();
+        args.next();
     }
-    let mut o = Opts {
-        kernel_mode,
-        prog: None,
-        stamp: None,
-        threads: 2,
-        system: SystemKind::LockillerRwi,
-        tiny_l1: false,
-        json: false,
-        table: false,
-        baseline: None,
-    };
-    while let Some(a) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| usage());
+    let (mut prog, mut stamp, mut threads) = (None, None, 2);
+    let (mut system, mut tiny_l1, mut json, mut table) =
+        (SystemKind::LockillerRwi, false, false, false);
+    let mut baseline = None;
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--prog" | "-p" => o.prog = Some(val()),
-            "--stamp" if kernel_mode => o.stamp = Some(val()),
-            "--threads" if kernel_mode => {
-                let v = val();
-                let Some(n) = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| (1..=MAX_CORES).contains(n))
-                else {
-                    eprintln!("tmlint: --threads takes 1..={MAX_CORES}, got {v:?}");
-                    usage();
-                };
-                o.threads = n;
+            "--prog" | "-p" => prog = Some(args.value("--prog")?),
+            "--stamp" if kernel_mode => {
+                stamp = Some(args.read("--stamp", |v| Some((v.to_string(), stamp_kernels(v)?)))?);
             }
-            "--system" | "-s" => {
-                let v = val();
-                let Some(k) = SystemKind::from_name(&v) else {
-                    eprintln!("tmlint: unknown system {v:?}");
-                    usage();
-                };
-                o.system = k;
-            }
-            "--tiny-l1" => o.tiny_l1 = true,
-            "--json" => o.json = true,
-            "--table" => o.table = true,
-            "--baseline" => o.baseline = Some(val().into()),
-            "-h" | "--help" => usage(),
-            other => {
-                eprintln!("tmlint: unknown argument {other:?}");
-                usage();
-            }
+            "--threads" if kernel_mode => threads = args.number("--threads", 1..=MAX_CORES)?,
+            "--system" | "-s" => system = args.read("--system", SystemKind::from_name)?,
+            "--tiny-l1" => tiny_l1 = true,
+            "--json" => json = true,
+            "--table" => table = true,
+            "--baseline" => baseline = Some(args.value("--baseline")?.into()),
+            other => return Err(Usage::unknown(other)),
         }
     }
-    o
+    let subject = match (prog, stamp) {
+        (Some(p), None) => {
+            Subject::Prog(ProgSpec::parse(&p).map_err(|e| Usage::Error(e.to_string()))?)
+        }
+        (None, Some((name, kernels))) => Subject::Stamp(name, kernels, threads),
+        _ if !kernel_mode => return Err(Usage::Error("--prog is required".into())),
+        _ => {
+            let msg = "kernel mode needs exactly one of --prog / --stamp";
+            return Err(Usage::Error(msg.into()));
+        }
+    };
+    Ok(Opts {
+        kernel_mode,
+        subject,
+        system,
+        tiny_l1,
+        json,
+        table,
+        baseline,
+    })
 }
 
 /// Print the diagnostics, tagging those the optional baseline already
@@ -197,41 +194,23 @@ fn geometry(threads: usize, tiny_l1: bool) -> sim_core::config::SystemConfig {
     ex.config()
 }
 
-fn parse_spec(prog: &str) -> ProgSpec {
-    ProgSpec::parse(prog).unwrap_or_else(|e| {
-        eprintln!("tmlint: {e}");
-        std::process::exit(2);
-    })
-}
-
 fn main() {
-    let o = parse_args();
-    let (a, diags, subject) = match (o.kernel_mode, &o.prog, &o.stamp) {
-        (false, Some(p), None) => {
-            let spec = parse_spec(p);
+    let o = parse_args(Args::from_env()).unwrap_or_else(|e| usage_error(BIN, USAGE, &e));
+    let (a, diags, subject) = match (o.kernel_mode, &o.subject) {
+        (false, Subject::Prog(spec)) => {
             let cfg = geometry(spec.num_threads(), o.tiny_l1);
-            let a = VmAnalysis::of_spec(o.system, &spec, cfg);
-            let diags = lint(&a, &spec);
+            let a = VmAnalysis::of_spec(o.system, spec, cfg);
+            let diags = lint(&a, spec);
             (a, diags, spec.render())
         }
-        (false, ..) => {
-            eprintln!("tmlint: --prog is required");
-            usage();
-        }
-        (true, p, s) => {
-            let (kernels, subject) = match (p, s) {
-                (Some(p), None) => {
-                    let spec = parse_spec(p);
-                    let subject = format!("kernels of {}", spec.render());
-                    (tmverify::progs::SpecProgram::compile_all(&spec), subject)
-                }
-                (None, Some(name)) => (
-                    stamp_kernels(name, o.threads),
-                    format!("stamp {name} x{}", o.threads),
+        (_, subject) => {
+            let (kernels, subject) = match subject {
+                Subject::Prog(spec) => (
+                    tmverify::progs::SpecProgram::compile_all(spec),
+                    format!("kernels of {}", spec.render()),
                 ),
-                _ => {
-                    eprintln!("tmlint: kernel mode needs exactly one of --prog / --stamp");
-                    usage();
+                Subject::Stamp(name, kernels, threads) => {
+                    (kernels(*threads), format!("stamp {name} x{threads}"))
                 }
             };
             let cfg = geometry(kernels.len(), o.tiny_l1);
@@ -240,7 +219,7 @@ fn main() {
             (a, diags, subject)
         }
     };
-    report("tmlint", |out| {
+    report(BIN, |out| {
         print_diags(out, &diags, &o, &subject)?;
         if o.table {
             print_table(a.independence());
@@ -249,25 +228,116 @@ fn main() {
     })
 }
 
-/// The bytecode of a STAMP kernel program at `Scale::Tiny`: a ladder
-/// workload named as [`stamp::WorkloadKind::name`] names it (kmeans+ is
-/// the high-contention kmeans), or `intruder-flow`.
-fn stamp_kernels(name: &str, threads: usize) -> Vec<guestvm::Kernel> {
+/// The STAMP kernel programs `--stamp` takes, named as
+/// [`stamp::WorkloadKind::name`] names them (kmeans+ is the
+/// high-contention kmeans), or `intruder-flow`: each compiles its
+/// bytecode at `Scale::Tiny`.
+fn stamp_kernels(name: &str) -> Option<StampKernels> {
     use stamp::kmeans::Kmeans;
     use stamp::{Scale, WorkloadKind};
     match WorkloadKind::from_name(name) {
         Some(WorkloadKind::KmeansHigh) => {
-            Kmeans::new(Scale::Tiny, threads, true).compile_standalone()
+            Some(|threads| Kmeans::new(Scale::Tiny, threads, true).compile_standalone())
         }
         Some(WorkloadKind::KmeansLow) => {
-            Kmeans::new(Scale::Tiny, threads, false).compile_standalone()
+            Some(|threads| Kmeans::new(Scale::Tiny, threads, false).compile_standalone())
         }
         _ if name.eq_ignore_ascii_case("intruder-flow") => {
-            stamp::vm::IntruderFlow::new(Scale::Tiny, threads).compile_standalone()
+            Some(|threads| stamp::vm::IntruderFlow::new(Scale::Tiny, threads).compile_standalone())
         }
-        _ => {
-            eprintln!("tmlint: {name:?} is not a kernel program (kmeans+, kmeans, intruder-flow)");
-            usage();
+        _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sim_core::rng::SimRng;
+
+    #[test]
+    fn every_flag_reaches_its_field() {
+        let spec = "2/c:L0,S1/c:L1,S0";
+        let args = ["-p", spec, "-s", "lockillertm", "--tiny-l1", "--json"];
+        let o = parse_args(Args::new(
+            [&args[..], &["--table", "--baseline", "b.jsonl"]].concat(),
+        ))
+        .unwrap();
+        assert!(!o.kernel_mode);
+        assert!(matches!(&o.subject, Subject::Prog(p) if *p == ProgSpec::parse(spec).unwrap()));
+        assert_eq!(o.system, SystemKind::LockillerTm);
+        assert!(o.tiny_l1 && o.json && o.table);
+        assert_eq!(o.baseline, Some("b.jsonl".into()));
+        let o = parse_args(Args::new([
+            "kernel",
+            "--stamp",
+            "KMEANS+",
+            "--threads",
+            "3",
+        ]))
+        .unwrap();
+        assert!(o.kernel_mode);
+        let Subject::Stamp(name, kernels, threads) = o.subject else {
+            panic!("a stamp program")
+        };
+        assert_eq!((name.as_str(), kernels(threads).len()), ("KMEANS+", 3));
+    }
+
+    /// About 10,000 argvs of up to six of the binary's own tokens: the
+    /// parser returns for each, and refuses with a message unless the
+    /// argv asked for help.
+    #[test]
+    fn no_argv_panics_the_parser() {
+        let flags = [
+            "kernel",
+            "--prog",
+            "-p",
+            "--stamp",
+            "--threads",
+            "--system",
+            "-s",
+            "--tiny-l1",
+            "--json",
+            "--table",
+            "--baseline",
+        ];
+        let values = [
+            "0",
+            "2",
+            "33",
+            "257",
+            "-1",
+            "0x10",
+            "18446744073709551616",
+            "",
+            "all",
+        ];
+        let kernels = [
+            "2/c:L0,S1/p:L1",
+            "2/c:L5",
+            "kmeans+",
+            "kmeans",
+            "intruder-flow",
+        ];
+        let names = [
+            SystemKind::ALL.map(SystemKind::name).to_vec(),
+            stamp::WorkloadKind::ALL
+                .map(stamp::WorkloadKind::name)
+                .to_vec(),
+            stamp::Scale::ALL.map(stamp::Scale::name).to_vec(),
+        ]
+        .concat();
+        let junk = ["--junk", "-h", "--help"];
+        let tokens = [&flags[..], &values, &kernels, &names, &junk].concat();
+        let mut rng = SimRng::new(34);
+        for _ in 0..10_000 {
+            let argv: Vec<&str> = (0..rng.below(7))
+                .map(|_| tokens[rng.below(tokens.len() as u64) as usize])
+                .collect();
+            match parse_args(Args::new(argv.clone())) {
+                Err(Usage::Help) => assert!(argv.iter().any(|a| ["-h", "--help"].contains(a))),
+                Err(Usage::Error(msg)) => assert!(!msg.is_empty(), "{argv:?}"),
+                Ok(_) => {}
+            }
         }
     }
 }

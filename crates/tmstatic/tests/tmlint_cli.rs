@@ -1,7 +1,8 @@
 //! The `tmlint` binary end to end: both modes analyze under the geometry
 //! `tmverify` explores for the program's own thread count, so their
 //! pruning tables equal the explorer's; exit codes follow the contract
-//! (1 on an error diagnostic, 2 on bad input).
+//! (1 on an error diagnostic, 2 on bad input), and a value flag never
+//! takes the option after it as its value.
 
 use lockiller::SystemKind;
 use std::process::Command;
@@ -109,4 +110,20 @@ fn exit_codes_follow_the_contract() {
         assert_eq!(code, 2, "{name}: {stderr}");
         assert!(stdout.is_empty(), "{name}: {stdout}");
     }
+}
+
+#[test]
+fn a_value_flag_never_takes_the_next_option() {
+    let dir = std::env::temp_dir().join(format!("tmlint-swallow-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_tmlint"))
+        .args(["--prog", "2/c:L0,S1/c:L1,S0", "--baseline", "--json"])
+        .current_dir(&dir)
+        .output()
+        .expect("tmlint runs");
+    std::fs::remove_dir_all(&dir).ok();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("tmlint: --baseline takes a value"), "{err}");
+    assert!(err.contains("usage: tmlint"), "{err}");
 }

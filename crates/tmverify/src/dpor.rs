@@ -12,8 +12,9 @@
 //! point), each executed as a pure function — the engine, guests and
 //! scheduler are rebuilt per run — so batches can run on host threads
 //! while all bookkeeping happens sequentially in frontier order, making
-//! every count and the report digest independent of `--jobs` (the
-//! frontier high-water mark, [`ExploreReport::frontier_peak`], is not).
+//! every report field, the frontier high-water mark
+//! ([`ExploreReport::frontier_peak`]) and the digest included,
+//! independent of `--jobs`.
 //!
 //! # Reduction soundness
 //!
@@ -339,7 +340,8 @@ impl Explorer {
             };
             // Everything below is sequential in frontier order, so the
             // merge is independent of batch boundaries (i.e. of --jobs).
-            for rec in records {
+            let batch_len = records.len();
+            for (merged, rec) in records.into_iter().enumerate() {
                 if rep.schedules >= self.max_schedules {
                     rep.budget_exhausted = true;
                     break 'outer;
@@ -408,7 +410,10 @@ impl Explorer {
                         explored.push(opt.clone());
                     }
                 }
-                rep.frontier_peak = rep.frontier_peak.max(frontier.len());
+                // The batch's runs not merged yet are still on a
+                // one-job frontier at this point of the merge.
+                let unmerged = batch_len - merged - 1;
+                rep.frontier_peak = rep.frontier_peak.max(frontier.len() + unmerged);
             }
         }
 
@@ -699,11 +704,10 @@ pub struct ExploreReport {
     pub depth_clipped: u64,
     /// Deepest decision vector seen.
     pub max_depth: usize,
-    /// Peak frontier length (memory high-water mark). Sampled after each
-    /// merged run, when the current batch of up to `jobs` work items has
-    /// already left the frontier, so unlike every other field it depends
-    /// on the job count: 9, 8 and 7 at 1, 2 and 4 jobs on the default
-    /// 2-core, 2-line kernel.
+    /// Peak frontier length (memory high-water mark): the most work
+    /// items waiting after any merged run, counting the runs of its batch
+    /// not merged yet, so it reads the same at every job count (9 on the
+    /// default 2-core, 2-line kernel).
     pub frontier_peak: usize,
     /// The schedule budget ran out before the frontier drained.
     pub budget_exhausted: bool,

@@ -1,9 +1,11 @@
 //! `tmverify` command-line behaviour: out-of-range sizes and malformed
-//! witness files are usage errors (exit 2), never panics,
-//! `--profile` prints the merged host profile after an unchanged report,
-//! stdout does not depend on the job count or the output paths, a
-//! reader that closes early changes neither the status nor the files,
-//! and a witness path that cannot be written exits 2, not 1.
+//! witness files are usage errors (exit 2), never panics, a value flag
+//! never takes the option after it as its value, the safety net is off
+//! unless `--safety-net` turns it on, `--profile` prints the merged host
+//! profile after an unchanged report, stdout does not depend on the job
+//! count or the output paths, a reader that closes early changes neither
+//! the status nor the files, and a witness path that cannot be written
+//! exits 2, not 1.
 
 use std::process::{Command, Output, Stdio};
 
@@ -207,4 +209,38 @@ fn an_unwritable_witness_path_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2), "not the violation's 1: {err}");
     assert!(err.contains("cannot write"), "{err}");
     assert!(!witness.exists());
+}
+
+#[test]
+fn a_value_flag_never_takes_the_next_option() {
+    let dir = std::env::temp_dir().join(format!("tmverify-cli-swallow-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_tmverify"))
+        .args(["--inject", "drop-wakeups", "--out", "--profile"])
+        .current_dir(&dir)
+        .output()
+        .expect("tmverify runs");
+    let swallowed = dir.join("--profile").exists();
+    std::fs::remove_dir_all(&dir).ok();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("tmverify: --out takes a value"), "{err}");
+    assert!(!swallowed, "the witness went to a file named --profile");
+}
+
+#[test]
+fn the_safety_net_is_off_unless_asked_for() {
+    for (args, header) in [
+        (&[][..], "safety net off"),
+        (&["--safety-net"], "safety net on"),
+    ] {
+        let out = tmverify(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        assert!(err.contains(header), "{args:?}: {err}");
+    }
+    let out = tmverify(&["--no-safety-net"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("unknown option --no-safety-net"), "{err}");
 }

@@ -6,7 +6,7 @@ use lockiller::SystemKind;
 use sim_core::config::FaultInject;
 use tmcheck::CheckKind;
 use tmverify::progs::ProgSpec;
-use tmverify::{ExploreReport, Explorer};
+use tmverify::Explorer;
 
 fn ring(system: SystemKind, cores: usize, lines: u64) -> Explorer {
     let mut ex = Explorer::new(system, ProgSpec::conflict_ring(cores, lines));
@@ -52,12 +52,11 @@ fn exploration_is_deterministic_across_jobs_and_reruns() {
 
 /// Runs of one batch test their fingerprints against the seen-state
 /// table as it stood before the batch, so at 2 and 3 jobs a view is
-/// stale by up to two runs. Every report field but the frontier's
-/// high-water mark must still equal the one-job exploration's, whose
-/// digests and dedup counts are those the explorer produced before runs
-/// stopped at covered states.
+/// stale by up to two runs. Every report field must still equal the
+/// one-job exploration's, whose digests and dedup counts are those the
+/// explorer produced before runs stopped at covered states.
 #[test]
-fn a_stale_batch_view_changes_no_report_field_but_frontier_peak() {
+fn a_stale_batch_view_changes_no_report_field() {
     let complete = ring(SystemKind::LockillerRwi, 4, 4);
     let mut budgeted = ring(SystemKind::LockillerTm, 4, 4);
     budgeted.max_schedules = 300;
@@ -65,16 +64,12 @@ fn a_stale_batch_view_changes_no_report_field_but_frontier_peak() {
         (complete, false, 221, 0xc8d6_c402_a849_3ed5),
         (budgeted, true, 190, 0xb130_c557_2d20_37b0),
     ] {
-        let explore = |ex: &Explorer| ExploreReport {
-            frontier_peak: 0,
-            ..ex.explore()
-        };
-        let one = explore(&ex);
+        let one = ex.explore();
         let got = (one.budget_exhausted, one.pruned_dedup, one.digest);
         assert_eq!(got, (exhausted, dedup_hits, digest), "{}", one.render());
         for jobs in [2, 3] {
             ex.jobs = jobs;
-            let rep = explore(&ex);
+            let rep = ex.explore();
             assert_eq!(format!("{rep:?}"), format!("{one:?}"), "jobs={jobs}");
         }
     }

@@ -8,10 +8,11 @@
 //! ssca2 vacation+ vacation yada (default: intruder).
 
 use lockillertm::lockiller::{Runner, SystemKind};
+use lockillertm::sim_core::cli::Args;
 use lockillertm::stamp::{Scale, Workload, WorkloadKind};
 
 fn main() {
-    let arg = std::env::args().nth(1).unwrap_or_else(|| "intruder".into());
+    let arg = Args::from_env().next().unwrap_or_else(|| "intruder".into());
     let Some(kind) = WorkloadKind::from_name(&arg) else {
         eprintln!("unknown workload {arg}; options:");
         for w in WorkloadKind::ALL {
